@@ -1,11 +1,17 @@
 """Low-level numeric loops with an optional JIT lane.
 
-The hot paths (the erasure-probability recursion, batched inversion of the
-check polynomial, and dense feasibility scans) are written twice: once as
-scalar loops compiled with numba when it is importable, and once vectorized
-in plain numpy.  Setting the environment variable ``LDPC_FORGE_NUMBA=0``
-forces the numpy lane even when numba is installed; both lanes perform the
-same operations in the same order, so results agree to the last bit.
+The erasure-probability recursion, batched inversion of the check
+polynomial and the margin scan are written twice: once as scalar loops
+compiled with numba when it is importable, and once vectorized in plain
+numpy.  Setting the environment variable ``LDPC_FORGE_NUMBA=0`` forces the
+numpy lane even when numba is installed; both lanes perform the same
+operations in the same order, so results agree to the last bit.
+
+The transfer-gap scan has a single path built on that inversion:
+`transfer_grid` turns a grid of x into psi and psi' (one bisection per
+point), and `transfer_gap` evaluates psi - lam - t*psi' on it.
+`transfer_gap_scan` is the two composed, for callers that scan a grid
+only once.
 
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
@@ -212,52 +218,31 @@ def margin_scan(lam_c, rho_c, eps, eta, n):
     return float(out[0]), float(out[1])
 
 
-@njit(cache=True)
-def _transfer_gap_scan_jit(lam_c, rho_c, drho_c, eps, t, xs, tol, max_iter, out):
-    for j in range(xs.shape[0]):
-        target = 1.0 - xs[j]
-        lo = 0.0
-        hi = 1.0
-        mid = 0.5
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            resid = _horner(rho_c, mid) - target
-            if abs(resid) <= tol:
-                break
-            if resid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        psi = (1.0 - mid) / eps
-        dpsi = 1.0 / (eps * _horner(drho_c, mid))
-        out[j] = psi - _horner(lam_c, xs[j]) - t * dpsi
+def transfer_grid(rho_c, eps, xs, tol, max_iter=100):
+    """psi and psi' at each x of ``xs``, through one bisection of rho.
 
+    With z = rho^{-1}(1 - x) found by `bisect_increasing`, psi(x) =
+    (1 - z)/eps and psi'(x) = 1/(eps*rho'(z)).  Neither depends on lam or
+    t, so a designer inverts a scan grid once and reuses it for every
+    candidate via `transfer_gap`.
+    """
 
-def _transfer_gap_scan_np(lam_c, rho_c, drho_c, eps, t, xs, tol, max_iter, out):
-    z = np.empty_like(xs)
-    _bisect_increasing_np(rho_c, 1.0 - xs, tol, max_iter, z)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    rho_c = np.ascontiguousarray(rho_c, dtype=np.float64)
+    z = bisect_increasing(rho_c, 1.0 - xs, tol, max_iter)
     psi = (1.0 - z) / eps
-    dpsi = 1.0 / (eps * npoly.polyval(z, drho_c))
-    out[:] = psi - npoly.polyval(xs, lam_c) - t * dpsi
+    dpsi = 1.0 / (eps * npoly.polyval(z, npoly.polyder(rho_c)))
+    return psi, dpsi
+
+
+def transfer_gap(lam_c, t, xs, psi, dpsi):
+    """psi - lam - t*psi' on a grid whose psi and psi' are already known."""
+
+    return psi - npoly.polyval(xs, np.asarray(lam_c, dtype=np.float64)) - t * dpsi
 
 
 def transfer_gap_scan(lam_c, rho_c, eps, t, xs, tol, max_iter=100):
     """Evaluate psi(x) - lam(x) - t*psi'(x) at each x, psi by bisection."""
 
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    rho_c = np.ascontiguousarray(rho_c, dtype=np.float64)
-    drho_c = npoly.polyder(rho_c)
-    out = np.empty_like(xs)
-    scanner = _transfer_gap_scan_jit if USING_NUMBA else _transfer_gap_scan_np
-    scanner(
-        np.ascontiguousarray(lam_c, dtype=np.float64),
-        rho_c,
-        np.ascontiguousarray(drho_c, dtype=np.float64),
-        float(eps),
-        float(t),
-        xs,
-        float(tol),
-        int(max_iter),
-        out,
-    )
-    return out
+    return transfer_gap(lam_c, t, xs, *transfer_grid(rho_c, eps, xs, tol, max_iter))

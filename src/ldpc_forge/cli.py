@@ -4,7 +4,9 @@ Subcommands: validate, evaluate, estimate, design, certify, series,
 reproduce.  All file outputs are written atomically (temp file + rename)
 and every command that writes files drops a manifest JSON next to them
 recording flags, output paths, and content hashes; identical flags yield
-byte-identical outputs.
+byte-identical outputs.  `design` and `reproduce` manifests also record
+the HiGHS options and the numpy, scipy and HiGHS versions, on which the
+low digits of a design depend.
 
 Exit codes: 0 success, 2 usage or validation error, 3 decoding or
 certificate failure, 4 solver reported Infeasible/IterLimit.
@@ -26,6 +28,7 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import estimators, sip_compile
 from .de_engine import DEContext, ReachedTarget, Stalled, de_trace
@@ -33,8 +36,8 @@ from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
 from .errors import LdpcForgeError
 from .series import DEFAULT_ORDER, order_for_tolerance, taylor_for
-from .solve import (DEFAULT_GRID_N, DesignSpec, SolveReport, design_min_iterations,
-                    design_rate, design_utility)
+from .solve import (DEFAULT_GRID_N, LP_OPTIONS, DesignSpec, SolveReport,
+                    design_min_iterations, design_rate, design_utility)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,6 +142,22 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _highs_version() -> Optional[str]:
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    parts = [getattr(_core, f"HIGHS_VERSION_{p}", None) for p in ("MAJOR", "MINOR", "PATCH")]
+    return None if None in parts else ".".join(str(p) for p in parts)
+
+
+def solver_settings() -> dict:
+    """LP options and library versions, for manifests of LP-backed runs."""
+    return {"lp_options": dict(LP_OPTIONS),
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                         "highs": _highs_version()}}
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -146,6 +165,7 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     wall_time_s: float = 0.0
+    settings: dict = field(default_factory=dict)
 
     def add(self, path: str, text: str) -> None:
         _atomic_write(path, text)
@@ -155,7 +175,7 @@ class RunManifest:
     def write(self, path: str) -> None:
         payload = {"command": self.command, "parameters": self.parameters,
                    "artifacts": self.artifacts, "outputs": self.outputs,
-                   "wall_time_s": round(self.wall_time_s, 3)}
+                   "wall_time_s": round(self.wall_time_s, 3), **self.settings}
         _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -326,7 +346,7 @@ def cmd_design(args) -> int:
 
     out = _report_dict(rep, rho)
     if args.out:
-        man = RunManifest("design", _flags_dict(args))
+        man = RunManifest("design", _flags_dict(args), settings=solver_settings())
         if rep.lam is not None:
             man.add(args.out + ".ensemble.json",
                     Ensemble(lam=rep.lam, rho=rho).to_json(indent=2) + "\n")
@@ -591,7 +611,8 @@ def cmd_reproduce(args) -> int:
     figures = FIGURE_IDS if args.figure == "all" else (args.figure,)
     grid_n = args.grid_n or default_grid_n()
     for fig in figures:
-        man = RunManifest("reproduce", {"figure": fig, "grid_n": grid_n})
+        man = RunManifest("reproduce", {"figure": fig, "grid_n": grid_n},
+                          settings=solver_settings())
         t0 = time.perf_counter()
         header, rows, comments = _REPRO[fig](grid_n)
         man.wall_time_s = time.perf_counter() - t0

@@ -31,7 +31,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .ensemble import DegreeDistribution
-from .errors import DomainError, OrderTooSmall, ZetaTildeZero
+from .errors import DomainError, NumericalFailure, OrderTooSmall, ZetaTildeZero
 from .series import TaylorSeries
 
 ArrayLike = Union[float, np.ndarray]
@@ -191,7 +191,11 @@ def compile_constraint(
     # tolerance scales with the summed term magnitudes (row entries reach
     # ~1e16 at D ~ 60, so reordering noise dwarfs any fixed atol)
     scale = np.abs(f) @ rows[1:] + t * (np.abs(deriv_weights) @ rows[:D]) + 1.0
-    assert np.all(np.abs(pi - (f @ rows[1:] + t * t_col)) <= 1e-12 * scale)
+    resid = np.abs(pi - (f @ rows[1:] + t * t_col))
+    if not np.all(resid <= 1e-12 * scale):
+        raise NumericalFailure(
+            f"compiled constraint disagrees with its single-sum form: relative "
+            f"residual {float(np.max(resid / scale)):.3e} exceeds 1e-12")
     return ConstraintPolynomial(
         pi=pi,
         D=D,

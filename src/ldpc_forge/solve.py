@@ -19,14 +19,17 @@ All grids work in the transfer domain: constraining psi - lam > 0 on
 (zeta, xi] is exactly the successful-decoding condition on (eta, eps]
 because the margin map m(x) = x - eps*lam(1-rho(1-x)) factors through
 psi.  LP solves go through `lp_solve`, a thin checked wrapper around
-scipy's HiGHS backend.
+scipy's HiGHS backend with presolve off (`LP_OPTIONS`): presolve was about
+99% of every design LP, 4.9 s against 0.047 s for one 4096-row rate LP,
+at the same vertex.  Each continuous-interval check scans a fixed grid of
+`SCAN_N` points; a designer inverts that grid once per call
+(`_scan_grid`) and every exchange round reuses it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
@@ -44,6 +47,10 @@ SCAN_N = 100_000
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_GRID_N = 512
 TUNE_L_MAX = 5000
+# HiGHS settings for every LP; `lp_solve` says why presolve is off.
+LP_OPTIONS = {"presolve": False,
+              "primal_feasibility_tolerance": 1e-10,
+              "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -170,18 +177,18 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
     """Minimize c @ x with HiGHS and verify the KKT residual.
 
-    The returned vertex is polished onto its active set, then checked:
-    complementary slackness at 1e-8 and stationarity at 1e-6 (relative to
-    the dual magnitude).  Returns status "Optimal", "Infeasible", or
+    HiGHS runs with `LP_OPTIONS`.  Presolve is off because it dominated
+    every design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s
+    without, reaching the same vertex and objective.  The returned vertex
+    is polished onto its active set, then checked: complementary slackness
+    at 1e-8 and stationarity at 1e-6 (relative to the dual magnitude).  Returns status "Optimal", "Infeasible", or
     "Unbounded"; raises NumericalFailure on any other backend report or a
     failed check.
     """
     c = np.asarray(c, dtype=np.float64)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds if bounds is not None else (0, None),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                  method="highs", options=LP_OPTIONS)
     if res.status == 2:
         return LPResult(np.array([]), np.nan, np.array([]), np.array([]), "Infeasible", 0.0)
     if res.status == 3:
@@ -239,18 +246,32 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
+class _ScanGrid(NamedTuple):
+    """SCAN_N points on [lo, xi] with psi and psi' already inverted."""
+
+    xs: np.ndarray
+    psi: np.ndarray
+    dpsi: np.ndarray
+
+
+def _scan_grid(rho: DegreeDistribution, ctx: DEContext, lo: float) -> _ScanGrid:
+    xs = np.linspace(lo, ctx.xi, SCAN_N)
+    return _ScanGrid(xs, *_kernels.transfer_grid(rho.dense, ctx.epsilon, xs,
+                                                 ctx.inversion_tol))
+
+
 def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
-              t: float, lo: float, n: int = SCAN_N) -> tuple[float, float]:
-    """Worst violation of psi - lam - t*psi' >= 0 on [lo, xi], polished.
+              t: float, grid: _ScanGrid) -> tuple[float, float]:
+    """Worst violation of psi - lam - t*psi' >= 0 on the grid's [lo, xi], polished.
 
     Returns (violation, x) where violation = -min gap; positive means the
     constraint fails at x.
     """
-    xs = np.linspace(lo, ctx.xi, n)
-    gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, xs,
-                                      ctx.inversion_tol)
+    xs = grid.xs
+    lo = xs[0]
+    gaps = _kernels.transfer_gap(lam.dense, t, *grid)
     k = int(np.argmin(gaps))
-    h = (ctx.xi - lo) / (n - 1)
+    h = (ctx.xi - lo) / (xs.size - 1)
     a = max(lo, xs[k] - 2 * h)
     b = min(ctx.xi, xs[k] + 2 * h)
 
@@ -272,17 +293,15 @@ def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
                        detail=detail, params=params)
 
 
-def _dip_points(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
-                t: float, lo: float, threshold: float, cap: int = 32) -> list[float]:
+def _dip_points(lam: DegreeDistribution, grid: _ScanGrid, t: float,
+                threshold: float, cap: int = 32) -> list[float]:
     """Local minima of the gap below -threshold, worst first, at most cap."""
-    xs = np.linspace(lo, ctx.xi, SCAN_N)
-    gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, xs,
-                                      ctx.inversion_tol)
+    gaps = _kernels.transfer_gap(lam.dense, t, *grid)
     mid = gaps[1:-1]
     interior = (mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -threshold)
     idx = np.nonzero(interior)[0] + 1
     idx = idx[np.argsort(gaps[idx])][:cap]
-    return [float(xs[k]) for k in idx]
+    return [float(grid.xs[k]) for k in idx]
 
 
 def design_rate(
@@ -325,6 +344,7 @@ def design_rate(
         vec = second.x if second.status == "Optimal" else first.x
         return first, vec
 
+    grid = None  # built once the grid LP is feasible
     rounds = 0
     while True:
         xs = np.unique(np.concatenate([base_xs, np.asarray(points, dtype=np.float64)])) \
@@ -333,10 +353,12 @@ def design_rate(
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}", params)
         lam = _lam_from_vec(vec, d_v)
-        violation, x_star = _gap_scan(lam, rho, ctx, 0.0, lo=ctx.xi / SCAN_N)
+        if grid is None:
+            grid = _scan_grid(rho, ctx, ctx.xi / SCAN_N)
+        violation, x_star = _gap_scan(lam, rho, ctx, 0.0, grid)
         if violation <= margin / 2 or rounds >= refine_rounds:
             break
-        dips = _dip_points(lam, rho, ctx, 0.0, ctx.xi / SCAN_N, margin / 2)
+        dips = _dip_points(lam, grid, 0.0, margin / 2)
         points = points + tuple(dips) + (x_star,)
         rounds += 1
 
@@ -425,6 +447,7 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
     params["zeta_tilde"] = zt
     base_xs = zt + (ctx.xi - zt) * np.arange(1, spec.grid_n + 1) / spec.grid_n
     points = tuple(extra_points)
+    grid = _scan_grid(spec.rho, ctx, zt)
 
     rounds = 0
     while True:
@@ -434,10 +457,10 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
             return _infeasible("utility", f"grid LP is {lp.status}", params)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
-        violation, x_star = _gap_scan(lam, spec.rho, ctx, t_lp, lo=zt)
+        violation, x_star = _gap_scan(lam, spec.rho, ctx, t_lp, grid)
         if violation <= spec.margin / 2 or rounds >= refine_rounds:
             break
-        dips = _dip_points(lam, spec.rho, ctx, t_lp, zt, spec.margin / 2)
+        dips = _dip_points(lam, grid, t_lp, spec.margin / 2)
         points = points + tuple(dips) + (x_star,)
         rounds += 1
 
@@ -448,7 +471,7 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
     backoff = 2.0 * spec.margin / float(psi_deriv(ctx, zt))
     t = max(t_lp - backoff, 0.0)
     lam = lam.renormalized(clip_tol=1e-8)
-    violation, _ = _gap_scan(lam, spec.rho, ctx, t, lo=zt)
+    violation, _ = _gap_scan(lam, spec.rho, ctx, t, grid)
     T = taylor_for(spec.rho, spec.epsilon, spec.taylor_order)
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), T, zt, ctx.xi))
     status = "Optimal" if violation <= spec.margin else "IterLimit"
@@ -530,7 +553,8 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
         lam = ceiling.lam
         vec = np.array([lam.coeff(j) for j in range(2, d_v + 1)])
         obj = objective(vec)
-        violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0, lo=ctx.zeta)
+        violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0,
+                                 _scan_grid(spec.rho, ctx, ctx.zeta))
         return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                            optimality_gap=float("nan"), status="Optimal",
                            certificate=None, method="min-iter",
@@ -590,7 +614,7 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
 
     lam = _lam_from_vec(v, d_v).renormalized(clip_tol=1e-8)
     obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
-    violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0, lo=ctx.zeta)
+    violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0, _scan_grid(spec.rho, ctx, ctx.zeta))
     gap = m_ineq / tau
     status = "Optimal" if converged and violation <= spec.margin else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,

@@ -9,6 +9,7 @@ from ldpc_forge import (
     ConstraintPolynomial,
     DegreeDistribution,
     DomainError,
+    NumericalFailure,
     OrderTooSmall,
     TaylorSeries,
     ZetaTildeZero,
@@ -24,6 +25,7 @@ from ldpc_forge import (
     nonneg_on_halfline,
     taylor_general,
 )
+from ldpc_forge import sip_compile
 
 ZT, XI = 0.04, 0.7
 
@@ -180,6 +182,22 @@ class TestCompile:
         T = taylor_general(rho_mix, 0.48, 24)
         with pytest.raises(DomainError):
             compile_constraint(DegreeDistribution({2: 1.0}), 0.0, T, XI, XI)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_cross_check_failure_raises(self, rho_mix, monkeypatch):
+        # an overflowed product row poisons both forms of pi; the check
+        # must raise even under python -O
+        real = sip_compile._product_rows
+
+        def overflowed(zeta_tilde, xi, D):
+            rows = real(zeta_tilde, xi, D).copy()
+            rows[-1, -1] = np.inf
+            return rows
+
+        monkeypatch.setattr(sip_compile, "_product_rows", overflowed)
+        T = taylor_general(rho_mix, 0.48, 24)
+        with pytest.raises(NumericalFailure, match="single-sum form"):
+            compile_constraint(DegreeDistribution({2: 0.5, 3: 0.5}), 0.01, T, ZT, XI)
 
     def test_zero_anchor_allowed(self, rho_mix):
         # the rate-maximization setting anchors at zero, which the grouped

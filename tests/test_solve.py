@@ -1,9 +1,11 @@
 """Designer-facing tests: LP wrapper, rate/utility/min-iteration solvers."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from helpers import lp_vertex_enumeration_oracle
+from helpers import lp_vertex_enumeration_oracle, random_simplex_lambda
+from ldpc_forge import _kernels
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
@@ -20,6 +22,7 @@ from ldpc_forge import (
     refine_exchange,
     utility,
 )
+from ldpc_forge.solve import SCAN_N
 
 X7_EPS = 0.5
 MIX_EPS = 1.0 - 0.5 / 0.90  # rate-to-capacity ratio 0.90 at R_d = 0.5
@@ -299,3 +302,40 @@ class TestDesignMinIterations:
         assert counts == sorted(counts) and len(set(counts)) == len(counts)
         assert 30 <= counts[0] <= 45
         assert 300 <= counts[-1] <= 500
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("rho_name", ["x7", "mix_dv16"])
+    def test_scan_is_grid_then_polyval(self, rho_name, rho_x7, fixtures, rng):
+        rho = rho_x7 if rho_name == "x7" else fixtures.get("mix_dv16").ensemble.rho
+        ctx = DEContext.create(rho, 0.5, 1e-5)
+        xs = np.linspace(ctx.zeta, ctx.xi, SCAN_N)
+        lam = random_simplex_lambda(rng, d_v=16)
+        t = float(rng.uniform(0.0, 0.05))
+        psi_v, dpsi_v = _kernels.transfer_grid(rho.dense, ctx.epsilon, xs,
+                                               ctx.inversion_tol)
+        want = psi_v - npoly.polyval(xs, lam.dense) - t * dpsi_v
+        got = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, xs,
+                                         ctx.inversion_tol)
+        assert np.array_equal(got, want)
+
+    def test_utility_inverts_its_scan_grid_once(self, rho_mix, monkeypatch):
+        calls = []
+        real = _kernels.bisect_increasing
+
+        def counting(coef, targets, tol, max_iter=100):
+            targets = np.asarray(targets)
+            calls.append((targets.size, float(targets[0])))
+            return real(coef, targets, tol, max_iter)
+
+        monkeypatch.setattr(_kernels, "bisect_increasing", counting)
+        spec = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
+                          R_d=0.5, grid_n=512)
+        rep = design_utility(spec)
+        assert rep.status == "Optimal"
+        assert rep.rounds > 0
+        zt = rep.params["zeta_tilde"]
+        scans = [first for size, first in calls if size == SCAN_N]
+        assert scans.count(1.0 - zt) == 1
+        # the only other full scan is the rate-ceiling design's own grid
+        assert len(scans) == 2
