@@ -18,7 +18,6 @@ check-side transfer curve psi(x).  On top of that picture it provides:
   dataset reproduction harness.
 """
 
-from ._kernels import HAS_NUMBA, USING_NUMBA
 from .de_engine import (AreaGap, DEContext, DecodingTrace, MaxIterations,
                         ReachedTarget, Stalled, SuccessCheck, area_gap,
                         check_successful, de_trace, psi, psi_deriv, psi_extended,
@@ -41,18 +40,18 @@ from .sip_compile import (ConstraintPolynomial, NonnegCertificate,
                           mobius_x_of_u, mobius_x_of_y, mobius_y_of_x,
                           nonneg_on_halfline)
 from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
-                    design_rate, design_utility, lp_solve, refine_exchange)
+                    design_rate, design_utility, lp_solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AreaGap", "ConstraintPolynomial", "CurvePair", "DEContext",
     "DecodingTrace", "DegenerateGap", "DegreeDistribution", "DerivativeSingular",
-    "DesignSpec", "DomainError", "Ensemble", "EqualStepCurve", "HAS_NUMBA",
+    "DesignSpec", "DomainError", "Ensemble", "EqualStepCurve",
     "LPResult", "LdpcForgeError", "MaxIterations", "NegativeCoefficient",
     "NonConvergent", "NonnegCertificate", "NumericalFailure", "OrderTooSmall",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
-    "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries", "USING_NUMBA",
+    "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries",
     "UtilityResult", "ZetaTildeZero", "DEFAULT_ORDER",
     "approx_iterations", "area_gap", "binom_frac", "binomial_tables", "certify",
     "check_successful", "code_curves", "compile_constraint", "de_trace",
@@ -61,7 +60,7 @@ __all__ = [
     "jensen_bound", "local_step_count", "lower_bound", "lp_solve", "mobius_x_of_u",
     "mobius_x_of_y", "mobius_y_of_x", "nonneg_on_halfline", "optimal_f1",
     "order_for_tolerance", "psi", "psi_deriv", "psi_extended", "psi_inverse", "rate",
-    "refine_exchange", "tanh_sinh_integral", "taylor_for", "taylor_general",
+    "tanh_sinh_integral", "taylor_for", "taylor_general",
     "taylor_regular",
     "utility", "validate",
 ]

@@ -293,7 +293,13 @@ def cmd_evaluate(args) -> int:
     summary = {"epsilon": args.epsilon, "eta": args.eta,
                "status": type(trace.status).__name__,
                "exact_N": trace.iterations}
-    summary.update(_estimates(e, ctx, args.zeta_tilde))
+    if trace.iterations is None:
+        # stalled (or cut at l_max): lam may touch psi on [zeta, xi], where
+        # the curve estimates are undefined
+        summary.update({"rate": ensemble_rate(e), "approx_N": None, "lower_bound": None,
+                        "utility": None, "utility_argmin_x": None})
+    else:
+        summary.update(_estimates(e, ctx, args.zeta_tilde))
 
     if args.out:
         man = RunManifest("evaluate", _flags_dict(args))

@@ -13,9 +13,13 @@ zeta = 1 - rho(1 - eta) for a target residual eta.  Everything downstream
 (iteration estimates, utility, design programs) consumes psi through the
 `DEContext` built here.
 
-rho_inverse is computed by bisection on [0, 1]; rho is strictly increasing
-there because its coefficients are nonnegative.  Bisection rather than
-Newton: unconditional convergence matters more than speed at these sizes.
+In z = rho_inverse(1 - x) the curve needs no inversion: x = 1 - rho(z),
+psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are polynomials, so scans
+that may choose their own nodes (the designers' gap scan, the utility)
+sample z through `_kernels`.  The functions here take x, so they find z
+by bisection on [0, 1] (`_from_z`); rho is strictly increasing there
+because its coefficients are nonnegative.  Bisection rather than Newton:
+unconditional convergence matters more than speed at these sizes.
 """
 
 from __future__ import annotations
@@ -114,26 +118,35 @@ class AreaGap:
         return self.lhs - self.rhs
 
 
-def _rho_inverse(ctx: DEContext, target: np.ndarray) -> np.ndarray:
-    return _kernels.bisect_increasing(ctx.rho.dense, target, ctx.inversion_tol)
-
-
 def _shape(x, out):
     return float(out[0]) if np.isscalar(x) else out
 
 
-def psi(ctx: DEContext, x: ArrayLike) -> ArrayLike:
-    """Check-side transfer curve on [0, xi]; strictly increasing, psi(xi) = 1."""
+def _from_z(ctx: DEContext, x: ArrayLike, hi: float, what: str, f) -> ArrayLike:
+    """f(xs, z) at z = rho^{-1}(1 - x), found by bisection.
+
+    x must lie in [0, hi]; a scalar x gives a float, an array an array.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and (xs.min() < 0.0 or xs.max() > ctx.xi):
+    if xs.size and (xs.min() < 0.0 or xs.max() > hi):
         bad = float(xs.min() if xs.min() < 0.0 else xs.max())
-        raise DomainError(bad, 0.0, ctx.xi, what="psi argument")
-    z = _rho_inverse(ctx, 1.0 - xs)
+        raise DomainError(bad, 0.0, hi, what=what)
+    z = _kernels.bisect_increasing(ctx.rho.dense, 1.0 - xs, ctx.inversion_tol)
+    return _shape(x, f(xs, z))
+
+
+def _psi_of_z(ctx: DEContext, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
     ys = (1.0 - z) / ctx.epsilon
     # both endpoints are exact by construction; remove the bisection residual
     ys[xs == 0.0] = 0.0
     ys[xs == ctx.xi] = 1.0
-    return _shape(x, ys)
+    return ys
+
+
+def psi(ctx: DEContext, x: ArrayLike) -> ArrayLike:
+    """Check-side transfer curve on [0, xi]; strictly increasing, psi(xi) = 1."""
+    return _from_z(ctx, x, ctx.xi, "psi argument",
+                   lambda xs, z: _psi_of_z(ctx, xs, z))
 
 
 def psi_extended(ctx: DEContext, x: ArrayLike) -> ArrayLike:
@@ -142,16 +155,12 @@ def psi_extended(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     The area computation integrates psi - lam over [0, 1], so the curve is
     needed beyond the operating point xi.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        bad = float(xs.min() if xs.min() < 0.0 else xs.max())
-        raise DomainError(bad, 0.0, 1.0, what="psi argument")
-    z = _rho_inverse(ctx, 1.0 - xs)
-    ys = (1.0 - z) / ctx.epsilon
-    ys[xs == 0.0] = 0.0
-    ys[xs == ctx.xi] = 1.0
-    ys[xs == 1.0] = 1.0 / ctx.epsilon
-    return _shape(x, ys)
+    def curve(xs, z):
+        ys = _psi_of_z(ctx, xs, z)
+        ys[xs == 1.0] = 1.0 / ctx.epsilon
+        return ys
+
+    return _from_z(ctx, x, 1.0, "psi argument", curve)
 
 
 def psi_inverse(ctx: DEContext, y: ArrayLike) -> ArrayLike:
@@ -165,17 +174,14 @@ def psi_inverse(ctx: DEContext, y: ArrayLike) -> ArrayLike:
 
 def psi_deriv(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     """d psi/dx = 1 / (eps * rho'(rho_inverse(1 - x))); positive on [0, xi]."""
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and (xs.min() < 0.0 or xs.max() > ctx.xi):
-        bad = float(xs.min() if xs.min() < 0.0 else xs.max())
-        raise DomainError(bad, 0.0, ctx.xi, what="psi_deriv argument")
-    z = _rho_inverse(ctx, 1.0 - xs)
-    slope = npoly.polyval(z, npoly.polyder(ctx.rho.dense))
-    slope = np.atleast_1d(slope)
-    if slope.size and slope.min() <= ctx.inversion_tol:
-        k = int(np.argmin(slope))
-        raise DerivativeSingular(float(xs[k]), float(slope[k]))
-    return _shape(x, 1.0 / (ctx.epsilon * slope))
+    def deriv(xs, z):
+        slope = np.atleast_1d(npoly.polyval(z, npoly.polyder(ctx.rho.dense)))
+        if slope.size and slope.min() <= ctx.inversion_tol:
+            k = int(np.argmin(slope))
+            raise DerivativeSingular(float(xs[k]), float(slope[k]))
+        return 1.0 / (ctx.epsilon * slope)
+
+    return _from_z(ctx, x, ctx.xi, "psi_deriv argument", deriv)
 
 
 def de_trace(

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import _kernels
 from .de_engine import DEContext, psi, psi_deriv, psi_inverse
 from .ensemble import DegreeDistribution, Ensemble
 from .errors import DegenerateGap, DomainError, NonConvergent
@@ -212,9 +213,12 @@ def utility(
 ) -> UtilityResult:
     """Worst-case step size min (psi - lam)/psi' over [zeta_tilde, xi].
 
-    Negative values flag an infeasible lam (it crosses psi).  The grid
-    minimum is polished by bounded scalar minimization so the reported
-    bottleneck location carries no grid bias.
+    The step is scanned on grid_n points uniform in z = rho^{-1}(1 - x),
+    from z(zeta_tilde) down to 1 - eps, where it is the polynomial
+    rho'(z)*((1 - z) - eps*lam(1 - rho(z))); only z(zeta_tilde) takes a
+    bisection.  Negative values flag an infeasible lam (it crosses psi).
+    The grid minimum is polished by bounded scalar minimization over z so
+    the reported bottleneck location carries no grid bias.
     """
     if zeta_tilde is None:
         zeta_tilde = 0.5 * ctx.zeta
@@ -222,19 +226,19 @@ def utility(
         raise DomainError(zeta_tilde, 0.0, ctx.xi, what="zeta_tilde")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    xs = np.linspace(zeta_tilde, ctx.xi, grid_n)
-    vals = (psi(ctx, xs) - lam.eval(xs)) / np.maximum(psi_deriv(ctx, xs), 1e-300)
+    zs = np.linspace(1.0 - ctx.epsilon * psi(ctx, zeta_tilde), 1.0 - ctx.epsilon, grid_n)
+    xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
     k = int(np.argmin(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, grid_n - 1)]
 
-    def step(x: float) -> float:
-        return (psi(ctx, x) - lam.eval(x)) / psi_deriv(ctx, x)
+    def step(z: float) -> float:
+        return float(_kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon,
+                                            np.array([z]))[1][0])
 
-    res = minimize_scalar(step, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
+    res = minimize_scalar(step, bounds=(zs[min(k + 1, grid_n - 1)], zs[max(k - 1, 0)]),
+                          method="bounded", options={"xatol": 1e-10})
     if res.fun <= vals[k]:
-        return UtilityResult(value=float(res.fun), argmin_x=float(res.x))
+        return UtilityResult(value=float(res.fun),
+                             argmin_x=1.0 - ctx.rho.eval(float(res.x)))
     return UtilityResult(value=float(vals[k]), argmin_x=float(xs[k]))
 
 

@@ -21,15 +21,18 @@ because the margin map m(x) = x - eps*lam(1-rho(1-x)) factors through
 psi.  LP solves go through `lp_solve`, a thin checked wrapper around
 scipy's HiGHS backend with presolve off (`LP_OPTIONS`): presolve was about
 99% of every design LP, 4.9 s against 0.047 s for one 4096-row rate LP,
-at the same vertex.  Each continuous-interval check scans a fixed grid of
-`SCAN_N` points; a designer inverts that grid once per call
-(`_scan_grid`) and every exchange round reuses it.
+at the same vertex.  The LP rows sit at given x, so psi and psi' there
+come from bisection.  Each continuous-interval check (`_gap_scan`)
+instead samples `SCAN_N` points uniformly in z = rho^{-1}(1 - x), where
+the step constraint is a closed-form polynomial expression; one scan per
+exchange round yields both the worst violation and the new exchange
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
@@ -246,44 +249,37 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
-class _ScanGrid(NamedTuple):
-    """SCAN_N points on [lo, xi] with psi and psi' already inverted."""
-
-    xs: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-
-
-def _scan_grid(rho: DegreeDistribution, ctx: DEContext, lo: float) -> _ScanGrid:
-    xs = np.linspace(lo, ctx.xi, SCAN_N)
-    return _ScanGrid(xs, *_kernels.transfer_grid(rho.dense, ctx.epsilon, xs,
-                                                 ctx.inversion_tol))
-
-
 def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
-              t: float, grid: _ScanGrid) -> tuple[float, float]:
-    """Worst violation of psi - lam - t*psi' >= 0 on the grid's [lo, xi], polished.
+              t: float, lo: float,
+              threshold: float = 0.0) -> tuple[float, float, list[float]]:
+    """Worst violation of psi - lam - t*psi' >= 0 on [lo, xi], polished.
 
-    Returns (violation, x) where violation = -min gap; positive means the
-    constraint fails at x.
+    Samples SCAN_N points uniformly in z from z(lo) down to z(xi) = 1 - eps.
+    Returns (violation, x, dips): violation = -min gap, positive when the
+    constraint fails at x; dips are the x of the local gap minima below
+    -threshold, worst first, at most 32 of them.
     """
-    xs = grid.xs
-    lo = xs[0]
-    gaps = _kernels.transfer_gap(lam.dense, t, *grid)
+    z_lo = 1.0 - ctx.epsilon * psi(ctx, lo)
+    zs = np.linspace(z_lo, 1.0 - ctx.epsilon, SCAN_N)
+    xs, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
+    mid = gaps[1:-1]
+    interior = (mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -threshold)
+    idx = np.nonzero(interior)[0] + 1
+    dips = [float(xs[j]) for j in idx[np.argsort(gaps[idx])][:32]]
+
     k = int(np.argmin(gaps))
-    h = (ctx.xi - lo) / (xs.size - 1)
-    a = max(lo, xs[k] - 2 * h)
-    b = min(ctx.xi, xs[k] + 2 * h)
+    h = (z_lo - zs[-1]) / (SCAN_N - 1)
 
-    def gap_at(x: float) -> float:
+    def gap_at(z: float) -> float:
         return float(_kernels.transfer_gap_scan(
-            lam.dense, rho.dense, ctx.epsilon, t, np.array([x]), ctx.inversion_tol)[0])
+            lam.dense, rho.dense, ctx.epsilon, t, np.array([z]))[1][0])
 
-    res = minimize_scalar(gap_at, bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
+    res = minimize_scalar(gap_at, bounds=(max(zs[-1], zs[k] - 2 * h),
+                                          min(z_lo, zs[k] + 2 * h)),
+                          method="bounded", options={"xatol": 1e-12})
     if res.fun < gaps[k]:
-        return float(-res.fun), float(res.x)
-    return float(-gaps[k]), float(xs[k])
+        return float(-res.fun), 1.0 - rho.eval(float(res.x)), dips
+    return float(-gaps[k]), float(xs[k]), dips
 
 
 def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
@@ -293,24 +289,12 @@ def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
                        detail=detail, params=params)
 
 
-def _dip_points(lam: DegreeDistribution, grid: _ScanGrid, t: float,
-                threshold: float, cap: int = 32) -> list[float]:
-    """Local minima of the gap below -threshold, worst first, at most cap."""
-    gaps = _kernels.transfer_gap(lam.dense, t, *grid)
-    mid = gaps[1:-1]
-    interior = (mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -threshold)
-    idx = np.nonzero(interior)[0] + 1
-    idx = idx[np.argsort(gaps[idx])][:cap]
-    return [float(grid.xs[k]) for k in idx]
-
-
 def design_rate(
     rho: DegreeDistribution,
     epsilon: float,
     d_v: int,
     grid_n: int = DEFAULT_GRID_N,
     margin: float = DEFAULT_MARGIN,
-    extra_points: tuple = (),
     refine_rounds: int = 12,
 ) -> SolveReport:
     """Maximize sum lam_i/i (hence the rate) under lam <= psi - margin.
@@ -325,7 +309,7 @@ def design_rate(
         raise ValueError("d_v must be >= 2")
     ctx = DEContext.create(rho, epsilon, eta=epsilon * 1e-6)
     base_xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
-    points = tuple(extra_points)
+    points = ()
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
 
     def solve_at(xs: np.ndarray):
@@ -344,7 +328,6 @@ def design_rate(
         vec = second.x if second.status == "Optimal" else first.x
         return first, vec
 
-    grid = None  # built once the grid LP is feasible
     rounds = 0
     while True:
         xs = np.unique(np.concatenate([base_xs, np.asarray(points, dtype=np.float64)])) \
@@ -353,12 +336,10 @@ def design_rate(
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}", params)
         lam = _lam_from_vec(vec, d_v)
-        if grid is None:
-            grid = _scan_grid(rho, ctx, ctx.xi / SCAN_N)
-        violation, x_star = _gap_scan(lam, rho, ctx, 0.0, grid)
+        violation, x_star, dips = _gap_scan(lam, rho, ctx, 0.0, ctx.xi / SCAN_N,
+                                            margin / 2)
         if violation <= margin / 2 or rounds >= refine_rounds:
             break
-        dips = _dip_points(lam, grid, 0.0, margin / 2)
         points = points + tuple(dips) + (x_star,)
         rounds += 1
 
@@ -420,8 +401,7 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     return 0.5 * ctx.zeta if best_zt is None else best_zt
 
 
-def design_utility(spec: DesignSpec, extra_points: tuple = (),
-                   refine_rounds: int = 12) -> SolveReport:
+def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
     """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
 
     Runs the rate-ceiling check first, exchange-refines against the
@@ -446,8 +426,7 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
           else spec.zeta_tilde)
     params["zeta_tilde"] = zt
     base_xs = zt + (ctx.xi - zt) * np.arange(1, spec.grid_n + 1) / spec.grid_n
-    points = tuple(extra_points)
-    grid = _scan_grid(spec.rho, ctx, zt)
+    points = ()
 
     rounds = 0
     while True:
@@ -457,10 +436,10 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
             return _infeasible("utility", f"grid LP is {lp.status}", params)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
-        violation, x_star = _gap_scan(lam, spec.rho, ctx, t_lp, grid)
+        violation, x_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, zt,
+                                            spec.margin / 2)
         if violation <= spec.margin / 2 or rounds >= refine_rounds:
             break
-        dips = _dip_points(lam, grid, t_lp, spec.margin / 2)
         points = points + tuple(dips) + (x_star,)
         rounds += 1
 
@@ -471,7 +450,7 @@ def design_utility(spec: DesignSpec, extra_points: tuple = (),
     backoff = 2.0 * spec.margin / float(psi_deriv(ctx, zt))
     t = max(t_lp - backoff, 0.0)
     lam = lam.renormalized(clip_tol=1e-8)
-    violation, _ = _gap_scan(lam, spec.rho, ctx, t, grid)
+    violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, zt)
     T = taylor_for(spec.rho, spec.epsilon, spec.taylor_order)
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), T, zt, ctx.xi))
     status = "Optimal" if violation <= spec.margin else "IterLimit"
@@ -553,8 +532,7 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
         lam = ceiling.lam
         vec = np.array([lam.coeff(j) for j in range(2, d_v + 1)])
         obj = objective(vec)
-        violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0,
-                                 _scan_grid(spec.rho, ctx, ctx.zeta))
+        violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, ctx.zeta)
         return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                            optimality_gap=float("nan"), status="Optimal",
                            certificate=None, method="min-iter",
@@ -614,30 +592,9 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
 
     lam = _lam_from_vec(v, d_v).renormalized(clip_tol=1e-8)
     obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
-    violation, _ = _gap_scan(lam, spec.rho, ctx, 0.0, _scan_grid(spec.rho, ctx, ctx.zeta))
+    violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, ctx.zeta)
     gap = m_ineq / tau
     status = "Optimal" if converged and violation <= spec.margin else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
                        method="min-iter", params=params)
-
-
-def refine_exchange(candidate: SolveReport, max_rounds: int = 12) -> SolveReport:
-    """Re-run a grid designer, growing its grid until the continuous
-    constraint holds to margin; candidates already clean return unchanged."""
-    if candidate.status != "Optimal" and candidate.status != "IterLimit":
-        return candidate
-    if candidate.method == "rate":
-        p = candidate.params
-        if candidate.max_violation <= p["margin"]:
-            return candidate
-        return design_rate(p["rho"], p["epsilon"], p["d_v"], p["grid_n"], p["margin"],
-                           extra_points=candidate.extra_points,
-                           refine_rounds=max_rounds)
-    if candidate.method == "utility":
-        spec = candidate.params["spec"]
-        if candidate.max_violation <= spec.margin:
-            return candidate
-        return design_utility(spec, extra_points=candidate.extra_points,
-                              refine_rounds=max_rounds)
-    return candidate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ldpc_forge import DEContext, DegreeDistribution, Ensemble, check_successful, de_trace
+from ldpc_forge import DegreeDistribution
 from ldpc_forge.cli import load_claims, load_fixtures
 
 settings.register_profile(
@@ -13,16 +13,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("pkg")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # the first kernel call in a process pays the JIT compilation cost;
-    # absorb it here so timed tests measure steady-state behavior
-    e = Ensemble(lam=DegreeDistribution({3: 1.0}), rho=DegreeDistribution({6: 1.0}))
-    ctx = DEContext.create(e.rho, 0.4, 1e-3)
-    de_trace(e, ctx, l_max=100)
-    check_successful(e, ctx, grid_size=64)
 
 
 @pytest.fixture(scope="session")

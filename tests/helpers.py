@@ -200,3 +200,40 @@ def frac_binom_oracle(omega: float, i: int) -> float:
     for k in range(i):
         num *= omega - k
     return num / math.factorial(i)
+
+
+def utility_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
+                   zeta_tilde: float, x_start: float, dps: int = 50) -> float:
+    """min of the step (psi - lam)/psi' on [zeta_tilde, xi] at dps digits.
+
+    In z = rho^{-1}(1 - x) the step is rho'(z)*((1 - z) - eps*lam(1 - rho(z)))
+    on [1 - eps, z(zeta_tilde)].  The minimum is the least of the two
+    endpoint values and of the stationary point that Newton's method
+    reaches from z(x_start), so x_start must sit near the true minimizer.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    eps = mp.mpf(eps)
+
+    def poly(coeffs, x, deriv=0):
+        return sum(mp.mpf(v) * mp.ff(d - 1, deriv) * x ** (d - 1 - deriv)
+                   for d, v in coeffs.items() if d - 1 >= deriv)
+
+    def z_of(x):
+        return mp.findroot(lambda z: poly(rho, z) - (1 - mp.mpf(x)), (0, 1),
+                           solver="illinois")
+
+    def step(z):
+        return poly(rho, z, 1) * ((1 - z) - eps * poly(lam, 1 - poly(rho, z)))
+
+    z_lo, z_hi = 1 - eps, z_of(zeta_tilde)
+    candidates = [step(z_lo), step(z_hi)]
+    try:
+        z_star = mp.findroot(lambda z: mp.diff(step, z), z_of(x_start))
+    except (ValueError, ZeroDivisionError):
+        z_star = None
+    if z_star is not None and z_lo <= z_star <= z_hi:
+        candidates.append(step(z_star))
+    return float(min(candidates))

@@ -3,7 +3,7 @@
 import pytest
 
 from ldpc_forge import DegreeDistribution, design_rate
-from ldpc_forge.cli import repro_fig5
+from ldpc_forge.cli import _design_pair_counts, repro_fig5
 from ldpc_forge.solve import DEFAULT_GRID_N
 
 
@@ -14,6 +14,36 @@ def test_r_max_x7(claims):
     rep = design_rate(rho, p["epsilon"], p["d_v"], grid_n=DEFAULT_GRID_N)
     assert rep.status == "Optimal"
     assert rep.objective == pytest.approx(claim["value"], abs=claim["tolerance"])
+
+
+def test_ratio_limit_mix(claims):
+    # largest eps at which the rate LP still reaches R_d, bisected to 1e-5
+    claim = claims["ratio_limit_mix"]
+    p = claim["params"]
+    rho = DegreeDistribution.from_json_dict(p["rho"], published=True)
+
+    def reaches(eps):
+        rep = design_rate(rho, eps, p["d_v"], grid_n=DEFAULT_GRID_N)
+        return rep.status == "Optimal" and rep.objective >= p["R_d"]
+
+    lo, hi = 0.4, 1.0 - p["R_d"]  # up to capacity, where no code reaches R_d
+    assert reaches(lo)
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reaches(mid) else (lo, mid)
+    ratio = p["R_d"] / (1.0 - lo)
+    assert ratio == pytest.approx(claim["value"], abs=claim["tolerance"])
+
+
+def test_designer_consistency(claims):
+    claim = claims["designer_consistency"]
+    p = claim["params"]
+    for ratio in p["ratios"]:
+        got = _design_pair_counts(ratio, p["d_v"], DEFAULT_GRID_N, eta=p["eta"],
+                                  R_d=p["R_d"])
+        assert got["miniter"] is not None and got["utility"] is not None, ratio
+        assert got["utility"] == pytest.approx(got["miniter"],
+                                               rel=claim["rel_tolerance"]), ratio
 
 
 def test_dv_iteration_counts(claims):

@@ -2,7 +2,10 @@
 
 import json
 
-from ldpc_forge.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+import pytest
+
+from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
+                            load_fixtures, main)
 
 RATE_ARGS = ["design", "--objective", "rate", "--rho", '{"8": 1.0}',
              "--epsilon", "0.5", "--dv", "16", "--grid-n", "512"]
@@ -40,3 +43,21 @@ def test_bad_json_exits_usage(capsys):
             "--epsilon", "0.5", "--dv", "16"]
     assert main(argv) == EXIT_USAGE
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_evaluate_past_threshold_exits_decoding(tmp_path):
+    # the published rate-optimal x^7 code decodes up to eps ~ 0.5 only
+    ens = load_fixtures().get("x7_poc").ensemble
+    prefix = tmp_path / "stall"
+    argv = ["evaluate", ens.to_json(), "--epsilon", "0.52", "--eta", "1e-5",
+            "--out", str(prefix)]
+    assert main(argv) == EXIT_DECODING
+    with open(f"{prefix}.summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "Stalled" and summary["exact_N"] is None
+    for key in ("approx_N", "lower_bound", "utility", "utility_argmin_x"):
+        assert summary[key] is None, key
+    assert summary["rate"] == pytest.approx(0.4714, abs=1e-3)
+    with open(f"{prefix}.trace.csv") as fh:
+        assert "status=Stalled" in fh.read()
+    assert set(_manifest(prefix)["artifacts"]) == {"stall.trace.csv", "stall.summary.json"}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import enclosed_area, random_feasible_pair
+from helpers import enclosed_area, random_feasible_pair, utility_oracle
 from ldpc_forge import (
     CurvePair,
     DEContext,
@@ -210,6 +210,16 @@ class TestUtility:
         xs = np.linspace(zt, ctx.xi, 200_001)
         vals = (psi(ctx, xs) - fx.ensemble.lam.eval(xs)) / psi_deriv(ctx, xs)
         assert res.value == pytest.approx(float(vals.min()), abs=1e-7)
+
+    @pytest.mark.parametrize("name", ["x7_poc", "x7_coc_r045", "mix_eta5", "mix_dv12"])
+    def test_matches_high_precision_reference(self, fixtures, name):
+        fx = fixtures.get(name)
+        e, eps = fx.ensemble, fx.params["epsilon"]
+        ctx = DEContext.create(e.rho, eps, fx.params["eta"])
+        res = utility(e.lam, ctx)
+        want = utility_oracle(e.lam.coeffs, e.rho.coeffs, eps, 0.5 * ctx.zeta,
+                              res.argmin_x)
+        assert abs(res.value - want) <= 3e-8 * abs(want)
 
     def test_zeta_tilde_outside_range_rejected(self, fixtures):
         fx = fixtures.get("x7_poc")

@@ -12,14 +12,16 @@ from ldpc_forge import (
     DesignSpec,
     DomainError,
     Ensemble,
+    NumericalFailure,
     check_successful,
     de_trace,
     design_min_iterations,
     design_rate,
     design_utility,
     lp_solve,
+    psi,
+    psi_deriv,
     rate,
-    refine_exchange,
     utility,
 )
 from ldpc_forge.solve import SCAN_N
@@ -193,11 +195,20 @@ class TestDesignRate:
         assert np.array_equal(a.lam.dense, b.lam.dense)
         assert a.objective == b.objective
 
+    @pytest.mark.xfail(raises=NumericalFailure, strict=True,
+                       reason="known lp_solve complementary-slackness failure")
+    def test_mix_rate_lp_near_ratio_0947(self, rho_mix):
+        # eps halfway between ratios 0.9 and 1 at R_d = 0.5; neighbours at
+        # 0.45, 0.47 and 0.475 solve, this vertex misses the 1e-8
+        # complementary-slackness gate with a residual of 8e-7
+        rep = design_rate(rho_mix, 0.5 * (MIX_EPS + 0.5), 16)
+        assert rep.status == "Optimal"
+
     def test_coarse_grid_refines_downward(self, rho_x7):
         cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64, refine_rounds=0)
         assert cand.status == "IterLimit"
         assert cand.max_violation > cand.params["margin"]
-        ref = refine_exchange(cand)
+        ref = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
         assert ref.status == "Optimal"
         assert ref.max_violation <= ref.params["margin"]
         assert ref.rounds >= 1
@@ -205,9 +216,6 @@ class TestDesignRate:
         # the lax grid overestimates the ceiling; refinement walks it down
         assert ref.objective < cand.objective
         assert ref.objective == pytest.approx(0.471454, abs=5e-4)
-
-    def test_clean_candidate_returned_unchanged(self, rate_512):
-        assert refine_exchange(rate_512) is rate_512
 
 
 class TestDesignUtility:
@@ -304,38 +312,42 @@ class TestDesignMinIterations:
         assert 300 <= counts[-1] <= 500
 
 
-class TestScanGrid:
+class TestZScan:
     @pytest.mark.parametrize("rho_name", ["x7", "mix_dv16"])
-    def test_scan_is_grid_then_polyval(self, rho_name, rho_x7, fixtures, rng):
+    def test_scan_matches_psi_at_x_of_z(self, rho_name, rho_x7, fixtures, rng):
         rho = rho_x7 if rho_name == "x7" else fixtures.get("mix_dv16").ensemble.rho
         ctx = DEContext.create(rho, 0.5, 1e-5)
-        xs = np.linspace(ctx.zeta, ctx.xi, SCAN_N)
+        zs = np.linspace(1.0 - ctx.eta, 1.0 - ctx.epsilon, 4001)
         lam = random_simplex_lambda(rng, d_v=16)
         t = float(rng.uniform(0.0, 0.05))
-        psi_v, dpsi_v = _kernels.transfer_grid(rho.dense, ctx.epsilon, xs,
-                                               ctx.inversion_tol)
-        want = psi_v - npoly.polyval(xs, lam.dense) - t * dpsi_v
-        got = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, xs,
-                                         ctx.inversion_tol)
-        assert np.array_equal(got, want)
+        xs, gap = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
+        assert np.array_equal(xs, 1.0 - npoly.polyval(zs, rho.dense))
+        assert xs[-1] == ctx.xi
+        dpsi = psi_deriv(ctx, xs)
+        want = psi(ctx, xs) - lam.eval(xs) - t * dpsi
+        assert np.max(np.abs(gap - want)) <= 1e-10
+        _, step = _kernels.transfer_step(lam.dense, rho.dense, ctx.epsilon, zs)
+        assert np.max(np.abs(step - (want + t * dpsi) / dpsi)) <= 1e-10
 
-    def test_utility_inverts_its_scan_grid_once(self, rho_mix, monkeypatch):
-        calls = []
+    def test_no_scan_inverts_a_grid(self, rho_x7, rho_mix, fixtures, monkeypatch):
+        sizes = []
         real = _kernels.bisect_increasing
 
         def counting(coef, targets, tol, max_iter=100):
-            targets = np.asarray(targets)
-            calls.append((targets.size, float(targets[0])))
+            sizes.append(np.asarray(targets).size)
             return real(coef, targets, tol, max_iter)
 
         monkeypatch.setattr(_kernels, "bisect_increasing", counting)
-        spec = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
-                          R_d=0.5, grid_n=512)
-        rep = design_utility(spec)
-        assert rep.status == "Optimal"
-        assert rep.rounds > 0
-        zt = rep.params["zeta_tilde"]
-        scans = [first for size, first in calls if size == SCAN_N]
-        assert scans.count(1.0 - zt) == 1
-        # the only other full scan is the rate-ceiling design's own grid
-        assert len(scans) == 2
+        mix = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
+                         R_d=0.5, grid_n=512)
+        rep = design_utility(mix)
+        assert rep.status == "Optimal" and rep.rounds > 0
+        x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
+                        R_d=0.45, grid_n=512)
+        assert design_min_iterations(x7).status == "Optimal"
+        # LP rows (grid_n plus exchange points) and single endpoints only
+        assert sizes and max(sizes) < SCAN_N / 100
+        for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
+            sizes.clear()
+            utility(lam, spec.context())
+            assert sum(sizes) <= 1
