@@ -8,11 +8,10 @@ check-side transfer curve psi(x).  On top of that picture it provides:
   success checks, and the area identity linking the enclosed gap to rate;
 * `estimators` - exact staircase iteration counts, a smooth quadrature
   approximation, the matching lower bound, and the bottleneck utility;
-* `series` - polynomial expansions of psi (closed form for single-degree
-  check sides, series reversion otherwise);
-* `sip_compile` - compilation of the step-size constraint into a single
-  even polynomial plus nonnegativity certificates (Sturm count or Gram
-  factorization);
+* `series` - truncated power series of psi (closed form for single-degree
+  check sides, series reversion otherwise), for the `series` command;
+* `sip_compile` - the step-size constraint as one exact polynomial in
+  z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
 * `cli` - the `ldpc-forge` command with embedded published designs and a
   dataset reproduction harness.
@@ -26,19 +25,16 @@ from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity, rate,
                        validate)
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      LdpcForgeError, NegativeCoefficient, NonConvergent,
-                     NumericalFailure, OrderTooSmall, RateOutOfRange,
-                     ReversionSingular, SumNotOne, ZetaTildeZero)
+                     NumericalFailure, RateOutOfRange, ReversionSingular,
+                     SumNotOne)
 from .estimators import (CurvePair, EqualStepCurve, UtilityResult,
                          approx_iterations, code_curves, exact_iterations,
                          jensen_bound, local_step_count, lower_bound,
                          optimal_f1, utility)
 from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, order_for_tolerance,
                      taylor_for, taylor_general, taylor_regular)
-from .sip_compile import (ConstraintPolynomial, NonnegCertificate,
-                          binomial_tables, certify, compile_constraint,
-                          gap_coefficients, gram_matrix, gram_residual,
-                          mobius_x_of_u, mobius_x_of_y, mobius_y_of_x,
-                          nonneg_on_halfline)
+from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
+                          compile_constraint, nonneg_on_unit)
 from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
                     design_rate, design_utility, lp_solve)
 
@@ -49,16 +45,15 @@ __all__ = [
     "DecodingTrace", "DegenerateGap", "DegreeDistribution", "DerivativeSingular",
     "DesignSpec", "DomainError", "Ensemble", "EqualStepCurve",
     "LPResult", "LdpcForgeError", "MaxIterations", "NegativeCoefficient",
-    "NonConvergent", "NonnegCertificate", "NumericalFailure", "OrderTooSmall",
+    "NonConvergent", "NonnegCertificate", "NumericalFailure",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
     "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries",
-    "UtilityResult", "ZetaTildeZero", "DEFAULT_ORDER",
-    "approx_iterations", "area_gap", "binom_frac", "binomial_tables", "certify",
+    "UtilityResult", "DEFAULT_ORDER",
+    "approx_iterations", "area_gap", "binom_frac", "certify",
     "check_successful", "code_curves", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
-    "gap_coefficients", "gram_matrix", "gram_residual", "graphical_complexity",
-    "jensen_bound", "local_step_count", "lower_bound", "lp_solve", "mobius_x_of_u",
-    "mobius_x_of_y", "mobius_y_of_x", "nonneg_on_halfline", "optimal_f1",
+    "graphical_complexity", "jensen_bound", "local_step_count", "lower_bound",
+    "lp_solve", "nonneg_on_unit", "optimal_f1",
     "order_for_tolerance", "psi", "psi_deriv", "psi_extended", "psi_inverse", "rate",
     "tanh_sinh_integral", "taylor_for", "taylor_general",
     "taylor_regular",

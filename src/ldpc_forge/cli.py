@@ -8,8 +8,15 @@ byte-identical outputs.  `design` and `reproduce` manifests also record
 the HiGHS options and the numpy, scipy and HiGHS versions, on which the
 low digits of a design depend.
 
+`certify` takes an ensemble, (epsilon, eta), the step size --t and an
+optional --zeta-tilde (default zeta/2), and decides the exact step
+constraint on [zeta_tilde, xi]; it reports the polynomial degree, the
+margin and, on failure, witness_x with the curve gap there.
+
 Exit codes: 0 success, 2 usage or validation error, 3 decoding or
-certificate failure, 4 solver reported Infeasible/IterLimit.
+certificate failure (`evaluate` or `estimate` past the threshold, a
+failing `certify`, a `design` with status CertificateFail), 4 solver
+reported Infeasible/IterLimit.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import estimators, sip_compile
 from .de_engine import DEContext, ReachedTarget, Stalled, de_trace
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
-from .errors import LdpcForgeError
+from .errors import DegenerateGap, LdpcForgeError
 from .series import DEFAULT_ORDER, order_for_tolerance, taylor_for
 from .solve import (DEFAULT_GRID_N, LP_OPTIONS, DesignSpec, SolveReport,
                     design_min_iterations, design_rate, design_utility)
@@ -238,6 +245,13 @@ def _estimates(e: Ensemble, ctx: DEContext, zeta_tilde: Optional[float]) -> dict
     }
 
 
+def _no_estimates(e: Ensemble) -> dict:
+    """Summary fields when lam touches psi on [zeta, xi] and the curve
+    estimates are undefined: only the rate is reported."""
+    return {"rate": ensemble_rate(e), "approx_N": None, "lower_bound": None,
+            "utility": None, "utility_argmin_x": None}
+
+
 def _report_dict(rep: SolveReport, rho: DegreeDistribution) -> dict:
     out = {
         "status": rep.status,
@@ -258,7 +272,7 @@ def _report_dict(rep: SolveReport, rho: DegreeDistribution) -> dict:
         c = rep.certificate
         out["certificate"] = {
             "kind": c.kind, "margin": c.margin,
-            "witness_u": c.witness_u, "witness_value": c.witness_value,
+            "witness_x": c.witness, "witness_value": c.witness_value,
         }
     return out
 
@@ -294,10 +308,8 @@ def cmd_evaluate(args) -> int:
                "status": type(trace.status).__name__,
                "exact_N": trace.iterations}
     if trace.iterations is None:
-        # stalled (or cut at l_max): lam may touch psi on [zeta, xi], where
-        # the curve estimates are undefined
-        summary.update({"rate": ensemble_rate(e), "approx_N": None, "lower_bound": None,
-                        "utility": None, "utility_argmin_x": None})
+        # stalled (or cut at l_max): lam may touch psi on [zeta, xi]
+        summary.update(_no_estimates(e))
     else:
         summary.update(_estimates(e, ctx, args.zeta_tilde))
 
@@ -322,7 +334,13 @@ def cmd_estimate(args) -> int:
         raise LdpcForgeError("need 0 < eta < epsilon")
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
     summary = {"epsilon": args.epsilon, "eta": args.eta}
-    summary.update(_estimates(e, ctx, args.zeta_tilde))
+    code = EXIT_OK
+    try:
+        summary.update(_estimates(e, ctx, args.zeta_tilde))
+    except DegenerateGap:
+        # past the threshold lam crosses psi: a decoding failure
+        summary.update(_no_estimates(e))
+        code = EXIT_DECODING
     if args.out:
         man = RunManifest("estimate", _flags_dict(args))
         man.add(args.out + ".summary.json",
@@ -330,7 +348,7 @@ def cmd_estimate(args) -> int:
         man.write(args.out + ".manifest.json")
     else:
         _print_json(summary)
-    return EXIT_OK
+    return code
 
 
 def cmd_design(args) -> int:
@@ -343,8 +361,7 @@ def cmd_design(args) -> int:
             raise LdpcForgeError("--rd and --eta are required for this objective")
         spec = DesignSpec(rho=rho, epsilon=args.epsilon, eta=args.eta,
                           R_d=args.rd, d_v=args.dv, zeta_tilde=args.zeta_tilde,
-                          grid_n=grid_n, taylor_order=args.taylor_order,
-                          margin=args.margin, tol=args.tol)
+                          grid_n=grid_n, margin=args.margin, tol=args.tol)
         if args.objective == "utility":
             rep = design_utility(spec)
         else:
@@ -361,6 +378,10 @@ def cmd_design(args) -> int:
         man.write(args.out + ".manifest.json")
     else:
         _print_json(out)
+    if rep.status == "CertificateFail":
+        print(f"design: CertificateFail: margin {rep.certificate.margin:.3e} at "
+              f"x={rep.certificate.witness!r}", file=sys.stderr)
+        return EXIT_DECODING
     if rep.status != "Optimal":
         print(f"design: {rep.status}: {rep.detail}", file=sys.stderr)
         return EXIT_SOLVER
@@ -373,19 +394,13 @@ def cmd_certify(args) -> int:
         raise LdpcForgeError("need 0 < eta < epsilon")
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
     zt = 0.5 * ctx.zeta if args.zeta_tilde is None else args.zeta_tilde
-    T = taylor_for(e.rho, args.epsilon, args.taylor_order)
-    cp = sip_compile.compile_constraint(e.lam, args.t, T, zt, ctx.xi)
-    cert = sip_compile.certify(cp, want_gram=args.gram)
+    cp = sip_compile.compile_constraint(e.lam, args.t, e.rho, args.epsilon, zt, ctx.xi)
+    cert = sip_compile.certify(cp)
     out = {
         "kind": cert.kind, "passed": cert.passed, "margin": cert.margin,
-        "t": args.t, "zeta_tilde": zt, "taylor_order": args.taylor_order,
-        "witness_u": cert.witness_u, "witness_value": cert.witness_value,
-        "witness_x": None,
+        "t": args.t, "zeta_tilde": zt, "degree": cp.D,
+        "witness_x": cert.witness, "witness_value": cert.witness_value,
     }
-    if cert.witness_u is not None:
-        out["witness_x"] = sip_compile.mobius_x_of_u(zt, ctx.xi, cert.witness_u)
-    if cert.gram is not None:
-        out["gram_residual"] = sip_compile.gram_residual(cp.pi, cert.gram)
     if args.out:
         man = RunManifest("certify", _flags_dict(args))
         man.add(args.out + ".certificate.json",
@@ -531,7 +546,7 @@ def repro_fig5(grid_n: int, redesign: bool = True) -> tuple[list[str], list[tupl
         if redesign:
             rep = design_min_iterations(DesignSpec(
                 rho=f.ensemble.rho, epsilon=eps, eta=eta, R_d=0.5, d_v=d_v,
-                grid_n=grid_n, taylor_order=max(DEFAULT_ORDER, d_v + 2)))
+                grid_n=grid_n))
             if rep.lam is not None:
                 n_new = de_trace(Ensemble(lam=rep.lam, rho=f.ensemble.rho),
                                  ctx).iterations
@@ -678,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zeta-tilde", type=float, default=None)
     sp.add_argument("--grid-n", type=int, default=None)
     sp.add_argument("--margin", type=float, default=1e-7)
-    sp.add_argument("--taylor-order", type=int, default=DEFAULT_ORDER)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--out", help="output path prefix")
     sp.set_defaults(func=cmd_design)
@@ -689,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--t", type=float, required=True, help="step size to certify")
     sp.add_argument("--zeta-tilde", type=float, default=None)
-    sp.add_argument("--taylor-order", type=int, default=DEFAULT_ORDER)
-    sp.add_argument("--gram", action="store_true",
-                    help="also build the Gram factorization on pass")
     sp.add_argument("--out", help="output path prefix")
     sp.set_defaults(func=cmd_certify)
 

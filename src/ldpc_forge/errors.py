@@ -77,31 +77,12 @@ class DegenerateGap(LdpcForgeError):
         super().__init__(f"curve gap {gap!r} at x={x!r} is not positive")
 
 
-class OrderTooSmall(LdpcForgeError):
-    """The series order does not exceed the maximum variable degree."""
-
-    def __init__(self, order: int, d_v: int):
-        self.order = order
-        self.d_v = d_v
-        super().__init__(f"series order {order} must exceed max variable degree {d_v}")
-
-
 class ReversionSingular(LdpcForgeError):
     """Series reversion is impossible because the linear term vanishes."""
 
     def __init__(self, slope: float):
         self.slope = slope
         super().__init__(f"cannot revert series with linear coefficient {slope!r}")
-
-
-class ZetaTildeZero(LdpcForgeError):
-    """The ratio-form coefficient tables are singular at zeta_tilde = 0."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            "coefficient tables in ratio form are undefined for zeta_tilde = 0; "
-            "use the compile path, which regroups the powers stably"
-        )
 
 
 class NumericalFailure(LdpcForgeError):

@@ -7,8 +7,10 @@ Three entry points over a common toolkit:
   a grid, plus exchange refinement against the continuous interval.
 * `design_utility` - maximize the worst-case decoding step size t subject
   to psi - lam >= t*psi' on [zeta_tilde, xi] and a rate floor.  Linear
-  program in (lam, t); the result carries a compiled nonnegativity
-  certificate.  An unset zeta_tilde is tuned by exact decoding cost.
+  program in (lam, t).  The result carries the `sip_compile` certificate
+  of the exact constraint at t*(1 - 1e-6); a design whose certificate
+  fails gets status "CertificateFail", never "Optimal".  An unset
+  zeta_tilde is tuned by exact decoding cost.
 * `design_min_iterations` - minimize the discretized iteration-count
   integral sum psi'(x_i)*dx/(psi(x_i) - lam(x_i)).  The objective is
   convex in lam and blows up as lam touches psi, so a log-barrier Newton
@@ -41,7 +43,6 @@ from . import _kernels
 from .de_engine import DEContext, de_trace, psi, psi_deriv
 from .ensemble import DegreeDistribution, Ensemble, rate as ensemble_rate
 from .errors import DomainError, NumericalFailure
-from .series import DEFAULT_ORDER, taylor_for
 from .sip_compile import NonnegCertificate, certify, compile_constraint
 
 DEFAULT_GRID_N = 4096
@@ -67,7 +68,6 @@ class DesignSpec:
     d_v: int
     zeta_tilde: Optional[float] = None
     grid_n: int = DEFAULT_GRID_N
-    taylor_order: int = DEFAULT_ORDER
     margin: float = DEFAULT_MARGIN
     tol: float = 1e-4
 
@@ -78,8 +78,6 @@ class DesignSpec:
             raise ValueError("d_v must be >= 2")
         if not 0.0 < self.R_d < 1.0:
             raise ValueError(f"R_d must lie in (0, 1), got {self.R_d}")
-        if self.taylor_order <= self.d_v:
-            raise ValueError("taylor_order must exceed d_v")
         if self.zeta_tilde is not None:
             ctx = DEContext.create(self.rho, self.epsilon, self.eta)
             if not 0.0 <= self.zeta_tilde < ctx.xi:
@@ -301,7 +299,8 @@ def design_rate(
 
     Among rate-optimal vertices the one with the smallest lam_2 is
     returned, which makes the output deterministic when the LP optimum is
-    degenerate.
+    degenerate.  When that tie-break LP fails its KKT check, the first
+    LP's vertex, which passed its own, is kept and `detail` says so.
     """
     params = {"rho": rho, "epsilon": epsilon, "d_v": d_v,
               "grid_n": grid_n, "margin": margin}
@@ -318,21 +317,24 @@ def design_rate(
         eq = np.ones((1, d_v - 1))
         first = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if first.status != "Optimal":
-            return first, None
+            return first, None, ""
         best = -first.objective
         # tie-break: pin the optimal rate, prefer small lam_2
         c2 = np.zeros(d_v - 1)
         c2[0] = 1.0
         eq2 = np.vstack([eq, inv_degrees])
-        second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=eq2, b_eq=[1.0, best])
+        try:
+            second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=eq2, b_eq=[1.0, best])
+        except NumericalFailure as exc:
+            return first, first.x, f"tie-break LP rejected ({exc}); kept the rate-optimal vertex"
         vec = second.x if second.status == "Optimal" else first.x
-        return first, vec
+        return first, vec, ""
 
     rounds = 0
     while True:
         xs = np.unique(np.concatenate([base_xs, np.asarray(points, dtype=np.float64)])) \
             if points else base_xs
-        lp, vec = solve_at(xs)
+        lp, vec, note = solve_at(xs)
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}", params)
         lam = _lam_from_vec(vec, d_v)
@@ -349,8 +351,8 @@ def design_rate(
     status = "Optimal" if violation <= margin and rounds <= refine_rounds else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=R, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
-                       method="rate", extra_points=points, rounds=rounds,
-                       params=params)
+                       method="rate", detail=note, extra_points=points,
+                       rounds=rounds, params=params)
 
 
 def _utility_lp(ctx: DEContext, xs: np.ndarray, d_v: int, q: float) -> LPResult:
@@ -406,9 +408,10 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
 
     Runs the rate-ceiling check first, exchange-refines against the
     continuous interval, then backs the reported t off by a margin-scaled
-    amount so the constraint holds strictly everywhere, and attaches a
-    certificate for (lam, t*(1-1e-6)) compiled at the spec's series order.
-    When the spec leaves zeta_tilde unset the anchor is tuned per
+    amount so the constraint holds strictly everywhere, and certifies the
+    exact constraint for (lam, t*(1-1e-6)).  A failing certificate turns
+    an "Optimal" status into "CertificateFail"; lam and t are kept.  When
+    the spec leaves zeta_tilde unset the anchor is tuned per
     `_tune_zeta_tilde`.
     """
     spec.validate()
@@ -451,9 +454,11 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
     t = max(t_lp - backoff, 0.0)
     lam = lam.renormalized(clip_tol=1e-8)
     violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, zt)
-    T = taylor_for(spec.rho, spec.epsilon, spec.taylor_order)
-    cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), T, zt, ctx.xi))
+    cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
+                                      zt, ctx.xi))
     status = "Optimal" if violation <= spec.margin else "IterLimit"
+    if status == "Optimal" and not cert.passed:
+        status = "CertificateFail"
     return SolveReport(lam=lam, t=t, objective=t, max_violation=violation,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
                        certificate=cert, method="utility", extra_points=points,

@@ -168,20 +168,6 @@ def lp_vertex_enumeration_oracle(c, A_ub, b_ub, A_eq=None, b_eq=None):
     return best
 
 
-def poly_product_oracle(*factors) -> np.ndarray:
-    """Expand a product of ascending-coefficient polynomials with numpy."""
-    out = np.array([1.0])
-    for f in factors:
-        out = np.convolve(out, np.asarray(f, dtype=float))
-    return out
-
-
-def binom_product_oracle(i: int, D: int, zt: float, xi: float) -> np.ndarray:
-    """Coefficients of (zt + xi*u)^i * (1 + u)^(D-i) by direct expansion."""
-    factors = [[zt, xi]] * i + [[1.0, 1.0]] * (D - i)
-    return poly_product_oracle(*factors) if factors else np.array([1.0])
-
-
 def enclosed_area(pair: CurvePair, quad_points: int = 20_000) -> float:
     """Midpoint quadrature of f2 - f1 over [a, b]."""
     dx = (pair.b - pair.a) / quad_points
@@ -237,3 +223,27 @@ def utility_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
     if z_star is not None and z_lo <= z_star <= z_hi:
         candidates.append(step(z_star))
     return float(min(candidates))
+
+
+def step_polynomial_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
+                           t: float, a: float, b: float, ss, dps: int = 50) -> list[float]:
+    """P(z) = rho'(z)*((1 - z) - eps*lam(1 - rho(z))) - t at z = a + (b - a)*s.
+
+    Evaluated term by term from the degree maps at dps digits, one value
+    per s in ss; no polynomial is expanded, composed or truncated.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    eps, t, a, b = (mp.mpf(v) for v in (eps, t, a, b))
+
+    def poly(coeffs, x, deriv=0):
+        return sum(mp.mpf(v) * mp.ff(d - 1, deriv) * x ** (d - 1 - deriv)
+                   for d, v in coeffs.items() if d - 1 >= deriv)
+
+    out = []
+    for s in ss:
+        z = a + (b - a) * mp.mpf(float(s))
+        out.append(float(poly(rho, z, 1) * ((1 - z) - eps * poly(lam, 1 - poly(rho, z))) - t))
+    return out

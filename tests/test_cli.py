@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import fixture_context
+from ldpc_forge import NonnegCertificate, solve, utility
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             load_fixtures, main)
 
@@ -61,3 +63,52 @@ def test_evaluate_past_threshold_exits_decoding(tmp_path):
     with open(f"{prefix}.trace.csv") as fh:
         assert "status=Stalled" in fh.read()
     assert set(_manifest(prefix)["artifacts"]) == {"stall.trace.csv", "stall.summary.json"}
+
+
+def test_estimate_past_threshold_exits_decoding(tmp_path):
+    prefix = tmp_path / "est"
+    argv = ["estimate", '{"lambda": {"2": 0.5, "3": 0.5}, "rho": {"8": 1.0}}',
+            "--epsilon", "0.52", "--eta", "1e-5", "--out", str(prefix)]
+    assert main(argv) == EXIT_DECODING
+    with open(f"{prefix}.summary.json") as fh:
+        summary = json.load(fh)
+    for key in ("approx_N", "lower_bound", "utility", "utility_argmin_x"):
+        assert summary[key] is None, key
+    assert summary["rate"] == pytest.approx(1.0 - (1 / 8) / (0.5 / 2 + 0.5 / 3))
+
+
+def test_design_with_failing_certificate_exits_decoding(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
+        "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+    prefix = tmp_path / "util"
+    argv = ["design", "--objective", "utility", "--rho", '{"8": 1.0}',
+            "--epsilon", "0.1", "--eta", "1e-5", "--rd", "0.7", "--dv", "2",
+            "--grid-n", "512", "--out", str(prefix)]
+    assert main(argv) == EXIT_DECODING
+    assert "CertificateFail" in capsys.readouterr().err
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    assert report["status"] == "CertificateFail"
+    assert report["certificate"]["kind"] == "SturmFail"
+    assert report["ensemble"] is not None and report["t"] > 0.0
+
+
+@pytest.mark.parametrize("factor, code", [(0.999, EXIT_OK), (1.01, EXIT_DECODING)])
+def test_certify_brackets_utility(tmp_path, factor, code):
+    f = load_fixtures().get("mix_dv16")
+    ctx = fixture_context(f)
+    u = utility(f.ensemble.lam, ctx, zeta_tilde=0.5 * ctx.zeta)
+    prefix = tmp_path / "cert"
+    argv = ["certify", f.ensemble.to_json(), "--epsilon", repr(ctx.epsilon),
+            "--eta", repr(ctx.eta), "--t", repr(factor * u.value), "--out", str(prefix)]
+    assert main(argv) == code
+    with open(f"{prefix}.certificate.json") as fh:
+        cert = json.load(fh)
+    assert cert["passed"] == (code == EXIT_OK)
+    assert cert["degree"] == 111
+    if code == EXIT_OK:
+        assert cert["kind"] == "SturmPass" and cert["witness_x"] is None
+    else:
+        assert cert["kind"] == "SturmFail"
+        assert cert["zeta_tilde"] <= cert["witness_x"] <= ctx.xi
+        assert cert["witness_value"] < 0.0

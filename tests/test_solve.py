@@ -5,19 +5,21 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from helpers import lp_vertex_enumeration_oracle, random_simplex_lambda
-from ldpc_forge import _kernels
+from ldpc_forge import _kernels, solve
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
     DesignSpec,
     DomainError,
     Ensemble,
-    NumericalFailure,
     check_successful,
     de_trace,
     design_min_iterations,
     design_rate,
     design_utility,
+    NonnegCertificate,
+    certify,
+    compile_constraint,
     lp_solve,
     psi,
     psi_deriv,
@@ -144,10 +146,6 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="R_d"):
             self.make(rho_x7, R_d=1.0).validate()
 
-    def test_series_order_exceeds_d_v(self, rho_x7):
-        with pytest.raises(ValueError, match="taylor_order"):
-            self.make(rho_x7, taylor_order=16).validate()
-
     def test_zeta_tilde_domain(self, rho_x7):
         # xi = 1 - (1 - 0.5)^7 = 0.9921875 for rho = x^7
         with pytest.raises(DomainError):
@@ -195,14 +193,15 @@ class TestDesignRate:
         assert np.array_equal(a.lam.dense, b.lam.dense)
         assert a.objective == b.objective
 
-    @pytest.mark.xfail(raises=NumericalFailure, strict=True,
-                       reason="known lp_solve complementary-slackness failure")
     def test_mix_rate_lp_near_ratio_0947(self, rho_mix):
-        # eps halfway between ratios 0.9 and 1 at R_d = 0.5; neighbours at
-        # 0.45, 0.47 and 0.475 solve, this vertex misses the 1e-8
-        # complementary-slackness gate with a residual of 8e-7
-        rep = design_rate(rho_mix, 0.5 * (MIX_EPS + 0.5), 16)
-        assert rep.status == "Optimal"
+        # eps halfway between ratios 0.9 and 1 at R_d = 0.5, and eps = 0.46:
+        # the tie-break LP's vertex misses the 1e-8 complementary-slackness
+        # gate (residuals 8e-7 and 4e-6), so the first LP's vertex is kept
+        for eps in (0.5 * (MIX_EPS + 0.5), 0.46):
+            rep = design_rate(rho_mix, eps, 16)
+            assert rep.status == "Optimal"
+            assert rep.max_violation <= rep.params["margin"]
+            assert "tie-break LP rejected" in rep.detail
 
     def test_coarse_grid_refines_downward(self, rho_x7):
         cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64, refine_rounds=0)
@@ -216,6 +215,15 @@ class TestDesignRate:
         # the lax grid overestimates the ceiling; refinement walks it down
         assert ref.objective < cand.objective
         assert ref.objective == pytest.approx(0.471454, abs=5e-4)
+
+
+# the Fig. 2 utility design and the three Fig. 4 ones, at the default grid
+CERTIFIED_DESIGNS = {
+    "fig2": dict(rho={8: 1.0}, epsilon=0.5, eta=1e-5, R_d=0.45),
+    "fig4_090": dict(rho="mix", epsilon=1.0 - 0.5 / 0.90, eta=1e-3, R_d=0.5),
+    "fig4_094": dict(rho="mix", epsilon=1.0 - 0.5 / 0.94, eta=1e-3, R_d=0.5),
+    "fig4_098": dict(rho="mix", epsilon=1.0 - 0.5 / 0.98, eta=1e-3, R_d=0.5),
+}
 
 
 class TestDesignUtility:
@@ -250,6 +258,40 @@ class TestDesignUtility:
         assert rate(Ensemble(rep.lam, rho_mix)) == pytest.approx(0.5, abs=1e-6)
         ok = check_successful(Ensemble(rep.lam, rho_mix), spec.context(), 100_000)
         assert ok.ok
+
+    def test_mix_grid_256_survives_tie_break_failure(self, rho_mix):
+        # the rate ceiling at grid 256 hits a tie-break KKT failure
+        spec = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
+                          R_d=0.5, grid_n=256)
+        rep = design_utility(spec)
+        assert rep.status == "Optimal"
+        assert rep.max_violation <= spec.margin
+        assert rep.certificate.passed
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_DESIGNS))
+    def test_certificate_passes(self, rho_mix, name):
+        kw = dict(CERTIFIED_DESIGNS[name])
+        rho = rho_mix if kw.pop("rho") == "mix" else DegreeDistribution({8: 1.0})
+        spec = DesignSpec(rho=rho, d_v=16, **kw)
+        rep = design_utility(spec)
+        assert rep.status == "Optimal"
+        assert rep.certificate.kind == "SturmPass"
+        ctx = spec.context()
+        zt = rep.params["zeta_tilde"]
+        above = certify(compile_constraint(rep.lam, 1.01 * rep.t, rho, spec.epsilon,
+                                           zt, ctx.xi))
+        assert not above.passed
+        assert zt <= above.witness <= ctx.xi
+
+    def test_failing_certificate_is_not_optimal(self, rho_x7, monkeypatch):
+        monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
+            "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+        spec = DesignSpec(rho=rho_x7, epsilon=0.1, eta=1e-5, d_v=2,
+                          R_d=0.7, grid_n=512)
+        rep = design_utility(spec)
+        assert rep.status == "CertificateFail" and not rep.ok
+        assert rep.lam.coeff(2) == pytest.approx(1.0, abs=1e-12)
+        assert rep.t > 0.0
 
     def test_dominates_rate_design(self, rho_mix, utility_mix):
         spec, rep = utility_mix
