@@ -7,7 +7,8 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `de_engine` - the erasure recursion, psi and its inverse/derivative,
   success checks, and the area identity linking the enclosed gap to rate;
 * `estimators` - exact staircase iteration counts, a smooth quadrature
-  approximation, the matching lower bound, and the bottleneck utility;
+  approximation, the matching lower bound (for a code taken over the
+  recursion variable P, with no inverse of rho), and the bottleneck utility;
 * `series` - truncated power series of psi (closed form for single-degree
   check sides, series reversion otherwise), for the `series` command;
 * `sip_compile` - the step-size constraint as one exact polynomial in
@@ -28,7 +29,8 @@ from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      NumericalFailure, RateOutOfRange, ReversionSingular,
                      SumNotOne)
 from .estimators import (CurvePair, EqualStepCurve, UtilityResult,
-                         approx_iterations, code_curves, exact_iterations,
+                         approx_iterations, code_curves, code_estimates,
+                         exact_iterations,
                          jensen_bound, local_step_count, lower_bound,
                          optimal_f1, utility)
 from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, order_for_tolerance,
@@ -50,7 +52,8 @@ __all__ = [
     "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries",
     "UtilityResult", "DEFAULT_ORDER",
     "approx_iterations", "area_gap", "binom_frac", "certify",
-    "check_successful", "code_curves", "compile_constraint", "de_trace",
+    "check_successful", "code_curves", "code_estimates", "compile_constraint",
+    "de_trace",
     "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
     "graphical_complexity", "jensen_bound", "local_step_count", "lower_bound",
     "lp_solve", "nonneg_on_unit", "optimal_f1",

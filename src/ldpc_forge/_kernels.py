@@ -1,11 +1,22 @@
-"""Low-level numeric loops, written once in plain numpy.
+"""Low-level numeric loops over polynomial coefficient arrays.
 
-The erasure-probability recursion, a batched inversion of the check
-polynomial and the decoding-margin scan work directly on coefficient
-arrays.
+The erasure-probability recursion P_l = eps*lam(1 - rho(1 - P_{l-1})),
+a batched inversion of the check polynomial, and the closed-form scans
+work directly on coefficient arrays.
+
+The recursion runs on Python floats: each step evaluates rho and lam by
+Horner over `tolist()` coefficients, highest power first (y = y*u + c),
+which is `np.polyval`'s own operation order, so the probabilities are
+bit-identical to a polyval loop at a fraction of the per-step cost.
+
+`recursion_gap` is the recursion's step g(P) = P - eps*lam(1 - rho(1 - P)).
+It is positive on (eta, eps] exactly when decoding succeeds
+(`margin_scan`), and in P the iteration estimate needs no inversion:
+with x = 1 - rho(1 - P), psi = P/eps and psi' dx = dP/eps, so
+psi - lam = g/eps.
 
 The step constraint psi - lam >= t*psi' needs no inversion when it is
-sampled in z = rho^{-1}(1 - x) instead of x: there x = 1 - rho(z),
+sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
 step size (psi - lam)/psi' on a grid of z, both through `_transfer`.
@@ -16,6 +27,8 @@ exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -29,21 +42,12 @@ STATUS_STALLED = 1
 STATUS_MAX_ITER = 2
 
 
-def _de_recursion_np(lam_c, rho_c, eps, eta, l_max, stall_tol, probs):
-    probs[0] = eps
-    p = eps
-    lam_d = lam_c[::-1]
-    rho_d = rho_c[::-1]
-    for l in range(1, l_max + 1):
-        inner = 1.0 - float(np.polyval(rho_d, 1.0 - p))
-        p_next = eps * float(np.polyval(lam_d, inner))
-        probs[l] = p_next
-        if p_next < eta:
-            return l, STATUS_REACHED
-        if p_next >= p * (1.0 - stall_tol):
-            return l, STATUS_STALLED
-        p = p_next
-    return l_max, STATUS_MAX_ITER
+def _horner(coeffs, u):
+    """Polynomial with highest-power-first ``coeffs`` at the float ``u``."""
+    y = 0.0
+    for c in coeffs:
+        y = y * u + c
+    return y
 
 
 def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
@@ -53,17 +57,25 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     ``status`` is one of the STATUS_* codes.
     """
 
-    probs = np.empty(l_max + 1, dtype=np.float64)
-    n, status = _de_recursion_np(
-        np.ascontiguousarray(lam_c, dtype=np.float64),
-        np.ascontiguousarray(rho_c, dtype=np.float64),
-        float(eps),
-        float(eta),
-        int(l_max),
-        float(stall_tol),
-        probs,
-    )
-    return probs[: n + 1].copy(), int(status)
+    lam_d = np.asarray(lam_c, dtype=np.float64)[::-1].tolist()
+    rho_d = np.asarray(rho_c, dtype=np.float64)[::-1].tolist()
+    eps = float(eps)
+    eta = float(eta)
+    stall_tol = float(stall_tol)
+    p = eps
+    probs = array("d", [p])
+    status = STATUS_MAX_ITER
+    for _ in range(int(l_max)):
+        p_next = eps * _horner(lam_d, 1.0 - _horner(rho_d, 1.0 - p))
+        probs.append(p_next)
+        if p_next < eta:
+            status = STATUS_REACHED
+            break
+        if p_next >= p * (1.0 - stall_tol):
+            status = STATUS_STALLED
+            break
+        p = p_next
+    return np.array(probs, dtype=np.float64), status
 
 
 def bisect_increasing(coef, targets, tol, max_iter=100):
@@ -92,19 +104,26 @@ def bisect_increasing(coef, targets, tol, max_iter=100):
     return mid
 
 
-def margin_scan(lam_c, rho_c, eps, eta, n):
-    """Minimum of x - eps*lam(1 - rho(1 - x)) over a uniform grid on (eta, eps].
+def recursion_gap(lam_c, rho_c, eps, ps):
+    """g(P) = P - eps*lam(1 - rho(1 - P)), the recursion's step, at each P."""
 
-    Returns ``(min_margin, argmin_x)``; the grid excludes ``eta`` and
+    ps = np.asarray(ps, dtype=np.float64)
+    return ps - eps * npoly.polyval(1.0 - npoly.polyval(1.0 - ps, rho_c), lam_c)
+
+
+def margin_scan(lam_c, rho_c, eps, eta, n):
+    """Minimum of `recursion_gap` over a uniform grid on (eta, eps].
+
+    Returns ``(min_margin, argmin_P)``; the grid excludes ``eta`` and
     includes ``eps``.
     """
 
     eps = float(eps)
     eta = float(eta)
-    xs = eta + (eps - eta) / int(n) * np.arange(1, int(n) + 1, dtype=np.float64)
-    margins = xs - eps * npoly.polyval(1.0 - npoly.polyval(1.0 - xs, rho_c), lam_c)
+    ps = eta + (eps - eta) / int(n) * np.arange(1, int(n) + 1, dtype=np.float64)
+    margins = recursion_gap(lam_c, rho_c, eps, ps)
     j = int(np.argmin(margins))
-    return float(margins[j]), float(xs[j])
+    return float(margins[j]), float(ps[j])
 
 
 def _transfer(lam_c, rho_c, eps, zs):

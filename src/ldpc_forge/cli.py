@@ -224,22 +224,19 @@ def _trace_comments(trace) -> tuple:
     return (f"status=MaxIterations l_max={s.l_max}",)
 
 
-def _enclosed_area(pair: estimators.CurvePair, quad_points: int = 10_000) -> float:
-    dx = (pair.b - pair.a) / quad_points
-    xs = pair.a + dx * (np.arange(quad_points) + 0.5)
-    return float(np.sum(pair.f2(xs) - pair.f1(xs)) * dx)
-
-
 def _estimates(e: Ensemble, ctx: DEContext, zeta_tilde: Optional[float]) -> dict:
-    pair = estimators.code_curves(e, ctx)
-    approx = estimators.approx_iterations(pair)
-    area = _enclosed_area(pair)
-    bound = estimators.lower_bound(pair.f2, pair.a, pair.b, area)
+    """Rate, the curve estimates and the utility; no inverse of rho.
+
+    approx_N and lower_bound come from `estimators.code_estimates`, which
+    integrates over the recursion variable P; only the utility's left end
+    z(zeta_tilde) is bisected.  Raises DegenerateGap when lam touches psi.
+    """
+    est = estimators.code_estimates(e, ctx)
     util = estimators.utility(e.lam, ctx, zeta_tilde=zeta_tilde)
     return {
         "rate": ensemble_rate(e),
-        "approx_N": approx,
-        "lower_bound": bound,
+        "approx_N": est.approx_N,
+        "lower_bound": est.lower_bound,
         "utility": util.value,
         "utility_argmin_x": util.argmin_x,
     }
@@ -488,7 +485,7 @@ def repro_fig3(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
             e = fx.get(n).ensemble
             ctx = DEContext.create(e.rho, eps, tgt)
             row.append(exact[n][tgt])
-            row.append(estimators.approx_iterations(estimators.code_curves(e, ctx)))
+            row.append(estimators.code_estimates(e, ctx).approx_N)
         rows.append(tuple(row))
     header = ["target", "exact_N_r048", "approx_N_r048",
               "exact_N_r050", "approx_N_r050"]

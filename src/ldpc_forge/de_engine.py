@@ -16,7 +16,9 @@ zeta = 1 - rho(1 - eta) for a target residual eta.  Everything downstream
 In z = rho_inverse(1 - x) the curve needs no inversion: x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are polynomials, so scans
 that may choose their own nodes (the designers' gap scan, the utility)
-sample z through `_kernels`.  The functions here take x, so they find z
+sample z through `_kernels`, and the iteration estimates
+(`estimators.code_estimates`) integrate over the recursion variable
+P = 1 - z.  The functions here take x, so they find z
 by bisection on [0, 1] (`_from_z`); rho is strictly increasing there
 because its coefficients are nonnegative.  Bisection rather than Newton:
 unconditional convergence matters more than speed at these sizes.

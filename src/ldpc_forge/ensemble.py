@@ -10,6 +10,7 @@ by exponent, so the offset lives in exactly one place (the evaluation code).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -121,10 +122,12 @@ class DegreeDistribution:
         return True
 
     def renormalized(self, clip_tol: float = 1e-12) -> "DegreeDistribution":
-        """Clip tiny negatives to zero and rescale to unit sum.
+        """Clip tiny negatives to zero, drop round-off dust, rescale to unit sum.
 
         Solver round-trips leave coefficients off the simplex by rounding
-        error; this produces the canonical reportable form.
+        error; this produces the canonical reportable form.  Dust is a
+        positive coefficient of at most 2**-53 of the total, the size of LP
+        round-off; it is dropped before the rescale.
         """
         clipped = {}
         for d, v in self._pairs:
@@ -134,11 +137,13 @@ class DegreeDistribution:
                 v = 0.0
             if v != 0.0:
                 clipped[d] = v
-        total = sum(clipped.values())
+        dust = math.ldexp(sum(clipped.values()), -53)
+        kept = {d: v for d, v in clipped.items() if v > dust}
+        total = sum(kept.values())
         if total <= 0.0:
             raise SumNotOne(total, clip_tol)
         return DegreeDistribution(
-            {d: v / total for d, v in clipped.items()}, published=self.published
+            {d: v / total for d, v in kept.items()}, published=self.published
         )
 
     def to_json_dict(self) -> dict[str, float]:

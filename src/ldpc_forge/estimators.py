@@ -8,6 +8,14 @@ approximates it; Jensen's inequality gives the floor
 (b-a)(f2(b)-f2(a))/area.  For a code, f1 = lam, f2 = psi, a = zeta,
 b = xi (see de_engine), and the utility value min (psi-lam)/psi' is the
 worst-case step size a design should maximize.
+
+For a code the estimates need no inverse of rho: in the recursion
+variable P, x = 1 - rho(1 - P) runs from zeta to xi as P runs from eta to
+eps, psi = P/eps and psi' dx = dP/eps, so the integral is
+int_eta^eps dP/g(P) with g(P) = P - eps*lam(1 - rho(1 - P)) the
+recursion's own step, and psi(zeta) = eta/eps exactly.  `code_estimates`
+works there; `code_curves`, `CurvePair` and the generic estimators remain
+the x-domain reference for hand-built pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.optimize import minimize_scalar
 
 from . import _kernels
@@ -26,6 +35,7 @@ from .errors import DegenerateGap, DomainError, NonConvergent
 
 ITER_CAP = 1_000_000
 _REL_TOL = 1e-12
+CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
 
 
 def _central_diff(f: Callable, h: float) -> Callable:
@@ -240,6 +250,48 @@ def utility(
         return UtilityResult(value=float(res.fun),
                              argmin_x=1.0 - ctx.rho.eval(float(res.x)))
     return UtilityResult(value=float(vals[k]), argmin_x=float(xs[k]))
+
+
+@dataclass(frozen=True)
+class CodeEstimates:
+    approx_N: float
+    area: float
+    lower_bound: float
+
+
+def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
+    """approx_N, the area between psi and lam on [zeta, xi], and lower_bound.
+
+    approx_N is int_eta^eps dP/g(P) by the CODE_QUAD_POINTS-node midpoint
+    rule in u = log P, where the integrand P/g(P) stays bounded as P -> 0 (g ~ P there).
+    The area is (1/eps)*int_eta^eps P*rho'(1 - P) dP - (Lam(xi) - Lam(zeta)),
+    with Lam the antiderivative of lam; integrating by parts the first
+    term is [R(1 - P) + P*rho(1 - P)]_eps^eta / eps, R the antiderivative
+    of rho, so the area is exact up to rounding.  lower_bound is
+    (xi - zeta)*(1 - eta/eps)/area, the equal-step benchmark of
+    `lower_bound` with psi(xi) = 1 and psi(zeta) = eta/eps.  Raises
+    DegenerateGap, in curve units (psi - lam = g/eps) at x, when g <= 0 at
+    a node.
+    """
+    eps, eta = ctx.epsilon, ctx.eta
+    lo, hi = math.log(eta), math.log(eps)
+    du = (hi - lo) / CODE_QUAD_POINTS
+    ps = np.exp(lo + du * (np.arange(CODE_QUAD_POINTS) + 0.5))
+    gaps = _kernels.recursion_gap(e.lam.dense, ctx.rho.dense, eps, ps)
+    k = int(np.argmin(gaps))
+    if gaps[k] <= 0.0:
+        raise DegenerateGap(1.0 - ctx.rho.eval(1.0 - float(ps[k])), float(gaps[k]) / eps)
+    approx = float(np.sum(ps / gaps) * du)
+
+    # at the ends rho(1 - eta) = 1 - zeta and rho(1 - eps) = 1 - xi
+    rho_int = npoly.polyint(ctx.rho.dense)
+    lam_int = npoly.polyint(e.lam.dense)
+    psi_area = (npoly.polyval(1.0 - eta, rho_int) + eta * (1.0 - ctx.zeta)
+                - npoly.polyval(1.0 - eps, rho_int) - eps * (1.0 - ctx.xi)) / eps
+    area = float(psi_area - (npoly.polyval(ctx.xi, lam_int)
+                             - npoly.polyval(ctx.zeta, lam_int)))
+    bound = (ctx.xi - ctx.zeta) * (1.0 - eta / eps) / area
+    return CodeEstimates(approx_N=approx, area=area, lower_bound=bound)
 
 
 def code_curves(e: Ensemble, ctx: DEContext) -> CurvePair:

@@ -287,6 +287,12 @@ def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
                        detail=detail, params=params)
 
 
+def _after_ceiling(ceiling: SolveReport, detail: str = "") -> str:
+    """A designer's detail, led by its rate ceiling's note when there is one."""
+    note = f"rate ceiling: {ceiling.detail}" if ceiling.detail else ""
+    return "; ".join(d for d in (note, detail) if d)
+
+
 def design_rate(
     rho: DegreeDistribution,
     epsilon: float,
@@ -419,8 +425,8 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
     ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n, spec.margin)
     if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
         got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
-        return _infeasible("utility",
-                           f"required rate {spec.R_d} exceeds R_max={got:.6f}", params)
+        return _infeasible("utility", _after_ceiling(
+            ceiling, f"required rate {spec.R_d} exceeds R_max={got:.6f}"), params)
 
     ctx = spec.context()
     d_v = spec.d_v
@@ -436,7 +442,8 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
         xs = np.unique(np.concatenate([base_xs, np.asarray(points)])) if points else base_xs
         lp = _utility_lp(ctx, xs, d_v, q)
         if lp.status != "Optimal":
-            return _infeasible("utility", f"grid LP is {lp.status}", params)
+            return _infeasible("utility",
+                               _after_ceiling(ceiling, f"grid LP is {lp.status}"), params)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
         violation, x_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, zt,
@@ -461,8 +468,8 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
         status = "CertificateFail"
     return SolveReport(lam=lam, t=t, objective=t, max_violation=violation,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
-                       certificate=cert, method="utility", extra_points=points,
-                       rounds=rounds, params=params)
+                       certificate=cert, method="utility", detail=_after_ceiling(ceiling),
+                       extra_points=points, rounds=rounds, params=params)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
@@ -506,8 +513,8 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
     ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n, spec.margin)
     if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
         got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
-        return _infeasible("min-iter",
-                           f"required rate {spec.R_d} exceeds R_max={got:.6f}", params)
+        return _infeasible("min-iter", _after_ceiling(
+            ceiling, f"required rate {spec.R_d} exceeds R_max={got:.6f}"), params)
 
     ctx = spec.context()
     d_v = spec.d_v
@@ -528,7 +535,8 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
 
     v0, slack = _phase_one(xs, psi_vals, d_v, q)
     if v0 is None:
-        return _infeasible("min-iter", "no feasible start point", params)
+        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"),
+                           params)
     if slack <= 1e-10 or spec.R_d >= ceiling.objective - 1e-9:
         # rate floor equals the ceiling: the feasible set has no interior
         # (phase one may still see a sliver because its midpoint grid is
@@ -541,8 +549,9 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
         return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                            optimality_gap=float("nan"), status="Optimal",
                            certificate=None, method="min-iter",
-                           detail="rate floor leaves no interior; returned the "
-                                  "rate-maximal design", params=params)
+                           detail=_after_ceiling(
+                               ceiling, "rate floor leaves no interior; returned the "
+                                        "rate-maximal design"), params=params)
 
     m_ineq = (d_v - 1) + 1
     v = v0.copy()
@@ -602,4 +611,4 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
     status = "Optimal" if converged and violation <= spec.margin else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
-                       method="min-iter", params=params)
+                       method="min-iter", detail=_after_ceiling(ceiling), params=params)

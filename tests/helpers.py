@@ -39,6 +39,29 @@ def de_recursion_oracle(lam: dict[int, float], rho: dict[int, float],
     return None, probs
 
 
+def polyval_recursion_reference(lam_c, rho_c, eps: float, eta: float, l_max: int,
+                                stall_tol: float):
+    """The erasure recursion by `np.polyval` on coefficient arrays.
+
+    Same stop rules and return shape as `_kernels.de_run`: a float64 array
+    P_0 .. P_n and a STATUS_* code (0 reached, 1 stalled, 2 cap).
+    """
+    lam_d = np.asarray(lam_c, dtype=np.float64)[::-1]
+    rho_d = np.asarray(rho_c, dtype=np.float64)[::-1]
+    probs = [eps]
+    p = eps
+    for _ in range(l_max):
+        inner = 1.0 - float(np.polyval(rho_d, 1.0 - p))
+        p_next = eps * float(np.polyval(lam_d, inner))
+        probs.append(p_next)
+        if p_next < eta:
+            return np.array(probs), 0
+        if p_next >= p * (1.0 - stall_tol):
+            return np.array(probs), 1
+        p = p_next
+    return np.array(probs), 2
+
+
 def staircase_oracle(lam: dict[int, float], rho: dict[int, float],
                      eps: float, eta: float, l_max: int = 200_000):
     """Ordinate-domain recursion Z_l = lam(1 - rho(1 - eps*Z_{l-1})), Z_0 = 1.
@@ -223,6 +246,34 @@ def utility_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
     if z_star is not None and z_lo <= z_star <= z_hi:
         candidates.append(step(z_star))
     return float(min(candidates))
+
+
+def code_estimates_oracle(lam: dict[int, float], rho: dict[int, float],
+                          eps: float, eta: float) -> tuple[float, float]:
+    """(approx_N, area) by adaptive quadrature at epsrel 1e-12.
+
+    Both integrals are taken over P in [eta, eps] with the substitution
+    u = log P, which spreads the nodes evenly over the decades of P:
+    approx_N = int dP/g(P) and area = int g(P)*rho'(1 - P) dP / eps, where
+    g(P) = P - eps*lam(1 - rho(1 - P)) = eps*(psi - lam) at
+    x = 1 - rho(1 - P) and dx = rho'(1 - P) dP.  The polynomials are
+    summed term by term from the degree maps.
+    """
+    from scipy.integrate import quad
+
+    def g(P):
+        return P - eps * poly_eval_by_hand(lam, 1.0 - poly_eval_by_hand(rho, 1.0 - P))
+
+    def rho_slope(y):
+        return sum(v * (d - 1) * y ** (d - 2) for d, v in rho.items())
+
+    def integral(f):
+        return quad(lambda u: f(math.exp(u)), math.log(eta), math.log(eps),
+                    epsabs=0.0, epsrel=1e-12, limit=1000)[0]
+
+    approx = integral(lambda P: P / g(P))
+    area = integral(lambda P: P * g(P) * rho_slope(1.0 - P) / eps)
+    return approx, area
 
 
 def step_polynomial_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,

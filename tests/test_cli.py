@@ -47,6 +47,19 @@ def test_bad_json_exits_usage(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_design_reports_the_rate_ceiling_fallback(tmp_path):
+    # the rate ceiling's tie-break LP fails its KKT check at this point
+    prefix = tmp_path / "miniter"
+    argv = ["design", "--objective", "min-iter", "--rho", '{"7": 0.5330, "8": 0.4670}',
+            "--epsilon", "0.4444444444444444", "--eta", "0.001", "--rd", "0.5",
+            "--dv", "30", "--out", str(prefix)]
+    assert main(argv) == EXIT_OK
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    assert report["status"] == "Optimal"
+    assert report["detail"].startswith("rate ceiling: tie-break LP rejected")
+
+
 def test_evaluate_past_threshold_exits_decoding(tmp_path):
     # the published rate-optimal x^7 code decodes up to eps ~ 0.5 only
     ens = load_fixtures().get("x7_poc").ensemble

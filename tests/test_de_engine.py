@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from helpers import (
     de_recursion_oracle,
+    fixture_context,
+    polyval_recursion_reference,
     psi_deriv_monomial_closed_form,
     psi_monomial_closed_form,
     random_simplex_lambda,
@@ -29,6 +31,8 @@ from ldpc_forge import (
     rate,
     tanh_sinh_integral,
 )
+from ldpc_forge import _kernels
+from ldpc_forge.de_engine import STALL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,31 @@ class TestRecursion:
             m = min(len(trace.probs), len(want_probs))
             assert np.allclose(trace.probs[:m], want_probs[:m], rtol=1e-9, atol=1e-12)
             checked += 1
+
+    @staticmethod
+    def _assert_bit_equal_to_polyval(e, ctx, l_max=1_000_000):
+        got = _kernels.de_run(e.lam.dense, ctx.rho.dense, ctx.epsilon, ctx.eta,
+                              l_max, STALL_TOL)
+        want = polyval_recursion_reference(e.lam.dense, ctx.rho.dense, ctx.epsilon,
+                                           ctx.eta, l_max, STALL_TOL)
+        assert got[1] == want[1]
+        assert got[0].dtype == np.float64
+        assert got[0].tobytes() == want[0].tobytes()
+        return got[1]
+
+    def test_bit_equal_to_polyval_on_every_fixture(self, fixtures):
+        for f in fixtures:
+            self._assert_bit_equal_to_polyval(f.ensemble, fixture_context(f))
+
+    def test_bit_equal_to_polyval_on_a_stall(self, reg36):
+        # 1.01 x the (3,6) threshold 0.4294
+        ctx = DEContext.create(reg36.rho, 1.01 * 0.4294, 1e-3)
+        assert self._assert_bit_equal_to_polyval(reg36, ctx) == _kernels.STATUS_STALLED
+
+    def test_bit_equal_to_polyval_at_the_cap(self, fixtures):
+        f = fixtures.get("mix_dv16")
+        status = self._assert_bit_equal_to_polyval(f.ensemble, fixture_context(f), l_max=5)
+        assert status == _kernels.STATUS_MAX_ITER
 
     def test_matches_ordinate_recursion_count(self, rng, rho_mix):
         # the normalized staircase recursion counts the same steps

@@ -131,6 +131,15 @@ class TestDegreeDistribution:
         r.validate()
         assert sum(r.coeffs.values()) == pytest.approx(1.0, abs=1e-15)
 
+    def test_renormalized_drops_round_off_dust_only(self):
+        clean = {2: 0.2076, 3: 0.2730, 16: 0.5194}
+        dusty = DegreeDistribution({**clean, 5: 1.5e-8, 9: 2e-30, 12: 4e-30})
+        got = dusty.renormalized().coeffs
+        # 1.5e-8 is far above 2**-53 of the total and stays
+        assert set(got) == {2, 3, 5, 16}
+        want = DegreeDistribution({**clean, 5: 1.5e-8}).renormalized().coeffs
+        assert got == want
+
     def test_renormalized_rejects_materially_negative(self):
         d = DegreeDistribution({2: -0.05, 3: 1.05}, trim=False)
         with pytest.raises(NegativeCoefficient):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import enclosed_area, random_feasible_pair, utility_oracle
+from helpers import (code_estimates_oracle, enclosed_area, fixture_context,
+                     random_feasible_pair, utility_oracle)
 from ldpc_forge import (
     CurvePair,
     DEContext,
@@ -14,12 +15,14 @@ from ldpc_forge import (
     NonConvergent,
     approx_iterations,
     code_curves,
+    code_estimates,
     de_trace,
     exact_iterations,
     jensen_bound,
     local_step_count,
     lower_bound,
     optimal_f1,
+    psi,
     utility,
 )
 
@@ -233,6 +236,68 @@ class TestUtility:
         lam = fx.ensemble.lam
         smaller = type(lam)({d: 0.9 * v for d, v in lam.coeffs.items()}, trim=False)
         assert utility(smaller, ctx).value > utility(lam, ctx).value
+
+
+class TestCodeEstimates:
+    # (fixture, eps, eta); None takes the fixture's own (eps, eta)
+    CASES = [
+        ("x7_coc_r045", None, None),
+        ("x7_coc_r040", None, None),
+        ("mix_acc_r048", 0.48, 1e-4),
+        ("mix_cmp_utility_098", None, None),
+        ("mix_dv12", None, None),
+        ("mix_eta5", None, None),
+        ("x7_ratedv_e048", None, None),
+        # 0.99 x the published 0.52, where the x-domain midpoint rule is
+        # off by 0.95%
+        ("x7_ratedv_e052", 0.5148, 1e-5),
+    ]
+
+    @staticmethod
+    def _context(fx, eps, eta):
+        if eps is None:
+            return fixture_context(fx)
+        return DEContext.create(fx.ensemble.rho, eps, eta)
+
+    @pytest.mark.parametrize("name, eps, eta", CASES)
+    def test_matches_quadrature_oracle(self, fixtures, name, eps, eta):
+        fx = fixtures.get(name)
+        ctx = self._context(fx, eps, eta)
+        got = code_estimates(fx.ensemble, ctx)
+        want_n, want_area = code_estimates_oracle(
+            fx.ensemble.lam.coeffs, fx.ensemble.rho.coeffs, ctx.epsilon, ctx.eta)
+        assert abs(got.approx_N - want_n) <= 1e-6 * want_n
+        assert abs(got.area - want_area) <= 1e-12 * want_area
+
+    @pytest.mark.parametrize("name", ["mix_acc_r048", "x7_coc_r045"])
+    def test_lower_bound_is_the_equal_step_benchmark(self, fixtures, name):
+        fx = fixtures.get(name)
+        ctx = fixture_context(fx)
+        got = code_estimates(fx.ensemble, ctx)
+        pair = code_curves(fx.ensemble, ctx)
+        want = lower_bound(pair.f2, pair.a, pair.b, got.area)
+        assert got.lower_bound == pytest.approx(want, rel=1e-9)
+
+    def test_agrees_with_the_x_domain_reference(self, fixtures):
+        # a smooth case, where the x-domain midpoint rule is within 5e-7
+        # of the quadrature oracle too
+        fx = fixtures.get("mix_acc_r048")
+        ctx = DEContext.create(fx.ensemble.rho, 0.48, 1e-3)
+        got = code_estimates(fx.ensemble, ctx)
+        pair = code_curves(fx.ensemble, ctx)
+        assert got.approx_N == pytest.approx(approx_iterations(pair), rel=1e-5)
+        assert got.area == pytest.approx(enclosed_area(pair), rel=1e-5)
+
+    def test_touching_curves_raise_in_curve_units(self, fixtures):
+        fx = fixtures.get("x7_poc")
+        ctx = DEContext.create(fx.ensemble.rho, 0.52, 1e-5)
+        with pytest.raises(DegenerateGap) as exc:
+            code_estimates(fx.ensemble, ctx)
+        x = exc.value.x
+        assert ctx.zeta <= x <= ctx.xi
+        assert exc.value.gap <= 0.0
+        assert exc.value.gap == pytest.approx(
+            psi(ctx, x) - fx.ensemble.lam.eval(x), abs=1e-9)
 
 
 class TestCodeCurves:

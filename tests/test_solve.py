@@ -1,5 +1,7 @@
 """Designer-facing tests: LP wrapper, rate/utility/min-iteration solvers."""
 
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -283,6 +285,13 @@ class TestDesignUtility:
         assert not above.passed
         assert zt <= above.witness <= ctx.xi
 
+    def test_fig2_support_is_clean(self, rho_x7):
+        # the LP leaves ~1e-30 on degrees 4-15; renormalizing drops it
+        rep = design_utility(DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45,
+                                        d_v=16))
+        assert rep.status == "Optimal"
+        assert rep.lam.degrees == (2, 3, 16)
+
     def test_failing_certificate_is_not_optimal(self, rho_x7, monkeypatch):
         monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
             "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
@@ -309,6 +318,23 @@ class TestDesignMinIterations:
         assert rep.lam.coeff(2) == pytest.approx(0.2126, abs=0.02)
         # mass moves off degree 2 relative to the rate-optimal 0.2673
         assert rep.lam.coeff(2) < 0.25
+
+    def test_barrier_coefficients_are_kept(self, miniter_045, monkeypatch):
+        # renormalizing the barrier's vector drops only what is at most
+        # 2**-53 of its total; every larger coefficient is reported
+        spec, _ = miniter_045
+        raw = []
+        renormalized = DegreeDistribution.renormalized
+
+        def spy(self, *args, **kwargs):
+            raw.append(self.coeffs)
+            return renormalized(self, *args, **kwargs)
+
+        monkeypatch.setattr(DegreeDistribution, "renormalized", spy)
+        rep = design_min_iterations(spec)
+        vec = raw[-1]
+        dust = math.ldexp(sum(v for v in vec.values() if v > 0.0), -53)
+        assert set(rep.lam.degrees) == {d for d, v in vec.items() if v > dust}
 
     def test_rate_floor_active(self, rho_x7, miniter_045):
         _, rep = miniter_045
