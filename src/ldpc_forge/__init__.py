@@ -5,23 +5,24 @@ staircase bouncing between the variable-side polynomial lam(x) and the
 check-side transfer curve psi(x).  On top of that picture it provides:
 
 * `de_engine` - the erasure recursion, psi and its inverse/derivative,
-  success checks, and the area identity linking the enclosed gap to rate;
+  and the success check;
 * `estimators` - exact staircase iteration counts, a smooth quadrature
-  approximation, the matching lower bound (for a code taken over the
-  recursion variable P, with no inverse of rho), and the bottleneck utility;
+  approximation and its floor (for a code taken over the recursion
+  variable P, with no inverse of rho), and the bottleneck utility;
 * `series` - truncated power series of psi (closed form for single-degree
   check sides, series reversion otherwise), for the `series` command;
 * `sip_compile` - the step-size constraint as one exact polynomial in
   z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
+  the utility LP's rows sit in z and the iteration objective is taken over
+  P, the estimate `evaluate` reports;
 * `cli` - the `ldpc-forge` command with embedded published designs and a
   dataset reproduction harness.
 """
 
-from .de_engine import (AreaGap, DEContext, DecodingTrace, MaxIterations,
-                        ReachedTarget, Stalled, SuccessCheck, area_gap,
-                        check_successful, de_trace, psi, psi_deriv, psi_extended,
-                        psi_inverse, tanh_sinh_integral)
+from .de_engine import (DEContext, DecodingTrace, MaxIterations, ReachedTarget,
+                        Stalled, SuccessCheck, check_successful, de_trace, psi,
+                        psi_deriv, psi_inverse)
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity, rate,
                        validate)
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
@@ -43,7 +44,7 @@ from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaGap", "ConstraintPolynomial", "CurvePair", "DEContext",
+    "ConstraintPolynomial", "CurvePair", "DEContext",
     "DecodingTrace", "DegenerateGap", "DegreeDistribution", "DerivativeSingular",
     "DesignSpec", "DomainError", "Ensemble", "EqualStepCurve",
     "LPResult", "LdpcForgeError", "MaxIterations", "NegativeCoefficient",
@@ -51,14 +52,14 @@ __all__ = [
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
     "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries",
     "UtilityResult", "DEFAULT_ORDER",
-    "approx_iterations", "area_gap", "binom_frac", "certify",
+    "approx_iterations", "binom_frac", "certify",
     "check_successful", "code_curves", "code_estimates", "compile_constraint",
     "de_trace",
     "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
     "graphical_complexity", "jensen_bound", "local_step_count", "lower_bound",
     "lp_solve", "nonneg_on_unit", "optimal_f1",
-    "order_for_tolerance", "psi", "psi_deriv", "psi_extended", "psi_inverse", "rate",
-    "tanh_sinh_integral", "taylor_for", "taylor_general",
+    "order_for_tolerance", "psi", "psi_deriv", "psi_inverse", "rate",
+    "taylor_for", "taylor_general",
     "taylor_regular",
     "utility", "validate",
 ]

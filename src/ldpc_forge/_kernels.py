@@ -13,14 +13,18 @@ bit-identical to a polyval loop at a fraction of the per-step cost.
 It is positive on (eta, eps] exactly when decoding succeeds
 (`margin_scan`), and in P the iteration estimate needs no inversion:
 with x = 1 - rho(1 - P), psi = P/eps and psi' dx = dP/eps, so
-psi - lam = g/eps.
+psi - lam = g/eps and the estimate is int dP/g.  `log_p_nodes` gives the
+log-P midpoint nodes on which both `estimators.code_estimates` and the
+min-iteration designer take that integral.
 
 The step constraint psi - lam >= t*psi' needs no inversion when it is
 sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
-step size (psi - lam)/psi' on a grid of z, both through `_transfer`.
-`bisect_increasing` remains for callers that are handed x.
+step size (psi - lam)/psi' on a grid of z, both through `_transfer`; the
+utility designer's LP rows sit on such a grid too.  `bisect_increasing`
+remains for callers that are handed x: psi and psi', the rate LP's rows,
+the zeta_tilde-tuning grids and single anchors such as z(zeta_tilde).
 
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
@@ -28,6 +32,7 @@ exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
@@ -109,6 +114,19 @@ def recursion_gap(lam_c, rho_c, eps, ps):
 
     ps = np.asarray(ps, dtype=np.float64)
     return ps - eps * npoly.polyval(1.0 - npoly.polyval(1.0 - ps, rho_c), lam_c)
+
+
+def log_p_nodes(eta, eps, n):
+    """Midpoints of n equal cells of u = log P on [log eta, log eps], and du.
+
+    Returns ``(P, du)``.  The rule of `estimators.code_estimates` and of
+    the min-iteration designer's barrier rows: with weights P*du it
+    integrates over dP, and P/g(P) stays bounded as P -> 0 (g ~ P there).
+    """
+
+    lo, hi = math.log(eta), math.log(eps)
+    du = (hi - lo) / n
+    return np.exp(lo + du * (np.arange(n) + 0.5)), du
 
 
 def margin_scan(lam_c, rho_c, eps, eta, n):

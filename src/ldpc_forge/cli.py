@@ -3,8 +3,10 @@
 Subcommands: validate, evaluate, estimate, design, certify, series,
 reproduce.  All file outputs are written atomically (temp file + rename)
 and every command that writes files drops a manifest JSON next to them
-recording flags, output paths, and content hashes; identical flags yield
-byte-identical outputs.  `design` and `reproduce` manifests also record
+recording flags, output paths, content hashes and the command's wall
+time from its entry (per figure for `reproduce`); identical flags yield
+byte-identical outputs.  A utility design's report also records the
+zeta_tilde it used.  `design` and `reproduce` manifests also record
 the HiGHS options and the numpy, scipy and HiGHS versions, on which the
 low digits of a design depend.
 
@@ -107,10 +109,6 @@ def load_claims() -> dict:
 # plumbing
 
 
-def default_grid_n() -> int:
-    return int(os.environ.get("LDPC_FORGE_GRID_N", DEFAULT_GRID_N))
-
-
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -167,12 +165,15 @@ def solver_settings() -> dict:
 
 @dataclass
 class RunManifest:
+    """Flags, outputs and their hashes; wall_time_s runs from `started`
+    (by default the manifest's creation) to the manifest's own write."""
+
     command: str
     parameters: dict
+    settings: dict = field(default_factory=dict)
+    started: float = field(default_factory=time.perf_counter)
     artifacts: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-    settings: dict = field(default_factory=dict)
 
     def add(self, path: str, text: str) -> None:
         _atomic_write(path, text)
@@ -182,7 +183,8 @@ class RunManifest:
     def write(self, path: str) -> None:
         payload = {"command": self.command, "parameters": self.parameters,
                    "artifacts": self.artifacts, "outputs": self.outputs,
-                   "wall_time_s": round(self.wall_time_s, 3), **self.settings}
+                   "wall_time_s": round(time.perf_counter() - self.started, 3),
+                   **self.settings}
         _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -213,6 +215,12 @@ def _load_rho_arg(value: str) -> DegreeDistribution:
     d = DegreeDistribution.from_json_dict(data, published=True)
     d.validate()
     return d
+
+
+def _manifest(args, **settings) -> RunManifest:
+    """The manifest of a subcommand, timed from the command's entry."""
+    return RunManifest(args.command, _flags_dict(args), settings=settings,
+                       started=args.started)
 
 
 def _trace_comments(trace) -> tuple:
@@ -262,6 +270,8 @@ def _report_dict(rep: SolveReport, rho: DegreeDistribution) -> dict:
         "ensemble": None,
         "certificate": None,
     }
+    if "zeta_tilde" in rep.params:
+        out["zeta_tilde"] = rep.params["zeta_tilde"]
     if rep.lam is not None:
         out["ensemble"] = Ensemble(lam=rep.lam, rho=rho).to_json_dict()
         out["rate"] = ensemble_rate(Ensemble(lam=rep.lam, rho=rho))
@@ -311,14 +321,12 @@ def cmd_evaluate(args) -> int:
         summary.update(_estimates(e, ctx, args.zeta_tilde))
 
     if args.out:
-        man = RunManifest("evaluate", _flags_dict(args))
-        t0 = time.perf_counter()
+        man = _manifest(args)
         rows = [(i, float(p)) for i, p in enumerate(trace.probs)]
         man.add(args.out + ".trace.csv",
                 render_csv(["iteration", "P"], rows, _trace_comments(trace)))
         man.add(args.out + ".summary.json",
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        man.wall_time_s = time.perf_counter() - t0
         man.write(args.out + ".manifest.json")
     else:
         _print_json(summary)
@@ -339,7 +347,7 @@ def cmd_estimate(args) -> int:
         summary.update(_no_estimates(e))
         code = EXIT_DECODING
     if args.out:
-        man = RunManifest("estimate", _flags_dict(args))
+        man = _manifest(args)
         man.add(args.out + ".summary.json",
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
         man.write(args.out + ".manifest.json")
@@ -350,7 +358,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_design(args) -> int:
     rho = _load_rho_arg(args.rho)
-    grid_n = args.grid_n or default_grid_n()
+    grid_n = args.grid_n or DEFAULT_GRID_N
     if args.objective == "rate":
         rep = design_rate(rho, args.epsilon, args.dv, grid_n, args.margin)
     else:
@@ -366,7 +374,7 @@ def cmd_design(args) -> int:
 
     out = _report_dict(rep, rho)
     if args.out:
-        man = RunManifest("design", _flags_dict(args), settings=solver_settings())
+        man = _manifest(args, **solver_settings())
         if rep.lam is not None:
             man.add(args.out + ".ensemble.json",
                     Ensemble(lam=rep.lam, rho=rho).to_json(indent=2) + "\n")
@@ -399,7 +407,7 @@ def cmd_certify(args) -> int:
         "witness_x": cert.witness, "witness_value": cert.witness_value,
     }
     if args.out:
-        man = RunManifest("certify", _flags_dict(args))
+        man = _manifest(args)
         man.add(args.out + ".certificate.json",
                 json.dumps(out, indent=2, sort_keys=True) + "\n")
         man.write(args.out + ".manifest.json")
@@ -420,7 +428,7 @@ def cmd_series(args) -> int:
     out["order"] = T.taylor_order
     out["coeffs"] = {str(i): T.t(i) for i in range(2, T.taylor_order + 1)}
     if args.out:
-        man = RunManifest("series", _flags_dict(args))
+        man = _manifest(args)
         man.add(args.out + ".series.json",
                 json.dumps(out, indent=2, sort_keys=True) + "\n")
         man.write(args.out + ".manifest.json")
@@ -627,13 +635,12 @@ _REPRO = {
 
 def cmd_reproduce(args) -> int:
     figures = FIGURE_IDS if args.figure == "all" else (args.figure,)
-    grid_n = args.grid_n or default_grid_n()
+    grid_n = args.grid_n or DEFAULT_GRID_N
     for fig in figures:
+        # each figure's manifest is timed from the start of that figure
         man = RunManifest("reproduce", {"figure": fig, "grid_n": grid_n},
                           settings=solver_settings())
-        t0 = time.perf_counter()
         header, rows, comments = _REPRO[fig](grid_n)
-        man.wall_time_s = time.perf_counter() - t0
         path = os.path.join(args.out, f"{fig}.csv")
         man.add(path, render_csv(header, rows, comments))
         man.write(os.path.join(args.out, f"{fig}.manifest.json"))
@@ -646,7 +653,8 @@ def cmd_reproduce(args) -> int:
 
 
 def _flags_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "started") and v is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -725,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except LdpcForgeError as exc:

@@ -14,8 +14,10 @@ variable P, x = 1 - rho(1 - P) runs from zeta to xi as P runs from eta to
 eps, psi = P/eps and psi' dx = dP/eps, so the integral is
 int_eta^eps dP/g(P) with g(P) = P - eps*lam(1 - rho(1 - P)) the
 recursion's own step, and psi(zeta) = eta/eps exactly.  `code_estimates`
-works there; `code_curves`, `CurvePair` and the generic estimators remain
-the x-domain reference for hand-built pairs.
+works there, on the log-P nodes the min-iteration designer also
+minimizes over, and floors approx_N by Cauchy-Schwarz on those nodes;
+`code_curves`, `CurvePair` and the generic estimators remain the x-domain
+reference for hand-built pairs.
 """
 
 from __future__ import annotations
@@ -262,26 +264,26 @@ class CodeEstimates:
 def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
     """approx_N, the area between psi and lam on [zeta, xi], and lower_bound.
 
-    approx_N is int_eta^eps dP/g(P) by the CODE_QUAD_POINTS-node midpoint
-    rule in u = log P, where the integrand P/g(P) stays bounded as P -> 0 (g ~ P there).
-    The area is (1/eps)*int_eta^eps P*rho'(1 - P) dP - (Lam(xi) - Lam(zeta)),
-    with Lam the antiderivative of lam; integrating by parts the first
-    term is [R(1 - P) + P*rho(1 - P)]_eps^eta / eps, R the antiderivative
-    of rho, so the area is exact up to rounding.  lower_bound is
-    (xi - zeta)*(1 - eta/eps)/area, the equal-step benchmark of
-    `lower_bound` with psi(xi) = 1 and psi(zeta) = eta/eps.  Raises
-    DegenerateGap, in curve units (psi - lam = g/eps) at x, when g <= 0 at
-    a node.
+    approx_N is int_eta^eps dP/g(P) by the midpoint rule in u = log P over
+    CODE_QUAD_POINTS nodes (`_kernels.log_p_nodes`), where the integrand
+    P/g(P) stays bounded as P -> 0.  The area is
+    (1/eps)*int_eta^eps P*rho'(1 - P) dP - (Lam(xi) - Lam(zeta)), with Lam
+    the antiderivative of lam; integrating by parts the first term is
+    [R(1 - P) + P*rho(1 - P)]_eps^eta / eps, R the antiderivative of rho,
+    so the area is exact up to rounding.  lower_bound is the
+    Cauchy-Schwarz floor of approx_N on the same nodes,
+    (ln(eps/eta))^2 / sum (g/P)*du, reached when the step g/P is constant
+    in u.  Raises DegenerateGap, in curve units (psi - lam = g/eps) at x,
+    when g <= 0 at a node.
     """
     eps, eta = ctx.epsilon, ctx.eta
-    lo, hi = math.log(eta), math.log(eps)
-    du = (hi - lo) / CODE_QUAD_POINTS
-    ps = np.exp(lo + du * (np.arange(CODE_QUAD_POINTS) + 0.5))
+    ps, du = _kernels.log_p_nodes(eta, eps, CODE_QUAD_POINTS)
     gaps = _kernels.recursion_gap(e.lam.dense, ctx.rho.dense, eps, ps)
     k = int(np.argmin(gaps))
     if gaps[k] <= 0.0:
         raise DegenerateGap(1.0 - ctx.rho.eval(1.0 - float(ps[k])), float(gaps[k]) / eps)
     approx = float(np.sum(ps / gaps) * du)
+    bound = math.log(eps / eta) ** 2 / float(np.sum(gaps / ps) * du)
 
     # at the ends rho(1 - eta) = 1 - zeta and rho(1 - eps) = 1 - xi
     rho_int = npoly.polyint(ctx.rho.dense)
@@ -290,7 +292,6 @@ def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
                 - npoly.polyval(1.0 - eps, rho_int) - eps * (1.0 - ctx.xi)) / eps
     area = float(psi_area - (npoly.polyval(ctx.xi, lam_int)
                              - npoly.polyval(ctx.zeta, lam_int)))
-    bound = (ctx.xi - ctx.zeta) * (1.0 - eta / eps) / area
     return CodeEstimates(approx_N=approx, area=area, lower_bound=bound)
 
 

@@ -4,31 +4,38 @@ Three entry points over a common toolkit:
 
 * `design_rate` - maximize the code rate for fixed rho, eps, d_v.  Linear
   program over lam with the curve constraint lam(x) <= psi(x) - margin on
-  a grid, plus exchange refinement against the continuous interval.
+  a grid uniform in x, plus exchange refinement against the continuous
+  interval.
 * `design_utility` - maximize the worst-case decoding step size t subject
   to psi - lam >= t*psi' on [zeta_tilde, xi] and a rate floor.  Linear
-  program in (lam, t).  The result carries the `sip_compile` certificate
-  of the exact constraint at t*(1 - 1e-6); a design whose certificate
-  fails gets status "CertificateFail", never "Optimal".  An unset
-  zeta_tilde is tuned by exact decoding cost.
-* `design_min_iterations` - minimize the discretized iteration-count
-  integral sum psi'(x_i)*dx/(psi(x_i) - lam(x_i)).  The objective is
-  convex in lam and blows up as lam touches psi, so a log-barrier Newton
-  method over the simplex-and-ratefloor feasible set converges with a
-  clean duality-gap bound.
+  program in (lam, t) whose rows sit uniformly in z = rho^{-1}(1 - x),
+  where x = 1 - rho(z), psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are
+  closed form; only z(zeta_tilde) is bisected.  The result carries the
+  `sip_compile` certificate of the exact constraint at t*(1 - 1e-6); a
+  design whose certificate fails gets status "CertificateFail", never
+  "Optimal".  An unset zeta_tilde is tuned by exact decoding cost.
+* `design_min_iterations` - minimize the iteration-count integral
+  int_eta^eps dP/g(P), g(P) = P - eps*lam(1 - rho(1 - P)), by the log-P
+  midpoint rule of `estimators.code_estimates`, so the objective is the
+  approx_N that `evaluate` reports.  In curve terms each node P is a row
+  at x = 1 - rho(1 - P) with psi = P/eps and weight psi' dx = P*du/eps.
+  The objective is convex in lam and blows up as lam touches psi, so a
+  log-barrier Newton method over the simplex-and-ratefloor feasible set
+  converges with a clean duality-gap bound.
 
-All grids work in the transfer domain: constraining psi - lam > 0 on
-(zeta, xi] is exactly the successful-decoding condition on (eta, eps]
-because the margin map m(x) = x - eps*lam(1-rho(1-x)) factors through
-psi.  LP solves go through `lp_solve`, a thin checked wrapper around
-scipy's HiGHS backend with presolve off (`LP_OPTIONS`): presolve was about
-99% of every design LP, 4.9 s against 0.047 s for one 4096-row rate LP,
-at the same vertex.  The LP rows sit at given x, so psi and psi' there
-come from bisection.  Each continuous-interval check (`_gap_scan`)
-instead samples `SCAN_N` points uniformly in z = rho^{-1}(1 - x), where
-the step constraint is a closed-form polynomial expression; one scan per
-exchange round yields both the worst violation and the new exchange
-points.
+Constraining psi - lam > 0 on (zeta, xi] is exactly the
+successful-decoding condition on (eta, eps], because
+eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
+`lp_solve`, a thin checked wrapper around scipy's HiGHS backend with
+presolve off (`LP_OPTIONS`): presolve was about 99% of every design LP,
+4.9 s against 0.047 s for one 4096-row rate LP, at the same vertex.  Two
+grids stay uniform in x, so psi there comes from bisection: the rate LP's
+rows and the zeta_tilde-tuning grids.  Both choices are measured: the
+rate design's downstream iteration counts move with any change of its
+rows, and tuning over a z-uniform grid picks a worse anchor for Fig. 2.
+Each continuous-interval check (`_gap_scan`) samples `SCAN_N` points
+uniformly in z; one scan per exchange round yields both the worst
+violation and the new exchange points, as z.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from . import _kernels
-from .de_engine import DEContext, de_trace, psi, psi_deriv
+from .de_engine import INVERSION_TOL, DEContext, de_trace, psi
 from .ensemble import DegreeDistribution, Ensemble, rate as ensemble_rate
 from .errors import DomainError, NumericalFailure
 from .sip_compile import NonnegCertificate, certify, compile_constraint
@@ -48,6 +55,9 @@ from .sip_compile import NonnegCertificate, certify, compile_constraint
 DEFAULT_GRID_N = 4096
 DEFAULT_MARGIN = 1e-7
 SCAN_N = 100_000
+REFINE_ROUNDS = 12  # exchange rounds of the LP designers
+BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
+BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_GRID_N = 512
 TUNE_L_MAX = 5000
@@ -85,10 +95,6 @@ class DesignSpec:
 
     def context(self) -> DEContext:
         return DEContext.create(self.rho, self.epsilon, self.eta)
-
-    def resolved_zeta_tilde(self, ctx: DEContext) -> float:
-        """Explicit value if set; None means the designers may tune it."""
-        return 0.5 * ctx.zeta if self.zeta_tilde is None else self.zeta_tilde
 
 
 @dataclass(frozen=True)
@@ -247,23 +253,29 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
-def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
-              t: float, lo: float,
-              threshold: float = 0.0) -> tuple[float, float, list[float]]:
-    """Worst violation of psi - lam - t*psi' >= 0 on [lo, xi], polished.
+def _z_of(ctx: DEContext, xs) -> np.ndarray:
+    """z = rho^{-1}(1 - x) at each x, by bisection."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return _kernels.bisect_increasing(ctx.rho.dense, 1.0 - xs, INVERSION_TOL)
 
-    Samples SCAN_N points uniformly in z from z(lo) down to z(xi) = 1 - eps.
-    Returns (violation, x, dips): violation = -min gap, positive when the
-    constraint fails at x; dips are the x of the local gap minima below
+
+def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
+              t: float, z_lo: float,
+              threshold: float = 0.0) -> tuple[float, float, list[float]]:
+    """Worst violation of psi - lam - t*psi' >= 0 for z in [1 - eps, z_lo].
+
+    Samples SCAN_N points uniformly in z from z_lo down to z(xi) = 1 - eps
+    and polishes the worst one by bounded scalar minimization.
+    Returns (violation, z, dips): violation = -min gap, positive when the
+    constraint fails at z; dips are the z of the local gap minima below
     -threshold, worst first, at most 32 of them.
     """
-    z_lo = 1.0 - ctx.epsilon * psi(ctx, lo)
     zs = np.linspace(z_lo, 1.0 - ctx.epsilon, SCAN_N)
-    xs, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
+    _, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
     mid = gaps[1:-1]
     interior = (mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -threshold)
     idx = np.nonzero(interior)[0] + 1
-    dips = [float(xs[j]) for j in idx[np.argsort(gaps[idx])][:32]]
+    dips = [float(zs[j]) for j in idx[np.argsort(gaps[idx])][:32]]
 
     k = int(np.argmin(gaps))
     h = (z_lo - zs[-1]) / (SCAN_N - 1)
@@ -276,8 +288,8 @@ def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
                                           min(z_lo, zs[k] + 2 * h)),
                           method="bounded", options={"xatol": 1e-12})
     if res.fun < gaps[k]:
-        return float(-res.fun), 1.0 - rho.eval(float(res.x)), dips
-    return float(-gaps[k]), float(xs[k]), dips
+        return float(-res.fun), float(res.x), dips
+    return float(-gaps[k]), float(zs[k]), dips
 
 
 def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
@@ -299,7 +311,7 @@ def design_rate(
     d_v: int,
     grid_n: int = DEFAULT_GRID_N,
     margin: float = DEFAULT_MARGIN,
-    refine_rounds: int = 12,
+    refine_rounds: int = REFINE_ROUNDS,
 ) -> SolveReport:
     """Maximize sum lam_i/i (hence the rate) under lam <= psi - margin.
 
@@ -314,6 +326,7 @@ def design_rate(
         raise ValueError("d_v must be >= 2")
     ctx = DEContext.create(rho, epsilon, eta=epsilon * 1e-6)
     base_xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
+    z_lo = float(_z_of(ctx, [ctx.xi / SCAN_N])[0])
     points = ()
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
 
@@ -344,11 +357,11 @@ def design_rate(
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}", params)
         lam = _lam_from_vec(vec, d_v)
-        violation, x_star, dips = _gap_scan(lam, rho, ctx, 0.0, ctx.xi / SCAN_N,
-                                            margin / 2)
+        violation, z_star, dips = _gap_scan(lam, rho, ctx, 0.0, z_lo, margin / 2)
         if violation <= margin / 2 or rounds >= refine_rounds:
             break
-        points = points + tuple(dips) + (x_star,)
+        # the rows stay in x: exchange points go back through x = 1 - rho(z)
+        points = points + tuple(1.0 - rho.eval(z) for z in dips + [z_star])
         rounds += 1
 
     lam = lam.renormalized(clip_tol=1e-8)
@@ -361,11 +374,15 @@ def design_rate(
                        rounds=rounds, params=params)
 
 
-def _utility_lp(ctx: DEContext, xs: np.ndarray, d_v: int, q: float) -> LPResult:
-    """Stage-1 LP in (lam, t): maximize t s.t. lam + t*psi' <= psi on xs."""
-    V = _vandermonde(xs, d_v)
-    pd = psi_deriv(ctx, xs)
-    pv = psi(ctx, xs)
+def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
+    """Stage-1 LP in (lam, t): maximize t s.t. lam + t*psi' <= psi at each z.
+
+    Row z sits at x = 1 - rho(z), where psi = (1 - z)/eps and
+    psi' = 1/(eps*rho'(z)).
+    """
+    V = _vandermonde(1.0 - ctx.rho.eval(zs), d_v)
+    pd = 1.0 / (ctx.epsilon * ctx.rho.eval_deriv(zs))
+    pv = (1.0 - zs) / ctx.epsilon
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
     A = np.vstack([np.column_stack([V, pd]),
                    np.concatenate([-inv_degrees, [0.0]])])
@@ -386,7 +403,10 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     step.  Moving the anchor a few multiples of zeta to the right trades
     the left tail for uniformly larger mid-range steps.  Each candidate
     anchor gets a light grid solve; the lowest exact iteration count wins
-    (ties: the anchor nearest zeta).
+    (ties: the anchor nearest zeta).  These grids stay uniform in x: uniform
+    in z they are sparse at the left end, where x moves fastest with z, and
+    tuning then picks 0.5*zeta for the Fig. 2 design, which decodes in 385
+    iterations against 130 at 8*zeta.
     """
     best_n, best_zt = None, None
     for factor in TUNE_FACTORS:
@@ -395,7 +415,7 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
             break
         xs = zt + (ctx.xi - zt) * np.arange(1, TUNE_GRID_N + 1) / TUNE_GRID_N
         try:
-            res = _utility_lp(ctx, xs, spec.d_v, q)
+            res = _utility_lp(ctx, _z_of(ctx, xs), spec.d_v, q)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
@@ -409,13 +429,14 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     return 0.5 * ctx.zeta if best_zt is None else best_zt
 
 
-def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
+def design_utility(spec: DesignSpec) -> SolveReport:
     """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
 
-    Runs the rate-ceiling check first, exchange-refines against the
-    continuous interval, then backs the reported t off by a margin-scaled
-    amount so the constraint holds strictly everywhere, and certifies the
-    exact constraint for (lam, t*(1-1e-6)).  A failing certificate turns
+    Runs the rate-ceiling check first, solves on `grid_n` rows uniform in
+    z on [z(zeta_tilde), 1 - eps], exchange-refines against the continuous
+    interval, then backs the reported t off by a margin-scaled amount so
+    the constraint holds strictly everywhere, and certifies the exact
+    constraint for (lam, t*(1-1e-6)).  A failing certificate turns
     an "Optimal" status into "CertificateFail"; lam and t are kept.  When
     the spec leaves zeta_tilde unset the anchor is tuned per
     `_tune_zeta_tilde`.
@@ -434,33 +455,35 @@ def design_utility(spec: DesignSpec, refine_rounds: int = 12) -> SolveReport:
     zt = (_tune_zeta_tilde(spec, ctx, q) if spec.zeta_tilde is None
           else spec.zeta_tilde)
     params["zeta_tilde"] = zt
-    base_xs = zt + (ctx.xi - zt) * np.arange(1, spec.grid_n + 1) / spec.grid_n
+    z_lo = float(_z_of(ctx, [zt])[0])
+    base_zs = (z_lo + (1.0 - ctx.epsilon - z_lo)
+               * np.arange(1, spec.grid_n + 1) / spec.grid_n)
     points = ()
 
     rounds = 0
     while True:
-        xs = np.unique(np.concatenate([base_xs, np.asarray(points)])) if points else base_xs
-        lp = _utility_lp(ctx, xs, d_v, q)
+        zs = np.unique(np.concatenate([base_zs, np.asarray(points)])) if points else base_zs
+        lp = _utility_lp(ctx, zs, d_v, q)
         if lp.status != "Optimal":
             return _infeasible("utility",
                                _after_ceiling(ceiling, f"grid LP is {lp.status}"), params)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
-        violation, x_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, zt,
+        violation, z_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, z_lo,
                                             spec.margin / 2)
-        if violation <= spec.margin / 2 or rounds >= refine_rounds:
+        if violation <= spec.margin / 2 or rounds >= REFINE_ROUNDS:
             break
-        points = points + tuple(dips) + (x_star,)
+        points = points + tuple(dips) + (z_star,)
         rounds += 1
 
     # psi' is increasing, so paying 2*margin of gap at the left end pays at
     # least that much everywhere; the backed-off t then clears the residual
     # scan violation (<= margin/2) with room for the certificate's own
-    # (1 - 1e-6) relief.
-    backoff = 2.0 * spec.margin / float(psi_deriv(ctx, zt))
+    # (1 - 1e-6) relief.  1/psi'(zeta_tilde) = eps*rho'(z(zeta_tilde)).
+    backoff = 2.0 * spec.margin * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
     t = max(t_lp - backoff, 0.0)
     lam = lam.renormalized(clip_tol=1e-8)
-    violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, zt)
+    violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, z_lo)
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
     status = "Optimal" if violation <= spec.margin else "IterLimit"
@@ -499,14 +522,16 @@ def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
     return res.x[:-1], float(res.x[-1])
 
 
-def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
-                          max_newton: int = 100) -> SolveReport:
+def design_min_iterations(spec: DesignSpec) -> SolveReport:
     """Minimize the discretized iteration integral by log-barrier Newton.
 
-    The objective sum w_i/(psi_i - lam(x_i)) on the midpoint grid of
-    [zeta, xi] is convex and already penalizes the curve constraint; the
-    barrier adds the coefficient simplex and the rate floor.  The duality
-    gap m/tau certifies optimality to spec.tol.
+    The objective sum w_i/(psi_i - lam(x_i)) over the `grid_n` log-P
+    midpoint nodes P_i of [eta, eps], with x_i = 1 - rho(1 - P_i),
+    psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
+    approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
+    and already penalizes the curve constraint; the barrier adds the
+    coefficient simplex and the rate floor.  The duality gap m/tau
+    certifies optimality to spec.tol.
     """
     spec.validate()
     params = {"spec": spec}
@@ -518,14 +543,14 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
 
     ctx = spec.context()
     d_v = spec.d_v
-    n = spec.grid_n
-    dx = (ctx.xi - ctx.zeta) / n
-    xs = ctx.zeta + dx * (np.arange(n) + 0.5)
-    psi_vals = psi(ctx, xs)
-    w = psi_deriv(ctx, xs) * dx
+    ps, du = _kernels.log_p_nodes(ctx.eta, ctx.epsilon, spec.grid_n)
+    xs = 1.0 - spec.rho.eval(1.0 - ps)
+    psi_vals = ps / ctx.epsilon
+    w = ps * du / ctx.epsilon
     X = _vandermonde(xs, d_v)
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
     q = spec.rho.integral() / (1.0 - spec.R_d)
+    z_zeta = 1.0 - ctx.eta  # z(zeta), exactly
 
     def objective(v: np.ndarray) -> float:
         g = psi_vals - X @ v
@@ -545,7 +570,7 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
         lam = ceiling.lam
         vec = np.array([lam.coeff(j) for j in range(2, d_v + 1)])
         obj = objective(vec)
-        violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, ctx.zeta)
+        violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
         return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                            optimality_gap=float("nan"), status="Optimal",
                            certificate=None, method="min-iter",
@@ -557,8 +582,8 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
     v = v0.copy()
     tau = 1.0
     converged = False
-    for _ in range(max_outer):
-        for _ in range(max_newton):
+    for _ in range(BARRIER_MAX_OUTER):
+        for _ in range(BARRIER_MAX_NEWTON):
             g = psi_vals - X @ v
             s = float(inv_degrees @ v - q)
             inv_g2 = w / g**2
@@ -606,7 +631,7 @@ def design_min_iterations(spec: DesignSpec, max_outer: int = 16,
 
     lam = _lam_from_vec(v, d_v).renormalized(clip_tol=1e-8)
     obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
-    violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, ctx.zeta)
+    violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
     gap = m_ineq / tau
     status = "Optimal" if converged and violation <= spec.margin else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,

@@ -1,11 +1,13 @@
 """Command-line smoke tests: exit codes and manifest contents."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
 from helpers import fixture_context
-from ldpc_forge import NonnegCertificate, solve, utility
+from ldpc_forge import DEContext, DegreeDistribution, NonnegCertificate, solve, utility
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             load_fixtures, main)
 
@@ -30,6 +32,23 @@ def test_design_manifest_is_reproducible(tmp_path):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert first == second
+
+
+def test_utility_design_manifest_times_the_command(tmp_path):
+    prefix = tmp_path / "util"
+    argv = ["design", "--objective", "utility", "--rho", '{"8": 1.0}',
+            "--epsilon", "0.5", "--eta", "1e-5", "--rd", "0.45", "--dv", "16",
+            "--grid-n", "512", "--out", str(prefix)]
+    t0 = time.perf_counter()
+    assert main(argv) == EXIT_OK
+    elapsed = time.perf_counter() - t0
+    # the whole command, designer included, not only the file writes
+    assert 0.5 * elapsed <= _manifest(prefix)["wall_time_s"] <= elapsed + 1e-3
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    # the tuned anchor, which sets lam_2, is reported
+    zeta = DEContext.create(DegreeDistribution({8: 1.0}), 0.5, 1e-5).zeta
+    assert report["zeta_tilde"] in {f * zeta for f in solve.TUNE_FACTORS}
 
 
 def test_infeasible_design_exits_solver(tmp_path, capsys):
@@ -125,3 +144,27 @@ def test_certify_brackets_utility(tmp_path, factor, code):
         assert cert["kind"] == "SturmFail"
         assert cert["zeta_tilde"] <= cert["witness_x"] <= ctx.xi
         assert cert["witness_value"] < 0.0
+
+
+def test_validate_published_and_strict_tolerance(capsys):
+    ens = load_fixtures().get("mix_acc_r048").ensemble.to_json()
+    assert main(["validate", ens]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is True and out["d_v"] == 16 and out["d_c"] == 8
+    # the published lam sums to 0.9999: inside the published tolerance only
+    assert main(["validate", ens, "--strict"]) == EXIT_USAGE
+    assert "sum to 0.9999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure", ["table1", "fig3"])
+def test_reproduce_matches_its_manifest_and_repeats(tmp_path, figure):
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["reproduce", figure, "--out", str(out)]) == EXIT_OK
+        data = (out / f"{figure}.csv").read_bytes()
+        with open(out / f"{figure}.manifest.json") as fh:
+            man = json.load(fh)
+        assert man["artifacts"] == {f"{figure}.csv": hashlib.sha256(data).hexdigest()}
+        runs.append(data)
+    assert runs[0] == runs[1]

@@ -1,8 +1,7 @@
-"""Erasure recursion, transfer curve, success check and area identity."""
+"""Erasure recursion, transfer curve and success check."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from helpers import (
     de_recursion_oracle,
@@ -21,15 +20,11 @@ from ldpc_forge import (
     MaxIterations,
     ReachedTarget,
     Stalled,
-    area_gap,
     check_successful,
     de_trace,
     psi,
     psi_deriv,
-    psi_extended,
     psi_inverse,
-    rate,
-    tanh_sinh_integral,
 )
 from ldpc_forge import _kernels
 from ldpc_forge.de_engine import STALL_TOL
@@ -78,13 +73,6 @@ class TestTransferCurve:
             psi(ctx_x7, -1e-9)
         with pytest.raises(DomainError):
             psi(ctx_x7, ctx_x7.xi + 1e-6)
-
-    def test_extension_follows_formula_above_xi(self, ctx_x7):
-        x = (ctx_x7.xi + 1.0) / 2.0
-        want = psi_monomial_closed_form(8, 0.5, x)
-        assert psi_extended(ctx_x7, x) == pytest.approx(float(want), rel=1e-10)
-        assert psi_extended(ctx_x7, 1.0) == pytest.approx(1.0 / 0.5, abs=1e-12)
-        assert psi_extended(ctx_x7, 0.3) == pytest.approx(psi(ctx_x7, 0.3), abs=1e-12)
 
     def test_inverse_round_trip(self, ctx_x7):
         for y in np.linspace(0.0, 1.0, 41):
@@ -213,7 +201,8 @@ class TestSuccessCheck:
         res = check_successful(fx.ensemble, ctx)
         assert not res.ok
         assert res.worst_margin < 0
-        assert 0 < res.argmin_x <= 0.6
+        # a recursion probability on the scanned (eta, eps], not an abscissa
+        assert ctx.eta < res.argmin_P <= ctx.epsilon
 
     def test_stability_violation_detected(self):
         e = Ensemble(lam=DegreeDistribution({2: 1.0}), rho=DegreeDistribution({3: 1.0}))
@@ -237,59 +226,3 @@ class TestSuccessCheck:
         ctx = DEContext.create(reg36.rho, 0.4, 1e-3)
         with pytest.raises(ValueError):
             check_successful(reg36, ctx, grid_size=1)
-
-
-class TestAreaIdentity:
-    def test_regular_code_closed_form(self, reg36):
-        ctx = DEContext.create(reg36.rho, 0.4, 1e-6)
-        res = area_gap(reg36, ctx)
-        assert res.rhs == pytest.approx((1.0 / 0.4 - 2.0) / 6.0, rel=1e-12)
-        assert res.gap < 1e-8
-
-    def test_capacity_gap_vanishes_at_capacity_rate(self, reg36):
-        ctx = DEContext.create(reg36.rho, 0.4, 1e-6)
-        assert area_gap(reg36, ctx, R=0.6).rhs == pytest.approx(0.0, abs=1e-14)
-
-    def test_lhs_matches_scipy_quadrature(self, fixtures):
-        fx = fixtures.get("mix_acc_r048")
-        e = fx.ensemble
-        ctx = DEContext.create(e.rho, fx.params["epsilon"], 1e-6)
-        res = area_gap(e, ctx)
-        want, err = quad(
-            lambda x: psi_extended(ctx, np.asarray([x]))[0] - e.lam.eval(x),
-            0.0, 1.0, limit=200,
-        )
-        assert err < 1e-6
-        assert res.lhs == pytest.approx(want, abs=1e-7)
-
-    def test_identity_tightens_with_quadrature_level(self, fixtures):
-        fx = fixtures.get("mix_acc_r048")
-        ctx = DEContext.create(fx.ensemble.rho, fx.params["epsilon"], 1e-6)
-        gaps = [area_gap(fx.ensemble, ctx, level=lv).gap for lv in (3, 5, 7)]
-        assert gaps[2] <= gaps[1] <= gaps[0]
-        assert gaps[2] < 1e-9
-
-    def test_identity_holds_on_all_stored_rows(self, fixtures):
-        for fx in fixtures:
-            e = fx.ensemble
-            ctx = DEContext.create(e.rho, fx.params["epsilon"], 1e-6)
-            assert area_gap(e, ctx).gap <= 1e-6, fx.name
-
-    def test_rate_default_matches_explicit(self, reg36):
-        ctx = DEContext.create(reg36.rho, 0.4, 1e-6)
-        a = area_gap(reg36, ctx)
-        b = area_gap(reg36, ctx, R=rate(reg36))
-        assert a.rhs == b.rhs and a.lhs == b.lhs
-
-
-def test_tanh_sinh_handles_endpoint_derivative_singularity():
-    # bounded integrand with unbounded slope at both endpoints, the same
-    # profile psi shows at x = 1
-    got = tanh_sinh_integral(lambda x: np.sqrt(1.0 - x ** 2), 0.0, 1.0, level=8)
-    assert got == pytest.approx(np.pi / 4.0, abs=1e-12)
-
-
-def test_tanh_sinh_matches_scipy_on_smooth_integrand():
-    f = lambda x: np.exp(-x) * np.cos(3 * x)
-    want, _ = quad(f, 0.2, 1.7)
-    assert tanh_sinh_integral(f, 0.2, 1.7) == pytest.approx(want, abs=1e-11)

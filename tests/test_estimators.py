@@ -9,6 +9,7 @@ from ldpc_forge import (
     CurvePair,
     DEContext,
     DegenerateGap,
+    DegreeDistribution,
     DomainError,
     Ensemble,
     EqualStepCurve,
@@ -271,12 +272,35 @@ class TestCodeEstimates:
 
     @pytest.mark.parametrize("name", ["mix_acc_r048", "x7_coc_r045"])
     def test_lower_bound_is_the_equal_step_benchmark(self, fixtures, name):
+        # the generic x-domain `lower_bound` on a code's own pair is the
+        # equal-step benchmark (xi - zeta)*(1 - eta/eps)/area; it is no
+        # longer what CodeEstimates.lower_bound reports
         fx = fixtures.get(name)
         ctx = fixture_context(fx)
         got = code_estimates(fx.ensemble, ctx)
         pair = code_curves(fx.ensemble, ctx)
-        want = lower_bound(pair.f2, pair.a, pair.b, got.area)
-        assert got.lower_bound == pytest.approx(want, rel=1e-9)
+        want = (ctx.xi - ctx.zeta) * (1.0 - ctx.eta / ctx.epsilon) / got.area
+        assert lower_bound(pair.f2, pair.a, pair.b, got.area) == pytest.approx(want, rel=1e-9)
+
+    def test_lower_bound_floors_approx_n(self, fixtures):
+        # every fixture that decodes at its own (eps, eta): 17 of the 20
+        checked = 0
+        for fx in fixtures:
+            ctx = fixture_context(fx)
+            if de_trace(fx.ensemble, ctx).iterations is None:
+                continue
+            got = code_estimates(fx.ensemble, ctx)
+            assert 0.0 < got.lower_bound <= got.approx_N, fx.name
+            checked += 1
+        assert checked == 17
+
+    def test_lower_bound_is_reached_by_a_constant_step(self, fixtures):
+        # a constant step g/P makes Cauchy-Schwarz an equality: lam = x on
+        # rho = x, where g(P) = (1 - eps)*P
+        e = Ensemble(lam=DegreeDistribution({2: 1.0}), rho=DegreeDistribution({2: 1.0}))
+        ctx = DEContext.create(e.rho, 0.5, 1e-4)
+        got = code_estimates(e, ctx)
+        assert got.lower_bound == pytest.approx(got.approx_N, rel=1e-12)
 
     def test_agrees_with_the_x_domain_reference(self, fixtures):
         # a smooth case, where the x-domain midpoint rule is within 5e-7

@@ -21,6 +21,7 @@ from ldpc_forge import (
     design_utility,
     NonnegCertificate,
     certify,
+    code_estimates,
     compile_constraint,
     lp_solve,
     psi,
@@ -155,13 +156,6 @@ class TestDesignSpec:
         with pytest.raises(DomainError):
             self.make(rho_x7, zeta_tilde=-0.1).validate()
         self.make(rho_x7, zeta_tilde=0.99).validate()
-
-    def test_resolved_zeta_tilde(self, rho_x7):
-        spec = self.make(rho_x7)
-        ctx = spec.context()
-        assert spec.resolved_zeta_tilde(ctx) == pytest.approx(0.5 * ctx.zeta, rel=1e-12)
-        explicit = self.make(rho_x7, zeta_tilde=0.01)
-        assert explicit.resolved_zeta_tilde(ctx) == 0.01
 
 
 class TestDesignRate:
@@ -336,6 +330,17 @@ class TestDesignMinIterations:
         dust = math.ldexp(sum(v for v in vec.values() if v > 0.0), -53)
         assert set(rep.lam.degrees) == {d for d, v in vec.items() if v > dust}
 
+    @pytest.mark.parametrize("rho_name, R_d", [("x7", 0.45), ("mix_eta5", 0.488)])
+    def test_objective_is_the_reported_estimate(self, rho_x7, fixtures, rho_name, R_d):
+        # the barrier minimizes code_estimates' approx_N, on its own
+        # grid_n log-P nodes instead of CODE_QUAD_POINTS
+        rho = rho_x7 if rho_name == "x7" else fixtures.get(rho_name).ensemble.rho
+        spec = DesignSpec(rho=rho, epsilon=0.5, eta=1e-5, d_v=16, R_d=R_d)
+        rep = design_min_iterations(spec)
+        assert rep.status == "Optimal"
+        want = code_estimates(Ensemble(rep.lam, rho), spec.context()).approx_N
+        assert rep.objective == pytest.approx(want, rel=1e-5)
+
     def test_rate_floor_active(self, rho_x7, miniter_045):
         _, rep = miniter_045
         assert rate(Ensemble(rep.lam, rho_x7)) == pytest.approx(0.45, abs=1e-6)
@@ -413,7 +418,7 @@ class TestZScan:
         x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                         R_d=0.45, grid_n=512)
         assert design_min_iterations(x7).status == "Optimal"
-        # LP rows (grid_n plus exchange points) and single endpoints only
+        # rate LP rows, zeta_tilde-tuning grids and single anchors only
         assert sizes and max(sizes) < SCAN_N / 100
         for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
             sizes.clear()
