@@ -26,9 +26,12 @@ Three entry points over a common toolkit:
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
-`lp_solve`, a thin checked wrapper around scipy's HiGHS backend with
-presolve off (`LP_OPTIONS`): presolve was about 99% of every design LP,
-4.9 s against 0.047 s for one 4096-row rate LP, at the same vertex.  Two
+`lp_solve`, which solves each grid LP by row generation: HiGHS sees a
+working set of rows (64 evenly spaced ones to start, then up to 64 of
+the most-violated rows per round) until x satisfies every posed row.  A
+4096-row design LP, of which a handful of rows are active, converges in
+two or three solves of at most a few hundred rows; the answer is the same
+LP's optimum, and the KKT gates check it against all the rows.  Two
 grids stay uniform in x, so psi there comes from bisection: the rate LP's
 rows and the zeta_tilde-tuning grids.  Both choices are measured: the
 rate design's downstream iteration counts move with any change of its
@@ -61,7 +64,10 @@ BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_GRID_N = 512
 TUNE_L_MAX = 5000
-# HiGHS settings for every LP; `lp_solve` says why presolve is off.
+WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
+# HiGHS settings for every LP.  Presolve is off because it dominated every
+# design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s without,
+# reaching the same vertex and objective.
 LP_OPTIONS = {"presolve": False,
               "primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
@@ -181,21 +187,65 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     return x_new
 
 
-def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
-    """Minimize c @ x with HiGHS and verify the KKT residual.
+def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """HiGHS on a working set of the rows of A_ub, grown until x meets all.
 
-    HiGHS runs with `LP_OPTIONS`.  Presolve is off because it dominated
-    every design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s
-    without, reaching the same vertex and objective.  The returned vertex
-    is polished onto its active set, then checked: complementary slackness
-    at 1e-8 and stationarity at 1e-6 (relative to the dual magnitude).  Returns status "Optimal", "Infeasible", or
-    "Unbounded"; raises NumericalFailure on any other backend report or a
-    failed check.
+    Returns the last backend result and its row duals padded with zeros
+    off the working set.  An infeasible working set is a relaxation of
+    the full LP, so it is returned as it stands; an unbounded one is
+    widened to every row and solved again, as is one HiGHS reports as
+    unbounded or infeasible.
+    """
+    m = b_ub.size
+    active = np.zeros(m, dtype=bool)
+    # evenly spaced seed rows; every row when there are no more than that
+    active[np.round(np.linspace(0, m - 1, WORKING_SET_N)).astype(np.intp)] = True
+    tol = LP_OPTIONS["primal_feasibility_tolerance"]
+    while True:
+        rows = np.flatnonzero(active)
+        res = linprog(c, A_ub=A_ub[rows], b_ub=b_ub[rows], A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=LP_OPTIONS)
+        if res.status in (3, 4) and rows.size < m:
+            active[:] = True
+            continue
+        if res.status != 0:
+            return res, None
+        excess = A_ub @ res.x - b_ub
+        excess[active] = -np.inf
+        new = np.flatnonzero(excess > tol)
+        if new.size == 0:
+            mu = np.zeros(m)
+            mu[rows] = -np.asarray(res.ineqlin.marginals)  # mu >= 0
+            return res, mu
+        active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
+
+
+def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
+    """Minimize c @ x with HiGHS by row generation and verify the KKT residual.
+
+    HiGHS runs with `LP_OPTIONS` on a working set of the rows of A_ub:
+    `WORKING_SET_N` evenly spaced rows (all of them when there are no
+    more), then, after each solve, up to `WORKING_SET_N` of the rows that
+    x violates most by more than the primal feasibility tolerance, until
+    x violates none.  The LP is unchanged, and so is its optimum; only the
+    rows HiGHS factors shrink.  The returned vertex is polished onto its
+    active set over all the rows, then checked against all of them:
+    complementary slackness at 1e-8 and stationarity at 1e-6 (relative
+    to the dual magnitude); `dual_ub` is zero off the working set.
+    Returns status "Optimal", "Infeasible", or "Unbounded"; raises
+    NumericalFailure on any other backend report or a failed check.
     """
     c = np.asarray(c, dtype=np.float64)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds if bounds is not None else (0, None),
-                  method="highs", options=LP_OPTIONS)
+    bounds = bounds if bounds is not None else (0, None)
+    mu = np.array([])
+    nu = np.array([])
+    if A_ub is not None:
+        A_ub = np.asarray(A_ub, dtype=np.float64)
+        b_ub = np.asarray(b_ub, dtype=np.float64)
+        res, mu = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    else:
+        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                      method="highs", options=LP_OPTIONS)
     if res.status == 2:
         return LPResult(np.array([]), np.nan, np.array([]), np.array([]), "Infeasible", 0.0)
     if res.status == 3:
@@ -204,12 +254,6 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
         raise NumericalFailure(f"LP backend: {res.message}")
 
     x = np.asarray(res.x)
-    mu = np.array([])
-    nu = np.array([])
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=np.float64)
-        b_ub = np.asarray(b_ub, dtype=np.float64)
-        mu = -np.asarray(res.ineqlin.marginals)  # mu >= 0
     if A_eq is not None:
         A_eq = np.asarray(A_eq, dtype=np.float64)
         nu = -np.asarray(res.eqlin.marginals)

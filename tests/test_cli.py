@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import fixture_context
+from helpers import failing_tie_break, fixture_context
 from ldpc_forge import DEContext, DegreeDistribution, NonnegCertificate, solve, utility
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             load_fixtures, main)
@@ -66,8 +66,10 @@ def test_bad_json_exits_usage(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_design_reports_the_rate_ceiling_fallback(tmp_path):
-    # the rate ceiling's tie-break LP fails its KKT check at this point
+def test_design_reports_the_rate_ceiling_fallback(tmp_path, monkeypatch):
+    # the rate ceiling's tie-break LP is made to fail its KKT check, so the
+    # first LP's vertex is kept and the report says so
+    monkeypatch.setattr(solve, "lp_solve", failing_tie_break(solve.lp_solve))
     prefix = tmp_path / "miniter"
     argv = ["design", "--objective", "min-iter", "--rho", '{"7": 0.5330, "8": 0.4670}',
             "--epsilon", "0.4444444444444444", "--eta", "0.001", "--rd", "0.5",

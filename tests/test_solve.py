@@ -1,12 +1,14 @@
 """Designer-facing tests: LP wrapper, rate/utility/min-iteration solvers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from helpers import lp_vertex_enumeration_oracle, random_simplex_lambda
+from helpers import (failing_tie_break, full_lp_reference, lp_vertex_enumeration_oracle,
+                     random_simplex_lambda)
 from ldpc_forge import _kernels, solve
 from ldpc_forge import (
     DEContext,
@@ -119,6 +121,86 @@ class TestLPSolve:
                 assert res.objective == pytest.approx(best[0], abs=1e-7)
                 assert float(np.sum(res.x)) == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def _posed_lp(monkeypatch, design, wanted):
+        """The arguments of the first `lp_solve` call that `wanted` accepts."""
+        class Posed(Exception):
+            pass
+
+        real = solve.lp_solve
+
+        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+            if wanted(c, A_eq, bounds):
+                raise Posed(c, A_ub, b_ub, A_eq, b_eq,
+                            (0, None) if bounds is None else bounds)
+            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+
+        monkeypatch.setattr(solve, "lp_solve", grab)
+        with pytest.raises(Posed) as caught:
+            design()
+        monkeypatch.undo()
+        return caught.value.args
+
+    @pytest.mark.parametrize("designer", ["rate", "utility", "phase_one"])
+    def test_matches_the_one_shot_solve(self, rho_x7, monkeypatch, designer):
+        # the 4096-row LPs that the designers pose for the Fig. 2 code
+        spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16, R_d=0.45)
+        design, wanted = {
+            "rate": (lambda: design_rate(rho_x7, X7_EPS, 16),
+                     lambda c, A_eq, bounds: True),
+            "utility": (lambda: design_utility(
+                            replace(spec, zeta_tilde=8.0 * spec.context().zeta)),
+                        lambda c, A_eq, bounds: c.size == 16),
+            "phase_one": (lambda: design_min_iterations(spec),
+                          lambda c, A_eq, bounds: bounds is not None),
+        }[designer]
+        c, A, b, A_eq, b_eq, bounds = self._posed_lp(monkeypatch, design, wanted)
+        assert A.shape[0] >= spec.grid_n
+        ref = full_lp_reference(c, A, b, A_eq, b_eq, bounds)
+        assert ref.status == 0
+        res = lp_solve(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        assert res.status == "Optimal"
+        # the polish onto the active rows moves the utility LP's t (3.5e-4)
+        # by 3.8e-16 from HiGHS's unpolished vertex, on a single solve of all
+        # rows too; the absolute floor admits that much and no more
+        assert res.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-15)
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-9
+        assert np.all(A @ res.x <= b + 1e-10)
+        assert res.dual_ub.shape == (A.shape[0],)
+        assert np.all(res.dual_ub[b - A @ res.x > 1e-9] == 0.0)
+
+    def test_unbounded_until_a_row_outside_the_seed(self, monkeypatch):
+        # max x: only row 1 bounds it, and no evenly spaced seed holds row 1
+        m = 4 * solve.WORKING_SET_N + 1
+        A = -np.ones((m, 1))
+        b = np.zeros(m)
+        A[1, 0], b[1] = 1.0, 3.0
+        sizes = []
+        real = solve.linprog
+
+        def spy(c, A_ub=None, b_ub=None, **kw):
+            sizes.append(len(A_ub))
+            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+        monkeypatch.setattr(solve, "linprog", spy)
+        res = lp_solve(np.array([-1.0]), A_ub=A, b_ub=b)
+        assert sizes == [solve.WORKING_SET_N, m]  # seed, then every row
+        assert res.status == "Optimal"
+        assert res.x == pytest.approx([3.0], abs=1e-12)
+        assert res.dual_ub[1] == pytest.approx(1.0, abs=1e-10)
+        assert np.count_nonzero(res.dual_ub) == 1
+
+    def test_infeasible_through_a_row_outside_the_seed(self):
+        # min x over x >= 0: the seed is solved by x = 0, which row 1 (x <= -1)
+        # rejects; adding it makes the working set, hence the LP, infeasible
+        m = 4 * solve.WORKING_SET_N + 1
+        A = -np.ones((m, 1))
+        b = np.zeros(m)
+        A[1, 0], b[1] = 1.0, -1.0
+        res = lp_solve(np.array([1.0]), A_ub=A, b_ub=b)
+        assert res.status == "Infeasible"
+        assert res.x.size == 0
+
 
 class TestDesignSpec:
     def make(self, rho_x7, **kw):
@@ -192,12 +274,19 @@ class TestDesignRate:
     def test_mix_rate_lp_near_ratio_0947(self, rho_mix):
         # eps halfway between ratios 0.9 and 1 at R_d = 0.5, and eps = 0.46:
         # the tie-break LP's vertex misses the 1e-8 complementary-slackness
-        # gate (residuals 8e-7 and 4e-6), so the first LP's vertex is kept
+        # gate (residuals 8.0e-7 and 7.1e-7), so the first LP's vertex is kept
         for eps in (0.5 * (MIX_EPS + 0.5), 0.46):
             rep = design_rate(rho_mix, eps, 16)
             assert rep.status == "Optimal"
             assert rep.max_violation <= rep.params["margin"]
             assert "tie-break LP rejected" in rep.detail
+
+    def test_dv30_tie_break_passes(self, rho_mix):
+        # the tie-break vertex of the d_v = 30 rate ceiling at ratio 0.90
+        # (R_d 0.5) passes both KKT gates on all 4096 rows
+        rep = design_rate(rho_mix, MIX_EPS, 30)
+        assert rep.status == "Optimal"
+        assert rep.detail == ""
 
     def test_coarse_grid_refines_downward(self, rho_x7):
         cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64, refine_rounds=0)
@@ -255,11 +344,13 @@ class TestDesignUtility:
         ok = check_successful(Ensemble(rep.lam, rho_mix), spec.context(), 100_000)
         assert ok.ok
 
-    def test_mix_grid_256_survives_tie_break_failure(self, rho_mix):
-        # the rate ceiling at grid 256 hits a tie-break KKT failure
+    def test_mix_grid_256_survives_tie_break_failure(self, rho_mix, monkeypatch):
+        # the rate ceiling at grid 256, its tie-break LP made to fail KKT
+        monkeypatch.setattr(solve, "lp_solve", failing_tie_break(solve.lp_solve))
         spec = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
                           R_d=0.5, grid_n=256)
         rep = design_utility(spec)
+        assert "rate ceiling: tie-break LP rejected" in rep.detail
         assert rep.status == "Optimal"
         assert rep.max_violation <= spec.margin
         assert rep.certificate.passed
