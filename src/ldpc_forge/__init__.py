@@ -5,10 +5,10 @@ staircase bouncing between the variable-side polynomial lam(x) and the
 check-side transfer curve psi(x).  On top of that picture it provides:
 
 * `de_engine` - the erasure recursion, psi and its inverse/derivative,
-  and the success check;
-* `estimators` - exact staircase iteration counts, a smooth quadrature
-  approximation and its floor (for a code taken over the recursion
-  variable P, with no inverse of rho), and the bottleneck utility;
+  the one inversion x -> z = rho^{-1}(1 - x), and the success check;
+* `estimators` - the iteration approximation approx_N and its floor (over
+  the recursion variable P, with no inverse of rho), the bottleneck
+  utility, and the x-domain staircase reference (`CurvePair`);
 * `series` - truncated power series of psi (closed form for single-degree
   check sides, series reversion otherwise), for the `series` command;
 * `sip_compile` - the step-size constraint as one exact polynomial in
@@ -23,17 +23,13 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 from .de_engine import (DEContext, DecodingTrace, MaxIterations, ReachedTarget,
                         Stalled, SuccessCheck, check_successful, de_trace, psi,
                         psi_deriv, psi_inverse)
-from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity, rate,
-                       validate)
+from .ensemble import DegreeDistribution, Ensemble, graphical_complexity, rate
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      LdpcForgeError, NegativeCoefficient, NonConvergent,
                      NumericalFailure, RateOutOfRange, ReversionSingular,
                      SumNotOne)
-from .estimators import (CurvePair, EqualStepCurve, UtilityResult,
-                         approx_iterations, code_curves, code_estimates,
-                         exact_iterations,
-                         jensen_bound, local_step_count, lower_bound,
-                         optimal_f1, utility)
+from .estimators import (CurvePair, UtilityResult, approx_iterations, code_curves,
+                         code_estimates, exact_iterations, utility)
 from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, order_for_tolerance,
                      taylor_for, taylor_general, taylor_regular)
 from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
@@ -44,22 +40,17 @@ from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintPolynomial", "CurvePair", "DEContext",
-    "DecodingTrace", "DegenerateGap", "DegreeDistribution", "DerivativeSingular",
-    "DesignSpec", "DomainError", "Ensemble", "EqualStepCurve",
-    "LPResult", "LdpcForgeError", "MaxIterations", "NegativeCoefficient",
-    "NonConvergent", "NonnegCertificate", "NumericalFailure",
+    "ConstraintPolynomial", "CurvePair", "DEContext", "DecodingTrace",
+    "DegenerateGap", "DegreeDistribution", "DerivativeSingular", "DesignSpec",
+    "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "MaxIterations",
+    "NegativeCoefficient", "NonConvergent", "NonnegCertificate", "NumericalFailure",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
-    "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries",
-    "UtilityResult", "DEFAULT_ORDER",
-    "approx_iterations", "binom_frac", "certify",
-    "check_successful", "code_curves", "code_estimates", "compile_constraint",
-    "de_trace",
+    "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries", "UtilityResult",
+    "DEFAULT_ORDER",
+    "approx_iterations", "binom_frac", "certify", "check_successful",
+    "code_curves", "code_estimates", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
-    "graphical_complexity", "jensen_bound", "local_step_count", "lower_bound",
-    "lp_solve", "nonneg_on_unit", "optimal_f1",
-    "order_for_tolerance", "psi", "psi_deriv", "psi_inverse", "rate",
-    "taylor_for", "taylor_general",
-    "taylor_regular",
-    "utility", "validate",
+    "graphical_complexity", "lp_solve", "nonneg_on_unit", "order_for_tolerance",
+    "psi", "psi_deriv", "psi_inverse", "rate", "taylor_for", "taylor_general",
+    "taylor_regular", "utility",
 ]

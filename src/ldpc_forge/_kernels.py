@@ -23,8 +23,7 @@ psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
 step size (psi - lam)/psi' on a grid of z, both through `_transfer`; the
 utility designer's LP rows sit on such a grid too.  `bisect_increasing`
-remains for callers that are handed x: psi and psi', the rate LP's rows,
-the zeta_tilde-tuning grids and single anchors such as z(zeta_tilde).
+is the inversion behind `de_engine.z_of_x`, for callers that are handed x.
 
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
@@ -45,6 +44,8 @@ USING_NUMBA = False
 STATUS_REACHED = 0
 STATUS_STALLED = 1
 STATUS_MAX_ITER = 2
+
+BISECT_MAX_ITER = 100  # halvings before `bisect_increasing` gives up on a target
 
 
 def _horner(coeffs, u):
@@ -83,11 +84,12 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     return np.array(probs, dtype=np.float64), status
 
 
-def bisect_increasing(coef, targets, tol, max_iter=100):
+def bisect_increasing(coef, targets, tol):
     """Solve ``poly(z) = target`` on [0, 1] for each target.
 
     The polynomial must be nondecreasing on [0, 1]; iteration stops per
-    entry once the residual is within ``tol`` or after ``max_iter`` halvings.
+    entry once the residual is within ``tol`` or after `BISECT_MAX_ITER`
+    halvings.
     """
 
     targets = np.ascontiguousarray(targets, dtype=np.float64)
@@ -96,7 +98,7 @@ def bisect_increasing(coef, targets, tol, max_iter=100):
     hi = np.ones_like(targets)
     mid = np.full_like(targets, 0.5)
     done = np.zeros(targets.shape, dtype=bool)
-    for _ in range(int(max_iter)):
+    for _ in range(BISECT_MAX_ITER):
         mid = np.where(done, mid, 0.5 * (lo + hi))
         resid = npoly.polyval(mid, coef) - targets
         done = done | (np.abs(resid) <= tol)

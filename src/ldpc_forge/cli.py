@@ -40,7 +40,7 @@ import numpy as np
 import scipy
 
 from . import estimators, sip_compile
-from .de_engine import DEContext, ReachedTarget, Stalled, de_trace
+from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
 from .errors import DegenerateGap, LdpcForgeError
@@ -356,17 +356,23 @@ def cmd_estimate(args) -> int:
     return code
 
 
+def _grid_n(args) -> int:
+    if args.grid_n < 1:
+        raise LdpcForgeError(f"--grid-n must be >= 1, got {args.grid_n}")
+    return args.grid_n
+
+
 def cmd_design(args) -> int:
     rho = _load_rho_arg(args.rho)
-    grid_n = args.grid_n or DEFAULT_GRID_N
+    grid_n = _grid_n(args)
     if args.objective == "rate":
-        rep = design_rate(rho, args.epsilon, args.dv, grid_n, args.margin)
+        rep = design_rate(rho, args.epsilon, args.dv, grid_n)
     else:
         if args.rd is None or args.eta is None:
             raise LdpcForgeError("--rd and --eta are required for this objective")
         spec = DesignSpec(rho=rho, epsilon=args.epsilon, eta=args.eta,
                           R_d=args.rd, d_v=args.dv, zeta_tilde=args.zeta_tilde,
-                          grid_n=grid_n, margin=args.margin, tol=args.tol)
+                          grid_n=grid_n)
         if args.objective == "utility":
             rep = design_utility(spec)
         else:
@@ -464,12 +470,12 @@ def repro_fig2(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
         DesignSpec(rho=rho, epsilon=eps, eta=eta, R_d=0.45, d_v=16, grid_n=grid_n)).lam
     coc40 = design_min_iterations(
         DesignSpec(rho=rho, epsilon=eps, eta=eta, R_d=0.40, d_v=16, grid_n=grid_n)).lam
-    from .de_engine import psi as psi_fn
     xs = np.linspace(0.0, ctx.xi, 257)
+    psis = psi(ctx, xs)
     pub = [fx.get(n).ensemble.lam for n in ("x7_poc", "x7_coc_r045", "x7_coc_r040")]
     rows = []
-    for x in xs:
-        rows.append((float(x), float(psi_fn(ctx, float(x))),
+    for x, y in zip(xs, psis):
+        rows.append((float(x), float(y),
                      float(poc.eval(x)), float(pub[0].eval(x)),
                      float(coc45.eval(x)), float(pub[1].eval(x)),
                      float(coc40.eval(x)), float(pub[2].eval(x))))
@@ -537,7 +543,7 @@ def repro_fig4(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
     return header, rows, ("R_d=0.5 eta=1e-3 dv=16",)
 
 
-def repro_fig5(grid_n: int, redesign: bool = True) -> tuple[list[str], list[tuple], tuple]:
+def repro_fig5(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
     """Iteration counts vs d_v at rate-to-capacity 0.97."""
     fx = load_fixtures()
     claims = load_claims()["dv_iteration_counts"]
@@ -548,13 +554,10 @@ def repro_fig5(grid_n: int, redesign: bool = True) -> tuple[list[str], list[tupl
         ctx = DEContext.create(f.ensemble.rho, eps, eta)
         n_pub = de_trace(f.ensemble, ctx).iterations
         n_new = None
-        if redesign:
-            rep = design_min_iterations(DesignSpec(
-                rho=f.ensemble.rho, epsilon=eps, eta=eta, R_d=0.5, d_v=d_v,
-                grid_n=grid_n))
-            if rep.lam is not None:
-                n_new = de_trace(Ensemble(lam=rep.lam, rho=f.ensemble.rho),
-                                 ctx).iterations
+        rep = design_min_iterations(DesignSpec(
+            rho=f.ensemble.rho, epsilon=eps, eta=eta, R_d=0.5, d_v=d_v, grid_n=grid_n))
+        if rep.lam is not None:
+            n_new = de_trace(Ensemble(lam=rep.lam, rho=f.ensemble.rho), ctx).iterations
         rows.append((d_v, 0.97, eps, n_pub, n_new, claims["counts"][str(d_v)]))
     header = ["d_v", "ratio", "epsilon", "exact_N_published", "exact_N_redesigned",
               "quoted_N"]
@@ -583,7 +586,7 @@ def repro_fig6(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
     return header, rows, ()
 
 
-def repro_fig7(grid_n: int, redesign: bool = True) -> tuple[list[str], list[tuple], tuple]:
+def repro_fig7(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
     """Iteration counts at several targets for the eta-matched designs."""
     fx = load_fixtures()
     claims = load_claims()["eta_iteration_counts"]
@@ -594,13 +597,12 @@ def repro_fig7(grid_n: int, redesign: bool = True) -> tuple[list[str], list[tupl
         eps, design_eta = f.params["epsilon"], f.params["eta"]
         counts = _count_at_targets(f.ensemble, eps, targets)
         redesigned = {t: None for t in targets}
-        if redesign:
-            rep = design_min_iterations(DesignSpec(
-                rho=f.ensemble.rho, epsilon=eps, eta=design_eta, R_d=0.488,
-                d_v=16, grid_n=grid_n))
-            if rep.lam is not None:
-                redesigned = _count_at_targets(
-                    Ensemble(lam=rep.lam, rho=f.ensemble.rho), eps, targets)
+        rep = design_min_iterations(DesignSpec(
+            rho=f.ensemble.rho, epsilon=eps, eta=design_eta, R_d=0.488,
+            d_v=16, grid_n=grid_n))
+        if rep.lam is not None:
+            redesigned = _count_at_targets(
+                Ensemble(lam=rep.lam, rho=f.ensemble.rho), eps, targets)
         for tgt in targets:
             quoted = claims["counts"].get(repr(design_eta)) if tgt == 1e-5 else None
             rows.append((design_eta, tgt, counts[tgt], redesigned[tgt], quoted))
@@ -635,7 +637,7 @@ _REPRO = {
 
 def cmd_reproduce(args) -> int:
     figures = FIGURE_IDS if args.figure == "all" else (args.figure,)
-    grid_n = args.grid_n or DEFAULT_GRID_N
+    grid_n = _grid_n(args)
     for fig in figures:
         # each figure's manifest is timed from the start of that figure
         man = RunManifest("reproduce", {"figure": fig, "grid_n": grid_n},
@@ -696,9 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float)
     sp.add_argument("--rd", type=float, help="required code rate")
     sp.add_argument("--zeta-tilde", type=float, default=None)
-    sp.add_argument("--grid-n", type=int, default=None)
-    sp.add_argument("--margin", type=float, default=1e-7)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     sp.add_argument("--out", help="output path prefix")
     sp.set_defaults(func=cmd_design)
 
@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="regenerate a result dataset")
     sp.add_argument("figure", choices=FIGURE_IDS + ("all",))
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--grid-n", type=int, default=None)
+    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     sp.set_defaults(func=cmd_reproduce)
 
     return p

@@ -18,11 +18,13 @@ psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are polynomials.  Whatever
 may choose its own nodes works there through `_kernels`: the gap scans,
 the utility and the utility designer's LP rows sample z, and the
 iteration estimates and the min-iteration designer integrate over the
-recursion variable P = 1 - z.  The functions here take x, so they find z
-by bisection on [0, 1] (`_from_z`, to `INVERSION_TOL`); rho is strictly
-increasing there because its coefficients are nonnegative.  Bisection
-rather than Newton: unconditional convergence matters more than speed at
-these sizes.
+recursion variable P = 1 - z.  Whatever is handed x finds z through
+`z_of_x`, the package's one inversion: bisection on [0, 1] to
+`INVERSION_TOL`, where rho is strictly increasing because its
+coefficients are nonnegative.  psi and psi', the rate LP's rows, the
+zeta_tilde-tuning grids and single anchors such as z(zeta_tilde) go
+through it.  Bisection rather than Newton: unconditional convergence
+matters more than speed at these sizes.
 """
 
 from __future__ import annotations
@@ -108,29 +110,34 @@ def _shape(x, out):
     return float(out[0]) if np.isscalar(x) else out
 
 
-def _from_z(ctx: DEContext, x: ArrayLike, hi: float, what: str, f) -> ArrayLike:
-    """f(xs, z) at z = rho^{-1}(1 - x), found by bisection.
+def z_of_x(rho: DegreeDistribution, x: ArrayLike) -> ArrayLike:
+    """z = rho^{-1}(1 - x) for x in [0, 1], by bisection to `INVERSION_TOL`.
 
-    x must lie in [0, hi]; a scalar x gives a float, an array an array.
+    x = 0 maps to z = 1 exactly.  A scalar x gives a float, an array an
+    array.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and (xs.min() < 0.0 or xs.max() > hi):
+    z = _kernels.bisect_increasing(rho.dense, 1.0 - xs, INVERSION_TOL)
+    z[xs == 0.0] = 1.0
+    return _shape(x, z)
+
+
+def _on_domain(ctx: DEContext, x: ArrayLike, what: str) -> np.ndarray:
+    """x as an array, after checking that it lies in [0, xi]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if xs.size and (xs.min() < 0.0 or xs.max() > ctx.xi):
         bad = float(xs.min() if xs.min() < 0.0 else xs.max())
-        raise DomainError(bad, 0.0, hi, what=what)
-    z = _kernels.bisect_increasing(ctx.rho.dense, 1.0 - xs, INVERSION_TOL)
-    return _shape(x, f(xs, z))
+        raise DomainError(bad, 0.0, ctx.xi, what=what)
+    return xs
 
 
 def psi(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     """Check-side transfer curve on [0, xi]; strictly increasing, psi(xi) = 1."""
-    def curve(xs, z):
-        ys = (1.0 - z) / ctx.epsilon
-        # both endpoints are exact by construction; remove the bisection residual
-        ys[xs == 0.0] = 0.0
-        ys[xs == ctx.xi] = 1.0
-        return ys
-
-    return _from_z(ctx, x, ctx.xi, "psi argument", curve)
+    xs = _on_domain(ctx, x, "psi argument")
+    ys = (1.0 - z_of_x(ctx.rho, xs)) / ctx.epsilon
+    # psi(xi) = 1 by construction; remove the bisection residual
+    ys[xs == ctx.xi] = 1.0
+    return _shape(x, ys)
 
 
 def psi_inverse(ctx: DEContext, y: ArrayLike) -> ArrayLike:
@@ -144,32 +151,29 @@ def psi_inverse(ctx: DEContext, y: ArrayLike) -> ArrayLike:
 
 def psi_deriv(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     """d psi/dx = 1 / (eps * rho'(rho_inverse(1 - x))); positive on [0, xi]."""
-    def deriv(xs, z):
-        slope = np.atleast_1d(npoly.polyval(z, npoly.polyder(ctx.rho.dense)))
-        if slope.size and slope.min() <= INVERSION_TOL:
-            k = int(np.argmin(slope))
-            raise DerivativeSingular(float(xs[k]), float(slope[k]))
-        return 1.0 / (ctx.epsilon * slope)
-
-    return _from_z(ctx, x, ctx.xi, "psi_deriv argument", deriv)
+    xs = _on_domain(ctx, x, "psi_deriv argument")
+    slope = npoly.polyval(z_of_x(ctx.rho, xs), npoly.polyder(ctx.rho.dense))
+    if slope.size and slope.min() <= INVERSION_TOL:
+        k = int(np.argmin(slope))
+        raise DerivativeSingular(float(xs[k]), float(slope[k]))
+    return _shape(x, 1.0 / (ctx.epsilon * slope))
 
 
 def de_trace(
     e: Ensemble,
     ctx: DEContext,
     l_max: int = DEFAULT_L_MAX,
-    stall_tol: float = STALL_TOL,
 ) -> DecodingTrace:
     """Run the erasure recursion from P_0 = eps until P drops below eta.
 
-    Status is Stalled when the relative decrease falls under stall_tol
+    Status is Stalled when the relative decrease falls under `STALL_TOL`
     (the recursion hit a fixed point above eta), MaxIterations when the
     budget runs out first.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     probs, code = _kernels.de_run(
-        e.lam.dense, ctx.rho.dense, ctx.epsilon, ctx.eta, int(l_max), stall_tol
+        e.lam.dense, ctx.rho.dense, ctx.epsilon, ctx.eta, int(l_max), STALL_TOL
     )
     n = len(probs) - 1
     if code == _kernels.STATUS_REACHED:

@@ -5,6 +5,9 @@ Tanner-graph edges attached to degree-``i`` nodes.  Its generating polynomial
 is ``sum_i coeff(i) * x**(i-1)``; note the offset between node degree and
 exponent.  All constructors and serialized forms index by node degree, never
 by exponent, so the offset lives in exactly one place (the evaluation code).
+Exact zeros are dropped on construction.  `DegreeDistribution.validate`
+checks the simplex invariants, and `renormalized` turns a solver's vector
+into the canonical reportable form.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import NegativeCoefficient, RateOutOfRange, SumNotOne
 
 SIMPLEX_TOL = 1e-9
 PUBLISHED_SUM_TOL = 5e-4
+CLIP_TOL = 1e-8  # negatives `renormalized` clips to zero as solver round-off
 
 CoeffsLike = Union[Mapping[int, float], Iterable[tuple[int, float]]]
 
@@ -31,12 +35,9 @@ class DegreeDistribution:
     Parameters
     ----------
     coeffs : mapping or iterable of pairs
-        Node degree (>= 2) to fraction of edges.
-    trim : bool
-        When true (the canonical form), entries that are exactly zero are
-        dropped and ``d_max`` is the largest degree with nonzero mass.  When
-        false, zero entries are kept as given, which is occasionally useful
-        for padding experiments.
+        Node degree (>= 2) to fraction of edges.  Entries that are exactly
+        zero are dropped, so ``d_max`` is the largest degree with nonzero
+        mass.
     published : bool
         Marks coefficients quoted from print sources, which are rounded to
         four digits; validation then accepts a sum-to-one defect up to 5e-4
@@ -45,7 +46,7 @@ class DegreeDistribution:
 
     __slots__ = ("_pairs", "_dense", "d_max", "published")
 
-    def __init__(self, coeffs: CoeffsLike, *, trim: bool = True, published: bool = False):
+    def __init__(self, coeffs: CoeffsLike, *, published: bool = False):
         if isinstance(coeffs, Mapping):
             items = [(int(d), float(v)) for d, v in coeffs.items()]
         else:
@@ -59,12 +60,10 @@ class DegreeDistribution:
             if d in seen:
                 raise ValueError(f"duplicate degree {d}")
             seen.add(d)
-        items.sort()
-        if trim:
-            items = [(d, v) for d, v in items if v != 0.0]
-            if not items:
-                # keep a single explicit zero so d_max stays defined
-                items = [(2, 0.0)]
+        items = sorted((d, v) for d, v in items if v != 0.0)
+        if not items:
+            # keep a single explicit zero so d_max stays defined
+            items = [(2, 0.0)]
         self._pairs = tuple(items)
         self.d_max = items[-1][0]
         self.published = bool(published)
@@ -106,6 +105,7 @@ class DegreeDistribution:
         return float(sum(v / d for d, v in self._pairs))
 
     def validate(self) -> None:
+        """Check the simplex invariants; raises NegativeCoefficient or SumNotOne."""
         tol = PUBLISHED_SUM_TOL if self.published else SIMPLEX_TOL
         for d, v in self._pairs:
             if v < 0.0:
@@ -114,25 +114,20 @@ class DegreeDistribution:
         if abs(total - 1.0) > tol:
             raise SumNotOne(total, tol)
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except (NegativeCoefficient, SumNotOne):
-            return False
-        return True
-
-    def renormalized(self, clip_tol: float = 1e-12) -> "DegreeDistribution":
+    def renormalized(self) -> "DegreeDistribution":
         """Clip tiny negatives to zero, drop round-off dust, rescale to unit sum.
 
         Solver round-trips leave coefficients off the simplex by rounding
-        error; this produces the canonical reportable form.  Dust is a
+        error; this produces the canonical reportable form.  A negative
+        coefficient down to -`CLIP_TOL` is clipped to zero; below that it
+        raises NegativeCoefficient.  Dust is a
         positive coefficient of at most 2**-53 of the total, the size of LP
         round-off; it is dropped before the rescale.
         """
         clipped = {}
         for d, v in self._pairs:
             if v < 0.0:
-                if v < -clip_tol:
+                if v < -CLIP_TOL:
                     raise NegativeCoefficient(d, v)
                 v = 0.0
             if v != 0.0:
@@ -141,7 +136,7 @@ class DegreeDistribution:
         kept = {d: v for d, v in clipped.items() if v > dust}
         total = sum(kept.values())
         if total <= 0.0:
-            raise SumNotOne(total, clip_tol)
+            raise SumNotOne(total, CLIP_TOL)
         return DegreeDistribution(
             {d: v / total for d, v in kept.items()}, published=self.published
         )
@@ -192,11 +187,6 @@ class Ensemble:
     @classmethod
     def from_json(cls, text: str, **kwargs) -> "Ensemble":
         return cls.from_json_dict(json.loads(text), **kwargs)
-
-
-def validate(d: DegreeDistribution) -> None:
-    """Check the simplex invariants; raises NegativeCoefficient or SumNotOne."""
-    d.validate()
 
 
 def rate(e: Ensemble) -> float:

@@ -1,23 +1,24 @@
-"""Iteration-count estimates for staircase convergence between two curves.
+"""Iteration-count estimates and the bottleneck utility of a code.
 
-A decoding trajectory bounces between a lower curve f1 and an upper curve
-f2 on [a, b]: from ordinate Z the next abscissa is f2^{-1}(Z) and the next
-ordinate is f1 of that.  The number of steps until the abscissa drops below
-`a` is the exact iteration count; the integral of f2'/(f2 - f1) over [a, b]
-approximates it; Jensen's inequality gives the floor
-(b-a)(f2(b)-f2(a))/area.  For a code, f1 = lam, f2 = psi, a = zeta,
-b = xi (see de_engine), and the utility value min (psi-lam)/psi' is the
-worst-case step size a design should maximize.
+Decoding bounces between lam and the check-side curve psi on
+[zeta, xi] (see de_engine).  The paper's programs need three things of a
+code, and none of them inverts rho on a grid:
 
-For a code the estimates need no inverse of rho: in the recursion
-variable P, x = 1 - rho(1 - P) runs from zeta to xi as P runs from eta to
-eps, psi = P/eps and psi' dx = dP/eps, so the integral is
-int_eta^eps dP/g(P) with g(P) = P - eps*lam(1 - rho(1 - P)) the
-recursion's own step, and psi(zeta) = eta/eps exactly.  `code_estimates`
-works there, on the log-P nodes the min-iteration designer also
-minimizes over, and floors approx_N by Cauchy-Schwarz on those nodes;
-`code_curves`, `CurvePair` and the generic estimators remain the x-domain
-reference for hand-built pairs.
+* `code_estimates` - approx_N, the integral of psi'/(psi - lam) over
+  [zeta, xi], and its floor.  In the recursion variable P,
+  x = 1 - rho(1 - P) runs from zeta to xi as P runs from eta to eps,
+  psi = P/eps and psi' dx = dP/eps, so the integral is int_eta^eps dP/g(P)
+  with g(P) = P - eps*lam(1 - rho(1 - P)) the recursion's own step.  It is
+  taken on the log-P nodes the min-iteration designer also minimizes over,
+  and floored by Cauchy-Schwarz on those nodes.
+* `utility` - the worst-case step size min (psi - lam)/psi' that a design
+  should maximize, scanned in z = rho^{-1}(1 - x).
+* the exact count is the recursion itself (`de_engine.de_trace`).
+
+`CurvePair`, `code_curves`, `exact_iterations` and `approx_iterations`
+remain as the x-domain reference: a staircase between a lower curve f1
+and an upper curve f2 on [a, b], from ordinate Z to abscissa f2^{-1}(Z)
+to ordinate f1 of that, counted until the abscissa drops below a.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from scipy.optimize import minimize_scalar
 
 from . import _kernels
-from .de_engine import DEContext, psi, psi_deriv, psi_inverse
+from .de_engine import DEContext, psi, psi_deriv, psi_inverse, z_of_x
 from .ensemble import DegreeDistribution, Ensemble
 from .errors import DegenerateGap, DomainError, NonConvergent
 
 ITER_CAP = 1_000_000
 _REL_TOL = 1e-12
 CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
+UTILITY_GRID_N = 4096  # z nodes of the utility scan
 
 
 def _central_diff(f: Callable, h: float) -> Callable:
@@ -128,18 +129,6 @@ def exact_iterations(p: CurvePair, cap: int = ITER_CAP) -> int:
     raise NonConvergent(cap, "iteration cap reached before the target")
 
 
-def local_step_count(p: CurvePair, x_star: float, dx_star: float) -> int:
-    """Steps needed to cross [x_star, x_star+dx_star] at the local step size."""
-    if not (p.a <= x_star and x_star + dx_star <= p.b):
-        raise DomainError(x_star, p.a, p.b, what="x_star window")
-    gap = float(p.f2(np.float64(x_star)) - p.f1(np.float64(x_star)))
-    if gap <= 0.0:
-        raise DegenerateGap(float(x_star), gap)
-    v = float(p.d_f2()(np.float64(x_star))) * dx_star / gap
-    # guard the ceiling against float noise on exact integers
-    return max(1, math.ceil(v - _REL_TOL * (1.0 + abs(v))))
-
-
 def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     """Midpoint quadrature of f2'/(f2 - f1) over [a, b].
 
@@ -157,60 +146,6 @@ def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     return float(np.sum(p.d_f2()(xs) / gaps) * dx)
 
 
-def lower_bound(f2: Callable, a: float, b: float, c: float) -> float:
-    """Equal-step benchmark (b-a)(f2(b)-f2(a))/c, with c the enclosed area.
-
-    This is the step count of the area-c profile whose staircase advances
-    a constant amount per iteration (`optimal_f1`).  It floors
-    `approx_iterations` only when gap/f2' is constant; profiles that
-    concentrate their area where f2' is small can beat it.  For an
-    unconditional floor use `jensen_bound`.
-    """
-    return (b - a) * (float(f2(np.float64(b))) - float(f2(np.float64(a)))) / c
-
-
-def jensen_bound(p: CurvePair, quad_points: int = 10_000) -> float:
-    """Unconditional floor (b-a)^2 / integral of (f2-f1)/f2' over [a, b].
-
-    Convexity of 1/u under the normalized measure dx/(b-a) gives
-    approx_iterations >= this for every valid pair, with equality exactly
-    when the step profile (f2-f1)/f2' is constant, where it coincides
-    with `lower_bound` at c = enclosed area.
-    """
-    if quad_points < 16:
-        raise ValueError("quad_points must be >= 16")
-    dx = (p.b - p.a) / quad_points
-    xs = p.a + dx * (np.arange(quad_points) + 0.5)
-    steps = (p.f2(xs) - p.f1(xs)) / p.d_f2()(xs)
-    k = int(np.argmin(steps))
-    if steps[k] <= 0.0:
-        raise DegenerateGap(float(xs[k]), float(steps[k]))
-    return float((p.b - p.a) ** 2 / (np.sum(steps) * dx))
-
-
-class EqualStepCurve:
-    """Lower curve f2 - d*f2' whose staircase advances exactly d per step.
-
-    With d = c/(f2(b)-f2(a)) the enclosed area equals c and the Jensen
-    floor is attained with equality.
-    """
-
-    def __init__(self, f2: Callable, f2_deriv: Callable, d: float):
-        self.f2 = f2
-        self.f2_deriv = f2_deriv
-        self.d = d
-
-    def __call__(self, x):
-        return self.f2(x) - self.d * self.f2_deriv(x)
-
-
-def optimal_f1(f2: Callable, a: float, b: float, c: float,
-               f2_deriv: Optional[Callable] = None) -> EqualStepCurve:
-    """The area-c lower curve minimizing the step count under f2."""
-    d = c / (float(f2(np.float64(b))) - float(f2(np.float64(a))))
-    return EqualStepCurve(f2, f2_deriv or _central_diff(f2, 1e-6 * (b - a)), d)
-
-
 @dataclass(frozen=True)
 class UtilityResult:
     value: float
@@ -221,14 +156,13 @@ def utility(
     lam: DegreeDistribution,
     ctx: DEContext,
     zeta_tilde: Optional[float] = None,
-    grid_n: int = 4096,
 ) -> UtilityResult:
     """Worst-case step size min (psi - lam)/psi' over [zeta_tilde, xi].
 
-    The step is scanned on grid_n points uniform in z = rho^{-1}(1 - x),
-    from z(zeta_tilde) down to 1 - eps, where it is the polynomial
-    rho'(z)*((1 - z) - eps*lam(1 - rho(z))); only z(zeta_tilde) takes a
-    bisection.  Negative values flag an infeasible lam (it crosses psi).
+    The step is scanned on `UTILITY_GRID_N` points uniform in
+    z = rho^{-1}(1 - x), from z(zeta_tilde) down to 1 - eps, where it is the
+    polynomial rho'(z)*((1 - z) - eps*lam(1 - rho(z))); only z(zeta_tilde)
+    takes a bisection.  Negative values flag an infeasible lam (it crosses psi).
     The grid minimum is polished by bounded scalar minimization over z so
     the reported bottleneck location carries no grid bias.
     """
@@ -236,9 +170,7 @@ def utility(
         zeta_tilde = 0.5 * ctx.zeta
     if not 0.0 <= zeta_tilde < ctx.xi:
         raise DomainError(zeta_tilde, 0.0, ctx.xi, what="zeta_tilde")
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    zs = np.linspace(1.0 - ctx.epsilon * psi(ctx, zeta_tilde), 1.0 - ctx.epsilon, grid_n)
+    zs = np.linspace(z_of_x(ctx.rho, zeta_tilde), 1.0 - ctx.epsilon, UTILITY_GRID_N)
     xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
     k = int(np.argmin(vals))
 
@@ -246,7 +178,7 @@ def utility(
         return float(_kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon,
                                             np.array([z]))[1][0])
 
-    res = minimize_scalar(step, bounds=(zs[min(k + 1, grid_n - 1)], zs[max(k - 1, 0)]),
+    res = minimize_scalar(step, bounds=(zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]),
                           method="bounded", options={"xatol": 1e-10})
     if res.fun <= vals[k]:
         return UtilityResult(value=float(res.fun),
@@ -257,22 +189,16 @@ def utility(
 @dataclass(frozen=True)
 class CodeEstimates:
     approx_N: float
-    area: float
     lower_bound: float
 
 
 def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
-    """approx_N, the area between psi and lam on [zeta, xi], and lower_bound.
+    """approx_N and its floor lower_bound.
 
     approx_N is int_eta^eps dP/g(P) by the midpoint rule in u = log P over
     CODE_QUAD_POINTS nodes (`_kernels.log_p_nodes`), where the integrand
-    P/g(P) stays bounded as P -> 0.  The area is
-    (1/eps)*int_eta^eps P*rho'(1 - P) dP - (Lam(xi) - Lam(zeta)), with Lam
-    the antiderivative of lam; integrating by parts the first term is
-    [R(1 - P) + P*rho(1 - P)]_eps^eta / eps, R the antiderivative of rho,
-    so the area is exact up to rounding.  lower_bound is the
-    Cauchy-Schwarz floor of approx_N on the same nodes,
-    (ln(eps/eta))^2 / sum (g/P)*du, reached when the step g/P is constant
+    P/g(P) stays bounded as P -> 0.  lower_bound is the Cauchy-Schwarz
+    floor of approx_N on the same nodes, (ln(eps/eta))^2 / sum (g/P)*du, reached when the step g/P is constant
     in u.  Raises DegenerateGap, in curve units (psi - lam = g/eps) at x,
     when g <= 0 at a node.
     """
@@ -284,15 +210,7 @@ def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
         raise DegenerateGap(1.0 - ctx.rho.eval(1.0 - float(ps[k])), float(gaps[k]) / eps)
     approx = float(np.sum(ps / gaps) * du)
     bound = math.log(eps / eta) ** 2 / float(np.sum(gaps / ps) * du)
-
-    # at the ends rho(1 - eta) = 1 - zeta and rho(1 - eps) = 1 - xi
-    rho_int = npoly.polyint(ctx.rho.dense)
-    lam_int = npoly.polyint(e.lam.dense)
-    psi_area = (npoly.polyval(1.0 - eta, rho_int) + eta * (1.0 - ctx.zeta)
-                - npoly.polyval(1.0 - eps, rho_int) - eps * (1.0 - ctx.xi)) / eps
-    area = float(psi_area - (npoly.polyval(ctx.xi, lam_int)
-                             - npoly.polyval(ctx.zeta, lam_int)))
-    return CodeEstimates(approx_N=approx, area=area, lower_bound=bound)
+    return CodeEstimates(approx_N=approx, lower_bound=bound)
 
 
 def code_curves(e: Ensemble, ctx: DEContext) -> CurvePair:

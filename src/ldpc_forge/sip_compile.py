@@ -29,6 +29,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import _kernels
+from .de_engine import z_of_x
 from .ensemble import DegreeDistribution
 from .errors import DomainError, NumericalFailure
 
@@ -37,7 +38,6 @@ _SAMPLE_REL_TOL = 1e-11
 _SAMPLES = np.linspace(0.0, 1.0, 4097)
 _CHECK_NODES = np.linspace(0.0, 1.0, 5)
 _CHECK_REL_TOL = 1e-12
-_INVERSION_TOL = 1e-12
 
 
 def _compose(c: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -101,8 +101,7 @@ def compile_constraint(
     if not 0.0 <= zeta_tilde < xi:
         raise DomainError(zeta_tilde, 0.0, xi, what="zeta_tilde")
     a = 1.0 - epsilon
-    b = 1.0 if zeta_tilde == 0.0 else float(_kernels.bisect_increasing(
-        rho.dense, np.array([1.0 - zeta_tilde]), _INVERSION_TOL)[0])
+    b = z_of_x(rho, float(zeta_tilde))
     z_s = np.array([a, b - a])
     x_s = npoly.polysub([1.0], _compose(rho.dense, z_s))
     inner = npoly.polysub([1.0 - a, a - b], epsilon * _compose(lam.dense, x_s))

@@ -3,7 +3,7 @@
 Three entry points over a common toolkit:
 
 * `design_rate` - maximize the code rate for fixed rho, eps, d_v.  Linear
-  program over lam with the curve constraint lam(x) <= psi(x) - margin on
+  program over lam with the curve constraint lam(x) <= psi(x) - MARGIN on
   a grid uniform in x, plus exchange refinement against the continuous
   interval.
 * `design_utility` - maximize the worst-case decoding step size t subject
@@ -32,10 +32,11 @@ the most-violated rows per round) until x satisfies every posed row.  A
 4096-row design LP, of which a handful of rows are active, converges in
 two or three solves of at most a few hundred rows; the answer is the same
 LP's optimum, and the KKT gates check it against all the rows.  Two
-grids stay uniform in x, so psi there comes from bisection: the rate LP's
-rows and the zeta_tilde-tuning grids.  Both choices are measured: the
-rate design's downstream iteration counts move with any change of its
-rows, and tuning over a z-uniform grid picks a worse anchor for Fig. 2.
+grids stay uniform in x, so their z comes from `de_engine.z_of_x`: the
+rate LP's rows and the zeta_tilde-tuning grids.  Both choices are
+measured: the rate design's downstream iteration counts move with any
+change of its rows, and tuning over a z-uniform grid picks a worse anchor
+for Fig. 2.
 Each continuous-interval check (`_gap_scan`) samples `SCAN_N` points
 uniformly in z; one scan per exchange round yields both the worst
 violation and the new exchange points, as z.
@@ -50,17 +51,18 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from . import _kernels
-from .de_engine import INVERSION_TOL, DEContext, de_trace, psi
+from .de_engine import DEContext, de_trace, psi, z_of_x
 from .ensemble import DegreeDistribution, Ensemble, rate as ensemble_rate
 from .errors import DomainError, NumericalFailure
 from .sip_compile import NonnegCertificate, certify, compile_constraint
 
 DEFAULT_GRID_N = 4096
-DEFAULT_MARGIN = 1e-7
+MARGIN = 1e-7  # curve margin of the rate LP and scan tolerance of every design
 SCAN_N = 100_000
 REFINE_ROUNDS = 12  # exchange rounds of the LP designers
 BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
 BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
+BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_GRID_N = 512
 TUNE_L_MAX = 5000
@@ -71,6 +73,11 @@ WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
 LP_OPTIONS = {"presolve": False,
               "primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
+
+
+def _check_grid_n(grid_n: int) -> None:
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,13 @@ class DesignSpec:
     d_v: int
     zeta_tilde: Optional[float] = None
     grid_n: int = DEFAULT_GRID_N
-    margin: float = DEFAULT_MARGIN
-    tol: float = 1e-4
 
     def validate(self) -> None:
         if not 0.0 < self.eta < self.epsilon < 1.0:
             raise DomainError(self.eta, 0.0, self.epsilon, what="eta")
         if self.d_v < 2:
             raise ValueError("d_v must be >= 2")
+        _check_grid_n(self.grid_n)
         if not 0.0 < self.R_d < 1.0:
             raise ValueError(f"R_d must lie in (0, 1), got {self.R_d}")
         if self.zeta_tilde is not None:
@@ -297,12 +303,6 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
-def _z_of(ctx: DEContext, xs) -> np.ndarray:
-    """z = rho^{-1}(1 - x) at each x, by bisection."""
-    xs = np.asarray(xs, dtype=np.float64)
-    return _kernels.bisect_increasing(ctx.rho.dense, 1.0 - xs, INVERSION_TOL)
-
-
 def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
               t: float, z_lo: float,
               threshold: float = 0.0) -> tuple[float, float, list[float]]:
@@ -354,29 +354,27 @@ def design_rate(
     epsilon: float,
     d_v: int,
     grid_n: int = DEFAULT_GRID_N,
-    margin: float = DEFAULT_MARGIN,
-    refine_rounds: int = REFINE_ROUNDS,
 ) -> SolveReport:
-    """Maximize sum lam_i/i (hence the rate) under lam <= psi - margin.
+    """Maximize sum lam_i/i (hence the rate) under lam <= psi - `MARGIN`.
 
     Among rate-optimal vertices the one with the smallest lam_2 is
     returned, which makes the output deterministic when the LP optimum is
     degenerate.  When that tie-break LP fails its KKT check, the first
     LP's vertex, which passed its own, is kept and `detail` says so.
     """
-    params = {"rho": rho, "epsilon": epsilon, "d_v": d_v,
-              "grid_n": grid_n, "margin": margin}
+    params = {"rho": rho, "epsilon": epsilon, "d_v": d_v, "grid_n": grid_n}
     if d_v < 2:
         raise ValueError("d_v must be >= 2")
+    _check_grid_n(grid_n)
     ctx = DEContext.create(rho, epsilon, eta=epsilon * 1e-6)
     base_xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
-    z_lo = float(_z_of(ctx, [ctx.xi / SCAN_N])[0])
+    z_lo = z_of_x(rho, ctx.xi / SCAN_N)
     points = ()
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
 
     def solve_at(xs: np.ndarray):
         A = _vandermonde(xs, d_v)
-        b = psi(ctx, xs) - margin
+        b = psi(ctx, xs) - MARGIN
         eq = np.ones((1, d_v - 1))
         first = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if first.status != "Optimal":
@@ -401,17 +399,17 @@ def design_rate(
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}", params)
         lam = _lam_from_vec(vec, d_v)
-        violation, z_star, dips = _gap_scan(lam, rho, ctx, 0.0, z_lo, margin / 2)
-        if violation <= margin / 2 or rounds >= refine_rounds:
+        violation, z_star, dips = _gap_scan(lam, rho, ctx, 0.0, z_lo, MARGIN / 2)
+        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
             break
         # the rows stay in x: exchange points go back through x = 1 - rho(z)
         points = points + tuple(1.0 - rho.eval(z) for z in dips + [z_star])
         rounds += 1
 
-    lam = lam.renormalized(clip_tol=1e-8)
+    lam = lam.renormalized()
     R = ensemble_rate(Ensemble(lam=lam, rho=rho))
     gap = lp.kkt_residual
-    status = "Optimal" if violation <= margin and rounds <= refine_rounds else "IterLimit"
+    status = "Optimal" if violation <= MARGIN and rounds <= REFINE_ROUNDS else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=R, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
                        method="rate", detail=note, extra_points=points,
@@ -459,12 +457,12 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
             break
         xs = zt + (ctx.xi - zt) * np.arange(1, TUNE_GRID_N + 1) / TUNE_GRID_N
         try:
-            res = _utility_lp(ctx, _z_of(ctx, xs), spec.d_v, q)
+            res = _utility_lp(ctx, z_of_x(ctx.rho, xs), spec.d_v, q)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
             continue
-        lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized(clip_tol=1e-8)
+        lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
         n = de_trace(Ensemble(lam, spec.rho), ctx, TUNE_L_MAX).iterations
         if n is None:
             continue
@@ -487,7 +485,7 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     """
     spec.validate()
     params = {"spec": spec}
-    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n, spec.margin)
+    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
     if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
         got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
         return _infeasible("utility", _after_ceiling(
@@ -499,7 +497,7 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     zt = (_tune_zeta_tilde(spec, ctx, q) if spec.zeta_tilde is None
           else spec.zeta_tilde)
     params["zeta_tilde"] = zt
-    z_lo = float(_z_of(ctx, [zt])[0])
+    z_lo = z_of_x(ctx.rho, zt)
     base_zs = (z_lo + (1.0 - ctx.epsilon - z_lo)
                * np.arange(1, spec.grid_n + 1) / spec.grid_n)
     points = ()
@@ -513,9 +511,8 @@ def design_utility(spec: DesignSpec) -> SolveReport:
                                _after_ceiling(ceiling, f"grid LP is {lp.status}"), params)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
-        violation, z_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, z_lo,
-                                            spec.margin / 2)
-        if violation <= spec.margin / 2 or rounds >= REFINE_ROUNDS:
+        violation, z_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, z_lo, MARGIN / 2)
+        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
             break
         points = points + tuple(dips) + (z_star,)
         rounds += 1
@@ -524,13 +521,13 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     # least that much everywhere; the backed-off t then clears the residual
     # scan violation (<= margin/2) with room for the certificate's own
     # (1 - 1e-6) relief.  1/psi'(zeta_tilde) = eps*rho'(z(zeta_tilde)).
-    backoff = 2.0 * spec.margin * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
+    backoff = 2.0 * MARGIN * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
     t = max(t_lp - backoff, 0.0)
-    lam = lam.renormalized(clip_tol=1e-8)
+    lam = lam.renormalized()
     violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, z_lo)
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
-    status = "Optimal" if violation <= spec.margin else "IterLimit"
+    status = "Optimal" if violation <= MARGIN else "IterLimit"
     if status == "Optimal" and not cert.passed:
         status = "CertificateFail"
     return SolveReport(lam=lam, t=t, objective=t, max_violation=violation,
@@ -575,11 +572,11 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
     and already penalizes the curve constraint; the barrier adds the
     coefficient simplex and the rate floor.  The duality gap m/tau
-    certifies optimality to spec.tol.
+    certifies optimality to `BARRIER_TOL`.
     """
     spec.validate()
     params = {"spec": spec}
-    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n, spec.margin)
+    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
     if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
         got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
         return _infeasible("min-iter", _after_ceiling(
@@ -668,16 +665,16 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
             if alpha <= 1e-12:
                 break
             v = v + alpha * step
-        if m_ineq / tau <= spec.tol:
+        if m_ineq / tau <= BARRIER_TOL:
             converged = True
             break
         tau *= 10.0
 
-    lam = _lam_from_vec(v, d_v).renormalized(clip_tol=1e-8)
+    lam = _lam_from_vec(v, d_v).renormalized()
     obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
     violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
     gap = m_ineq / tau
-    status = "Optimal" if converged and violation <= spec.margin else "IterLimit"
+    status = "Optimal" if converged and violation <= MARGIN else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
                        method="min-iter", detail=_after_ceiling(ceiling), params=params)

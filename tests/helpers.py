@@ -216,13 +216,6 @@ def failing_tie_break(lp_solve):
     return solve
 
 
-def enclosed_area(pair: CurvePair, quad_points: int = 20_000) -> float:
-    """Midpoint quadrature of f2 - f1 over [a, b]."""
-    dx = (pair.b - pair.a) / quad_points
-    xs = pair.a + dx * (np.arange(quad_points) + 0.5)
-    return float(np.sum(pair.f2(xs) - pair.f1(xs)) * dx)
-
-
 def stability_cap(rho: DegreeDistribution, eps: float) -> float:
     """Upper limit on lam_2 for the recursion to contract near zero."""
     return 1.0 / (eps * rho.eval_deriv(1.0))
@@ -274,31 +267,22 @@ def utility_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
 
 
 def code_estimates_oracle(lam: dict[int, float], rho: dict[int, float],
-                          eps: float, eta: float) -> tuple[float, float]:
-    """(approx_N, area) by adaptive quadrature at epsrel 1e-12.
+                          eps: float, eta: float) -> float:
+    """approx_N by adaptive quadrature at epsrel 1e-12.
 
-    Both integrals are taken over P in [eta, eps] with the substitution
-    u = log P, which spreads the nodes evenly over the decades of P:
-    approx_N = int dP/g(P) and area = int g(P)*rho'(1 - P) dP / eps, where
+    The integral approx_N = int dP/g(P), with
     g(P) = P - eps*lam(1 - rho(1 - P)) = eps*(psi - lam) at
-    x = 1 - rho(1 - P) and dx = rho'(1 - P) dP.  The polynomials are
-    summed term by term from the degree maps.
+    x = 1 - rho(1 - P), is taken over P in [eta, eps] with the substitution
+    u = log P, which spreads the nodes evenly over the decades of P.  The
+    polynomials are summed term by term from the degree maps.
     """
     from scipy.integrate import quad
 
     def g(P):
         return P - eps * poly_eval_by_hand(lam, 1.0 - poly_eval_by_hand(rho, 1.0 - P))
 
-    def rho_slope(y):
-        return sum(v * (d - 1) * y ** (d - 2) for d, v in rho.items())
-
-    def integral(f):
-        return quad(lambda u: f(math.exp(u)), math.log(eta), math.log(eps),
-                    epsabs=0.0, epsrel=1e-12, limit=1000)[0]
-
-    approx = integral(lambda P: P / g(P))
-    area = integral(lambda P: P * g(P) * rho_slope(1.0 - P) / eps)
-    return approx, area
+    return quad(lambda u: math.exp(u) / g(math.exp(u)), math.log(eta), math.log(eps),
+                epsabs=0.0, epsrel=1e-12, limit=1000)[0]
 
 
 def step_polynomial_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,

@@ -66,6 +66,21 @@ def test_bad_json_exits_usage(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+MIN_ITER_ARGS = ["design", "--objective", "min-iter", "--rho", '{"8": 1.0}',
+                 "--epsilon", "0.5", "--eta", "1e-5", "--rd", "0.45", "--dv", "16"]
+
+
+@pytest.mark.parametrize("grid_n", ["0", "-5"])
+@pytest.mark.parametrize("argv", [RATE_ARGS[:-2], MIN_ITER_ARGS, ["reproduce", "fig6"],
+                                  ["reproduce", "fig3"]],
+                         ids=["rate", "min-iter", "fig6", "fig3"])
+def test_nonpositive_grid_exits_usage(tmp_path, capsys, argv, grid_n):
+    out = ["--out", str(tmp_path / "out")]
+    assert main(argv + ["--grid-n", grid_n] + out) == EXIT_USAGE
+    assert "--grid-n must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_design_reports_the_rate_ceiling_fallback(tmp_path, monkeypatch):
     # the rate ceiling's tie-break LP is made to fail its KKT check, so the
     # first LP's vertex is kept and the report says so

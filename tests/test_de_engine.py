@@ -26,8 +26,8 @@ from ldpc_forge import (
     psi_deriv,
     psi_inverse,
 )
-from ldpc_forge import _kernels
-from ldpc_forge.de_engine import STALL_TOL
+from ldpc_forge import _kernels, compile_constraint
+from ldpc_forge.de_engine import INVERSION_TOL, STALL_TOL, z_of_x
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,34 @@ class TestTransferCurve:
         for x in (0.1, 0.4, 0.8 * ctx.xi):
             num = (psi(ctx, x + h) - psi(ctx, x - h)) / (2 * h)
             assert psi_deriv(ctx, x) == pytest.approx(num, rel=1e-5)
+
+
+class TestInversion:
+    def test_origin_maps_to_one_exactly(self, ctx_x7):
+        assert z_of_x(ctx_x7.rho, 0.0) == 1.0
+        assert z_of_x(ctx_x7.rho, np.array([0.0, 0.5]))[0] == 1.0
+        # so psi' at the origin is the stability slope 1/(eps*rho'(1)) to the bit
+        assert psi_deriv(ctx_x7, 0.0) == 1.0 / (0.5 * 7.0)
+
+    def test_residual_within_tolerance(self, rho_mix):
+        xs = np.linspace(0.0, 1.0, 1001)
+        z = z_of_x(rho_mix, xs)
+        assert np.all((0.0 <= z) & (z <= 1.0))
+        assert np.max(np.abs(rho_mix.eval(z) - (1.0 - xs))) <= INVERSION_TOL
+
+    def test_array_equals_scalars_on_the_fig2_grid(self, ctx_x7):
+        # fig2 plots psi on 257 points from 0 to xi with one vectorised call
+        xs = np.linspace(0.0, ctx_x7.xi, 257)
+        per_point = np.array([psi(ctx_x7, float(x)) for x in xs])
+        assert psi(ctx_x7, xs).tobytes() == per_point.tobytes()
+        z_per_point = np.array([z_of_x(ctx_x7.rho, float(x)) for x in xs])
+        assert z_of_x(ctx_x7.rho, xs).tobytes() == z_per_point.tobytes()
+
+    @pytest.mark.parametrize("zeta_tilde", [0.0, 1e-4, 0.3])
+    def test_compiled_constraint_anchors_at_the_same_z(self, ctx_x7, zeta_tilde):
+        lam = DegreeDistribution({2: 0.5, 3: 0.5})
+        cp = compile_constraint(lam, 0.0, ctx_x7.rho, 0.5, zeta_tilde, ctx_x7.xi)
+        assert cp.b == z_of_x(ctx_x7.rho, zeta_tilde)
 
 
 class TestRecursion:

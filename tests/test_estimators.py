@@ -1,10 +1,10 @@
-"""Step counting on curve pairs: exact staircase, integral estimate, bounds."""
+"""Step counting on curve pairs, the code estimates and the utility."""
 
 import numpy as np
 import pytest
 
-from helpers import (code_estimates_oracle, enclosed_area, fixture_context,
-                     random_feasible_pair, utility_oracle)
+from helpers import (code_estimates_oracle, fixture_context, random_feasible_pair,
+                     utility_oracle)
 from ldpc_forge import (
     CurvePair,
     DEContext,
@@ -12,17 +12,12 @@ from ldpc_forge import (
     DegreeDistribution,
     DomainError,
     Ensemble,
-    EqualStepCurve,
     NonConvergent,
     approx_iterations,
     code_curves,
     code_estimates,
     de_trace,
     exact_iterations,
-    jensen_bound,
-    local_step_count,
-    lower_bound,
-    optimal_f1,
     psi,
     utility,
 )
@@ -83,33 +78,6 @@ class TestExactIterations:
             assert exact_iterations(pair) == de_trace(e, ctx).iterations
 
 
-class TestLocalStepCount:
-    def test_single_step_when_window_equals_gap(self):
-        pair = linear_pair(const_gap=0.05)
-        x = 0.5
-        dx = 0.05  # gap equals f2' * dx here since f2' = 1
-        assert local_step_count(pair, x, dx) == 1
-
-    def test_window_of_several_gaps(self):
-        pair = linear_pair(const_gap=0.05)
-        assert local_step_count(pair, 0.5, 0.05 * 3.2) == 4
-
-    def test_formula_on_transfer_curve(self, fixtures):
-        fx = fixtures.get("mix_acc_r048")
-        ctx = DEContext.create(fx.ensemble.rho, 0.48, 1e-4)
-        pair = code_curves(fx.ensemble, ctx)
-        x = (pair.a + pair.b) / 2.0
-        dx = 0.01
-        gap = float(pair.f2(x) - pair.f1(x))
-        expect = int(np.ceil(dx * float(pair.d_f2()(x)) / gap - 1e-9))
-        assert local_step_count(pair, x, dx) == max(1, expect)
-
-    def test_window_outside_domain_rejected(self):
-        pair = linear_pair()
-        with pytest.raises(DomainError):
-            local_step_count(pair, 0.99, 0.05)
-
-
 class TestApproxIterations:
     def test_constant_gap_integrates_exactly(self):
         pair = linear_pair(const_gap=0.02)
@@ -143,57 +111,6 @@ class TestApproxIterations:
                 f2_deriv=pair.f2_deriv, f2_inverse=pair.f2_inverse,
             )
             assert approx_iterations(shrunk) <= approx_iterations(pair) + 1e-9
-
-
-class TestBounds:
-    def test_printed_bound_closed_form_for_identity_curve(self):
-        # f2 = x makes the bound (b-a)^2 / c
-        assert lower_bound(lambda x: x, 0.2, 1.0, 0.05) == pytest.approx(
-            0.8 * 0.8 / 0.05, rel=1e-12
-        )
-
-    def test_equal_step_profile_attains_both_bounds(self):
-        pair = linear_pair(const_gap=0.02)
-        c = enclosed_area(pair)
-        approx = approx_iterations(pair)
-        assert lower_bound(pair.f2, pair.a, pair.b, c) == pytest.approx(approx, rel=1e-6)
-        assert jensen_bound(pair) == pytest.approx(approx, rel=1e-6)
-
-    def test_averaged_step_bound_never_exceeds_estimate(self, rng, rho_mix):
-        for _ in range(8):
-            pair = random_feasible_pair(rng, rho_mix, 0.47, 1e-3)
-            assert jensen_bound(pair) <= approx_iterations(pair) * (1 + 1e-9)
-
-    def test_averaged_step_bound_requires_positive_gap(self):
-        with pytest.raises(DegenerateGap):
-            jensen_bound(linear_pair(const_gap=-0.01))
-
-
-class TestOptimalProfile:
-    def test_constructed_curve_spends_the_area_budget(self):
-        f2 = lambda x: np.asarray(x, dtype=float) ** 2
-        a, b, c = 0.3, 1.0, 0.04
-        f1 = optimal_f1(f2, a, b, c, f2_deriv=lambda x: 2.0 * np.asarray(x, dtype=float))
-        pair = CurvePair(f1=f1, f2=f2, a=a, b=b,
-                         f2_deriv=lambda x: 2.0 * np.asarray(x, dtype=float))
-        assert enclosed_area(pair) == pytest.approx(c, rel=1e-6)
-
-    def test_constructed_curve_meets_the_printed_bound(self):
-        f2 = lambda x: np.asarray(x, dtype=float) ** 2
-        a, b, c = 0.3, 1.0, 0.04
-        f1 = optimal_f1(f2, a, b, c, f2_deriv=lambda x: 2.0 * np.asarray(x, dtype=float))
-        pair = CurvePair(f1=f1, f2=f2, a=a, b=b,
-                         f2_deriv=lambda x: 2.0 * np.asarray(x, dtype=float))
-        assert approx_iterations(pair) == pytest.approx(
-            lower_bound(f2, a, b, c), rel=1e-6
-        )
-
-    def test_equal_step_curve_is_callable_and_below_f2(self):
-        f2 = lambda x: np.asarray(x, dtype=float) ** 2
-        curve = EqualStepCurve(f2=f2, f2_deriv=lambda x: 2.0 * np.asarray(x, dtype=float),
-                               d=0.05)
-        xs = np.linspace(0.3, 1.0, 17)
-        assert np.all(curve(xs) < f2(xs))
 
 
 class TestUtility:
@@ -235,7 +152,7 @@ class TestUtility:
         fx = fixtures.get("x7_poc")
         ctx = DEContext.create(fx.ensemble.rho, 0.5, 1e-5)
         lam = fx.ensemble.lam
-        smaller = type(lam)({d: 0.9 * v for d, v in lam.coeffs.items()}, trim=False)
+        smaller = type(lam)({d: 0.9 * v for d, v in lam.coeffs.items()})
         assert utility(smaller, ctx).value > utility(lam, ctx).value
 
 
@@ -265,22 +182,9 @@ class TestCodeEstimates:
         fx = fixtures.get(name)
         ctx = self._context(fx, eps, eta)
         got = code_estimates(fx.ensemble, ctx)
-        want_n, want_area = code_estimates_oracle(
+        want_n = code_estimates_oracle(
             fx.ensemble.lam.coeffs, fx.ensemble.rho.coeffs, ctx.epsilon, ctx.eta)
         assert abs(got.approx_N - want_n) <= 1e-6 * want_n
-        assert abs(got.area - want_area) <= 1e-12 * want_area
-
-    @pytest.mark.parametrize("name", ["mix_acc_r048", "x7_coc_r045"])
-    def test_lower_bound_is_the_equal_step_benchmark(self, fixtures, name):
-        # the generic x-domain `lower_bound` on a code's own pair is the
-        # equal-step benchmark (xi - zeta)*(1 - eta/eps)/area; it is no
-        # longer what CodeEstimates.lower_bound reports
-        fx = fixtures.get(name)
-        ctx = fixture_context(fx)
-        got = code_estimates(fx.ensemble, ctx)
-        pair = code_curves(fx.ensemble, ctx)
-        want = (ctx.xi - ctx.zeta) * (1.0 - ctx.eta / ctx.epsilon) / got.area
-        assert lower_bound(pair.f2, pair.a, pair.b, got.area) == pytest.approx(want, rel=1e-9)
 
     def test_lower_bound_floors_approx_n(self, fixtures):
         # every fixture that decodes at its own (eps, eta): 17 of the 20
@@ -310,7 +214,6 @@ class TestCodeEstimates:
         got = code_estimates(fx.ensemble, ctx)
         pair = code_curves(fx.ensemble, ctx)
         assert got.approx_N == pytest.approx(approx_iterations(pair), rel=1e-5)
-        assert got.area == pytest.approx(enclosed_area(pair), rel=1e-5)
 
     def test_touching_curves_raise_in_curve_units(self, fixtures):
         fx = fixtures.get("x7_poc")

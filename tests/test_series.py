@@ -115,7 +115,7 @@ class TestGeneralExpansion:
         assert 7.5 < slope < 10.5
 
     def test_flat_check_profile_rejected(self):
-        flat = DegreeDistribution({2: 0.0}, trim=False)
+        flat = DegreeDistribution({2: 0.0})
         with pytest.raises(ReversionSingular):
             taylor_general(flat, 0.5, 12)
 

@@ -239,6 +239,11 @@ class TestDesignSpec:
             self.make(rho_x7, zeta_tilde=-0.1).validate()
         self.make(rho_x7, zeta_tilde=0.99).validate()
 
+    @pytest.mark.parametrize("grid_n", [0, -5])
+    def test_grid_n_floor(self, rho_x7, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            self.make(rho_x7, grid_n=grid_n).validate()
+
 
 class TestDesignRate:
     def test_single_degree_feasible(self, rho_x7):
@@ -247,7 +252,12 @@ class TestDesignRate:
         assert rep.status == "Optimal"
         assert rep.lam.coeff(2) == pytest.approx(1.0, abs=1e-12)
         assert rep.objective == pytest.approx(0.75, abs=1e-12)
-        assert rep.max_violation <= rep.params["margin"]
+        assert rep.max_violation <= solve.MARGIN
+
+    @pytest.mark.parametrize("grid_n", [0, -5])
+    def test_grid_n_floor(self, rho_x7, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            design_rate(rho_x7, X7_EPS, 16, grid_n=grid_n)
 
     def test_single_degree_infeasible(self, rho_x7):
         rep = design_rate(rho_x7, 0.5, 2)
@@ -260,7 +270,7 @@ class TestDesignRate:
         assert rep.status == "Optimal"
         assert rep.objective == pytest.approx(0.4714, abs=1e-3)
         assert rep.lam.coeff(2) == pytest.approx(0.2673, abs=2e-3)
-        assert rep.max_violation <= rep.params["margin"]
+        assert rep.max_violation <= solve.MARGIN
         assert rate(Ensemble(rep.lam, rho_x7)) == pytest.approx(rep.objective, rel=1e-12)
         ctx = DEContext.create(rho_x7, X7_EPS, 1e-5)
         assert check_successful(Ensemble(rep.lam, rho_x7), ctx, 100_000).ok
@@ -278,7 +288,7 @@ class TestDesignRate:
         for eps in (0.5 * (MIX_EPS + 0.5), 0.46):
             rep = design_rate(rho_mix, eps, 16)
             assert rep.status == "Optimal"
-            assert rep.max_violation <= rep.params["margin"]
+            assert rep.max_violation <= solve.MARGIN
             assert "tie-break LP rejected" in rep.detail
 
     def test_dv30_tie_break_passes(self, rho_mix):
@@ -288,13 +298,15 @@ class TestDesignRate:
         assert rep.status == "Optimal"
         assert rep.detail == ""
 
-    def test_coarse_grid_refines_downward(self, rho_x7):
-        cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64, refine_rounds=0)
+    def test_coarse_grid_refines_downward(self, rho_x7, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(solve, "REFINE_ROUNDS", 0)
+            cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
         assert cand.status == "IterLimit"
-        assert cand.max_violation > cand.params["margin"]
+        assert cand.max_violation > solve.MARGIN
         ref = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
         assert ref.status == "Optimal"
-        assert ref.max_violation <= ref.params["margin"]
+        assert ref.max_violation <= solve.MARGIN
         assert ref.rounds >= 1
         assert len(ref.extra_points) > 0
         # the lax grid overestimates the ceiling; refinement walks it down
@@ -336,7 +348,7 @@ class TestDesignUtility:
         assert rep.status == "Optimal"
         assert rep.t == pytest.approx(0.0146, abs=1e-3)
         assert rep.certificate is not None and rep.certificate.passed
-        assert rep.max_violation <= spec.margin
+        assert rep.max_violation <= solve.MARGIN
         assert 0.0 <= rep.optimality_gap < 1e-5
         # the rate floor is active: moving mass to lower degrees would
         # raise the step floor but break R >= 0.5
@@ -352,7 +364,7 @@ class TestDesignUtility:
         rep = design_utility(spec)
         assert "rate ceiling: tie-break LP rejected" in rep.detail
         assert rep.status == "Optimal"
-        assert rep.max_violation <= spec.margin
+        assert rep.max_violation <= solve.MARGIN
         assert rep.certificate.passed
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED_DESIGNS))
@@ -438,8 +450,8 @@ class TestDesignMinIterations:
 
     def test_convergence_quality(self, miniter_045):
         spec, rep = miniter_045
-        assert rep.max_violation <= spec.margin
-        assert rep.optimality_gap <= spec.tol
+        assert rep.max_violation <= solve.MARGIN
+        assert rep.optimality_gap <= solve.BARRIER_TOL
         assert np.isfinite(rep.objective) and rep.objective > 0.0
 
     def test_rate_ceiling_leaves_no_interior(self, rho_x7, miniter_045):
@@ -497,9 +509,9 @@ class TestZScan:
         sizes = []
         real = _kernels.bisect_increasing
 
-        def counting(coef, targets, tol, max_iter=100):
+        def counting(coef, targets, tol):
             sizes.append(np.asarray(targets).size)
-            return real(coef, targets, tol, max_iter)
+            return real(coef, targets, tol)
 
         monkeypatch.setattr(_kernels, "bisect_increasing", counting)
         mix = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
