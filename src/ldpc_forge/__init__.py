@@ -9,8 +9,8 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `estimators` - the iteration approximation approx_N and its floor (over
   the recursion variable P, with no inverse of rho), the bottleneck
   utility, and the x-domain staircase reference (`CurvePair`);
-* `series` - truncated power series of psi (closed form for single-degree
-  check sides, series reversion otherwise), for the `series` command;
+* `series` - truncated power series of psi; no designer or command calls
+  it, and it stays only while the benchmark's tracer wraps `taylor_for`;
 * `sip_compile` - the step-size constraint as one exact polynomial in
   z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
@@ -30,8 +30,8 @@ from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      SumNotOne)
 from .estimators import (CurvePair, UtilityResult, approx_iterations, code_curves,
                          code_estimates, exact_iterations, utility)
-from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, order_for_tolerance,
-                     taylor_for, taylor_general, taylor_regular)
+from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, taylor_for,
+                     taylor_general, taylor_regular)
 from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
                           compile_constraint, nonneg_on_unit)
 from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
@@ -50,7 +50,7 @@ __all__ = [
     "approx_iterations", "binom_frac", "certify", "check_successful",
     "code_curves", "code_estimates", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
-    "graphical_complexity", "lp_solve", "nonneg_on_unit", "order_for_tolerance",
+    "graphical_complexity", "lp_solve", "nonneg_on_unit",
     "psi", "psi_deriv", "psi_inverse", "rate", "taylor_for", "taylor_general",
     "taylor_regular", "utility",
 ]

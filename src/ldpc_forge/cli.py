@@ -1,14 +1,15 @@
 """Command-line surface and the figure-reproduction harness.
 
-Subcommands: validate, evaluate, estimate, design, certify, series,
-reproduce.  All file outputs are written atomically (temp file + rename)
-and every command that writes files drops a manifest JSON next to them
-recording flags, output paths, content hashes and the command's wall
-time from its entry (per figure for `reproduce`); identical flags yield
-byte-identical outputs.  A utility design's report also records the
-zeta_tilde it used.  `design` and `reproduce` manifests also record
-the HiGHS options and the numpy, scipy and HiGHS versions, on which the
-low digits of a design depend.
+Subcommands: validate, evaluate, estimate, design, certify, reproduce.
+evaluate, estimate, design and certify print their result JSON, or with
+--out PREFIX write it to PREFIX.<name>.json after any other file, then a
+manifest, all through `_emit`.  All file outputs are written atomically
+(temp file + rename); each manifest records flags, output paths, content
+hashes and the command's wall time from its entry (per figure for
+`reproduce`), and identical flags yield byte-identical outputs.  A
+utility design's report also records the zeta_tilde it used.  `design`
+and `reproduce` manifests also record the HiGHS options and the numpy,
+scipy and HiGHS versions, on which the low digits of a design depend.
 
 `certify` takes an ensemble, (epsilon, eta), the step size --t and an
 optional --zeta-tilde (default zeta/2), and decides the exact step
@@ -44,7 +45,6 @@ from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
 from .errors import DegenerateGap, LdpcForgeError
-from .series import DEFAULT_ORDER, order_for_tolerance, taylor_for
 from .solve import (DEFAULT_GRID_N, LP_OPTIONS, DesignSpec, SolveReport,
                     design_min_iterations, design_rate, design_utility)
 
@@ -52,9 +52,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DECODING = 3
 EXIT_SOLVER = 4
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1")
-
 
 # ---------------------------------------------------------------------------
 # fixtures and claims
@@ -131,7 +128,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def render_csv(header: list[str], rows: list[tuple], comments: tuple = ()) -> str:
+def render_csv(header: list[str], rows: list[tuple], comments: tuple) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -145,6 +142,10 @@ def render_csv(header: list[str], rows: list[tuple], comments: tuple = ()) -> st
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _highs_version() -> Optional[str]:
@@ -170,7 +171,7 @@ class RunManifest:
 
     command: str
     parameters: dict
-    settings: dict = field(default_factory=dict)
+    settings: dict
     started: float = field(default_factory=time.perf_counter)
     artifacts: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
@@ -185,7 +186,7 @@ class RunManifest:
                    "artifacts": self.artifacts, "outputs": self.outputs,
                    "wall_time_s": round(time.perf_counter() - self.started, 3),
                    **self.settings}
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, _json_text(payload))
 
 
 def _load_json_arg(value: str) -> dict:
@@ -217,10 +218,19 @@ def _load_rho_arg(value: str) -> DegreeDistribution:
     return d
 
 
-def _manifest(args, **settings) -> RunManifest:
-    """The manifest of a subcommand, timed from the command's entry."""
-    return RunManifest(args.command, _flags_dict(args), settings=settings,
-                       started=args.started)
+def _emit(args, name: str, data: dict, *files: tuple, **settings) -> None:
+    """Print `data` as JSON; with --out write each (suffix, text) of `files`,
+    then <out>.<name>.json, then the manifest of the command's set flags."""
+    text = _json_text(data)
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("func", "started") and v is not None}
+    man = RunManifest(args.command, flags, settings=settings, started=args.started)
+    for suffix, content in files + ((f".{name}.json", text),):
+        man.add(args.out + suffix, content)
+    man.write(args.out + ".manifest.json")
 
 
 def _trace_comments(trace) -> tuple:
@@ -270,8 +280,8 @@ def _report_dict(rep: SolveReport, rho: DegreeDistribution) -> dict:
         "ensemble": None,
         "certificate": None,
     }
-    if "zeta_tilde" in rep.params:
-        out["zeta_tilde"] = rep.params["zeta_tilde"]
+    if rep.zeta_tilde is not None:
+        out["zeta_tilde"] = rep.zeta_tilde
     if rep.lam is not None:
         out["ensemble"] = Ensemble(lam=rep.lam, rho=rho).to_json_dict()
         out["rate"] = ensemble_rate(Ensemble(lam=rep.lam, rho=rho))
@@ -284,10 +294,6 @@ def _report_dict(rep: SolveReport, rho: DegreeDistribution) -> dict:
     return out
 
 
-def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -295,48 +301,36 @@ def _print_json(data: dict) -> None:
 def cmd_validate(args) -> int:
     e = _load_ensemble_arg(args.ensemble, published=not args.strict)
     R = ensemble_rate(e)
-    _print_json({
+    sys.stdout.write(_json_text({
         "valid": True,
         "rate": R,
         "graphical_complexity": graphical_complexity(e.rho, R),
         "d_v": max(e.lam.degrees),
         "d_c": max(e.rho.degrees),
-    })
+    }))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     e = _load_ensemble_arg(args.ensemble)
-    if not 0.0 < args.eta < args.epsilon:
-        raise LdpcForgeError("need 0 < eta < epsilon")
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
-    trace = de_trace(e, ctx, l_max=args.l_max)
+    trace = de_trace(e, ctx)
     summary = {"epsilon": args.epsilon, "eta": args.eta,
                "status": type(trace.status).__name__,
                "exact_N": trace.iterations}
     if trace.iterations is None:
-        # stalled (or cut at l_max): lam may touch psi on [zeta, xi]
+        # stalled (or cut at DEFAULT_L_MAX): lam may touch psi on [zeta, xi]
         summary.update(_no_estimates(e))
     else:
         summary.update(_estimates(e, ctx, args.zeta_tilde))
-
-    if args.out:
-        man = _manifest(args)
-        rows = [(i, float(p)) for i, p in enumerate(trace.probs)]
-        man.add(args.out + ".trace.csv",
-                render_csv(["iteration", "P"], rows, _trace_comments(trace)))
-        man.add(args.out + ".summary.json",
-                json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        man.write(args.out + ".manifest.json")
-    else:
-        _print_json(summary)
+    rows = [(i, float(p)) for i, p in enumerate(trace.probs)]
+    _emit(args, "summary", summary,
+          (".trace.csv", render_csv(["iteration", "P"], rows, _trace_comments(trace))))
     return EXIT_OK if trace.iterations is not None else EXIT_DECODING
 
 
 def cmd_estimate(args) -> int:
     e = _load_ensemble_arg(args.ensemble)
-    if not 0.0 < args.eta < args.epsilon:
-        raise LdpcForgeError("need 0 < eta < epsilon")
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
     summary = {"epsilon": args.epsilon, "eta": args.eta}
     code = EXIT_OK
@@ -346,13 +340,7 @@ def cmd_estimate(args) -> int:
         # past the threshold lam crosses psi: a decoding failure
         summary.update(_no_estimates(e))
         code = EXIT_DECODING
-    if args.out:
-        man = _manifest(args)
-        man.add(args.out + ".summary.json",
-                json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        man.write(args.out + ".manifest.json")
-    else:
-        _print_json(summary)
+    _emit(args, "summary", summary)
     return code
 
 
@@ -378,17 +366,9 @@ def cmd_design(args) -> int:
         else:
             rep = design_min_iterations(spec)
 
-    out = _report_dict(rep, rho)
-    if args.out:
-        man = _manifest(args, **solver_settings())
-        if rep.lam is not None:
-            man.add(args.out + ".ensemble.json",
-                    Ensemble(lam=rep.lam, rho=rho).to_json(indent=2) + "\n")
-        man.add(args.out + ".report.json",
-                json.dumps(out, indent=2, sort_keys=True) + "\n")
-        man.write(args.out + ".manifest.json")
-    else:
-        _print_json(out)
+    files = () if rep.lam is None else (
+        (".ensemble.json", Ensemble(lam=rep.lam, rho=rho).to_json(indent=2) + "\n"),)
+    _emit(args, "report", _report_dict(rep, rho), *files, **solver_settings())
     if rep.status == "CertificateFail":
         print(f"design: CertificateFail: margin {rep.certificate.margin:.3e} at "
               f"x={rep.certificate.witness!r}", file=sys.stderr)
@@ -401,46 +381,16 @@ def cmd_design(args) -> int:
 
 def cmd_certify(args) -> int:
     e = _load_ensemble_arg(args.ensemble)
-    if not 0.0 < args.eta < args.epsilon:
-        raise LdpcForgeError("need 0 < eta < epsilon")
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
     zt = 0.5 * ctx.zeta if args.zeta_tilde is None else args.zeta_tilde
     cp = sip_compile.compile_constraint(e.lam, args.t, e.rho, args.epsilon, zt, ctx.xi)
     cert = sip_compile.certify(cp)
-    out = {
+    _emit(args, "certificate", {
         "kind": cert.kind, "passed": cert.passed, "margin": cert.margin,
         "t": args.t, "zeta_tilde": zt, "degree": cp.D,
         "witness_x": cert.witness, "witness_value": cert.witness_value,
-    }
-    if args.out:
-        man = _manifest(args)
-        man.add(args.out + ".certificate.json",
-                json.dumps(out, indent=2, sort_keys=True) + "\n")
-        man.write(args.out + ".manifest.json")
-    else:
-        _print_json(out)
+    })
     return EXIT_OK if cert.passed else EXIT_DECODING
-
-
-def cmd_series(args) -> int:
-    rho = _load_rho_arg(args.rho)
-    order = args.order
-    out: dict = {"epsilon": args.epsilon}
-    if args.auto:
-        ctx = DEContext.create(rho, args.epsilon, args.epsilon * 1e-6)
-        order = order_for_tolerance(ctx, tol=args.tolerance, start=order)
-        out["tolerance"] = args.tolerance
-    T = taylor_for(rho, args.epsilon, order)
-    out["order"] = T.taylor_order
-    out["coeffs"] = {str(i): T.t(i) for i in range(2, T.taylor_order + 1)}
-    if args.out:
-        man = _manifest(args)
-        man.add(args.out + ".series.json",
-                json.dumps(out, indent=2, sort_keys=True) + "\n")
-        man.write(args.out + ".manifest.json")
-    else:
-        _print_json(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +519,8 @@ def repro_fig6(grid_n: int) -> tuple[list[str], list[tuple], tuple]:
     fx = load_fixtures()
     rho = fx.get("x7_poc").ensemble.rho
     rows = []
-    for eps in (0.48, 0.50, 0.52):
-        pub_rate = None
-        name = {0.48: "x7_ratedv_e048", 0.50: "x7_ratedv_e050",
-                0.52: "x7_ratedv_e052"}[eps]
+    for eps, name in ((0.48, "x7_ratedv_e048"), (0.50, "x7_ratedv_e050"),
+                      (0.52, "x7_ratedv_e052")):
         pub_rate = ensemble_rate(fx.get(name).ensemble)
         for d_v in (4, 6, 8, 10, 12, 16, 20):
             rep = design_rate(rho, eps, d_v, grid_n)
@@ -636,7 +584,7 @@ _REPRO = {
 
 
 def cmd_reproduce(args) -> int:
-    figures = FIGURE_IDS if args.figure == "all" else (args.figure,)
+    figures = tuple(_REPRO) if args.figure == "all" else (args.figure,)
     grid_n = _grid_n(args)
     for fig in figures:
         # each figure's manifest is timed from the start of that figure
@@ -652,11 +600,6 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _flags_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in ("func", "started") and v is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evaluate", help="run the erasure recursion and estimators")
     common_eval(sp)
-    sp.add_argument("--l-max", type=int, default=1_000_000)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("estimate", help="estimators only, no recursion run")
@@ -711,18 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output path prefix")
     sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("series", help="polynomial expansion of the transfer curve")
-    sp.add_argument("rho", help="path or inline JSON degree map")
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    sp.add_argument("--auto", action="store_true",
-                    help="grow the order until the tail is below --tolerance")
-    sp.add_argument("--tolerance", type=float, default=1e-6)
-    sp.add_argument("--out", help="output path prefix")
-    sp.set_defaults(func=cmd_series)
-
     sp = sub.add_parser("reproduce", help="regenerate a result dataset")
-    sp.add_argument("figure", choices=FIGURE_IDS + ("all",))
+    sp.add_argument("figure", choices=(*_REPRO, "all"))
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     sp.set_defaults(func=cmd_reproduce)

@@ -1,16 +1,18 @@
 """Truncated power-series form of the transfer curve psi about x = 0.
 
-psi(x) ~ sum_{i=2}^{M} T_i x^{i-1}, reported by the `series` command.  No
-designer and no certificate uses it: `sip_compile` certifies the step
-constraint exactly in z = rho^{-1}(1 - x), while this truncation is poor
-near the series' radius (order 60 is off by 0.079 on [0, xi] for x^7 at
-eps = 0.5).  For a check-regular rho(x) = x^{d_c-1} the coefficients come
-from the generalized binomial theorem applied to 1 - (1-x)^{1/(d_c-1)}.
-For general rho they come from reverting the series of
-g(z) = 1 - rho(1 - z), since psi(x) = (1/eps) * g^{-1}(x); the reversion
-runs Newton's method on truncated series with order doubling, which is
-exact in the coefficients up to the truncation order (no numerical
-differentiation noise).
+psi(x) ~ sum_{i=2}^{M} T_i x^{i-1}.  No designer, certificate or command
+uses it: `sip_compile` certifies the step constraint exactly in
+z = rho^{-1}(1 - x), while this truncation is poor near the series' radius
+(order 60 is off by 0.079 on [0, xi] for x^7 at eps = 0.5).  The module
+stays only because the benchmark's tracer (`perfbench/spans.py`) wraps
+`taylor_for` by name; it goes once that tracer no longer does.
+
+For a check-regular rho(x) = x^{d_c-1} the coefficients come from the
+generalized binomial theorem applied to 1 - (1-x)^{1/(d_c-1)}.  For
+general rho they come from reverting the series of g(z) = 1 - rho(1 - z),
+since psi(x) = (1/eps) * g^{-1}(x); the reversion runs Newton's method on
+truncated series with order doubling, which is exact in the coefficients
+up to the truncation order (no numerical differentiation noise).
 
 All T_i carry the 1/eps factor, so partial sums are directly comparable to
 the bisection-based psi.  The `epsilon_included` flag records this.
@@ -24,9 +26,8 @@ from typing import Union
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .de_engine import DEContext, psi as psi_bisect
 from .ensemble import DegreeDistribution
-from .errors import NonConvergent, ReversionSingular
+from .errors import ReversionSingular
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -191,29 +192,3 @@ def taylor_for(rho: DegreeDistribution, epsilon: float, M: int = DEFAULT_ORDER) 
         return taylor_regular(rho.degrees[0], epsilon, M)
     return taylor_general(rho, epsilon, M)
 
-
-def order_for_tolerance(
-    ctx: DEContext,
-    tol: float = 1e-6,
-    x_max_frac: float = 0.95,
-    grid_n: int = 512,
-    start: int = DEFAULT_ORDER,
-    max_order: int = 800,
-) -> int:
-    """Smallest tried order whose partial sum tracks psi within tol.
-
-    Checks max |partial_sum - psi| on a grid over [0, x_max_frac * xi],
-    growing the order by 1.5x until the tolerance holds.  Slowly decaying
-    tails (omega near 0 with xi near 1) may need several hundred terms.
-    """
-    xs = np.linspace(0.0, x_max_frac * ctx.xi, grid_n)
-    reference = psi_bisect(ctx, xs)
-    M = start
-    while True:
-        ts = taylor_for(ctx.rho, ctx.epsilon, M)
-        err = float(np.max(np.abs(ts.eval(xs) - reference)))
-        if err <= tol:
-            return M
-        if M >= max_order:
-            raise NonConvergent(M, f"truncation error {err:.3e} > {tol:.1e}")
-        M = min(max_order, int(M * 1.5) + 1)

@@ -44,7 +44,7 @@ violation and the new exchange points, as z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -119,10 +119,9 @@ class SolveReport:
     status: str
     certificate: Optional[NonnegCertificate]
     method: str
-    detail: str = ""
-    extra_points: tuple = ()
+    detail: str = ""  # notes, and the cause of any status but Optimal
     rounds: int = 0
-    params: dict = field(default_factory=dict, compare=False)
+    zeta_tilde: Optional[float] = None  # the utility LP's anchor, once chosen
 
     @property
     def ok(self) -> bool:
@@ -140,8 +139,6 @@ class LPResult:
 
 
 def _expand_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if bounds is None:
-        bounds = (0, None)
     if isinstance(bounds, tuple) and len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
         bounds = [bounds] * n
     lb = np.array([-np.inf if lo is None else float(lo) for lo, _ in bounds])
@@ -336,17 +333,39 @@ def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
     return float(-gaps[k]), float(zs[k]), dips
 
 
-def _infeasible(method: str, detail: str, params: dict) -> SolveReport:
+def _infeasible(method: str, detail: str, zeta_tilde: Optional[float] = None) -> SolveReport:
     return SolveReport(lam=None, t=None, objective=float("nan"),
                        max_violation=float("nan"), optimality_gap=float("nan"),
                        status="Infeasible", certificate=None, method=method,
-                       detail=detail, params=params)
+                       detail=detail, zeta_tilde=zeta_tilde)
 
 
-def _after_ceiling(ceiling: SolveReport, detail: str = "") -> str:
+def _join(*notes: str) -> str:
+    return "; ".join(n for n in notes if n)
+
+
+def _after_ceiling(ceiling: SolveReport, *notes: str) -> str:
     """A designer's detail, led by its rate ceiling's note when there is one."""
-    note = f"rate ceiling: {ceiling.detail}" if ceiling.detail else ""
-    return "; ".join(d for d in (note, detail) if d)
+    return _join(f"rate ceiling: {ceiling.detail}" if ceiling.detail else "", *notes)
+
+
+def _rate_ceiling(spec: DesignSpec) -> tuple[SolveReport, str]:
+    """The rate-maximal design for `spec`, and why it rules out spec.R_d ("" if not)."""
+    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
+    if ceiling.status != "Optimal":
+        return ceiling, _join(f"rate ceiling failed: {ceiling.status}", ceiling.detail)
+    if spec.R_d > ceiling.objective + 1e-9:
+        return ceiling, _after_ceiling(
+            ceiling, f"required rate {spec.R_d} exceeds R_max={ceiling.objective:.6f}")
+    return ceiling, ""
+
+
+def _scan_note(violation: float, rounds: int) -> str:
+    """An IterLimit's cause when the continuous scan is it, else ""."""
+    if violation <= MARGIN:
+        return ""
+    return (f"scan violation {violation:.3e} exceeds MARGIN={MARGIN:g} "
+            f"after {rounds} exchange rounds")
 
 
 def design_rate(
@@ -362,7 +381,6 @@ def design_rate(
     degenerate.  When that tie-break LP fails its KKT check, the first
     LP's vertex, which passed its own, is kept and `detail` says so.
     """
-    params = {"rho": rho, "epsilon": epsilon, "d_v": d_v, "grid_n": grid_n}
     if d_v < 2:
         raise ValueError("d_v must be >= 2")
     _check_grid_n(grid_n)
@@ -397,7 +415,7 @@ def design_rate(
             if points else base_xs
         lp, vec, note = solve_at(xs)
         if lp.status != "Optimal":
-            return _infeasible("rate", f"grid LP is {lp.status}", params)
+            return _infeasible("rate", f"grid LP is {lp.status}")
         lam = _lam_from_vec(vec, d_v)
         violation, z_star, dips = _gap_scan(lam, rho, ctx, 0.0, z_lo, MARGIN / 2)
         if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
@@ -408,12 +426,11 @@ def design_rate(
 
     lam = lam.renormalized()
     R = ensemble_rate(Ensemble(lam=lam, rho=rho))
-    gap = lp.kkt_residual
-    status = "Optimal" if violation <= MARGIN and rounds <= REFINE_ROUNDS else "IterLimit"
+    status = "Optimal" if violation <= MARGIN else "IterLimit"
     return SolveReport(lam=lam, t=None, objective=R, max_violation=violation,
-                       optimality_gap=gap, status=status, certificate=None,
-                       method="rate", detail=note, extra_points=points,
-                       rounds=rounds, params=params)
+                       optimality_gap=lp.kkt_residual, status=status, certificate=None,
+                       method="rate", detail=_join(note, _scan_note(violation, rounds)),
+                       rounds=rounds)
 
 
 def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
@@ -484,19 +501,15 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     `_tune_zeta_tilde`.
     """
     spec.validate()
-    params = {"spec": spec}
-    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
-    if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
-        got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
-        return _infeasible("utility", _after_ceiling(
-            ceiling, f"required rate {spec.R_d} exceeds R_max={got:.6f}"), params)
+    ceiling, miss = _rate_ceiling(spec)
+    if miss:
+        return _infeasible("utility", miss)
 
     ctx = spec.context()
     d_v = spec.d_v
     q = spec.rho.integral() / (1.0 - spec.R_d)
     zt = (_tune_zeta_tilde(spec, ctx, q) if spec.zeta_tilde is None
           else spec.zeta_tilde)
-    params["zeta_tilde"] = zt
     z_lo = z_of_x(ctx.rho, zt)
     base_zs = (z_lo + (1.0 - ctx.epsilon - z_lo)
                * np.arange(1, spec.grid_n + 1) / spec.grid_n)
@@ -507,8 +520,8 @@ def design_utility(spec: DesignSpec) -> SolveReport:
         zs = np.unique(np.concatenate([base_zs, np.asarray(points)])) if points else base_zs
         lp = _utility_lp(ctx, zs, d_v, q)
         if lp.status != "Optimal":
-            return _infeasible("utility",
-                               _after_ceiling(ceiling, f"grid LP is {lp.status}"), params)
+            return _infeasible("utility", _after_ceiling(ceiling, f"grid LP is {lp.status}"),
+                               zeta_tilde=zt)
         t_lp = float(lp.x[-1])
         lam = _lam_from_vec(lp.x[:-1], d_v)
         violation, z_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, z_lo, MARGIN / 2)
@@ -532,8 +545,9 @@ def design_utility(spec: DesignSpec) -> SolveReport:
         status = "CertificateFail"
     return SolveReport(lam=lam, t=t, objective=t, max_violation=violation,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
-                       certificate=cert, method="utility", detail=_after_ceiling(ceiling),
-                       extra_points=points, rounds=rounds, params=params)
+                       certificate=cert, method="utility",
+                       detail=_after_ceiling(ceiling, _scan_note(violation, rounds)),
+                       rounds=rounds, zeta_tilde=zt)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
@@ -575,12 +589,9 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     certifies optimality to `BARRIER_TOL`.
     """
     spec.validate()
-    params = {"spec": spec}
-    ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
-    if ceiling.status != "Optimal" or spec.R_d > ceiling.objective + 1e-9:
-        got = ceiling.objective if ceiling.status == "Optimal" else float("nan")
-        return _infeasible("min-iter", _after_ceiling(
-            ceiling, f"required rate {spec.R_d} exceeds R_max={got:.6f}"), params)
+    ceiling, miss = _rate_ceiling(spec)
+    if miss:
+        return _infeasible("min-iter", miss)
 
     ctx = spec.context()
     d_v = spec.d_v
@@ -601,8 +612,7 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
 
     v0, slack = _phase_one(xs, psi_vals, d_v, q)
     if v0 is None:
-        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"),
-                           params)
+        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"))
     if slack <= 1e-10 or spec.R_d >= ceiling.objective - 1e-9:
         # rate floor equals the ceiling: the feasible set has no interior
         # (phase one may still see a sliver because its midpoint grid is
@@ -617,12 +627,11 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
                            certificate=None, method="min-iter",
                            detail=_after_ceiling(
                                ceiling, "rate floor leaves no interior; returned the "
-                                        "rate-maximal design"), params=params)
+                                        "rate-maximal design"))
 
     m_ineq = (d_v - 1) + 1
     v = v0.copy()
     tau = 1.0
-    converged = False
     for _ in range(BARRIER_MAX_OUTER):
         for _ in range(BARRIER_MAX_NEWTON):
             g = psi_vals - X @ v
@@ -665,16 +674,18 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
             if alpha <= 1e-12:
                 break
             v = v + alpha * step
-        if m_ineq / tau <= BARRIER_TOL:
-            converged = True
+        gap = m_ineq / tau  # duality gap of the point centred at this tau
+        if gap <= BARRIER_TOL:
             break
         tau *= 10.0
 
     lam = _lam_from_vec(v, d_v).renormalized()
     obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
     violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
-    gap = m_ineq / tau
-    status = "Optimal" if converged and violation <= MARGIN else "IterLimit"
+    status = "Optimal" if gap <= BARRIER_TOL and violation <= MARGIN else "IterLimit"
+    barrier = "" if gap <= BARRIER_TOL else (
+        f"barrier stopped at duality gap {gap:.3e} above BARRIER_TOL={BARRIER_TOL:g}")
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
                        optimality_gap=gap, status=status, certificate=None,
-                       method="min-iter", detail=_after_ceiling(ceiling), params=params)
+                       method="min-iter",
+                       detail=_after_ceiling(ceiling, barrier, _scan_note(violation, 0)))

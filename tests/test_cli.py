@@ -185,3 +185,62 @@ def test_reproduce_matches_its_manifest_and_repeats(tmp_path, figure):
         assert man["artifacts"] == {f"{figure}.csv": hashlib.sha256(data).hexdigest()}
         runs.append(data)
     assert runs[0] == runs[1]
+
+
+X7_COC = load_fixtures().get("x7_coc_r045").ensemble.to_json()
+EVAL_ARGS = [X7_COC, "--epsilon", "0.5", "--eta", "1e-5"]
+
+
+# each command's printed JSON is the file it writes with --out, and the
+# manifest lists the outputs in write order, the main JSON last
+@pytest.mark.parametrize("argv, name, order", [
+    (["evaluate"] + EVAL_ARGS, "summary", ["trace.csv", "summary.json"]),
+    (["estimate"] + EVAL_ARGS, "summary", ["summary.json"]),
+    (["certify"] + EVAL_ARGS + ["--t", "1e-4", "--zeta-tilde", "0.01"], "certificate",
+     ["certificate.json"]),
+    (RATE_ARGS, "report", ["ensemble.json", "report.json"]),
+], ids=["evaluate", "estimate", "certify", "design"])
+def test_printed_json_is_the_written_json(tmp_path, capsys, argv, name, order):
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    prefix = tmp_path / "o"
+    assert main(argv + ["--out", str(prefix)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / f"o.{name}.json").read_text() == printed
+    man = _manifest(prefix)
+    assert man["outputs"] == [f"{prefix}.{suffix}" for suffix in order]
+    assert list(man["artifacts"]) == sorted(f"o.{suffix}" for suffix in order)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"o.{suffix}" for suffix in order] + ["o.manifest.json"])
+
+
+# DEContext.create is the one check of (epsilon, eta); the CLI adds none
+@pytest.mark.parametrize("command", ["evaluate", "estimate", "certify"])
+@pytest.mark.parametrize("epsilon, eta, message", [
+    ("0.5", "0.7", "eta 0.7 outside [0.0, 0.5]"),
+    ("0.5", "0.5", "eta 0.5 outside [0.0, 0.5]"),
+    ("1.2", "1e-5", "epsilon 1.2 outside [0.0, 1.0]"),
+    ("1.0", "0.5", "epsilon 1.0 outside [0.0, 1.0]"),
+])
+def test_eta_and_epsilon_out_of_range_exit_usage(tmp_path, capsys, command, epsilon, eta,
+                                                 message):
+    argv = [command, X7_COC, "--epsilon", epsilon, "--eta", eta]
+    if command == "certify":
+        argv += ["--t", "1e-4"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_min_iter_iter_limit_says_why(tmp_path, capsys):
+    # at grid 2 the converged barrier design crosses psi between its nodes
+    prefix = tmp_path / "coarse"
+    assert main(MIN_ITER_ARGS + ["--grid-n", "2", "--out", str(prefix)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("design: IterLimit: scan violation ")
+    assert f"exceeds MARGIN={solve.MARGIN:g}" in err
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    assert report["status"] == "IterLimit"
+    assert report["detail"] == err.strip()[len("design: IterLimit: "):]
+    assert f"{report['max_violation']:.3e}" in report["detail"]

@@ -8,11 +8,9 @@ from helpers import frac_binom_oracle
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
-    NonConvergent,
     ReversionSingular,
     TaylorSeries,
     binom_frac,
-    order_for_tolerance,
     psi,
     taylor_for,
     taylor_general,
@@ -131,19 +129,6 @@ class TestDispatchAndOrderSearch:
         a = taylor_for(rho_mix, 0.48, M=24)
         b = taylor_general(rho_mix, 0.48, 24)
         assert np.allclose(a.dense, b.dense, rtol=1e-13, atol=0.0)
-
-    def test_order_search_meets_tolerance_on_independent_grid(self, rho_mix):
-        ctx = DEContext.create(rho_mix, 0.48, 1e-4)
-        M = order_for_tolerance(ctx, tol=1e-6)
-        T = taylor_for(rho_mix, 0.48, M=M)
-        xs = np.linspace(0.0, 0.95 * ctx.xi, 777)
-        err = np.abs(T.eval(xs) - psi(ctx, xs))
-        assert float(err.max()) <= 1e-6
-
-    def test_order_search_gives_up_past_cap(self, rho_mix):
-        ctx = DEContext.create(rho_mix, 0.48, 1e-4)
-        with pytest.raises(NonConvergent):
-            order_for_tolerance(ctx, tol=1e-15, max_order=100)
 
 
 class TestSeriesContainer:

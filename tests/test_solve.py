@@ -308,10 +308,16 @@ class TestDesignRate:
         assert ref.status == "Optimal"
         assert ref.max_violation <= solve.MARGIN
         assert ref.rounds >= 1
-        assert len(ref.extra_points) > 0
         # the lax grid overestimates the ceiling; refinement walks it down
         assert ref.objective < cand.objective
         assert ref.objective == pytest.approx(0.471454, abs=5e-4)
+
+    def test_iter_limit_names_the_scan_violation(self, rho_x7, monkeypatch):
+        monkeypatch.setattr(solve, "REFINE_ROUNDS", 0)
+        rep = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
+        assert rep.status == "IterLimit"
+        assert rep.detail == (f"scan violation {rep.max_violation:.3e} exceeds "
+                              f"MARGIN={solve.MARGIN:g} after 0 exchange rounds")
 
 
 # the Fig. 2 utility design and the three Fig. 4 ones, at the default grid
@@ -333,7 +339,7 @@ class TestDesignUtility:
         assert rep.certificate is not None and rep.certificate.passed
         # the only feasible lam leaves t = worst step of lam = x itself
         ctx = spec.context()
-        direct = utility(rep.lam, ctx, zeta_tilde=rep.params["zeta_tilde"])
+        direct = utility(rep.lam, ctx, zeta_tilde=rep.zeta_tilde)
         assert rep.t == pytest.approx(direct.value, abs=5e-7)
         assert 0.0 < rep.t < direct.value  # backoff keeps it strictly inside
 
@@ -342,6 +348,14 @@ class TestDesignUtility:
         rep = design_utility(spec)
         assert rep.status == "Infeasible"
         assert "exceeds R_max=0.4714" in rep.detail
+
+    @pytest.mark.parametrize("designer", [design_utility, design_min_iterations])
+    def test_failed_ceiling_says_it_failed(self, rho_x7, designer):
+        # lam = x alone is unstable at eps = 0.5: the d_v = 2 ceiling LP is infeasible
+        rep = designer(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=2, R_d=0.3,
+                                  grid_n=512))
+        assert rep.status == "Infeasible"
+        assert rep.detail == "rate ceiling failed: Infeasible; grid LP is Infeasible"
 
     def test_published_mix_design(self, rho_mix, utility_mix):
         spec, rep = utility_mix
@@ -376,7 +390,7 @@ class TestDesignUtility:
         assert rep.status == "Optimal"
         assert rep.certificate.kind == "SturmPass"
         ctx = spec.context()
-        zt = rep.params["zeta_tilde"]
+        zt = rep.zeta_tilde
         above = certify(compile_constraint(rep.lam, 1.01 * rep.t, rho, spec.epsilon,
                                            zt, ctx.xi))
         assert not above.passed
@@ -402,7 +416,7 @@ class TestDesignUtility:
     def test_dominates_rate_design(self, rho_mix, utility_mix):
         spec, rep = utility_mix
         rmax = design_rate(rho_mix, MIX_EPS, 16, grid_n=1024)
-        zt = rep.params["zeta_tilde"]
+        zt = rep.zeta_tilde
         u_rate = utility(rmax.lam, spec.context(), zeta_tilde=zt)
         assert rep.t >= u_rate.value
         assert rep.t > u_rate.value + 0.01  # rate design hugs psi, tiny floor
@@ -465,6 +479,17 @@ class TestDesignMinIterations:
         assert np.array_equal(rep.lam.dense, ceiling.lam.dense)
         # pinned to the ceiling the curve gap collapses, so the count blows up
         assert rep.objective > 10 * rep045.objective
+
+    def test_unconverged_barrier_names_its_gap(self, rho_x7, monkeypatch):
+        # one barrier weight, tau = 1: the gap of its centre is the 16
+        # inequalities (15 coefficients and the rate floor) over tau
+        monkeypatch.setattr(solve, "BARRIER_MAX_OUTER", 1)
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
+                                               R_d=0.45, d_v=16, grid_n=512))
+        assert rep.status == "IterLimit"
+        assert rep.optimality_gap == 16.0
+        assert rep.detail.startswith("barrier stopped at duality gap 1.600e+01 above "
+                                     f"BARRIER_TOL={solve.BARRIER_TOL:g}")
 
     def test_infeasible_above_ceiling(self, rho_x7):
         spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
