@@ -22,8 +22,13 @@ sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
 step size (psi - lam)/psi' on a grid of z, both through `_transfer`; the
-utility designer's LP rows sit on such a grid too.  `bisect_increasing`
+utility designer's LP rows sit on such a grid too.  Beside them,
+`transfer_step_at` is the same step at one z on Python floats, by the
+Horner rule above, for the utility's scalar polish.  `bisect_increasing`
 is the inversion behind `de_engine.z_of_x`, for callers that are handed x.
+It halves a whole array of targets at once; a single target is bisected
+on Python floats with the same halving rule and the same residuals, so
+both give the same z to the bit.
 
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
@@ -63,8 +68,8 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     ``status`` is one of the STATUS_* codes.
     """
 
-    lam_d = np.asarray(lam_c, dtype=np.float64)[::-1].tolist()
-    rho_d = np.asarray(rho_c, dtype=np.float64)[::-1].tolist()
+    lam_d = _descending(lam_c)
+    rho_d = _descending(rho_c)
     eps = float(eps)
     eta = float(eta)
     stall_tol = float(stall_tol)
@@ -84,15 +89,39 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     return np.array(probs, dtype=np.float64), status
 
 
+def _descending(coef):
+    """Ascending coefficients as a highest-power-first list for `_horner`."""
+    return np.asarray(coef, dtype=np.float64)[::-1].tolist()
+
+
+def _bisect_one(coef_d, target, tol):
+    """`bisect_increasing` for one target, on floats, with its halving rule."""
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        resid = _horner(coef_d, mid) - target
+        if abs(resid) <= tol:
+            break
+        if resid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def bisect_increasing(coef, targets, tol):
     """Solve ``poly(z) = target`` on [0, 1] for each target.
 
     The polynomial must be nondecreasing on [0, 1]; iteration stops per
     entry once the residual is within ``tol`` or after `BISECT_MAX_ITER`
-    halvings.
+    halvings.  A single target runs on Python floats, bit-identical to the
+    array loop.
     """
 
     targets = np.ascontiguousarray(targets, dtype=np.float64)
+    if targets.size == 1:
+        mid = _bisect_one(_descending(coef), float(targets.flat[0]), float(tol))
+        return np.full_like(targets, mid)
     coef = np.ascontiguousarray(coef, dtype=np.float64)
     lo = np.zeros_like(targets)
     hi = np.ones_like(targets)
@@ -154,6 +183,26 @@ def _transfer(lam_c, rho_c, eps, zs):
     xs = 1.0 - npoly.polyval(zs, rho_c)
     scaled_gap = (1.0 - zs) - eps * npoly.polyval(xs, np.asarray(lam_c, dtype=np.float64))
     return xs, scaled_gap, npoly.polyval(zs, npoly.polyder(rho_c))
+
+
+def transfer_step_at(lam_c, rho_c, eps):
+    """The float function z -> `transfer_step`'s step at z, bit for bit.
+
+    The coefficient lists are prepared once, for a scalar minimizer's
+    many single-point calls.
+    """
+
+    rho_c = np.asarray(rho_c, dtype=np.float64)
+    lam_d, rho_d = _descending(lam_c), _descending(rho_c)
+    slope_d = _descending(npoly.polyder(rho_c))
+    eps = float(eps)
+
+    def step(z):
+        z = float(z)  # minimizers pass numpy scalars, slow in `_horner`
+        x = 1.0 - _horner(rho_d, z)
+        return _horner(slope_d, z) * ((1.0 - z) - eps * _horner(lam_d, x))
+
+    return step
 
 
 def transfer_gap_scan(lam_c, rho_c, eps, t, zs):

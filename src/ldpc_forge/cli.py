@@ -10,6 +10,7 @@ hashes and the command's wall time from its entry (per figure for
 utility design's report also records the zeta_tilde it used.  `design`
 and `reproduce` manifests also record the HiGHS options and the numpy,
 scipy and HiGHS versions, on which the low digits of a design depend.
+`main` parses with one parser per process, built on its first call.
 
 `certify` takes an ensemble, (epsilon, eta), the step size --t and an
 optional --zeta-tilde (default zeta/2), and decides the exact step
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -35,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy
@@ -120,20 +122,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def render_csv(header: list[str], rows: Iterable[tuple], comments: tuple) -> str:
+    """CSV text with \r\n line ends, then one "# " line per comment.
 
-
-def render_csv(header: list[str], rows: list[tuple], comments: tuple) -> str:
+    The csv module writes None as an empty cell and a float as its repr.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     text = buf.getvalue()
     for c in comments:
         text += f"# {c}\r\n"
@@ -238,7 +235,7 @@ def _trace_comments(trace) -> tuple:
     if isinstance(s, ReachedTarget):
         return (f"status=ReachedTarget N={s.iterations}",)
     if isinstance(s, Stalled):
-        return (f"status=Stalled at_iteration={s.at_iteration} P={_fmt(s.P_value)}",)
+        return (f"status=Stalled at_iteration={s.at_iteration} P={s.P_value!r}",)
     return (f"status=MaxIterations l_max={s.l_max}",)
 
 
@@ -323,9 +320,9 @@ def cmd_evaluate(args) -> int:
         summary.update(_no_estimates(e))
     else:
         summary.update(_estimates(e, ctx, args.zeta_tilde))
-    rows = [(i, float(p)) for i, p in enumerate(trace.probs)]
-    _emit(args, "summary", summary,
-          (".trace.csv", render_csv(["iteration", "P"], rows, _trace_comments(trace))))
+    csv_text = render_csv(["iteration", "P"], enumerate(trace.probs.tolist()),
+                          _trace_comments(trace))
+    _emit(args, "summary", summary, (".trace.csv", csv_text))
     return EXIT_OK if trace.iterations is not None else EXIT_DECODING
 
 
@@ -602,7 +599,9 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves no state on it."""
     p = argparse.ArgumentParser(
         prog="ldpc-forge",
         description="Design and evaluate erasure-channel degree distributions "

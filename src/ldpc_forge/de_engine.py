@@ -24,7 +24,8 @@ recursion variable P = 1 - z.  Whatever is handed x finds z through
 coefficients are nonnegative.  psi and psi', the rate LP's rows, the
 zeta_tilde-tuning grids and single anchors such as z(zeta_tilde) go
 through it.  Bisection rather than Newton: unconditional convergence
-matters more than speed at these sizes.
+matters more than speed at these sizes, where one anchor, bisected on
+Python floats, costs about 0.04 ms.
 """
 
 from __future__ import annotations

@@ -174,10 +174,7 @@ def utility(
     xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
     k = int(np.argmin(vals))
 
-    def step(z: float) -> float:
-        return float(_kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon,
-                                            np.array([z]))[1][0])
-
+    step = _kernels.transfer_step_at(lam.dense, ctx.rho.dense, ctx.epsilon)
     res = minimize_scalar(step, bounds=(zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]),
                           method="bounded", options={"xatol": 1e-10})
     if res.fun <= vals[k]:

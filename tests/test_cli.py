@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from helpers import failing_tie_break, fixture_context
+import ldpc_forge
 from ldpc_forge import DEContext, DegreeDistribution, NonnegCertificate, solve, utility
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
-                            load_fixtures, main)
+                            build_parser, load_fixtures, main, render_csv)
 
 RATE_ARGS = ["design", "--objective", "rate", "--rho", '{"8": 1.0}',
              "--epsilon", "0.5", "--dv", "16", "--grid-n", "512"]
@@ -244,3 +248,67 @@ def test_min_iter_iter_limit_says_why(tmp_path, capsys):
     assert report["status"] == "IterLimit"
     assert report["detail"] == err.strip()[len("design: IterLimit: "):]
     assert f"{report['max_violation']:.3e}" in report["detail"]
+
+
+def test_render_csv_exact_bytes():
+    # None is an empty cell, a float its repr, a comma forces quotes, every
+    # line ends in \r\n and comments follow the rows as "# " lines
+    text = render_csv(
+        ["iteration", "P", "note"],
+        [(0, 0.5, None), (1, 1e-05, "a, b"), (2, 1e+16, "plain"), (3, None, 7)],
+        ("status=ReachedTarget N=3", "epsilon=0.5"))
+    assert text.encode() == (
+        b"iteration,P,note\r\n"
+        b"0,0.5,\r\n"
+        b'1,1e-05,"a, b"\r\n'
+        b"2,1e+16,plain\r\n"
+        b"3,,7\r\n"
+        b"# status=ReachedTarget N=3\r\n"
+        b"# epsilon=0.5\r\n")
+
+
+def _evaluate_outputs(prefix) -> tuple:
+    summary = (prefix.parent / f"{prefix.name}.summary.json").read_text()
+    params = _manifest(prefix)["parameters"]
+    params.pop("out")
+    return summary, params
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    # a flag set on one call is absent from the next, which reads as the
+    # same call made alone with a freshly built parser
+    assert build_parser() is build_parser()
+    assert main(["evaluate"] + EVAL_ARGS + ["--zeta-tilde", "0.01",
+                                           "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["evaluate"] + EVAL_ARGS + ["--out", str(tmp_path / "b")]) == EXIT_OK
+    build_parser.cache_clear()
+    assert main(["evaluate"] + EVAL_ARGS + ["--out", str(tmp_path / "c")]) == EXIT_OK
+    with_anchor, _ = _evaluate_outputs(tmp_path / "a")
+    after, alone = _evaluate_outputs(tmp_path / "b"), _evaluate_outputs(tmp_path / "c")
+    assert after == alone and "zeta_tilde" not in alone[1]
+    assert with_anchor != after[0]
+
+    assert main(RATE_ARGS + ["--rd", "0.45", "--eta", "1e-5",
+                             "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert main(RATE_ARGS + ["--out", str(tmp_path / "e")]) == EXIT_OK
+    build_parser.cache_clear()
+    assert main(RATE_ARGS + ["--out", str(tmp_path / "f")]) == EXIT_OK
+    reports, params = [], []
+    for name in "def":
+        reports.append((tmp_path / f"{name}.report.json").read_text())
+        man = _manifest(tmp_path / name)
+        man["parameters"].pop("out")
+        params.append(man["parameters"])
+    assert reports[1] == reports[2] == reports[0]
+    assert params[1] == params[2] and not {"rd", "eta"} & set(params[2])
+    assert {"rd", "eta"} <= set(params[0])
+
+
+def test_import_does_not_build_the_parser():
+    code = ("from ldpc_forge import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "cli.build_parser()\n"
+            "assert cli.build_parser.cache_info().currsize == 1\n")
+    src = os.path.dirname(os.path.dirname(ldpc_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -121,6 +121,18 @@ class TestInversion:
         z_per_point = np.array([z_of_x(ctx_x7.rho, float(x)) for x in xs])
         assert z_of_x(ctx_x7.rho, xs).tobytes() == z_per_point.tobytes()
 
+    def test_one_target_equals_the_batched_call_to_the_bit(self, rho_x7, rho_mix, fixtures):
+        # a single target is bisected on floats, an array by numpy; same z
+        rng = np.random.default_rng(20261018)
+        targets = np.concatenate([[0.0, 1.0, 1.0 - 1e-16], rng.uniform(0.0, 1.0, 500)])
+        rhos = [rho_x7, rho_mix] + [f.ensemble.rho for f in fixtures]
+        for rho in rhos:
+            batched = _kernels.bisect_increasing(rho.dense, targets, INVERSION_TOL)
+            one = np.concatenate([
+                _kernels.bisect_increasing(rho.dense, np.array([t]), INVERSION_TOL)
+                for t in targets])
+            assert one.tobytes() == batched.tobytes()
+
     @pytest.mark.parametrize("zeta_tilde", [0.0, 1e-4, 0.3])
     def test_compiled_constraint_anchors_at_the_same_z(self, ctx_x7, zeta_tilde):
         lam = DegreeDistribution({2: 0.5, 3: 0.5})

@@ -530,6 +530,15 @@ class TestZScan:
         _, step = _kernels.transfer_step(lam.dense, rho.dense, ctx.epsilon, zs)
         assert np.max(np.abs(step - (want + t * dpsi) / dpsi)) <= 1e-10
 
+    def test_scalar_step_is_the_grid_step_to_the_bit(self, fixtures):
+        for f in fixtures:
+            lam, rho, eps = f.ensemble.lam, f.ensemble.rho, f.params["epsilon"]
+            zs = np.linspace(1.0 - eps, 1.0, 1025)
+            _, want = _kernels.transfer_step(lam.dense, rho.dense, eps, zs)
+            step = _kernels.transfer_step_at(lam.dense, rho.dense, eps)
+            got = np.array([step(z) for z in zs])
+            assert got.tobytes() == want.tobytes(), f.name
+
     def test_no_scan_inverts_a_grid(self, rho_x7, rho_mix, fixtures, monkeypatch):
         sizes = []
         real = _kernels.bisect_increasing
