@@ -14,8 +14,8 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `sip_compile` - the step-size constraint as one exact polynomial in
   z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
-  the utility LP's rows sit in z and the iteration objective is taken over
-  P, the estimate `evaluate` reports;
+  the two LP designers share one point exchange, and the `sip_compile`
+  certificate decides every utility and min-iter status;
 * `cli` - the `ldpc-forge` command with embedded published designs and a
   dataset reproduction harness.
 """

@@ -20,7 +20,8 @@ margin and, on failure, witness_x with the curve gap there.
 Exit codes: 0 success, 2 usage or validation error, 3 decoding or
 certificate failure (`evaluate` or `estimate` past the threshold, a
 failing `certify`, a `design` with status CertificateFail), 4 solver
-reported Infeasible/IterLimit.
+reported Infeasible/IterLimit or failed numerically (`NumericalFailure`,
+such as a design LP that fails its KKT gate).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import estimators, sip_compile
 from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
-from .errors import DegenerateGap, LdpcForgeError
+from .errors import DegenerateGap, LdpcForgeError, NumericalFailure
 from .solve import (DEFAULT_GRID_N, LP_OPTIONS, DesignSpec, SolveReport,
                     design_min_iterations, design_rate, design_utility)
 
@@ -667,10 +668,10 @@ def main(argv=None) -> int:
     args.started = time.perf_counter()
     try:
         return args.func(args)
-    except LdpcForgeError as exc:
+    except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+        return EXIT_SOLVER
+    except (LdpcForgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,16 +4,16 @@ Three entry points over a common toolkit:
 
 * `design_rate` - maximize the code rate for fixed rho, eps, d_v.  Linear
   program over lam with the curve constraint lam(x) <= psi(x) - MARGIN on
-  a grid uniform in x, plus exchange refinement against the continuous
-  interval.
+  a grid uniform in x, refined by the point exchange below.  Its status
+  rests on the exchange's last scan; it carries no certificate.
 * `design_utility` - maximize the worst-case decoding step size t subject
   to psi - lam >= t*psi' on [zeta_tilde, xi] and a rate floor.  Linear
   program in (lam, t) whose rows sit uniformly in z = rho^{-1}(1 - x),
   where x = 1 - rho(z), psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are
-  closed form; only z(zeta_tilde) is bisected.  The result carries the
-  `sip_compile` certificate of the exact constraint at t*(1 - 1e-6); a
-  design whose certificate fails gets status "CertificateFail", never
-  "Optimal".  An unset zeta_tilde is tuned by exact decoding cost.
+  closed form; only z(zeta_tilde) is bisected.  Refined by the same
+  exchange.  The verdict is the `sip_compile` certificate of the exact
+  constraint at t*(1 - 1e-6): "Optimal" if it passes, "CertificateFail"
+  if not.  An unset zeta_tilde is tuned by exact decoding cost.
 * `design_min_iterations` - minimize the iteration-count integral
   int_eta^eps dP/g(P), g(P) = P - eps*lam(1 - rho(1 - P)), by the log-P
   midpoint rule of `estimators.code_estimates`, so the objective is the
@@ -21,7 +21,8 @@ Three entry points over a common toolkit:
   at x = 1 - rho(1 - P) with psi = P/eps and weight psi' dx = P*du/eps.
   The objective is convex in lam and blows up as lam touches psi, so a
   log-barrier Newton method over the simplex-and-ratefloor feasible set
-  converges with a clean duality-gap bound.
+  converges with a clean duality-gap bound; below `BARRIER_TOL` the
+  certificate of psi - lam >= 0 on [zeta, xi] is the verdict.
 
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
@@ -37,9 +38,9 @@ rate LP's rows and the zeta_tilde-tuning grids.  Both choices are
 measured: the rate design's downstream iteration counts move with any
 change of its rows, and tuning over a z-uniform grid picks a worse anchor
 for Fig. 2.
-Each continuous-interval check (`_gap_scan`) samples `SCAN_N` points
-uniformly in z; one scan per exchange round yields both the worst
-violation and the new exchange points, as z.
+The continuous-interval scan (`SCAN_N` points uniform in z) lives in the
+two LP designers' point exchange (`_exchange`; Hettich & Kortanek, SIAM
+Review 1993) and serves only it; no designer scans a formed design.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import DomainError, NumericalFailure
 from .sip_compile import NonnegCertificate, certify, compile_constraint
 
 DEFAULT_GRID_N = 4096
-MARGIN = 1e-7  # curve margin of the rate LP and scan tolerance of every design
+MARGIN = 1e-7  # curve margin of the rate LP and tolerance of the exchange scan
 SCAN_N = 100_000
 REFINE_ROUNDS = 12  # exchange rounds of the LP designers
 BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
@@ -300,37 +301,40 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
-def _gap_scan(lam: DegreeDistribution, rho: DegreeDistribution, ctx: DEContext,
-              t: float, z_lo: float,
-              threshold: float = 0.0) -> tuple[float, float, list[float]]:
-    """Worst violation of psi - lam - t*psi' >= 0 for z in [1 - eps, z_lo].
+def _exchange(solve_at, rho: DegreeDistribution, ctx: DEContext, z_lo: float):
+    """The LP designers' point exchange against z in [1 - eps, z_lo].
 
-    Samples SCAN_N points uniformly in z from z_lo down to z(xi) = 1 - eps
-    and polishes the worst one by bounded scalar minimization.
-    Returns (violation, z, dips): violation = -min gap, positive when the
-    constraint fails at z; dips are the z of the local gap minima below
-    -threshold, worst first, at most 32 of them.
+    `solve_at(points)` solves the grid LP with the exchange points (z)
+    added and returns (lp, lam, t, note), lam None if it has no optimum.
+    Each solve is scanned: psi - lam - t*psi' at `SCAN_N` points uniform
+    in z, the worst polished by bounded scalar minimization.  Until the
+    violation (-min gap) is at most MARGIN/2 or `REFINE_ROUNDS` runs out,
+    the worst point and the local minima below -MARGIN/2 (worst first, at
+    most 32) join the points.  Returns the last (lp, lam, t, note), its
+    violation and the rounds taken.
     """
     zs = np.linspace(z_lo, 1.0 - ctx.epsilon, SCAN_N)
-    _, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
-    mid = gaps[1:-1]
-    interior = (mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -threshold)
-    idx = np.nonzero(interior)[0] + 1
-    dips = [float(zs[j]) for j in idx[np.argsort(gaps[idx])][:32]]
-
-    k = int(np.argmin(gaps))
     h = (z_lo - zs[-1]) / (SCAN_N - 1)
-
-    def gap_at(z: float) -> float:
-        return float(_kernels.transfer_gap_scan(
-            lam.dense, rho.dense, ctx.epsilon, t, np.array([z]))[1][0])
-
-    res = minimize_scalar(gap_at, bounds=(max(zs[-1], zs[k] - 2 * h),
-                                          min(z_lo, zs[k] + 2 * h)),
-                          method="bounded", options={"xatol": 1e-12})
-    if res.fun < gaps[k]:
-        return float(-res.fun), float(res.x), dips
-    return float(-gaps[k]), float(zs[k]), dips
+    points: list[float] = []
+    rounds = 0
+    while True:
+        lp, lam, t, note = solve_at(np.asarray(points, dtype=np.float64))
+        if lam is None:
+            return lp, lam, t, note, float("nan"), rounds
+        _, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
+        k = int(np.argmin(gaps))
+        res = minimize_scalar(
+            lambda z: float(_kernels.transfer_gap_scan(
+                lam.dense, rho.dense, ctx.epsilon, t, np.array([z]))[1][0]),
+            bounds=(max(zs[-1], zs[k] - 2 * h), min(z_lo, zs[k] + 2 * h)),
+            method="bounded", options={"xatol": 1e-12})
+        violation, z_star = (-res.fun, res.x) if res.fun < gaps[k] else (-gaps[k], zs[k])
+        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
+            return lp, lam, t, note, float(violation), rounds
+        mid = gaps[1:-1]
+        dips = np.nonzero((mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -MARGIN / 2))[0] + 1
+        points += [float(zs[j]) for j in dips[np.argsort(gaps[dips])][:32]] + [float(z_star)]
+        rounds += 1
 
 
 def _infeasible(method: str, detail: str, zeta_tilde: Optional[float] = None) -> SolveReport:
@@ -360,12 +364,11 @@ def _rate_ceiling(spec: DesignSpec) -> tuple[SolveReport, str]:
     return ceiling, ""
 
 
-def _scan_note(violation: float, rounds: int) -> str:
-    """An IterLimit's cause when the continuous scan is it, else ""."""
-    if violation <= MARGIN:
-        return ""
-    return (f"scan violation {violation:.3e} exceeds MARGIN={MARGIN:g} "
-            f"after {rounds} exchange rounds")
+def _verdict(cert: NonnegCertificate) -> tuple[str, str]:
+    """The status a formed design's certificate gives it, and the cause of a fail."""
+    if cert.passed:
+        return "Optimal", ""
+    return "CertificateFail", f"certificate margin {cert.margin:.3e} at x={cert.witness!r}"
 
 
 def design_rate(
@@ -387,16 +390,18 @@ def design_rate(
     ctx = DEContext.create(rho, epsilon, eta=epsilon * 1e-6)
     base_xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
     z_lo = z_of_x(rho, ctx.xi / SCAN_N)
-    points = ()
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
 
-    def solve_at(xs: np.ndarray):
+    def solve_at(points: np.ndarray):
+        # the rows stay in x: exchange points come in through x = 1 - rho(z)
+        xs = (np.unique(np.concatenate([base_xs, 1.0 - rho.eval(points)]))
+              if points.size else base_xs)
         A = _vandermonde(xs, d_v)
         b = psi(ctx, xs) - MARGIN
         eq = np.ones((1, d_v - 1))
         first = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if first.status != "Optimal":
-            return first, None, ""
+            return first, None, 0.0, ""
         best = -first.objective
         # tie-break: pin the optimal rate, prefer small lam_2
         c2 = np.zeros(d_v - 1)
@@ -405,32 +410,23 @@ def design_rate(
         try:
             second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=eq2, b_eq=[1.0, best])
         except NumericalFailure as exc:
-            return first, first.x, f"tie-break LP rejected ({exc}); kept the rate-optimal vertex"
+            return (first, _lam_from_vec(first.x, d_v), 0.0,
+                    f"tie-break LP rejected ({exc}); kept the rate-optimal vertex")
         vec = second.x if second.status == "Optimal" else first.x
-        return first, vec, ""
+        return first, _lam_from_vec(vec, d_v), 0.0, ""
 
-    rounds = 0
-    while True:
-        xs = np.unique(np.concatenate([base_xs, np.asarray(points, dtype=np.float64)])) \
-            if points else base_xs
-        lp, vec, note = solve_at(xs)
-        if lp.status != "Optimal":
-            return _infeasible("rate", f"grid LP is {lp.status}")
-        lam = _lam_from_vec(vec, d_v)
-        violation, z_star, dips = _gap_scan(lam, rho, ctx, 0.0, z_lo, MARGIN / 2)
-        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
-            break
-        # the rows stay in x: exchange points go back through x = 1 - rho(z)
-        points = points + tuple(1.0 - rho.eval(z) for z in dips + [z_star])
-        rounds += 1
-
+    lp, lam, _, note, violation, rounds = _exchange(solve_at, rho, ctx, z_lo)
+    if lam is None:
+        return _infeasible("rate", f"grid LP is {lp.status}")
     lam = lam.renormalized()
     R = ensemble_rate(Ensemble(lam=lam, rho=rho))
     status = "Optimal" if violation <= MARGIN else "IterLimit"
+    scan = "" if status == "Optimal" else (
+        f"scan violation {violation:.3e} exceeds MARGIN={MARGIN:g} "
+        f"after {rounds} exchange rounds")
     return SolveReport(lam=lam, t=None, objective=R, max_violation=violation,
                        optimality_gap=lp.kkt_residual, status=status, certificate=None,
-                       method="rate", detail=_join(note, _scan_note(violation, rounds)),
-                       rounds=rounds)
+                       method="rate", detail=_join(note, scan), rounds=rounds)
 
 
 def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
@@ -492,12 +488,12 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
 
     Runs the rate-ceiling check first, solves on `grid_n` rows uniform in
-    z on [z(zeta_tilde), 1 - eps], exchange-refines against the continuous
-    interval, then backs the reported t off by a margin-scaled amount so
-    the constraint holds strictly everywhere, and certifies the exact
-    constraint for (lam, t*(1-1e-6)).  A failing certificate turns
-    an "Optimal" status into "CertificateFail"; lam and t are kept.  When
-    the spec leaves zeta_tilde unset the anchor is tuned per
+    z on [z(zeta_tilde), 1 - eps] with the point exchange against the
+    continuous interval, then backs the reported t off by a margin-scaled
+    amount and certifies the exact constraint for (lam, t*(1-1e-6)).
+    The certificate is the verdict: "Optimal" if it passes,
+    "CertificateFail" (lam and t kept) if not; max_violation is minus its
+    margin.  When the spec leaves zeta_tilde unset the anchor is tuned per
     `_tune_zeta_tilde`.
     """
     spec.validate()
@@ -513,41 +509,34 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     z_lo = z_of_x(ctx.rho, zt)
     base_zs = (z_lo + (1.0 - ctx.epsilon - z_lo)
                * np.arange(1, spec.grid_n + 1) / spec.grid_n)
-    points = ()
 
-    rounds = 0
-    while True:
-        zs = np.unique(np.concatenate([base_zs, np.asarray(points)])) if points else base_zs
+    def solve_at(points: np.ndarray):
+        zs = np.unique(np.concatenate([base_zs, points])) if points.size else base_zs
         lp = _utility_lp(ctx, zs, d_v, q)
         if lp.status != "Optimal":
-            return _infeasible("utility", _after_ceiling(ceiling, f"grid LP is {lp.status}"),
-                               zeta_tilde=zt)
-        t_lp = float(lp.x[-1])
-        lam = _lam_from_vec(lp.x[:-1], d_v)
-        violation, z_star, dips = _gap_scan(lam, spec.rho, ctx, t_lp, z_lo, MARGIN / 2)
-        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
-            break
-        points = points + tuple(dips) + (z_star,)
-        rounds += 1
+            return lp, None, 0.0, ""
+        return lp, _lam_from_vec(lp.x[:-1], d_v), float(lp.x[-1]), ""
+
+    lp, lam, t_lp, _, _, rounds = _exchange(solve_at, spec.rho, ctx, z_lo)
+    if lam is None:
+        return _infeasible("utility", _after_ceiling(ceiling, f"grid LP is {lp.status}"),
+                           zeta_tilde=zt)
 
     # psi' is increasing, so paying 2*margin of gap at the left end pays at
-    # least that much everywhere; the backed-off t then clears the residual
-    # scan violation (<= margin/2) with room for the certificate's own
-    # (1 - 1e-6) relief.  1/psi'(zeta_tilde) = eps*rho'(z(zeta_tilde)).
+    # least that much everywhere; the backed-off t then clears the
+    # exchange's residual violation (<= margin/2) with room for the
+    # certificate's own (1 - 1e-6) relief.  1/psi'(zeta_tilde) =
+    # eps*rho'(z(zeta_tilde)).
     backoff = 2.0 * MARGIN * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
     t = max(t_lp - backoff, 0.0)
     lam = lam.renormalized()
-    violation, _, _ = _gap_scan(lam, spec.rho, ctx, t, z_lo)
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
-    status = "Optimal" if violation <= MARGIN else "IterLimit"
-    if status == "Optimal" and not cert.passed:
-        status = "CertificateFail"
-    return SolveReport(lam=lam, t=t, objective=t, max_violation=violation,
+    status, why = _verdict(cert)
+    return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
                        certificate=cert, method="utility",
-                       detail=_after_ceiling(ceiling, _scan_note(violation, rounds)),
-                       rounds=rounds, zeta_tilde=zt)
+                       detail=_after_ceiling(ceiling, why), rounds=rounds, zeta_tilde=zt)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
@@ -577,60 +566,9 @@ def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
     return res.x[:-1], float(res.x[-1])
 
 
-def design_min_iterations(spec: DesignSpec) -> SolveReport:
-    """Minimize the discretized iteration integral by log-barrier Newton.
-
-    The objective sum w_i/(psi_i - lam(x_i)) over the `grid_n` log-P
-    midpoint nodes P_i of [eta, eps], with x_i = 1 - rho(1 - P_i),
-    psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
-    approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
-    and already penalizes the curve constraint; the barrier adds the
-    coefficient simplex and the rate floor.  The duality gap m/tau
-    certifies optimality to `BARRIER_TOL`.
-    """
-    spec.validate()
-    ceiling, miss = _rate_ceiling(spec)
-    if miss:
-        return _infeasible("min-iter", miss)
-
-    ctx = spec.context()
-    d_v = spec.d_v
-    ps, du = _kernels.log_p_nodes(ctx.eta, ctx.epsilon, spec.grid_n)
-    xs = 1.0 - spec.rho.eval(1.0 - ps)
-    psi_vals = ps / ctx.epsilon
-    w = ps * du / ctx.epsilon
-    X = _vandermonde(xs, d_v)
-    inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
-    q = spec.rho.integral() / (1.0 - spec.R_d)
-    z_zeta = 1.0 - ctx.eta  # z(zeta), exactly
-
-    def objective(v: np.ndarray) -> float:
-        g = psi_vals - X @ v
-        if g.min() <= 0.0:
-            return np.inf
-        return float(np.sum(w / g))
-
-    v0, slack = _phase_one(xs, psi_vals, d_v, q)
-    if v0 is None:
-        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"))
-    if slack <= 1e-10 or spec.R_d >= ceiling.objective - 1e-9:
-        # rate floor equals the ceiling: the feasible set has no interior
-        # (phase one may still see a sliver because its midpoint grid is
-        # laxer than the ceiling LP's), so the rate-maximal design is the
-        # answer
-        lam = ceiling.lam
-        vec = np.array([lam.coeff(j) for j in range(2, d_v + 1)])
-        obj = objective(vec)
-        violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
-        return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
-                           optimality_gap=float("nan"), status="Optimal",
-                           certificate=None, method="min-iter",
-                           detail=_after_ceiling(
-                               ceiling, "rate floor leaves no interior; returned the "
-                                        "rate-maximal design"))
-
-    m_ineq = (d_v - 1) + 1
-    v = v0.copy()
+def _barrier(v, X, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
+    """Barrier Newton from the interior point v, tau x10 per round: (v, duality gap)."""
+    d_v = m_ineq = v.size + 1  # the coefficients and the rate floor
     tau = 1.0
     for _ in range(BARRIER_MAX_OUTER):
         for _ in range(BARRIER_MAX_NEWTON):
@@ -678,14 +616,60 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
         if gap <= BARRIER_TOL:
             break
         tau *= 10.0
+    return v, gap
 
-    lam = _lam_from_vec(v, d_v).renormalized()
-    obj = objective(np.array([lam.coeff(j) for j in range(2, d_v + 1)]))
-    violation, _, _ = _gap_scan(lam, spec.rho, ctx, 0.0, z_zeta)
-    status = "Optimal" if gap <= BARRIER_TOL and violation <= MARGIN else "IterLimit"
-    barrier = "" if gap <= BARRIER_TOL else (
-        f"barrier stopped at duality gap {gap:.3e} above BARRIER_TOL={BARRIER_TOL:g}")
-    return SolveReport(lam=lam, t=None, objective=obj, max_violation=violation,
-                       optimality_gap=gap, status=status, certificate=None,
-                       method="min-iter",
-                       detail=_after_ceiling(ceiling, barrier, _scan_note(violation, 0)))
+
+def design_min_iterations(spec: DesignSpec) -> SolveReport:
+    """Minimize the discretized iteration integral by log-barrier Newton.
+
+    The objective sum w_i/(psi_i - lam(x_i)) over the `grid_n` log-P
+    midpoint nodes P_i of [eta, eps], with x_i = 1 - rho(1 - P_i),
+    psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
+    approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
+    and already penalizes the curve constraint; the barrier adds the
+    coefficient simplex and the rate floor.  A duality gap m/tau above
+    `BARRIER_TOL` is "IterLimit"; below it the certificate of
+    psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
+    (lam kept), as it does for the rate-maximal design returned when the
+    rate floor leaves no interior.  max_violation is -certificate.margin.
+    """
+    spec.validate()
+    ceiling, miss = _rate_ceiling(spec)
+    if miss:
+        return _infeasible("min-iter", miss)
+
+    ctx = spec.context()
+    d_v = spec.d_v
+    ps, du = _kernels.log_p_nodes(ctx.eta, ctx.epsilon, spec.grid_n)
+    xs = 1.0 - spec.rho.eval(1.0 - ps)
+    psi_vals = ps / ctx.epsilon
+    w = ps * du / ctx.epsilon
+    X = _vandermonde(xs, d_v)
+    inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
+    q = spec.rho.integral() / (1.0 - spec.R_d)
+
+    v0, slack = _phase_one(xs, psi_vals, d_v, q)
+    if v0 is None:
+        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"))
+    if slack <= 1e-10 or spec.R_d >= ceiling.objective - 1e-9:
+        # rate floor equals the ceiling: the feasible set has no interior
+        # (phase one may still see a sliver because its midpoint grid is
+        # laxer than the ceiling LP's), so the rate-maximal design is the
+        # answer
+        lam, gap = ceiling.lam, float("nan")
+        note = "rate floor leaves no interior; returned the rate-maximal design"
+    else:
+        v, gap = _barrier(v0, X, psi_vals, w, inv_degrees, q)
+        lam = _lam_from_vec(v, d_v).renormalized()
+        note = "" if gap <= BARRIER_TOL else (
+            f"barrier stopped at duality gap {gap:.3e} above BARRIER_TOL={BARRIER_TOL:g}")
+
+    g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
+    obj = float(np.sum(w / g)) if g.min() > 0.0 else np.inf
+    cert = certify(compile_constraint(lam, 0.0, spec.rho, ctx.epsilon, ctx.zeta, ctx.xi))
+    status, why = _verdict(cert)
+    if gap > BARRIER_TOL:  # False for the no-interior design's NaN gap
+        status = "IterLimit"
+    return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
+                       optimality_gap=gap, status=status, certificate=cert,
+                       method="min-iter", detail=_after_ceiling(ceiling, note, why))

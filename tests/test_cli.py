@@ -11,7 +11,8 @@ import pytest
 
 from helpers import failing_tie_break, fixture_context
 import ldpc_forge
-from ldpc_forge import DEContext, DegreeDistribution, NonnegCertificate, solve, utility
+from ldpc_forge import (DEContext, DegreeDistribution, NonnegCertificate,
+                        NumericalFailure, solve, utility)
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             build_parser, load_fixtures, main, render_csv)
 
@@ -236,18 +237,31 @@ def test_eta_and_epsilon_out_of_range_exit_usage(tmp_path, capsys, command, epsi
     assert not any(tmp_path.iterdir())
 
 
-def test_min_iter_iter_limit_says_why(tmp_path, capsys):
-    # at grid 2 the converged barrier design crosses psi between its nodes
+def test_min_iter_crossing_psi_fails_its_certificate(tmp_path, capsys):
+    # at grid 2 the converged barrier design crosses psi between its nodes,
+    # and the exact certificate of psi - lam >= 0 on [zeta, xi] finds it
     prefix = tmp_path / "coarse"
-    assert main(MIN_ITER_ARGS + ["--grid-n", "2", "--out", str(prefix)]) == EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert err.startswith("design: IterLimit: scan violation ")
-    assert f"exceeds MARGIN={solve.MARGIN:g}" in err
+    assert main(MIN_ITER_ARGS + ["--grid-n", "2", "--out", str(prefix)]) == EXIT_DECODING
+    assert capsys.readouterr().err.startswith("design: CertificateFail: margin ")
     with open(f"{prefix}.report.json") as fh:
         report = json.load(fh)
-    assert report["status"] == "IterLimit"
-    assert report["detail"] == err.strip()[len("design: IterLimit: "):]
-    assert f"{report['max_violation']:.3e}" in report["detail"]
+    assert report["status"] == "CertificateFail"
+    cert = report["certificate"]
+    assert cert["kind"] == "SturmFail"
+    ctx = DEContext.create(DegreeDistribution({8: 1.0}), 0.5, 1e-5)
+    assert ctx.zeta <= cert["witness_x"] <= ctx.xi
+    assert report["max_violation"] == -cert["margin"] > solve.MARGIN
+
+
+def test_solver_numerical_failure_exits_solver(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise NumericalFailure("stationarity residual 1.000e-03 exceeds 1e-6")
+
+    monkeypatch.setattr(solve, "lp_solve", failing)
+    assert main(RATE_ARGS + ["--out", str(tmp_path / "rate")]) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "error: stationarity residual 1.000e-03 exceeds 1e-6\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_render_csv_exact_bytes():

@@ -389,6 +389,7 @@ class TestDesignUtility:
         rep = design_utility(spec)
         assert rep.status == "Optimal"
         assert rep.certificate.kind == "SturmPass"
+        assert rep.max_violation == -rep.certificate.margin
         ctx = spec.context()
         zt = rep.zeta_tilde
         above = certify(compile_constraint(rep.lam, 1.01 * rep.t, rho, spec.epsilon,
@@ -490,6 +491,36 @@ class TestDesignMinIterations:
         assert rep.optimality_gap == 16.0
         assert rep.detail.startswith("barrier stopped at duality gap 1.600e+01 above "
                                      f"BARRIER_TOL={solve.BARRIER_TOL:g}")
+
+    @pytest.mark.parametrize("at_ceiling", [False, True], ids=["r045", "no_interior"])
+    def test_optimal_carries_a_passed_certificate(self, rho_x7, miniter_045, at_ceiling):
+        spec, rep = miniter_045
+        if at_ceiling:
+            R_max = design_rate(rho_x7, X7_EPS, 16, grid_n=1024).objective
+            rep = design_min_iterations(replace(spec, R_d=R_max))
+            assert "no interior" in rep.detail
+        assert rep.status == "Optimal"
+        assert rep.certificate.kind == "SturmPass"
+        assert rep.max_violation == -rep.certificate.margin
+
+    def test_failing_certificate_is_not_optimal(self, miniter_045, monkeypatch):
+        monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
+            "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+        spec, passed = miniter_045
+        rep = design_min_iterations(spec)
+        assert rep.status == "CertificateFail" and not rep.ok
+        assert np.array_equal(rep.lam.dense, passed.lam.dense)
+        assert rep.max_violation == 1.0
+        assert rep.detail == "certificate margin -1.000e+00 at x=0.5"
+
+    def test_unconverged_barrier_is_still_certified(self, rho_x7, monkeypatch):
+        # the duality gap decides IterLimit; the certificate rides along
+        monkeypatch.setattr(solve, "BARRIER_MAX_OUTER", 1)
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
+                                               R_d=0.45, d_v=16, grid_n=512))
+        assert rep.status == "IterLimit"
+        assert rep.certificate.kind == "SturmPass"
+        assert rep.max_violation == -rep.certificate.margin
 
     def test_infeasible_above_ceiling(self, rho_x7):
         spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
