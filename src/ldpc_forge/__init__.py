@@ -14,8 +14,8 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `sip_compile` - the step-size constraint as one exact polynomial in
   z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
-  the two LP designers share one point exchange, and the `sip_compile`
-  certificate decides every utility and min-iter status;
+  the `sip_compile` certificate decides every status but a failed solve,
+  and the rate designer also re-solves with its witnesses as rows;
 * `cli` - the `ldpc-forge` command with embedded published designs and a
   dataset reproduction harness.
 """

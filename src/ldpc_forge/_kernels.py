@@ -22,7 +22,10 @@ sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
 step size (psi - lam)/psi' on a grid of z, both through `_transfer`; the
-utility designer's LP rows sit on such a grid too.  Beside them,
+utility designer's LP rows sit on such a grid too.  No designer scans
+the gap any longer (the `sip_compile` certificate decides it exactly);
+`transfer_gap_scan` stays as the reference the tests check the closed
+form against, and for the benchmark tracer that wraps it.  Beside them,
 `transfer_step_at` is the same step at one z on Python floats, by the
 Horner rule above, for the utility's scalar polish.  `bisect_increasing`
 is the inversion behind `de_engine.z_of_x`, for callers that are handed x.

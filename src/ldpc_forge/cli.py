@@ -19,9 +19,10 @@ margin and, on failure, witness_x with the curve gap there.
 
 Exit codes: 0 success, 2 usage or validation error, 3 decoding or
 certificate failure (`evaluate` or `estimate` past the threshold, a
-failing `certify`, a `design` with status CertificateFail), 4 solver
-reported Infeasible/IterLimit or failed numerically (`NumericalFailure`,
-such as a design LP that fails its KKT gate).
+failing `certify`, a `design` of any objective with status
+CertificateFail), 4 solver reported Infeasible, a min-iter barrier that
+stopped at IterLimit, or a numerical failure (`NumericalFailure`, such
+as a design LP that fails its KKT gate).
 """
 
 from __future__ import annotations

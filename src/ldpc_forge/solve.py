@@ -4,16 +4,18 @@ Three entry points over a common toolkit:
 
 * `design_rate` - maximize the code rate for fixed rho, eps, d_v.  Linear
   program over lam with the curve constraint lam(x) <= psi(x) - MARGIN on
-  a grid uniform in x, refined by the point exchange below.  Its status
-  rests on the exchange's last scan; it carries no certificate.
+  a grid uniform in x.  The `sip_compile` certificate of psi - lam >= 0
+  on [zeta, xi] refines and judges it: each witness of a failure becomes
+  one more row, and the last certificate gives "Optimal" or
+  "CertificateFail".
 * `design_utility` - maximize the worst-case decoding step size t subject
   to psi - lam >= t*psi' on [zeta_tilde, xi] and a rate floor.  Linear
   program in (lam, t) whose rows sit uniformly in z = rho^{-1}(1 - x),
   where x = 1 - rho(z), psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are
-  closed form; only z(zeta_tilde) is bisected.  Refined by the same
-  exchange.  The verdict is the `sip_compile` certificate of the exact
-  constraint at t*(1 - 1e-6): "Optimal" if it passes, "CertificateFail"
-  if not.  An unset zeta_tilde is tuned by exact decoding cost.
+  closed form; only z(zeta_tilde), the grid's own end row, is bisected.
+  The verdict is the certificate of the exact constraint at
+  t*(1 - 1e-6): "Optimal" if it passes, "CertificateFail" if not.  An
+  unset zeta_tilde is tuned by exact decoding cost.
 * `design_min_iterations` - minimize the iteration-count integral
   int_eta^eps dP/g(P), g(P) = P - eps*lam(1 - rho(1 - P)), by the log-P
   midpoint rule of `estimators.code_estimates`, so the objective is the
@@ -33,14 +35,12 @@ the most-violated rows per round) until x satisfies every posed row.  A
 4096-row design LP, of which a handful of rows are active, converges in
 two or three solves of at most a few hundred rows; the answer is the same
 LP's optimum, and the KKT gates check it against all the rows.  Two
-grids stay uniform in x, so their z comes from `de_engine.z_of_x`: the
-rate LP's rows and the zeta_tilde-tuning grids.  Both choices are
+grids stay uniform in x: the rate LP's rows, and the zeta_tilde-tuning
+grids, whose z comes from `de_engine.z_of_x`.  Both choices are
 measured: the rate design's downstream iteration counts move with any
 change of its rows, and tuning over a z-uniform grid picks a worse anchor
-for Fig. 2.
-The continuous-interval scan (`SCAN_N` points uniform in z) lives in the
-two LP designers' point exchange (`_exchange`; Hettich & Kortanek, SIAM
-Review 1993) and serves only it; no designer scans a formed design.
+for Fig. 2.  Every "Optimal" report carries a passed certificate; no
+designer samples the continuous interval.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from . import _kernels
 from .de_engine import DEContext, de_trace, psi, z_of_x
@@ -58,9 +58,8 @@ from .errors import DomainError, NumericalFailure
 from .sip_compile import NonnegCertificate, certify, compile_constraint
 
 DEFAULT_GRID_N = 4096
-MARGIN = 1e-7  # curve margin of the rate LP and tolerance of the exchange scan
-SCAN_N = 100_000
-REFINE_ROUNDS = 12  # exchange rounds of the LP designers
+MARGIN = 1e-7  # curve margin of the rate LP's rows, and the utility backoff's unit
+REFINE_ROUNDS = 12  # rate LP re-solves with a failed certificate's witness as a row
 BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
 BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
@@ -121,7 +120,7 @@ class SolveReport:
     certificate: Optional[NonnegCertificate]
     method: str
     detail: str = ""  # notes, and the cause of any status but Optimal
-    rounds: int = 0
+    rounds: int = 0  # the rate design's certificate re-solves; 0 for the others
     zeta_tilde: Optional[float] = None  # the utility LP's anchor, once chosen
 
     @property
@@ -301,42 +300,6 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
     return np.column_stack([xs ** (j - 1) for j in range(2, d_v + 1)])
 
 
-def _exchange(solve_at, rho: DegreeDistribution, ctx: DEContext, z_lo: float):
-    """The LP designers' point exchange against z in [1 - eps, z_lo].
-
-    `solve_at(points)` solves the grid LP with the exchange points (z)
-    added and returns (lp, lam, t, note), lam None if it has no optimum.
-    Each solve is scanned: psi - lam - t*psi' at `SCAN_N` points uniform
-    in z, the worst polished by bounded scalar minimization.  Until the
-    violation (-min gap) is at most MARGIN/2 or `REFINE_ROUNDS` runs out,
-    the worst point and the local minima below -MARGIN/2 (worst first, at
-    most 32) join the points.  Returns the last (lp, lam, t, note), its
-    violation and the rounds taken.
-    """
-    zs = np.linspace(z_lo, 1.0 - ctx.epsilon, SCAN_N)
-    h = (z_lo - zs[-1]) / (SCAN_N - 1)
-    points: list[float] = []
-    rounds = 0
-    while True:
-        lp, lam, t, note = solve_at(np.asarray(points, dtype=np.float64))
-        if lam is None:
-            return lp, lam, t, note, float("nan"), rounds
-        _, gaps = _kernels.transfer_gap_scan(lam.dense, rho.dense, ctx.epsilon, t, zs)
-        k = int(np.argmin(gaps))
-        res = minimize_scalar(
-            lambda z: float(_kernels.transfer_gap_scan(
-                lam.dense, rho.dense, ctx.epsilon, t, np.array([z]))[1][0]),
-            bounds=(max(zs[-1], zs[k] - 2 * h), min(z_lo, zs[k] + 2 * h)),
-            method="bounded", options={"xatol": 1e-12})
-        violation, z_star = (-res.fun, res.x) if res.fun < gaps[k] else (-gaps[k], zs[k])
-        if violation <= MARGIN / 2 or rounds >= REFINE_ROUNDS:
-            return lp, lam, t, note, float(violation), rounds
-        mid = gaps[1:-1]
-        dips = np.nonzero((mid < gaps[:-2]) & (mid <= gaps[2:]) & (mid < -MARGIN / 2))[0] + 1
-        points += [float(zs[j]) for j in dips[np.argsort(gaps[dips])][:32]] + [float(z_star)]
-        rounds += 1
-
-
 def _infeasible(method: str, detail: str, zeta_tilde: Optional[float] = None) -> SolveReport:
     return SolveReport(lam=None, t=None, objective=float("nan"),
                        max_violation=float("nan"), optimality_gap=float("nan"),
@@ -379,54 +342,56 @@ def design_rate(
 ) -> SolveReport:
     """Maximize sum lam_i/i (hence the rate) under lam <= psi - `MARGIN`.
 
-    Among rate-optimal vertices the one with the smallest lam_2 is
-    returned, which makes the output deterministic when the LP optimum is
-    degenerate.  When that tie-break LP fails its KKT check, the first
-    LP's vertex, which passed its own, is kept and `detail` says so.
+    The rows sit at `grid_n` points uniform in x on (0, xi].  Each
+    renormalized design is certified, psi - lam >= 0 on [zeta, xi] with
+    eta = eps*1e-6; while the certificate fails, its witness joins the
+    rows and the LP is solved again, at most `REFINE_ROUNDS` times and
+    never for a witness that is already a row.  The last certificate is
+    the verdict: "Optimal" if it passes, "CertificateFail" (lam kept) if
+    not; max_violation is minus its margin and `rounds` counts the
+    re-solves.  Among rate-optimal vertices the one with the smallest
+    lam_2 is returned, which makes the output deterministic when the LP
+    optimum is degenerate.  When that tie-break LP fails its KKT check,
+    the first LP's vertex, which passed its own, is kept and `detail`
+    says so.
     """
     if d_v < 2:
         raise ValueError("d_v must be >= 2")
     _check_grid_n(grid_n)
     ctx = DEContext.create(rho, epsilon, eta=epsilon * 1e-6)
-    base_xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
-    z_lo = z_of_x(rho, ctx.xi / SCAN_N)
+    xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
-
-    def solve_at(points: np.ndarray):
-        # the rows stay in x: exchange points come in through x = 1 - rho(z)
-        xs = (np.unique(np.concatenate([base_xs, 1.0 - rho.eval(points)]))
-              if points.size else base_xs)
+    eq = np.ones((1, d_v - 1))
+    c2 = np.zeros(d_v - 1)
+    c2[0] = 1.0
+    rounds = 0
+    while True:
         A = _vandermonde(xs, d_v)
         b = psi(ctx, xs) - MARGIN
-        eq = np.ones((1, d_v - 1))
-        first = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
-        if first.status != "Optimal":
-            return first, None, 0.0, ""
-        best = -first.objective
+        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
+        if lp.status != "Optimal":
+            return _infeasible("rate", f"grid LP is {lp.status}")
         # tie-break: pin the optimal rate, prefer small lam_2
-        c2 = np.zeros(d_v - 1)
-        c2[0] = 1.0
-        eq2 = np.vstack([eq, inv_degrees])
+        vec, note = lp.x, ""
         try:
-            second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=eq2, b_eq=[1.0, best])
+            second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=np.vstack([eq, inv_degrees]),
+                              b_eq=[1.0, -lp.objective])
         except NumericalFailure as exc:
-            return (first, _lam_from_vec(first.x, d_v), 0.0,
-                    f"tie-break LP rejected ({exc}); kept the rate-optimal vertex")
-        vec = second.x if second.status == "Optimal" else first.x
-        return first, _lam_from_vec(vec, d_v), 0.0, ""
-
-    lp, lam, _, note, violation, rounds = _exchange(solve_at, rho, ctx, z_lo)
-    if lam is None:
-        return _infeasible("rate", f"grid LP is {lp.status}")
-    lam = lam.renormalized()
-    R = ensemble_rate(Ensemble(lam=lam, rho=rho))
-    status = "Optimal" if violation <= MARGIN else "IterLimit"
-    scan = "" if status == "Optimal" else (
-        f"scan violation {violation:.3e} exceeds MARGIN={MARGIN:g} "
-        f"after {rounds} exchange rounds")
-    return SolveReport(lam=lam, t=None, objective=R, max_violation=violation,
-                       optimality_gap=lp.kkt_residual, status=status, certificate=None,
-                       method="rate", detail=_join(note, scan), rounds=rounds)
+            note = f"tie-break LP rejected ({exc}); kept the rate-optimal vertex"
+        else:
+            if second.status == "Optimal":
+                vec = second.x
+        lam = _lam_from_vec(vec, d_v).renormalized()
+        cert = certify(compile_constraint(lam, 0.0, rho, epsilon, ctx.zeta, ctx.xi))
+        if cert.passed or rounds >= REFINE_ROUNDS or cert.witness in xs:
+            break
+        xs = np.unique(np.append(xs, cert.witness))
+        rounds += 1
+    status, why = _verdict(cert)
+    return SolveReport(lam=lam, t=None, objective=ensemble_rate(Ensemble(lam=lam, rho=rho)),
+                       max_violation=-cert.margin, optimality_gap=lp.kkt_residual,
+                       status=status, certificate=cert, method="rate",
+                       detail=_join(note, why), rounds=rounds)
 
 
 def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
@@ -487,14 +452,14 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
 def design_utility(spec: DesignSpec) -> SolveReport:
     """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
 
-    Runs the rate-ceiling check first, solves on `grid_n` rows uniform in
-    z on [z(zeta_tilde), 1 - eps] with the point exchange against the
-    continuous interval, then backs the reported t off by a margin-scaled
-    amount and certifies the exact constraint for (lam, t*(1-1e-6)).
-    The certificate is the verdict: "Optimal" if it passes,
-    "CertificateFail" (lam and t kept) if not; max_violation is minus its
-    margin.  When the spec leaves zeta_tilde unset the anchor is tuned per
-    `_tune_zeta_tilde`.
+    Runs the rate-ceiling check first, then solves one LP on `grid_n` rows
+    uniform in z on [1 - eps, z(zeta_tilde)) plus the row at z(zeta_tilde)
+    itself, the left end in x, where the step floor binds.  The reported t is
+    backed off by a margin-scaled amount, and the exact constraint is
+    certified for (lam, t*(1-1e-6)).  The certificate is the verdict:
+    "Optimal" if it passes, "CertificateFail" (lam and t kept) if not;
+    max_violation is minus its margin.  When the spec leaves zeta_tilde
+    unset the anchor is tuned per `_tune_zeta_tilde`.
     """
     spec.validate()
     ceiling, miss = _rate_ceiling(spec)
@@ -507,36 +472,29 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     zt = (_tune_zeta_tilde(spec, ctx, q) if spec.zeta_tilde is None
           else spec.zeta_tilde)
     z_lo = z_of_x(ctx.rho, zt)
-    base_zs = (z_lo + (1.0 - ctx.epsilon - z_lo)
-               * np.arange(1, spec.grid_n + 1) / spec.grid_n)
-
-    def solve_at(points: np.ndarray):
-        zs = np.unique(np.concatenate([base_zs, points])) if points.size else base_zs
-        lp = _utility_lp(ctx, zs, d_v, q)
-        if lp.status != "Optimal":
-            return lp, None, 0.0, ""
-        return lp, _lam_from_vec(lp.x[:-1], d_v), float(lp.x[-1]), ""
-
-    lp, lam, t_lp, _, _, rounds = _exchange(solve_at, spec.rho, ctx, z_lo)
-    if lam is None:
+    zs = np.unique(np.append(
+        z_lo + (1.0 - ctx.epsilon - z_lo) * np.arange(1, spec.grid_n + 1) / spec.grid_n,
+        z_lo))
+    lp = _utility_lp(ctx, zs, d_v, q)
+    if lp.status != "Optimal":
         return _infeasible("utility", _after_ceiling(ceiling, f"grid LP is {lp.status}"),
                            zeta_tilde=zt)
 
-    # psi' is increasing, so paying 2*margin of gap at the left end pays at
-    # least that much everywhere; the backed-off t then clears the
-    # exchange's residual violation (<= margin/2) with room for the
-    # certificate's own (1 - 1e-6) relief.  1/psi'(zeta_tilde) =
+    # the rows hold only at the nodes, and between them the gap may dip
+    # below t*psi'.  psi' is increasing, so paying 2*margin of gap at the
+    # left end pays at least that much everywhere, and the certificate's
+    # own (1 - 1e-6) relief adds to it.  1/psi'(zeta_tilde) =
     # eps*rho'(z(zeta_tilde)).
     backoff = 2.0 * MARGIN * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
-    t = max(t_lp - backoff, 0.0)
-    lam = lam.renormalized()
+    t = max(float(lp.x[-1]) - backoff, 0.0)
+    lam = _lam_from_vec(lp.x[:-1], d_v).renormalized()
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
     status, why = _verdict(cert)
     return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
                        certificate=cert, method="utility",
-                       detail=_after_ceiling(ceiling, why), rounds=rounds, zeta_tilde=zt)
+                       detail=_after_ceiling(ceiling, why), zeta_tilde=zt)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:

@@ -216,6 +216,33 @@ def failing_tie_break(lp_solve):
     return solve
 
 
+def fail_own_certificate(monkeypatch) -> None:
+    """Make `solve.certify` fail every certificate but the rate ceiling's.
+
+    Inside `solve.design_rate` the real certificate runs, so a utility or
+    min-iteration design keeps its ceiling and only its own verdict fails.
+    """
+    from ldpc_forge import NonnegCertificate, solve
+
+    real_certify, real_rate = solve.certify, solve.design_rate
+    inside_rate = []
+
+    def design_rate(*args, **kwargs):
+        inside_rate.append(True)
+        try:
+            return real_rate(*args, **kwargs)
+        finally:
+            inside_rate.pop()
+
+    def certify(cp):
+        if inside_rate:
+            return real_certify(cp)
+        return NonnegCertificate("SturmFail", -1.0, witness=0.5, witness_value=-1.0)
+
+    monkeypatch.setattr(solve, "design_rate", design_rate)
+    monkeypatch.setattr(solve, "certify", certify)
+
+
 def stability_cap(rho: DegreeDistribution, eps: float) -> float:
     """Upper limit on lam_2 for the recursion to contract near zero."""
     return 1.0 / (eps * rho.eval_deriv(1.0))

@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from helpers import failing_tie_break, fixture_context
+from helpers import fail_own_certificate, failing_tie_break, fixture_context
 import ldpc_forge
-from ldpc_forge import (DEContext, DegreeDistribution, NonnegCertificate,
-                        NumericalFailure, solve, utility)
+from ldpc_forge import (DEContext, DegreeDistribution, NumericalFailure, solve,
+                        utility)
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             build_parser, load_fixtures, main, render_csv)
 
@@ -132,8 +132,7 @@ def test_estimate_past_threshold_exits_decoding(tmp_path):
 
 
 def test_design_with_failing_certificate_exits_decoding(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
-        "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+    fail_own_certificate(monkeypatch)
     prefix = tmp_path / "util"
     argv = ["design", "--objective", "utility", "--rho", '{"8": 1.0}',
             "--epsilon", "0.1", "--eta", "1e-5", "--rd", "0.7", "--dv", "2",
@@ -251,6 +250,24 @@ def test_min_iter_crossing_psi_fails_its_certificate(tmp_path, capsys):
     ctx = DEContext.create(DegreeDistribution({8: 1.0}), 0.5, 1e-5)
     assert ctx.zeta <= cert["witness_x"] <= ctx.xi
     assert report["max_violation"] == -cert["margin"] > solve.MARGIN
+
+
+def test_rate_design_out_of_refine_rounds_exits_decoding(tmp_path, monkeypatch, capsys):
+    # at grid 64 the first LP's design crosses psi between its rows; with
+    # no re-solve allowed the certificate's failure is the verdict
+    monkeypatch.setattr(solve, "REFINE_ROUNDS", 0)
+    prefix = tmp_path / "coarse"
+    argv = RATE_ARGS[:-1] + ["64", "--out", str(prefix)]
+    assert main(argv) == EXIT_DECODING
+    assert capsys.readouterr().err.startswith("design: CertificateFail: margin ")
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    assert report["status"] == "CertificateFail" and report["rounds"] == 0
+    cert = report["certificate"]
+    assert cert["kind"] == "SturmFail" and cert["margin"] < 0.0
+    assert 0.0 < cert["witness_x"] < DEContext.create(DegreeDistribution({8: 1.0}),
+                                                      0.5, 5e-7).xi
+    assert report["max_violation"] == -cert["margin"]
 
 
 def test_solver_numerical_failure_exits_solver(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from helpers import (failing_tie_break, full_lp_reference, lp_vertex_enumeration_oracle,
-                     random_simplex_lambda)
+from helpers import (fail_own_certificate, failing_tie_break, full_lp_reference,
+                     lp_vertex_enumeration_oracle, random_simplex_lambda)
 from ldpc_forge import _kernels, solve
 from ldpc_forge import (
     DEContext,
@@ -21,7 +21,6 @@ from ldpc_forge import (
     design_min_iterations,
     design_rate,
     design_utility,
-    NonnegCertificate,
     certify,
     code_estimates,
     compile_constraint,
@@ -31,7 +30,6 @@ from ldpc_forge import (
     rate,
     utility,
 )
-from ldpc_forge.solve import SCAN_N
 
 X7_EPS = 0.5
 MIX_EPS = 1.0 - 0.5 / 0.90  # rate-to-capacity ratio 0.90 at R_d = 0.5
@@ -253,6 +251,7 @@ class TestDesignRate:
         assert rep.lam.coeff(2) == pytest.approx(1.0, abs=1e-12)
         assert rep.objective == pytest.approx(0.75, abs=1e-12)
         assert rep.max_violation <= solve.MARGIN
+        assert rep.certificate.passed and rep.rounds == 0
 
     @pytest.mark.parametrize("grid_n", [0, -5])
     def test_grid_n_floor(self, rho_x7, grid_n):
@@ -271,6 +270,7 @@ class TestDesignRate:
         assert rep.objective == pytest.approx(0.4714, abs=1e-3)
         assert rep.lam.coeff(2) == pytest.approx(0.2673, abs=2e-3)
         assert rep.max_violation <= solve.MARGIN
+        assert rep.certificate.passed
         assert rate(Ensemble(rep.lam, rho_x7)) == pytest.approx(rep.objective, rel=1e-12)
         ctx = DEContext.create(rho_x7, X7_EPS, 1e-5)
         assert check_successful(Ensemble(rep.lam, rho_x7), ctx, 100_000).ok
@@ -288,6 +288,7 @@ class TestDesignRate:
         for eps in (0.5 * (MIX_EPS + 0.5), 0.46):
             rep = design_rate(rho_mix, eps, 16)
             assert rep.status == "Optimal"
+            assert rep.certificate.passed
             assert rep.max_violation <= solve.MARGIN
             assert "tie-break LP rejected" in rep.detail
 
@@ -296,28 +297,47 @@ class TestDesignRate:
         # (R_d 0.5) passes both KKT gates on all 4096 rows
         rep = design_rate(rho_mix, MIX_EPS, 30)
         assert rep.status == "Optimal"
+        assert rep.certificate.passed
         assert rep.detail == ""
 
     def test_coarse_grid_refines_downward(self, rho_x7, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(solve, "REFINE_ROUNDS", 0)
             cand = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
-        assert cand.status == "IterLimit"
+        assert cand.status == "CertificateFail"
         assert cand.max_violation > solve.MARGIN
         ref = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
         assert ref.status == "Optimal"
+        assert ref.certificate.passed
         assert ref.max_violation <= solve.MARGIN
         assert ref.rounds >= 1
         # the lax grid overestimates the ceiling; refinement walks it down
         assert ref.objective < cand.objective
         assert ref.objective == pytest.approx(0.471454, abs=5e-4)
 
-    def test_iter_limit_names_the_scan_violation(self, rho_x7, monkeypatch):
+    def test_exhausted_refinement_names_the_certificate(self, rho_x7, monkeypatch):
         monkeypatch.setattr(solve, "REFINE_ROUNDS", 0)
         rep = design_rate(rho_x7, X7_EPS, 16, grid_n=64)
-        assert rep.status == "IterLimit"
-        assert rep.detail == (f"scan violation {rep.max_violation:.3e} exceeds "
-                              f"MARGIN={solve.MARGIN:g} after 0 exchange rounds")
+        cert = rep.certificate
+        assert rep.status == "CertificateFail" and rep.rounds == 0
+        assert cert.kind == "SturmFail"
+        assert rep.max_violation == -cert.margin
+        assert rep.detail == f"certificate margin {cert.margin:.3e} at x={cert.witness!r}"
+
+    # the Fig. 6 cells whose first grid LP crosses psi between its rows
+    @pytest.mark.parametrize("eps, d_v", [(0.48, 8), (0.48, 12), (0.50, 12),
+                                          (0.50, 20), (0.52, 12)])
+    def test_certificate_refines_fig6_cells(self, rho_x7, monkeypatch, eps, d_v):
+        with monkeypatch.context() as m:
+            m.setattr(solve, "REFINE_ROUNDS", 0)
+            first = design_rate(rho_x7, eps, d_v)
+        assert first.status == "CertificateFail"
+        rep = design_rate(rho_x7, eps, d_v)
+        assert rep.status == "Optimal" and rep.rounds >= 1
+        assert rep.certificate.kind == "SturmPass"
+        assert rep.max_violation == -rep.certificate.margin
+        ctx = DEContext.create(rho_x7, eps, eps * 1e-6)
+        assert check_successful(Ensemble(rep.lam, rho_x7), ctx, 100_000).ok
 
 
 # the Fig. 2 utility design and the three Fig. 4 ones, at the default grid
@@ -405,8 +425,7 @@ class TestDesignUtility:
         assert rep.lam.degrees == (2, 3, 16)
 
     def test_failing_certificate_is_not_optimal(self, rho_x7, monkeypatch):
-        monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
-            "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+        fail_own_certificate(monkeypatch)
         spec = DesignSpec(rho=rho_x7, epsilon=0.1, eta=1e-5, d_v=2,
                           R_d=0.7, grid_n=512)
         rep = design_utility(spec)
@@ -504,8 +523,7 @@ class TestDesignMinIterations:
         assert rep.max_violation == -rep.certificate.margin
 
     def test_failing_certificate_is_not_optimal(self, miniter_045, monkeypatch):
-        monkeypatch.setattr(solve, "certify", lambda cp: NonnegCertificate(
-            "SturmFail", -1.0, witness=0.5, witness_value=-1.0))
+        fail_own_certificate(monkeypatch)
         spec, passed = miniter_045
         rep = design_min_iterations(spec)
         assert rep.status == "CertificateFail" and not rep.ok
@@ -582,12 +600,14 @@ class TestZScan:
         mix = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
                          R_d=0.5, grid_n=512)
         rep = design_utility(mix)
-        assert rep.status == "Optimal" and rep.rounds > 0
+        assert rep.status == "Optimal"
         x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                         R_d=0.45, grid_n=512)
         assert design_min_iterations(x7).status == "Optimal"
-        # rate LP rows, zeta_tilde-tuning grids and single anchors only
-        assert sizes and max(sizes) < SCAN_N / 100
+        # rate LP rows (grid_n, plus one per certificate round), zeta_tilde-
+        # tuning grids and single anchors only
+        assert mix.grid_n == x7.grid_n
+        assert sizes and max(sizes) <= mix.grid_n + solve.REFINE_ROUNDS
         for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
             sizes.clear()
             utility(lam, spec.context())
