@@ -26,6 +26,11 @@ Three entry points over a common toolkit:
   converges with a clean duality-gap bound; below `BARRIER_TOL` the
   certificate of psi - lam >= 0 on [zeta, xi] is the verdict.
 
+Neither iteration designer designs the rate ceiling first: its own LP or
+phase one, which carries the rate floor, decides whether R_d is reachable,
+and its own certificate decides its status.  Only a failed program designs
+the ceiling, to say why (`_explain`); a floor at R_max is no special case.
+
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
@@ -311,20 +316,19 @@ def _join(*notes: str) -> str:
     return "; ".join(n for n in notes if n)
 
 
-def _after_ceiling(ceiling: SolveReport, *notes: str) -> str:
-    """A designer's detail, led by its rate ceiling's note when there is one."""
-    return _join(f"rate ceiling: {ceiling.detail}" if ceiling.detail else "", *notes)
+def _explain(spec: DesignSpec, note: str) -> str:
+    """Why an iteration design failed, told by the rate-maximal design for `spec`.
 
-
-def _rate_ceiling(spec: DesignSpec) -> tuple[SolveReport, str]:
-    """The rate-maximal design for `spec`, and why it rules out spec.R_d ("" if not)."""
+    A failed ceiling, or one below spec.R_d, is the cause; otherwise `note`
+    is, led by the ceiling's own note when it has one.
+    """
     ceiling = design_rate(spec.rho, spec.epsilon, spec.d_v, spec.grid_n)
     if ceiling.status != "Optimal":
-        return ceiling, _join(f"rate ceiling failed: {ceiling.status}", ceiling.detail)
+        return _join(f"rate ceiling failed: {ceiling.status}", ceiling.detail)
+    lead = f"rate ceiling: {ceiling.detail}" if ceiling.detail else ""
     if spec.R_d > ceiling.objective + 1e-9:
-        return ceiling, _after_ceiling(
-            ceiling, f"required rate {spec.R_d} exceeds R_max={ceiling.objective:.6f}")
-    return ceiling, ""
+        return _join(lead, f"required rate {spec.R_d} exceeds R_max={ceiling.objective:.6f}")
+    return _join(lead, note)
 
 
 def _verdict(cert: NonnegCertificate) -> tuple[str, str]:
@@ -364,10 +368,10 @@ def design_rate(
     eq = np.ones((1, d_v - 1))
     c2 = np.zeros(d_v - 1)
     c2[0] = 1.0
+    A = _vandermonde(xs, d_v)
+    b = psi(ctx, xs) - MARGIN
     rounds = 0
     while True:
-        A = _vandermonde(xs, d_v)
-        b = psi(ctx, xs) - MARGIN
         lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}")
@@ -383,9 +387,14 @@ def design_rate(
                 vec = second.x
         lam = _lam_from_vec(vec, d_v).renormalized()
         cert = certify(compile_constraint(lam, 0.0, rho, epsilon, ctx.zeta, ctx.xi))
-        if cert.passed or rounds >= REFINE_ROUNDS or cert.witness in xs:
+        w = cert.witness
+        if cert.passed or rounds >= REFINE_ROUNDS or w in xs:
             break
-        xs = np.unique(np.append(xs, cert.witness))
+        # the witness joins the sorted rows; no other row changes
+        k = int(np.searchsorted(xs, w))
+        xs = np.insert(xs, k, w)
+        A = np.insert(A, k, _vandermonde(np.array([w]), d_v), axis=0)
+        b = np.insert(b, k, psi(ctx, w) - MARGIN)
         rounds += 1
     status, why = _verdict(cert)
     return SolveReport(lam=lam, t=None, objective=ensemble_rate(Ensemble(lam=lam, rho=rho)),
@@ -452,20 +461,18 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
 def design_utility(spec: DesignSpec) -> SolveReport:
     """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
 
-    Runs the rate-ceiling check first, then solves one LP on `grid_n` rows
-    uniform in z on [1 - eps, z(zeta_tilde)) plus the row at z(zeta_tilde)
-    itself, the left end in x, where the step floor binds.  The reported t is
+    Solves one LP, with the rate floor as a row, on `grid_n` rows uniform
+    in z on [1 - eps, z(zeta_tilde)) plus the row at z(zeta_tilde) itself,
+    the left end in x, where the step floor binds.  The reported t is
     backed off by a margin-scaled amount, and the exact constraint is
     certified for (lam, t*(1-1e-6)).  The certificate is the verdict:
     "Optimal" if it passes, "CertificateFail" (lam and t kept) if not;
-    max_violation is minus its margin.  When the spec leaves zeta_tilde
-    unset the anchor is tuned per `_tune_zeta_tilde`.
+    max_violation is minus its margin.  An LP that is not Optimal is
+    "Infeasible", and only then is the rate ceiling designed, to say why
+    (`_explain`).  When the spec leaves zeta_tilde unset the anchor is
+    tuned per `_tune_zeta_tilde`.
     """
     spec.validate()
-    ceiling, miss = _rate_ceiling(spec)
-    if miss:
-        return _infeasible("utility", miss)
-
     ctx = spec.context()
     d_v = spec.d_v
     q = spec.rho.integral() / (1.0 - spec.R_d)
@@ -477,7 +484,7 @@ def design_utility(spec: DesignSpec) -> SolveReport:
         z_lo))
     lp = _utility_lp(ctx, zs, d_v, q)
     if lp.status != "Optimal":
-        return _infeasible("utility", _after_ceiling(ceiling, f"grid LP is {lp.status}"),
+        return _infeasible("utility", _explain(spec, f"grid LP is {lp.status}"),
                            zeta_tilde=zt)
 
     # the rows hold only at the nodes, and between them the gap may dip
@@ -494,7 +501,7 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
                        optimality_gap=backoff + lp.kkt_residual, status=status,
                        certificate=cert, method="utility",
-                       detail=_after_ceiling(ceiling, why), zeta_tilde=zt)
+                       detail=why, zeta_tilde=zt)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
@@ -585,17 +592,14 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
     approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
     and already penalizes the curve constraint; the barrier adds the
-    coefficient simplex and the rate floor.  A duality gap m/tau above
-    `BARRIER_TOL` is "IterLimit"; below it the certificate of
-    psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
-    (lam kept), as it does for the rate-maximal design returned when the
-    rate floor leaves no interior.  max_violation is -certificate.margin.
+    coefficient simplex and the rate floor.  A phase-one LP that finds no
+    start point with positive slack makes the design "Infeasible", and only
+    then is the rate ceiling designed, to say why (`_explain`).  A duality
+    gap m/tau above `BARRIER_TOL` is "IterLimit"; below it the certificate
+    of psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
+    (lam kept).  max_violation is -certificate.margin.
     """
     spec.validate()
-    ceiling, miss = _rate_ceiling(spec)
-    if miss:
-        return _infeasible("min-iter", miss)
-
     ctx = spec.context()
     d_v = spec.d_v
     ps, du = _kernels.log_p_nodes(ctx.eta, ctx.epsilon, spec.grid_n)
@@ -607,27 +611,20 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     q = spec.rho.integral() / (1.0 - spec.R_d)
 
     v0, slack = _phase_one(xs, psi_vals, d_v, q)
-    if v0 is None:
-        return _infeasible("min-iter", _after_ceiling(ceiling, "no feasible start point"))
-    if slack <= 1e-10 or spec.R_d >= ceiling.objective - 1e-9:
-        # rate floor equals the ceiling: the feasible set has no interior
-        # (phase one may still see a sliver because its midpoint grid is
-        # laxer than the ceiling LP's), so the rate-maximal design is the
-        # answer
-        lam, gap = ceiling.lam, float("nan")
-        note = "rate floor leaves no interior; returned the rate-maximal design"
-    else:
-        v, gap = _barrier(v0, X, psi_vals, w, inv_degrees, q)
-        lam = _lam_from_vec(v, d_v).renormalized()
-        note = "" if gap <= BARRIER_TOL else (
-            f"barrier stopped at duality gap {gap:.3e} above BARRIER_TOL={BARRIER_TOL:g}")
+    if slack <= 1e-10:  # -inf when phase one finds no start point at all
+        return _infeasible("min-iter", _explain(
+            spec, f"no interior start point (phase-one slack {slack:.3e})"))
+    v, gap = _barrier(v0, X, psi_vals, w, inv_degrees, q)
+    lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
     obj = float(np.sum(w / g)) if g.min() > 0.0 else np.inf
     cert = certify(compile_constraint(lam, 0.0, spec.rho, ctx.epsilon, ctx.zeta, ctx.xi))
     status, why = _verdict(cert)
-    if gap > BARRIER_TOL:  # False for the no-interior design's NaN gap
+    if gap > BARRIER_TOL:
         status = "IterLimit"
+        why = _join(f"barrier stopped at duality gap {gap:.3e} above "
+                    f"BARRIER_TOL={BARRIER_TOL:g}", why)
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
                        optimality_gap=gap, status=status, certificate=cert,
-                       method="min-iter", detail=_after_ceiling(ceiling, note, why))
+                       method="min-iter", detail=why)

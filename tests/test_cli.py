@@ -87,18 +87,17 @@ def test_nonpositive_grid_exits_usage(tmp_path, capsys, argv, grid_n):
 
 
 def test_design_reports_the_rate_ceiling_fallback(tmp_path, monkeypatch):
-    # the rate ceiling's tie-break LP is made to fail its KKT check, so the
+    # the rate design's tie-break LP is made to fail its KKT check, so the
     # first LP's vertex is kept and the report says so
     monkeypatch.setattr(solve, "lp_solve", failing_tie_break(solve.lp_solve))
-    prefix = tmp_path / "miniter"
-    argv = ["design", "--objective", "min-iter", "--rho", '{"7": 0.5330, "8": 0.4670}',
-            "--epsilon", "0.4444444444444444", "--eta", "0.001", "--rd", "0.5",
-            "--dv", "30", "--out", str(prefix)]
+    prefix = tmp_path / "rate"
+    argv = ["design", "--objective", "rate", "--rho", '{"7": 0.5330, "8": 0.4670}',
+            "--epsilon", "0.4444444444444444", "--dv", "30", "--out", str(prefix)]
     assert main(argv) == EXIT_OK
     with open(f"{prefix}.report.json") as fh:
         report = json.load(fh)
     assert report["status"] == "Optimal"
-    assert report["detail"].startswith("rate ceiling: tie-break LP rejected")
+    assert report["detail"].startswith("tie-break LP rejected")
 
 
 def test_evaluate_past_threshold_exits_decoding(tmp_path):

@@ -324,6 +324,22 @@ class TestDesignRate:
         assert rep.max_violation == -cert.margin
         assert rep.detail == f"certificate margin {cert.margin:.3e} at x={cert.witness!r}"
 
+    @pytest.mark.parametrize("grid_n", [64, 128])
+    def test_refinement_bisects_only_the_witness(self, rho_x7, monkeypatch, grid_n):
+        # the grid's psi rows are bisected once; each certificate round adds
+        # its witness row alone, and every other inversion is a single anchor
+        sizes = []
+        real = _kernels.bisect_increasing
+
+        def counting(coef, targets, tol):
+            sizes.append(np.asarray(targets).size)
+            return real(coef, targets, tol)
+
+        monkeypatch.setattr(_kernels, "bisect_increasing", counting)
+        rep = design_rate(rho_x7, X7_EPS, 16, grid_n=grid_n)
+        assert rep.status == "Optimal" and rep.rounds >= 2
+        assert sizes[0] == grid_n and set(sizes[1:]) == {1}
+
     # the Fig. 6 cells whose first grid LP crosses psi between its rows
     @pytest.mark.parametrize("eps, d_v", [(0.48, 8), (0.48, 12), (0.50, 12),
                                           (0.50, 20), (0.52, 12)])
@@ -391,12 +407,13 @@ class TestDesignUtility:
         assert ok.ok
 
     def test_mix_grid_256_survives_tie_break_failure(self, rho_mix, monkeypatch):
-        # the rate ceiling at grid 256, its tie-break LP made to fail KKT
+        # the rate tie-break LP made to fail KKT: a utility design that
+        # succeeds designs no rate ceiling, so its detail carries no note
         monkeypatch.setattr(solve, "lp_solve", failing_tie_break(solve.lp_solve))
         spec = DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, d_v=16,
                           R_d=0.5, grid_n=256)
         rep = design_utility(spec)
-        assert "rate ceiling: tie-break LP rejected" in rep.detail
+        assert rep.detail == ""
         assert rep.status == "Optimal"
         assert rep.max_violation <= solve.MARGIN
         assert rep.certificate.passed
@@ -488,17 +505,19 @@ class TestDesignMinIterations:
         assert rep.optimality_gap <= solve.BARRIER_TOL
         assert np.isfinite(rep.objective) and rep.objective > 0.0
 
-    def test_rate_ceiling_leaves_no_interior(self, rho_x7, miniter_045):
-        spec, rep045 = miniter_045
+    def test_rate_ceiling_leaves_no_interior(self, rho_x7):
+        # at R_d = R_max the rate floor leaves no interior, but phase one's
+        # midpoint grid is laxer than the rate LP's and still sees a sliver:
+        # the barrier runs on it, and its own certificate fails the design
         ceiling = design_rate(rho_x7, X7_EPS, 16, grid_n=1024)
         spec_top = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                               R_d=ceiling.objective, grid_n=1024)
         rep = design_min_iterations(spec_top)
-        assert rep.status == "Optimal"
-        assert "no interior" in rep.detail
-        assert np.array_equal(rep.lam.dense, ceiling.lam.dense)
-        # pinned to the ceiling the curve gap collapses, so the count blows up
-        assert rep.objective > 10 * rep045.objective
+        assert rep.status == "CertificateFail"
+        assert rep.certificate.kind == "SturmFail"
+        assert rep.max_violation == -rep.certificate.margin > 0.0
+        assert rep.optimality_gap <= solve.BARRIER_TOL
+        assert not np.array_equal(rep.lam.dense, ceiling.lam.dense)
 
     def test_unconverged_barrier_names_its_gap(self, rho_x7, monkeypatch):
         # one barrier weight, tau = 1: the gap of its centre is the 16
@@ -511,13 +530,8 @@ class TestDesignMinIterations:
         assert rep.detail.startswith("barrier stopped at duality gap 1.600e+01 above "
                                      f"BARRIER_TOL={solve.BARRIER_TOL:g}")
 
-    @pytest.mark.parametrize("at_ceiling", [False, True], ids=["r045", "no_interior"])
-    def test_optimal_carries_a_passed_certificate(self, rho_x7, miniter_045, at_ceiling):
-        spec, rep = miniter_045
-        if at_ceiling:
-            R_max = design_rate(rho_x7, X7_EPS, 16, grid_n=1024).objective
-            rep = design_min_iterations(replace(spec, R_d=R_max))
-            assert "no interior" in rep.detail
+    def test_optimal_carries_a_passed_certificate(self, miniter_045):
+        _, rep = miniter_045
         assert rep.status == "Optimal"
         assert rep.certificate.kind == "SturmPass"
         assert rep.max_violation == -rep.certificate.margin
@@ -562,6 +576,55 @@ class TestDesignMinIterations:
         assert 300 <= counts[-1] <= 500
 
 
+def _spy_design_rate(monkeypatch) -> list:
+    """Record each call of `solve.design_rate` and pass it through."""
+    calls = []
+    real = solve.design_rate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "design_rate", spy)
+    return calls
+
+
+class TestRateCeilingExplains:
+    """The iteration designers design R_max only to explain a failure."""
+
+    def test_success_designs_no_ceiling(self, rho_x7, fixtures, monkeypatch):
+        calls = _spy_design_rate(monkeypatch)
+        fig2 = DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16)
+        assert design_utility(fig2).status == "Optimal"
+        f = fixtures.get("mix_dv16")
+        fig5 = DesignSpec(rho=f.ensemble.rho, epsilon=f.params["epsilon"],
+                          eta=f.params["eta"], R_d=0.5, d_v=16)
+        assert design_min_iterations(fig5).status == "Optimal"
+        assert calls == []
+
+    @pytest.mark.parametrize("designer", [design_utility, design_min_iterations])
+    def test_failure_designs_one_ceiling(self, rho_x7, monkeypatch, designer):
+        calls = _spy_design_rate(monkeypatch)
+        rep = designer(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
+                                  R_d=0.49, grid_n=1024))
+        assert rep.status == "Infeasible"
+        assert len(calls) == 1
+        assert "required rate 0.49 exceeds R_max=0.4714" in rep.detail
+
+    def test_utility_passes_the_grid_ceiling(self, rho_x7):
+        # R_max at grid 1024 depends on the grid (ROADMAP item 1); the
+        # utility program reaches 1e-7 beyond it and its own certificate,
+        # not that ceiling, decides the design
+        R_max = design_rate(rho_x7, X7_EPS, 16, grid_n=1024).objective
+        spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
+                          R_d=R_max + 1e-7, grid_n=1024)
+        rep = design_utility(spec)
+        assert rep.status == "Optimal"
+        assert rep.certificate.kind == "SturmPass"
+        assert rate(Ensemble(rep.lam, rho_x7)) >= spec.R_d
+        assert check_successful(Ensemble(rep.lam, rho_x7), spec.context(), 100_000).ok
+
+
 class TestZScan:
     @pytest.mark.parametrize("rho_name", ["x7", "mix_dv16"])
     def test_scan_matches_psi_at_x_of_z(self, rho_name, rho_x7, fixtures, rng):
@@ -604,10 +667,10 @@ class TestZScan:
         x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                         R_d=0.45, grid_n=512)
         assert design_min_iterations(x7).status == "Optimal"
-        # rate LP rows (grid_n, plus one per certificate round), zeta_tilde-
-        # tuning grids and single anchors only
-        assert mix.grid_n == x7.grid_n
-        assert sizes and max(sizes) <= mix.grid_n + solve.REFINE_ROUNDS
+        # zeta_tilde-tuning grids (`TUNE_GRID_N` points) and single anchors
+        # only: neither design runs the rate LP
+        assert mix.grid_n == x7.grid_n == solve.TUNE_GRID_N
+        assert sizes and max(sizes) <= mix.grid_n
         for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
             sizes.clear()
             utility(lam, spec.context())
