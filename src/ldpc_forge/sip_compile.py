@@ -38,6 +38,7 @@ _SAMPLE_REL_TOL = 1e-11
 _SAMPLES = np.linspace(0.0, 1.0, 4097)
 _CHECK_NODES = np.linspace(0.0, 1.0, 5)
 _CHECK_REL_TOL = 1e-12
+_ISOLATION_STEPS = 4000  # Sturm isolation intervals before NumericalFailure
 
 
 def _compose(c: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -163,6 +164,14 @@ def _sturm_chain(p: np.ndarray) -> list[np.ndarray]:
     return chain
 
 
+def _chain_matrix(chain: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # members as zero-padded columns of C, and |C|: Horner adds zeros exactly
+    C = np.zeros((chain[0].size, len(chain)))
+    for j, m in enumerate(chain):
+        C[:m.size, j] = m
+    return C, np.abs(C)
+
+
 def _sign_at_zero_plus(c: np.ndarray) -> int:
     for v in c:
         if abs(v) > _ZERO_TOL:
@@ -182,16 +191,17 @@ def _count_flips(signs: list[int]) -> int:
     return flips
 
 
-def _variations_at(chain: list[np.ndarray], x: float) -> tuple[int, float]:
+def _variations_at(chain: tuple[np.ndarray, np.ndarray], x: float) -> tuple[int, float]:
     # nudge off chain roots so every member has a definite sign
+    C, abs_C = chain
     for attempt in range(60):
-        vals = [npoly.polyval(x, c) for c in chain]
-        scales = [max(npoly.polyval(abs(x), np.abs(c)), 1e-300) for c in chain]
-        if all(abs(v) > 1e-13 * s for v, s in zip(vals, scales)):
+        vals = npoly.polyval(x, C)
+        scales = np.maximum(npoly.polyval(abs(x), abs_C), 1e-300)
+        if np.all(np.abs(vals) > 1e-13 * scales):
             break
         x += (1e-12 + abs(x) * 1e-13) * (attempt + 1)
-    signs = [1 if v > 0 else -1 for v in vals]
-    return _count_flips(signs), x
+    positive = vals > 0
+    return int(np.count_nonzero(positive[1:] != positive[:-1])), x
 
 
 def _sign_of_p_near(c: np.ndarray, x: float, lo: float, hi: float) -> int:
@@ -211,33 +221,37 @@ def _isolate_crossing_on_unit(c: np.ndarray) -> Optional[float]:
     """Sturm-isolate a sign crossing of p in [0, 1]; None if p >= 0 there.
 
     Touch points (even multiplicity) are compatible with nonnegativity and
-    produce no witness.
+    produce no witness.  Leaves (one root, or too narrow to split at the
+    nudged midpoint) are judged by the sign of p at their end points.
     """
-    chain = _sturm_chain(c)
-    v_zero = _count_flips([_sign_at_zero_plus(m) for m in chain])
+    chain = _chain_matrix(_sturm_chain(c))
+    v_zero = _count_flips([_sign_at_zero_plus(m) for m in chain[0].T])
     v_one, _ = _variations_at(chain, 1.0)
     n_roots = v_zero - v_one
     if n_roots <= 0:
         return None
     queue = [(0.0, 1.0, n_roots, v_zero, v_one)]
-    guard = 0
-    while queue and guard < 4000:
-        guard += 1
+    steps = 0
+    while queue:
+        if steps == _ISOLATION_STEPS:
+            raise NumericalFailure(f"Sturm isolation still has {queue[-1][:2]} open "
+                                   f"after {_ISOLATION_STEPS} steps")
+        steps += 1
         lo, hi, k, v_lo, v_hi = queue.pop()
-        if k == 1 or hi - lo <= 1e-13 * (1.0 + hi):
-            s_lo = _sign_of_p_near(c, lo, lo, hi) if lo > 0.0 else _sign_at_zero_plus(c)
-            s_hi = _sign_of_p_near(c, hi, lo, hi)
-            if s_lo < 0:
-                return lo
-            if s_hi < 0:
-                return hi
-            continue
-        mid = 0.5 * (lo + hi)
-        v_mid, mid = _variations_at(chain, mid)
-        if v_lo - v_mid > 0:
-            queue.append((lo, mid, v_lo - v_mid, v_lo, v_mid))
-        if v_mid - v_hi > 0:
-            queue.append((mid, hi, v_mid - v_hi, v_mid, v_hi))
+        if k > 1 and hi - lo > 1e-13 * (1.0 + hi):
+            v_mid, mid = _variations_at(chain, 0.5 * (lo + hi))
+            if lo < mid < hi:  # else the nudge took mid out: a leaf
+                if v_lo - v_mid > 0:
+                    queue.append((lo, mid, v_lo - v_mid, v_lo, v_mid))
+                if v_mid - v_hi > 0:
+                    queue.append((mid, hi, v_mid - v_hi, v_mid, v_hi))
+                continue
+        s_lo = _sign_of_p_near(c, lo, lo, hi) if lo > 0.0 else _sign_at_zero_plus(c)
+        s_hi = _sign_of_p_near(c, hi, lo, hi)
+        if s_lo < 0:
+            return lo
+        if s_hi < 0:
+            return hi
     return None
 
 

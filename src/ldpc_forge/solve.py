@@ -35,13 +35,15 @@ Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
 `lp_solve`, which solves each grid LP by row generation: HiGHS sees a
-working set of rows (64 evenly spaced ones to start, then up to 64 of
-the most-violated rows per round) until x satisfies every posed row.  A
-4096-row design LP, of which a handful of rows are active, converges in
-two or three solves of at most a few hundred rows; the answer is the same
-LP's optimum, and the KKT gates check it against all the rows.  Two
+working set of rows (64 evenly spaced ones to start, plus any start rows
+the caller names, then up to 64 of the most-violated rows per round)
+until x satisfies every posed row.  A 4096-row design LP, of which a
+handful of rows are active, converges in two or three solves of at most
+a few hundred rows; each zeta_tilde-tuning LP after the first starts from
+the last one's working set, and usually needs one.  The answer is the
+same LP's optimum, and the KKT gates check it against all the rows.  Two
 grids stay uniform in x: the rate LP's rows, and the zeta_tilde-tuning
-grids, whose z comes from `de_engine.z_of_x`.  Both choices are
+grids, whose z comes from one `de_engine.z_of_x` call.  Both choices are
 measured: the rate design's downstream iteration counts move with any
 change of its rows, and tuning over a z-uniform grid picks a worse anchor
 for Fig. 2.  Every "Optimal" report carries a passed certificate; no
@@ -141,6 +143,7 @@ class LPResult:
     dual_eq: np.ndarray
     status: str
     kkt_residual: float
+    working_set: np.ndarray  # the A_ub rows HiGHS saw last
 
 
 def _expand_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,19 +198,21 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     return x_new
 
 
-def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows):
     """HiGHS on a working set of the rows of A_ub, grown until x meets all.
 
-    Returns the last backend result and its row duals padded with zeros
-    off the working set.  An infeasible working set is a relaxation of
-    the full LP, so it is returned as it stands; an unbounded one is
-    widened to every row and solved again, as is one HiGHS reports as
-    unbounded or infeasible.
+    Returns the last backend result, its row duals padded with zeros off
+    the working set, and the working set's row indices.  An infeasible
+    working set is a relaxation of the full LP, so it is returned as it
+    stands; an unbounded one is widened to every row and solved again, as
+    is one HiGHS reports as unbounded or infeasible.
     """
     m = b_ub.size
     active = np.zeros(m, dtype=bool)
     # evenly spaced seed rows; every row when there are no more than that
     active[np.round(np.linspace(0, m - 1, WORKING_SET_N)).astype(np.intp)] = True
+    if start_rows is not None:
+        active[start_rows] = True
     tol = LP_OPTIONS["primal_feasibility_tolerance"]
     while True:
         rows = np.flatnonzero(active)
@@ -217,29 +222,31 @@ def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
             active[:] = True
             continue
         if res.status != 0:
-            return res, None
+            return res, None, rows
         excess = A_ub @ res.x - b_ub
         excess[active] = -np.inf
         new = np.flatnonzero(excess > tol)
         if new.size == 0:
             mu = np.zeros(m)
             mu[rows] = -np.asarray(res.ineqlin.marginals)  # mu >= 0
-            return res, mu
+            return res, mu, rows
         active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
 
 
-def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
+def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+             start_rows=None) -> LPResult:
     """Minimize c @ x with HiGHS by row generation and verify the KKT residual.
 
     HiGHS runs with `LP_OPTIONS` on a working set of the rows of A_ub:
     `WORKING_SET_N` evenly spaced rows (all of them when there are no
-    more), then, after each solve, up to `WORKING_SET_N` of the rows that
-    x violates most by more than the primal feasibility tolerance, until
-    x violates none.  The LP is unchanged, and so is its optimum; only the
+    more) and the indices `start_rows`, then, after each solve, up to
+    `WORKING_SET_N` of the rows that x violates most by more than the
+    primal feasibility tolerance, until x violates none.  The LP is unchanged, and so is its optimum; only the
     rows HiGHS factors shrink.  The returned vertex is polished onto its
     active set over all the rows, then checked against all of them:
     complementary slackness at 1e-8 and stationarity at 1e-6 (relative
-    to the dual magnitude); `dual_ub` is zero off the working set.
+    to the dual magnitude); `dual_ub` is zero off the working set, and
+    `working_set` lists it, ready to start a related LP with the same rows.
     Returns status "Optimal", "Infeasible", or "Unbounded"; raises
     NumericalFailure on any other backend report or a failed check.
     """
@@ -247,17 +254,17 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
     bounds = bounds if bounds is not None else (0, None)
     mu = np.array([])
     nu = np.array([])
+    rows = np.array([], dtype=np.intp)
     if A_ub is not None:
         A_ub = np.asarray(A_ub, dtype=np.float64)
         b_ub = np.asarray(b_ub, dtype=np.float64)
-        res, mu = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows)
     else:
         res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                       method="highs", options=LP_OPTIONS)
-    if res.status == 2:
-        return LPResult(np.array([]), np.nan, np.array([]), np.array([]), "Infeasible", 0.0)
-    if res.status == 3:
-        return LPResult(np.array([]), np.nan, np.array([]), np.array([]), "Unbounded", 0.0)
+    if res.status in (2, 3):
+        return LPResult(np.array([]), np.nan, np.array([]), np.array([]),
+                        {2: "Infeasible", 3: "Unbounded"}[res.status], 0.0, rows)
     if res.status != 0:
         raise NumericalFailure(f"LP backend: {res.message}")
 
@@ -293,7 +300,7 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
     # degenerate pins inflate duals; stationarity gets a looser sanity gate
     if stat_rel > 1e-6:
         raise NumericalFailure(f"stationarity residual {stat_rel:.3e} exceeds 1e-6")
-    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel))
+    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel), rows)
 
 
 def _lam_from_vec(vec: np.ndarray, d_v: int) -> DegreeDistribution:
@@ -403,11 +410,12 @@ def design_rate(
                        detail=_join(note, why), rounds=rounds)
 
 
-def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
+def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float,
+                start_rows: Optional[np.ndarray]) -> LPResult:
     """Stage-1 LP in (lam, t): maximize t s.t. lam + t*psi' <= psi at each z.
 
     Row z sits at x = 1 - rho(z), where psi = (1 - z)/eps and
-    psi' = 1/(eps*rho'(z)).
+    psi' = 1/(eps*rho'(z)); the rate floor is the last row.
     """
     V = _vandermonde(1.0 - ctx.rho.eval(zs), d_v)
     pd = 1.0 / (ctx.epsilon * ctx.rho.eval_deriv(zs))
@@ -419,7 +427,7 @@ def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float) -> LPResult:
     eq = np.concatenate([np.ones(d_v - 1), [0.0]]).reshape(1, -1)
     obj = np.zeros(d_v)
     obj[-1] = -1.0
-    return lp_solve(obj, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
+    return lp_solve(obj, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0], start_rows=start_rows)
 
 
 def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
@@ -435,20 +443,23 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     (ties: the anchor nearest zeta).  These grids stay uniform in x: uniform
     in z they are sparse at the left end, where x moves fastest with z, and
     tuning then picks 0.5*zeta for the Fig. 2 design, which decodes in 385
-    iterations against 130 at 8*zeta.
+    iterations against 130 at 8*zeta.  One `z_of_x` call inverts every
+    candidate grid, and each candidate LP, whose rows are laid out like every
+    other's, starts from the last Optimal one's working set (`start_rows`).
     """
-    best_n, best_zt = None, None
-    for factor in TUNE_FACTORS:
-        zt = factor * ctx.zeta
-        if zt >= 0.5 * ctx.xi:
-            break
-        xs = zt + (ctx.xi - zt) * np.arange(1, TUNE_GRID_N + 1) / TUNE_GRID_N
+    zts = [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]
+    k = np.arange(1, TUNE_GRID_N + 1)
+    zss = np.split(z_of_x(ctx.rho, np.concatenate(
+        [zt + (ctx.xi - zt) * k / TUNE_GRID_N for zt in zts])), len(zts))
+    best_n, best_zt, rows = None, None, None
+    for zt, zs in zip(zts, zss):
         try:
-            res = _utility_lp(ctx, z_of_x(ctx.rho, xs), spec.d_v, q)
+            res = _utility_lp(ctx, zs, spec.d_v, q, start_rows=rows)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
             continue
+        rows = res.working_set
         lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
         n = de_trace(Ensemble(lam, spec.rho), ctx, TUNE_L_MAX).iterations
         if n is None:
@@ -482,7 +493,7 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     zs = np.unique(np.append(
         z_lo + (1.0 - ctx.epsilon - z_lo) * np.arange(1, spec.grid_n + 1) / spec.grid_n,
         z_lo))
-    lp = _utility_lp(ctx, zs, d_v, q)
+    lp = _utility_lp(ctx, zs, d_v, q, start_rows=None)
     if lp.status != "Optimal":
         return _infeasible("utility", _explain(spec, f"grid LP is {lp.status}"),
                            zeta_tilde=zt)

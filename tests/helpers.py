@@ -209,10 +209,11 @@ def failing_tie_break(lp_solve):
     """`lp_solve` that fails the rate tie-break LP, the one with two equality rows."""
     from ldpc_forge import NumericalFailure
 
-    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, start_rows=None):
         if A_eq is not None and len(A_eq) == 2:
             raise NumericalFailure("complementary-slackness residual forced to fail")
-        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                        start_rows=start_rows)
     return solve
 
 

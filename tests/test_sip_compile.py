@@ -8,16 +8,20 @@ from helpers import fixture_context, random_simplex_lambda, step_polynomial_orac
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
+    DesignSpec,
     DomainError,
     NumericalFailure,
     _kernels,
     certify,
     compile_constraint,
+    design_rate,
+    design_utility,
     nonneg_on_unit,
     psi,
     psi_deriv,
     utility,
 )
+from ldpc_forge import sip_compile
 
 ZT = 0.04
 # rho = x: x = 1 - z, psi = x/eps, and with lam = x the constraint is
@@ -25,6 +29,27 @@ ZT = 0.04
 RHO_LINEAR = DegreeDistribution({2: 1.0})
 LAM_LINEAR = DegreeDistribution({2: 1.0})
 EPS_LINEAR = 0.5
+
+# a rate design for this mix cell whose Sturm chain counts roots in (0, 1)
+# that only intervals a few nudges wide hold: the isolation must stop
+# splitting them once the nudged midpoint leaves the interval
+STURM_RHO = DegreeDistribution({7: 0.533, 8: 0.467})
+STURM_EPS = 0.492578125
+STURM_LAM = DegreeDistribution({
+    2: float.fromhex("0x1.41075b8932cfbp-2"), 3: float.fromhex("0x1.2701018e62260p-3"),
+    4: float.fromhex("0x1.267cde5735e02p-8"), 5: float.fromhex("0x1.b5831effa13fcp-3"),
+    16: float.fromhex("0x1.4c1ca0b66ea60p-2")})
+
+
+def _sturm_fixture() -> sip_compile.ConstraintPolynomial:
+    ctx = DEContext.create(STURM_RHO, STURM_EPS, eta=STURM_EPS * 1e-6)
+    return compile_constraint(STURM_LAM, 0.0, STURM_RHO, STURM_EPS, ctx.zeta, ctx.xi)
+
+
+def _unit_coeffs(cp: sip_compile.ConstraintPolynomial) -> np.ndarray:
+    """cp's coefficients as `nonneg_on_unit` hands them to the isolation."""
+    c = cp.coeffs / np.max(np.abs(cp.coeffs))
+    return sip_compile._trim_leading(c, sip_compile._ZERO_TOL)
 
 
 class TestCompile:
@@ -241,3 +266,56 @@ class TestCertify:
         assert not above.passed
         assert abs(above.witness - u.argmin_x) < 0.05
         assert above.witness_value < 0.0
+
+
+class TestSturmIsolation:
+    def _count_variations(self, monkeypatch, limit: int) -> list:
+        """Record each variation count; fail fast past `limit` of them."""
+        calls = []
+        real = sip_compile._variations_at
+
+        def spy(chain, x):
+            calls.append(x)
+            assert len(calls) <= limit, f"isolation still splitting after {limit} counts"
+            return real(chain, x)
+
+        monkeypatch.setattr(sip_compile, "_variations_at", spy)
+        return calls
+
+    def test_narrow_intervals_end_the_isolation(self, monkeypatch):
+        # intervals narrower than the nudge are leaves, not split forever
+        calls = self._count_variations(monkeypatch, limit=100)
+        cert = certify(_sturm_fixture())
+        assert cert.passed
+        assert len(calls) > 1  # the isolation ran
+
+    def test_used_up_steps_raise(self, monkeypatch):
+        # (s - 0.3)(s - 0.6): two crossings, so the first interval splits
+        c = np.array([0.18, -0.9, 1.0])
+        assert 0.3 <= sip_compile._isolate_crossing_on_unit(c) <= 0.6
+        monkeypatch.setattr(sip_compile, "_ISOLATION_STEPS", 1)
+        with pytest.raises(NumericalFailure, match=r"\(0\.5, 1\.0\) open after 1 steps"):
+            sip_compile._isolate_crossing_on_unit(c)
+
+    def test_chain_matrix_is_every_member_to_the_bit(self, rho_x7):
+        fig2 = design_utility(DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45,
+                                         d_v=16))
+        rate = design_rate(rho_x7, 0.5, 16)
+        ctx = DEContext.create(rho_x7, 0.5, eta=1e-5)
+        polys = {
+            "fig2": compile_constraint(fig2.lam, fig2.t * (1.0 - 1e-6), rho_x7, 0.5,
+                                       fig2.zeta_tilde, ctx.xi),
+            "rate_x7": compile_constraint(rate.lam, 0.0, rho_x7, 0.5, ctx.zeta, ctx.xi),
+            "regression": _sturm_fixture(),
+        }
+        xs = np.concatenate([[0.0, 1.0, 0.5, 1e-12], np.linspace(0.0, 1.0, 37)[1:-1]])
+        for name, cp in polys.items():
+            members = sip_compile._sturm_chain(_unit_coeffs(cp))
+            C, abs_C = sip_compile._chain_matrix(members)
+            assert C.shape == (members[0].size, len(members)), name
+            for x in xs:
+                x = float(x)
+                want = np.array([npoly.polyval(x, m) for m in members])
+                want_abs = np.array([npoly.polyval(x, np.abs(m)) for m in members])
+                assert npoly.polyval(x, C).tobytes() == want.tobytes(), (name, x)
+                assert npoly.polyval(x, abs_C).tobytes() == want_abs.tobytes(), (name, x)

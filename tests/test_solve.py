@@ -127,11 +127,13 @@ class TestLPSolve:
 
         real = solve.lp_solve
 
-        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+                 start_rows=None):
             if wanted(c, A_eq, bounds):
                 raise Posed(c, A_ub, b_ub, A_eq, b_eq,
                             (0, None) if bounds is None else bounds)
-            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                        start_rows=start_rows)
 
         monkeypatch.setattr(solve, "lp_solve", grab)
         with pytest.raises(Posed) as caught:
@@ -365,6 +367,12 @@ CERTIFIED_DESIGNS = {
 }
 
 
+def _n_candidates(spec: DesignSpec) -> int:
+    """How many zeta_tilde anchors `_tune_zeta_tilde` tries for `spec`."""
+    ctx = spec.context()
+    return sum(f * ctx.zeta < 0.5 * ctx.xi for f in solve.TUNE_FACTORS)
+
+
 class TestDesignUtility:
     def test_single_degree_step_floor(self, rho_x7):
         spec = DesignSpec(rho=rho_x7, epsilon=0.1, eta=1e-5, d_v=2,
@@ -576,6 +584,65 @@ class TestDesignMinIterations:
         assert 300 <= counts[-1] <= 500
 
 
+class TestTuneZetaTilde:
+    """One inversion for every candidate grid, and warm candidate LPs."""
+
+    @pytest.mark.parametrize("name", ["fig2", "mix090_512"])
+    def test_warm_start_changes_no_bit(self, rho_x7, rho_mix, monkeypatch, name):
+        spec = {"fig2": DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, R_d=0.45, d_v=16),
+                "mix090_512": DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, R_d=0.5,
+                                         d_v=16, grid_n=512)}[name]
+        real = solve.lp_solve
+        warmed = []
+
+        def spy(*args, start_rows=None, **kwargs):
+            warmed.append(start_rows is not None)
+            return real(*args, start_rows=start_rows, **kwargs)
+
+        monkeypatch.setattr(solve, "lp_solve", spy)
+        warm = design_utility(spec)
+        assert sum(warmed) == _n_candidates(spec) - 1
+        monkeypatch.setattr(solve, "lp_solve",
+                            lambda *args, start_rows=None, **kwargs: real(*args, **kwargs))
+        cold = design_utility(spec)
+        assert warm.status == cold.status == "Optimal"
+        assert warm.zeta_tilde == cold.zeta_tilde
+        assert warm.t.hex() == cold.t.hex()
+        assert warm.lam.dense.tobytes() == cold.lam.dense.tobytes()
+
+    def test_fig2_calls(self, rho_x7, monkeypatch):
+        spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, R_d=0.45, d_v=16)
+        sizes, solves = [], []
+        real_bisect, real_utility_lp, real_linprog = (
+            _kernels.bisect_increasing, solve._utility_lp, solve.linprog)
+
+        def bisect(coef, targets, tol):
+            sizes.append(np.asarray(targets).size)
+            return real_bisect(coef, targets, tol)
+
+        def utility_lp(*args, **kwargs):
+            solves.append(0)
+            return real_utility_lp(*args, **kwargs)
+
+        def linprog(*args, **kwargs):
+            solves[-1] += 1
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "bisect_increasing", bisect)
+        monkeypatch.setattr(solve, "_utility_lp", utility_lp)
+        monkeypatch.setattr(solve, "linprog", linprog)
+        assert design_utility(spec).status == "Optimal"
+        n = _n_candidates(spec)
+        # the design inverts twice, all candidate grids and then its own
+        # anchor; the certificate's compile inverts the anchor once more
+        assert sizes == [n * solve.TUNE_GRID_N, 1, 1]
+        # n tuning LPs and the final one; after the first candidate each
+        # starts from a working set that already holds its active rows
+        assert len(solves) == n + 1
+        assert solves[1:n] == [1] * (n - 1)
+        assert sum(solves) <= 12
+
+
 def _spy_design_rate(monkeypatch) -> list:
     """Record each call of `solve.design_rate` and pass it through."""
     calls = []
@@ -664,13 +731,14 @@ class TestZScan:
                          R_d=0.5, grid_n=512)
         rep = design_utility(mix)
         assert rep.status == "Optimal"
+        # every zeta_tilde-tuning grid in one call, then the utility grid's
+        # anchor and the certificate's: the design runs no rate LP
+        assert sizes == [_n_candidates(mix) * solve.TUNE_GRID_N, 1, 1]
+        sizes.clear()
         x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                         R_d=0.45, grid_n=512)
         assert design_min_iterations(x7).status == "Optimal"
-        # zeta_tilde-tuning grids (`TUNE_GRID_N` points) and single anchors
-        # only: neither design runs the rate LP
-        assert mix.grid_n == x7.grid_n == solve.TUNE_GRID_N
-        assert sizes and max(sizes) <= mix.grid_n
+        assert sizes == [1]  # the certificate's anchor
         for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
             sizes.clear()
             utility(lam, spec.context())
