@@ -12,7 +12,8 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `series` - truncated power series of psi; no designer or command calls
   it, and it stays only while the benchmark's tracer wraps `taylor_for`;
 * `sip_compile` - the step-size constraint as one exact polynomial in
-  z = rho^{-1}(1 - x), and its Sturm-chain nonnegativity certificate;
+  z = rho^{-1}(1 - x), and its nonnegativity certificate by Bernstein
+  subdivision with a stated rounding bound;
 * `solve` - rate-maximal, utility-maximal, and iteration-minimal designers;
   the `sip_compile` certificate decides every status but a failed solve,
   and the rate designer also re-solves with its witnesses as rows;

@@ -14,10 +14,14 @@ writes it in s on [0, 1] through z = a + (b - a)*s, a = 1 - eps and
 b = z(zeta_tilde), and checks the coefficients against the closed form
 of `_kernels.transfer_step` at a few nodes.
 
-`nonneg_on_unit` decides p(s) >= 0 on [0, 1] from the sign at s = 0+, a
-dense sample backstop and a Sturm-chain isolation of sign crossings.
-`certify` runs it on P and reports margin and witness in curve units,
-P/(eps*rho'(z)) = psi - lam - t*psi', with the witness given as x.
+`nonneg_on_unit` decides p(s) >= 0 on [0, 1] by Bernstein subdivision
+(Lane & Riesenfeld, BIT 1981; Garloff 1986): on a piece, p lies within
+its Bernstein coefficients and equals the end ones at the ends, so a
+piece whose coefficients are all >= -tau_d closes, an end coefficient
+< -tau_d proves p < 0 there, and other pieces are halved; tau_d is the
+rounding bound at depth d.  `certify` runs it on P and reports margin
+and witness in curve units, P/(eps*rho'(z)) = psi - lam - t*psi', with
+the witness given as x.
 """
 
 from __future__ import annotations
@@ -33,12 +37,10 @@ from .de_engine import z_of_x
 from .ensemble import DegreeDistribution
 from .errors import DomainError, NumericalFailure
 
-_ZERO_TOL = 1e-14
-_SAMPLE_REL_TOL = 1e-11
 _SAMPLES = np.linspace(0.0, 1.0, 4097)
 _CHECK_NODES = np.linspace(0.0, 1.0, 5)
 _CHECK_REL_TOL = 1e-12
-_ISOLATION_STEPS = 4000  # Sturm isolation intervals before NumericalFailure
+_MAX_DEPTH = 52  # halvings before NumericalFailure; a piece is then 2^-52 wide
 
 
 def _compose(c: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -97,8 +99,8 @@ def compile_constraint(
     Raises NumericalFailure when the composed coefficients disagree with
     the closed form at the check nodes.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0.0 <= zeta_tilde < xi:
         raise DomainError(zeta_tilde, 0.0, xi, what="zeta_tilde")
     a = 1.0 - epsilon
@@ -124,7 +126,9 @@ def compile_constraint(
 class NonnegCertificate:
     """Outcome of deciding nonnegativity on an interval.
 
-    kind is "SturmPass" or "SturmFail".  margin is the smallest sampled
+    kind is "SturmPass" or "SturmFail", names kept from the Sturm chain that
+    decided before Bernstein subdivision because reports, the CLI's JSON
+    and the benchmark's checks read them.  margin is the smallest sampled
     value; on failure witness locates a strictly negative value,
     witness_value.  `nonneg_on_unit` reports p and s; `certify` reports
     the curve gap psi - lam - t*psi' and x.
@@ -140,172 +144,102 @@ class NonnegCertificate:
         return self.kind == "SturmPass"
 
 
-def _trim_leading(c: np.ndarray, tol: float) -> np.ndarray:
-    k = c.size
-    while k > 1 and abs(c[k - 1]) <= tol:
-        k -= 1
-    return c[:k]
+def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The map to Bernstein form on [0, 1] and the two de Casteljau halvings.
 
-
-def _sturm_chain(p: np.ndarray) -> list[np.ndarray]:
-    # members are rescaled to unit max-norm; positive scaling preserves
-    # every sign relation the chain is read through
-    chain = [p]
-    dp = _trim_leading(npoly.polyder(p), 0.0)
-    if np.max(np.abs(dp)) > 0.0:
-        chain.append(dp / np.max(np.abs(dp)))
-    while chain[-1].size > 1:
-        _, rem = npoly.polydiv(chain[-2], chain[-1])
-        rem = _trim_leading(rem, _ZERO_TOL)
-        if rem.size == 1 and abs(rem[0]) <= _ZERO_TOL:
-            break  # common factor reached; counting stays valid
-        rem = -rem
-        chain.append(rem / np.max(np.abs(rem)))
-    return chain
-
-
-def _chain_matrix(chain: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    # members as zero-padded columns of C, and |C|: Horner adds zeros exactly
-    C = np.zeros((chain[0].size, len(chain)))
-    for j, m in enumerate(chain):
-        C[:m.size, j] = m
-    return C, np.abs(C)
-
-
-def _sign_at_zero_plus(c: np.ndarray) -> int:
-    for v in c:
-        if abs(v) > _ZERO_TOL:
-            return 1 if v > 0 else -1
-    return 0
-
-
-def _count_flips(signs: list[int]) -> int:
-    flips = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            flips += 1
-        prev = s
-    return flips
-
-
-def _variations_at(chain: tuple[np.ndarray, np.ndarray], x: float) -> tuple[int, float]:
-    # nudge off chain roots so every member has a definite sign
-    C, abs_C = chain
-    for attempt in range(60):
-        vals = npoly.polyval(x, C)
-        scales = np.maximum(npoly.polyval(abs(x), abs_C), 1e-300)
-        if np.all(np.abs(vals) > 1e-13 * scales):
-            break
-        x += (1e-12 + abs(x) * 1e-13) * (attempt + 1)
-    positive = vals > 0
-    return int(np.count_nonzero(positive[1:] != positive[:-1])), x
-
-
-def _sign_of_p_near(c: np.ndarray, x: float, lo: float, hi: float) -> int:
-    # sign of p just inside [lo, hi] at x, nudging inward past near-zeros
-    span = max(hi - lo, 1e-12)
-    for attempt in range(40):
-        v = npoly.polyval(x, c)
-        scale = max(npoly.polyval(abs(x), np.abs(c)), 1e-300)
-        if abs(v) > 1e-13 * scale:
-            return 1 if v > 0 else -1
-        x = min(max(x + span * 1e-9 * (attempt + 1), lo), hi)
-        span *= 1.5
-    return 0
-
-
-def _isolate_crossing_on_unit(c: np.ndarray) -> Optional[float]:
-    """Sturm-isolate a sign crossing of p in [0, 1]; None if p >= 0 there.
-
-    Touch points (even multiplicity) are compatible with nonnegativity and
-    produce no witness.  Leaves (one root, or too narrow to split at the
-    nudged midpoint) are judged by the sign of p at their end points.
+    All three come from one Pascal table: b_k = sum_{j<=k} C(k, j)/C(D, j)*a_j,
+    the left half is L_i = sum_{j<=i} C(i, j)/2^i*b_j, the right its mirror.
     """
-    chain = _chain_matrix(_sturm_chain(c))
-    v_zero = _count_flips([_sign_at_zero_plus(m) for m in chain[0].T])
-    v_one, _ = _variations_at(chain, 1.0)
-    n_roots = v_zero - v_one
-    if n_roots <= 0:
-        return None
-    queue = [(0.0, 1.0, n_roots, v_zero, v_one)]
-    steps = 0
-    while queue:
-        if steps == _ISOLATION_STEPS:
-            raise NumericalFailure(f"Sturm isolation still has {queue[-1][:2]} open "
-                                   f"after {_ISOLATION_STEPS} steps")
-        steps += 1
-        lo, hi, k, v_lo, v_hi = queue.pop()
-        if k > 1 and hi - lo > 1e-13 * (1.0 + hi):
-            v_mid, mid = _variations_at(chain, 0.5 * (lo + hi))
-            if lo < mid < hi:  # else the nudge took mid out: a leaf
-                if v_lo - v_mid > 0:
-                    queue.append((lo, mid, v_lo - v_mid, v_lo, v_mid))
-                if v_mid - v_hi > 0:
-                    queue.append((mid, hi, v_mid - v_hi, v_mid, v_hi))
-                continue
-        s_lo = _sign_of_p_near(c, lo, lo, hi) if lo > 0.0 else _sign_at_zero_plus(c)
-        s_hi = _sign_of_p_near(c, hi, lo, hi)
-        if s_lo < 0:
-            return lo
-        if s_hi < 0:
-            return hi
-    return None
+    if D > 1020:  # C(D, D/2) and 2^-D are normal floats up to here
+        raise NumericalFailure(f"degree {D} exceeds the 1020 the Bernstein tables hold")
+    C = np.zeros((D + 1, D + 1))
+    C[:, 0] = 1.0
+    for i in range(1, D + 1):
+        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
+    left = C * np.exp2(-np.arange(D + 1.0))[:, None]
+    return C / C[D], left, left[::-1, ::-1]
+
+
+def _halve(pieces: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Both halves of every piece (one per row), each left half first."""
+    return np.stack([pieces @ left.T, pieces @ right.T], axis=1).reshape(-1, pieces.shape[1])
+
+
+def _negative_point(a: np.ndarray) -> Optional[float]:
+    """A point of [0, 1] where p < 0 is proved, or None once all pieces close."""
+    D = a.size - 1
+    to_bern, left, right = _bernstein_tables(D)
+    pieces = (to_bern @ a)[None, :]
+    E = (3 * D + 2) * 2.0**-52 * float(np.sum(np.abs(a)))
+    per_halving = (2 * D + 1) * 2.0**-52 * (float(np.max(np.abs(pieces))) + 2.0 * E)
+    lo = np.zeros(1)
+    depth = 0
+    while True:
+        tau = E + depth * per_halving
+        ends = pieces[:, [0, -1]]
+        i, j = np.unravel_index(int(np.argmin(ends)), ends.shape)
+        if ends[i, j] < -tau:
+            return float(lo[i] + j * 0.5**depth)
+        is_open = pieces.min(axis=1) < -tau
+        if not is_open.any():
+            return None
+        if depth == _MAX_DEPTH:
+            raise NumericalFailure(f"Bernstein subdivision has {int(is_open.sum())} open "
+                                   f"piece(s) after {_MAX_DEPTH} halvings")
+        pieces, lo = _halve(pieces[is_open], left, right), lo[is_open]
+        lo = np.stack([lo, lo + 0.5**(depth + 1)], axis=1).ravel()
+        depth += 1
 
 
 def nonneg_on_unit(coeffs) -> NonnegCertificate:
     """Decide sum_k coeffs[k] s^k >= 0 for all s in [0, 1].
 
-    A dense sample backstop (both end points included) flags clear
-    violations, the sign at s = 0+ catches a negative start that samples
-    read as zero, and a Sturm chain isolates any remaining sign crossing,
-    which a local sample must confirm before it counts.
+    Bernstein subdivision (`_negative_point`) gives the verdict and, on a
+    fail, the witness; the margin is the smallest value at `_SAMPLES`.
+
+    The rounding bound tau_d (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3; underflow aside), with u = 2^-53,
+    g_n = n*u/(1 - n*u) and A = sum|a_j|:
+    * Pascal entries are exact below 2^53 and within g_D above, so the
+      map's entries, all in [0, 1], are within g_{2D+1} and the halving
+      entries within g_D.  A dot product of length D + 1 adds g_{D+1} of
+      the sum of its absolute terms.  So the float b_k are within
+      e = g_{3D+2}*A of the exact ones.
+    * Every exact coefficient of every piece is a convex combination of
+      the exact b_k, so none exceeds B = max|b_k| + e.  A halving's rows
+      sum to 1, so one handed errors e_d adds at most g_{2D+1}*(B + e_d).
+    * Hence after d halvings all errors are below
+      tau_d = E + d*(2D + 1)*2u*(max|b_k| + 2E), E = (3D + 2)*2u*A; the
+      factor 2 over g_n covers e_d << B and the rounding of tau_d.
+    A fail thus proves p < 0 at its point, and a pass p >= -2*tau_d, d the
+    deepest level reached.  E dominates: A can exceed max|b_k| by 10^5.
     """
-    raw = np.asarray(coeffs, dtype=np.float64)
-    scale = float(np.max(np.abs(raw))) if raw.size else 0.0
-    if scale == 0.0:
+    a = np.asarray(coeffs, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if not a.any():
         return NonnegCertificate("SturmPass", 0.0)
-    c = _trim_leading(raw / scale, _ZERO_TOL)
-    vals = npoly.polyval(_SAMPLES, c)
-    rel = vals / np.maximum(npoly.polyval(_SAMPLES, np.abs(c)), 1e-300)
-    margin = scale * float(np.min(vals))
-
-    def fail_at(s: float) -> NonnegCertificate:
-        val = scale * float(npoly.polyval(s, c))
-        return NonnegCertificate("SturmFail", min(margin, val), witness=float(s),
-                                 witness_value=val)
-
-    k = int(np.argmin(rel))
-    if rel[k] < -_SAMPLE_REL_TOL:
-        return fail_at(float(_SAMPLES[k]))
-    if _sign_at_zero_plus(c) < 0:
-        return fail_at(0.0)
-    if c.size == 1:
+    margin = float(np.min(npoly.polyval(_SAMPLES, a)))
+    s = _negative_point(a)
+    if s is None:
         return NonnegCertificate("SturmPass", margin)
-    witness = _isolate_crossing_on_unit(c)
-    if witness is not None:
-        # sharpen to the most negative nearby sample; a crossing the
-        # samples cannot confirm is below sampling precision
-        local = np.linspace(max(witness - 1e-3, 0.0), min(witness + 1e-3, 1.0), 512)
-        lv = npoly.polyval(local, c)
-        j = int(np.argmin(lv))
-        if lv[j] < 0.0:
-            return fail_at(float(local[j]))
-    return NonnegCertificate("SturmPass", margin)
+    value = float(npoly.polyval(s, a))
+    return NonnegCertificate("SturmFail", min(margin, value), witness=s, witness_value=value)
 
 
 def certify(cp: ConstraintPolynomial) -> NonnegCertificate:
     """Decide whether the compiled constraint holds on all of [zeta_tilde, xi].
 
-    Margin and witness value are in curve units, psi - lam - t*psi'; a
-    SturmFail carries the abscissa x of a violation as its witness.
+    Margin and witness value are in curve units, psi - lam - t*psi'.  A
+    SturmFail's witness is the abscissa x of the more negative of the
+    proved point and the smallest sample: the rate designer makes the
+    witness an LP row, and the most violated row is the better cut.
     """
     raw = nonneg_on_unit(cp.coeffs)
-    margin = float(np.min(cp.curve_gap(_SAMPLES)))
+    gaps = cp.curve_gap(_SAMPLES)
+    k = int(np.argmin(gaps))
     if raw.passed:
-        return NonnegCertificate("SturmPass", margin)
-    value = float(cp.curve_gap(raw.witness))
-    return NonnegCertificate("SturmFail", min(margin, value),
-                             witness=float(cp.x_of(raw.witness)), witness_value=value)
+        return NonnegCertificate("SturmPass", float(gaps[k]))
+    s = raw.witness if cp.curve_gap(raw.witness) < gaps[k] else float(_SAMPLES[k])
+    value = float(cp.curve_gap(s))
+    return NonnegCertificate("SturmFail", value, witness=float(cp.x_of(s)), witness_value=value)

@@ -364,7 +364,8 @@ def design_rate(
     lam_2 is returned, which makes the output deterministic when the LP
     optimum is degenerate.  When that tie-break LP fails its KKT check,
     the first LP's vertex, which passed its own, is kept and `detail`
-    says so.
+    says so.  A design whose rate is <= 0 is no code: it is reported
+    Infeasible, with the rate in `detail`.
     """
     if d_v < 2:
         raise ValueError("d_v must be >= 2")
@@ -403,8 +404,11 @@ def design_rate(
         A = np.insert(A, k, _vandermonde(np.array([w]), d_v), axis=0)
         b = np.insert(b, k, psi(ctx, w) - MARGIN)
         rounds += 1
+    rate = ensemble_rate(Ensemble(lam=lam, rho=rho))
+    if rate <= 0.0:
+        return _infeasible("rate", f"the rate-maximal design has rate {rate:.6g} <= 0")
     status, why = _verdict(cert)
-    return SolveReport(lam=lam, t=None, objective=ensemble_rate(Ensemble(lam=lam, rho=rho)),
+    return SolveReport(lam=lam, t=None, objective=rate,
                        max_violation=-cert.margin, optimality_gap=lp.kkt_residual,
                        status=status, certificate=cert, method="rate",
                        detail=_join(note, why), rounds=rounds)

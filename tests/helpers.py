@@ -9,6 +9,7 @@ package against one of these, a bug in the package cannot cancel out.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -322,3 +323,51 @@ def step_polynomial_oracle(lam: dict[int, float], rho: dict[int, float], eps: fl
         z = a + (b - a) * mp.mpf(float(s))
         out.append(float(poly(rho, z, 1) * ((1 - z) - eps * poly(lam, 1 - poly(rho, z))) - t))
     return out
+
+
+def _binomial_step(v: list[int], weights: list[int]) -> list[int]:
+    """out_k = weights[k]*sum_{j<=k} C(D - j, k - j)*v_j, D = len(v) - 1."""
+    D = len(v) - 1
+    return [weights[k] * sum(math.comb(D - j, k - j) * v[j] for j in range(k + 1))
+            for k in range(D + 1)]
+
+
+def _scaled_bernstein(coeffs) -> tuple[list[int], int]:
+    """Integers beta_k and den with b_k = beta_k/(den*C(D, k)), b the Bernstein form."""
+    fr = [Fraction(float(c)) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fr))
+    return _binomial_step([int(f * den) for f in fr], [1] * len(fr)), den
+
+
+def exact_bernstein(coeffs) -> list[Fraction]:
+    """Bernstein coefficients on [0, 1] of sum_k coeffs[k] s^k, as exact rationals."""
+    beta, den = _scaled_bernstein(coeffs)
+    D = len(beta) - 1
+    return [Fraction(bk, den * math.comb(D, k)) for k, bk in enumerate(beta)]
+
+
+def bernstein_oracle(coeffs, max_depth: int = 16):
+    """Exact-rational decision of sum_k coeffs[k] s^k >= 0 on [0, 1].
+
+    True when every piece's Bernstein coefficients are >= 0, False when a
+    piece ends below zero, None when a piece is still open at max_depth.
+    Works in Python integers on beta_k = C(D, k)*b_k times a positive
+    scale, which keeps every sign: the left half of a piece has
+    beta'_i = 2^(D - i)*sum_{j<=i} C(D - j, i - j)*beta_j (the same scale
+    times 2^D), and the right half is the left half of the reversal.
+    """
+    beta, _ = _scaled_bernstein(coeffs)
+    D = len(beta) - 1
+    halve = [2 ** (D - i) for i in range(D + 1)]
+    stack = [(beta, 0)]
+    while stack:
+        beta, depth = stack.pop()
+        if beta[0] < 0 or beta[-1] < 0:
+            return False
+        if min(beta) >= 0:
+            continue
+        if depth == max_depth:
+            return None
+        stack.append((_binomial_step(beta[::-1], halve)[::-1], depth + 1))
+        stack.append((_binomial_step(beta, halve), depth + 1))
+    return True

@@ -235,6 +235,14 @@ def test_eta_and_epsilon_out_of_range_exit_usage(tmp_path, capsys, command, epsi
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_non_finite_step_exits_usage(tmp_path, capsys, t):
+    argv = ["certify"] + EVAL_ARGS + ["--t", t, "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    assert f"t must be finite and >= 0, got {t}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_min_iter_crossing_psi_fails_its_certificate(tmp_path, capsys):
     # at grid 2 the converged barrier design crosses psi between its nodes,
     # and the exact certificate of psi - lam >= 0 on [zeta, xi] finds it

@@ -1,10 +1,13 @@
 """The step constraint compiled to an exact polynomial in s, and its certificate."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from helpers import fixture_context, random_simplex_lambda, step_polynomial_oracle
+from helpers import (bernstein_oracle, exact_bernstein, fixture_context, random_simplex_lambda,
+                     step_polynomial_oracle)
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
@@ -14,6 +17,7 @@ from ldpc_forge import (
     _kernels,
     certify,
     compile_constraint,
+    design_min_iterations,
     design_rate,
     design_utility,
     nonneg_on_unit,
@@ -21,7 +25,7 @@ from ldpc_forge import (
     psi_deriv,
     utility,
 )
-from ldpc_forge import sip_compile
+from ldpc_forge import sip_compile, solve
 
 ZT = 0.04
 # rho = x: x = 1 - z, psi = x/eps, and with lam = x the constraint is
@@ -30,9 +34,8 @@ RHO_LINEAR = DegreeDistribution({2: 1.0})
 LAM_LINEAR = DegreeDistribution({2: 1.0})
 EPS_LINEAR = 0.5
 
-# a rate design for this mix cell whose Sturm chain counts roots in (0, 1)
-# that only intervals a few nudges wide hold: the isolation must stop
-# splitting them once the nudged midpoint leaves the interval
+# a rate design for this mix cell that comes within 1e-9 of zero at
+# several points, so a decision must resolve it on narrow pieces
 STURM_RHO = DegreeDistribution({7: 0.533, 8: 0.467})
 STURM_EPS = 0.492578125
 STURM_LAM = DegreeDistribution({
@@ -44,12 +47,6 @@ STURM_LAM = DegreeDistribution({
 def _sturm_fixture() -> sip_compile.ConstraintPolynomial:
     ctx = DEContext.create(STURM_RHO, STURM_EPS, eta=STURM_EPS * 1e-6)
     return compile_constraint(STURM_LAM, 0.0, STURM_RHO, STURM_EPS, ctx.zeta, ctx.xi)
-
-
-def _unit_coeffs(cp: sip_compile.ConstraintPolynomial) -> np.ndarray:
-    """cp's coefficients as `nonneg_on_unit` hands them to the isolation."""
-    c = cp.coeffs / np.max(np.abs(cp.coeffs))
-    return sip_compile._trim_leading(c, sip_compile._ZERO_TOL)
 
 
 class TestCompile:
@@ -150,6 +147,11 @@ class TestCompile:
     def test_negative_t_rejected(self, rho_mix):
         with pytest.raises(ValueError):
             compile_constraint(LAM_LINEAR, -1e-9, rho_mix, 0.48, ZT, 0.7)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, rho_mix, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            compile_constraint(LAM_LINEAR, t, rho_mix, 0.48, ZT, 0.7)
 
     def test_anchor_must_lie_left_of_xi(self, rho_mix):
         with pytest.raises(DomainError):
@@ -268,54 +270,91 @@ class TestCertify:
         assert above.witness_value < 0.0
 
 
-class TestSturmIsolation:
-    def _count_variations(self, monkeypatch, limit: int) -> list:
-        """Record each variation count; fail fast past `limit` of them."""
-        calls = []
-        real = sip_compile._variations_at
+class TestSubdivision:
+    def test_regression_fixture_decides_in_few_halvings(self, monkeypatch):
+        # a work count, not a clock: every piece halved passes the spy
+        halved = []
+        real = sip_compile._halve
 
-        def spy(chain, x):
-            calls.append(x)
-            assert len(calls) <= limit, f"isolation still splitting after {limit} counts"
-            return real(chain, x)
+        def spy(pieces, left, right):
+            halved.append(pieces.shape[0])
+            return real(pieces, left, right)
 
-        monkeypatch.setattr(sip_compile, "_variations_at", spy)
-        return calls
+        monkeypatch.setattr(sip_compile, "_halve", spy)
+        assert certify(_sturm_fixture()).passed
+        assert 0 < sum(halved) <= 40
 
-    def test_narrow_intervals_end_the_isolation(self, monkeypatch):
-        # intervals narrower than the nudge are leaves, not split forever
-        calls = self._count_variations(monkeypatch, limit=100)
-        cert = certify(_sturm_fixture())
-        assert cert.passed
-        assert len(calls) > 1  # the isolation ran
+    def test_depth_cap_raises_on_touch_point(self, monkeypatch):
+        # (s - 0.3)^2 touches zero off every dyadic point, so the piece
+        # around 0.3 closes only once its coefficients are within tau
+        c = np.array([0.09, -0.6, 1.0])
+        assert nonneg_on_unit(c).passed
+        monkeypatch.setattr(sip_compile, "_MAX_DEPTH", 1)
+        with pytest.raises(NumericalFailure, match=r"1 open piece\(s\) after 1 halvings"):
+            nonneg_on_unit(c)
 
-    def test_used_up_steps_raise(self, monkeypatch):
-        # (s - 0.3)(s - 0.6): two crossings, so the first interval splits
-        c = np.array([0.18, -0.9, 1.0])
-        assert 0.3 <= sip_compile._isolate_crossing_on_unit(c) <= 0.6
-        monkeypatch.setattr(sip_compile, "_ISOLATION_STEPS", 1)
-        with pytest.raises(NumericalFailure, match=r"\(0\.5, 1\.0\) open after 1 steps"):
-            sip_compile._isolate_crossing_on_unit(c)
+    def test_degree_past_the_tables_raises(self):
+        # C(1100, 550) overflows a float, and nan coefficients would close every piece
+        with pytest.raises(NumericalFailure, match="degree 1100 exceeds the 1020"):
+            nonneg_on_unit(np.ones(1101))
 
-    def test_chain_matrix_is_every_member_to_the_bit(self, rho_x7):
-        fig2 = design_utility(DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45,
-                                         d_v=16))
-        rate = design_rate(rho_x7, 0.5, 16)
-        ctx = DEContext.create(rho_x7, 0.5, eta=1e-5)
-        polys = {
-            "fig2": compile_constraint(fig2.lam, fig2.t * (1.0 - 1e-6), rho_x7, 0.5,
-                                       fig2.zeta_tilde, ctx.xi),
-            "rate_x7": compile_constraint(rate.lam, 0.0, rho_x7, 0.5, ctx.zeta, ctx.xi),
-            "regression": _sturm_fixture(),
-        }
-        xs = np.concatenate([[0.0, 1.0, 0.5, 1e-12], np.linspace(0.0, 1.0, 37)[1:-1]])
-        for name, cp in polys.items():
-            members = sip_compile._sturm_chain(_unit_coeffs(cp))
-            C, abs_C = sip_compile._chain_matrix(members)
-            assert C.shape == (members[0].size, len(members)), name
-            for x in xs:
-                x = float(x)
-                want = np.array([npoly.polyval(x, m) for m in members])
-                want_abs = np.array([npoly.polyval(x, np.abs(m)) for m in members])
-                assert npoly.polyval(x, C).tobytes() == want.tobytes(), (name, x)
-                assert npoly.polyval(x, abs_C).tobytes() == want_abs.tobytes(), (name, x)
+    @pytest.mark.parametrize("coeffs", [[np.inf, -1.0], [np.nan, 1.0]])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="must be finite"):
+            nonneg_on_unit(coeffs)
+
+
+@pytest.fixture(scope="module")
+def certified(rho_x7, fixtures):
+    """The first constraint each design certifies, as power coefficients in s."""
+    seen = []
+
+    def spy(cp):
+        seen.append(cp.coeffs)
+        return certify(cp)
+
+    f = fixtures.get("mix_dv16")
+    fig5 = DesignSpec(rho=f.ensemble.rho, epsilon=f.params["epsilon"], eta=f.params["eta"],
+                      R_d=0.5, d_v=16)
+    runs = {
+        "fig2_utility": lambda: design_utility(
+            DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16)),
+        "rate_x7": lambda: design_rate(rho_x7, 0.5, 16),
+        "fig5_min_iter": lambda: design_min_iterations(fig5),
+        # the Fig. 6 cell whose first grid LP crosses psi between its rows
+        "fig6_refinement": lambda: design_rate(rho_x7, 0.48, 8),
+    }
+    polys = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solve, "certify", spy)
+        for name, run in runs.items():
+            seen.clear()
+            run()
+            polys[name] = seen[0]
+    polys["regression"] = _sturm_fixture().coeffs
+    return polys
+
+
+class TestExactOracle:
+    """The float subdivision against exact-rational Bernstein subdivision."""
+
+    def test_float_verdict_is_the_exact_verdict(self, certified):
+        for name, a in certified.items():
+            want = name != "fig6_refinement"
+            assert bernstein_oracle(a) is want, name
+            assert nonneg_on_unit(a).passed is want, name
+
+    def test_float_coefficients_lie_within_tau(self, certified):
+        # tau_0 for the conversion, tau_1 for one halving; the left half is
+        # p(s/2), whose power coefficients a_j/2^j are exact in floats
+        for name, a in certified.items():
+            D = a.size - 1
+            to_bern, left, right = sip_compile._bernstein_tables(D)
+            b = to_bern @ a
+            tau_0 = (3 * D + 2) * 2.0**-52 * np.sum(np.abs(a))
+            tau_1 = tau_0 + (2 * D + 1) * 2.0**-52 * (np.max(np.abs(b)) + 2.0 * tau_0)
+            half = sip_compile._halve(b[None, :], left, right)[0]
+            for got, a_exact, tau in ((b, a, tau_0), (half, a * 0.5 ** np.arange(D + 1), tau_1)):
+                exact = exact_bernstein(a_exact)
+                err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+                assert err <= tau, name

@@ -266,6 +266,14 @@ class TestDesignRate:
         assert "Infeasible" in rep.detail
         assert rep.lam is None
 
+    def test_negative_rate_is_no_code(self):
+        # the LP is feasible and its design certified, but the best rate
+        # this rho and d_v reach at this eps is below zero
+        rho = DegreeDistribution({7: 0.542, 8: 0.458})
+        rep = design_rate(rho, 0.5203397591752276, 8, grid_n=512)
+        assert rep.status == "Infeasible" and rep.lam is None
+        assert rep.detail == "the rate-maximal design has rate -0.0128847 <= 0"
+
     def test_rate_ceiling_published_value(self, rho_x7, rate_512):
         rep = rate_512
         assert rep.status == "Optimal"
