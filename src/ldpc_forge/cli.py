@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DECODING = 3
 EXIT_SOLVER = 4
+GRID_N_HELP = "points of the rate LP's rows and the min-iter nodes; a utility design has none"
 
 # ---------------------------------------------------------------------------
 # fixtures and claims
@@ -641,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float)
     sp.add_argument("--rd", type=float, help="required code rate")
     sp.add_argument("--zeta-tilde", type=float, default=None)
-    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
+    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, help=GRID_N_HELP)
     sp.add_argument("--out", help="output path prefix")
     sp.set_defaults(func=cmd_design)
 
@@ -657,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="regenerate a result dataset")
     sp.add_argument("figure", choices=(*_REPRO, "all"))
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
+    sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, help=GRID_N_HELP)
     sp.set_defaults(func=cmd_reproduce)
 
     return p

@@ -15,17 +15,17 @@ zeta = 1 - rho(1 - eta) for a target residual eta.  Everything downstream
 
 In z = rho_inverse(1 - x) the curve needs no inversion: x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are polynomials.  Whatever
-may choose its own nodes works there through `_kernels`: the gap scans,
-the utility and the utility designer's LP rows sample z, and the
-iteration estimates and the min-iteration designer integrate over the
-recursion variable P = 1 - z.  Whatever is handed x finds z through
-`z_of_x`, the package's one inversion: bisection on [0, 1] to
-`INVERSION_TOL`, where rho is strictly increasing because its
-coefficients are nonnegative.  psi and psi', the rate LP's rows, the
-zeta_tilde-tuning grids and single anchors such as z(zeta_tilde) go
-through it.  Bisection rather than Newton: unconditional convergence
-matters more than speed at these sizes, where one anchor, bisected on
-Python floats, costs about 0.04 ms.
+may choose its own nodes works there through `_kernels`: the gap scans
+and the utility sample z, the utility designer's LP rows are Bernstein
+coefficients in z, and the iteration estimates and the min-iteration
+designer integrate over the recursion variable P = 1 - z.
+Whatever is handed x finds z through `z_of_x`, the package's one
+inversion: bisection on [0, 1] to `INVERSION_TOL`, where rho is strictly
+increasing because its coefficients are nonnegative.  psi and psi', the
+rate LP's rows and single anchors such as z(zeta_tilde) go through it.
+Bisection rather than Newton: unconditional convergence matters more
+than speed at these sizes, where one anchor, bisected on Python floats,
+costs about 0.04 ms.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ piece whose coefficients are all >= -tau_d closes, an end coefficient
 < -tau_d proves p < 0 there, and other pieces are halved; tau_d is the
 rounding bound at depth d.  `certify` runs it on P and reports margin
 and witness in curve units, P/(eps*rho'(z)) = psi - lam - t*psi', with
-the witness given as x.
+the witness given as x.  `step_rows` poses P's Bernstein coefficients on
+equal pieces as LP rows in (lam, t): all >= 0 proves P >= 0.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ class ConstraintPolynomial:
         return npoly.polyval(s, self.coeffs) / weight
 
 
+def _in_s(rho: DegreeDistribution, epsilon: float, zeta_tilde: float):
+    """a = 1 - eps, b = z(zeta_tilde), and x(s) and rho'(z(s)) in the power basis of s."""
+    a = 1.0 - epsilon
+    b = z_of_x(rho, float(zeta_tilde))
+    z_s = np.array([a, b - a])
+    x_s = npoly.polysub([1.0], _compose(rho.dense, z_s))
+    return a, b, x_s, _compose(npoly.polyder(rho.dense), z_s)
+
+
 def compile_constraint(
     lam: DegreeDistribution,
     t: float,
@@ -103,12 +113,9 @@ def compile_constraint(
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0.0 <= zeta_tilde < xi:
         raise DomainError(zeta_tilde, 0.0, xi, what="zeta_tilde")
-    a = 1.0 - epsilon
-    b = z_of_x(rho, float(zeta_tilde))
-    z_s = np.array([a, b - a])
-    x_s = npoly.polysub([1.0], _compose(rho.dense, z_s))
+    a, b, x_s, drho_s = _in_s(rho, epsilon, zeta_tilde)
     inner = npoly.polysub([1.0 - a, a - b], epsilon * _compose(lam.dense, x_s))
-    coeffs = npoly.polymul(_compose(npoly.polyder(rho.dense), z_s), inner)
+    coeffs = npoly.polymul(drho_s, inner)
     coeffs[0] -= t
     cp = ConstraintPolynomial(coeffs=coeffs, rho=rho, epsilon=float(epsilon), a=a, b=b,
                               zeta_tilde=float(zeta_tilde), xi=float(xi))
@@ -163,6 +170,35 @@ def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _halve(pieces: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Both halves of every piece (one per row), each left half first."""
     return np.stack([pieces @ left.T, pieces @ right.T], axis=1).reshape(-1, pieces.shape[1])
+
+
+def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float,
+              halvings: int) -> tuple[np.ndarray, np.ndarray]:
+    """P's Bernstein coefficients on 2^halvings equal pieces of s, piece by
+    piece, as rows A @ (lam_2 .. lam_dv, t) <= b of unit max-norm.
+
+    An entry below its column's conversion bound E (`nonneg_on_unit`) has
+    no known sign and is set to 0; HiGHS drops entries below 1e-9, and on
+    Fig. 2 such noise put its vertex 8.6e-15 in t off the polished one.
+    """
+    a, b, x_s, drho_s = _in_s(rho, epsilon, zeta_tilde)
+    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
+    cols = np.zeros((d_v, D + 1))
+    const = npoly.polymul(drho_s, [1.0 - a, a - b])
+    cols[0, :const.size] = const
+    power = epsilon * drho_s
+    for j in range(1, d_v):
+        power = npoly.polymul(power, x_s)
+        cols[j, :power.size] = power
+    to_bern, left, right = _bernstein_tables(D)
+    pieces = cols @ to_bern.T
+    for _ in range(halvings):
+        pieces = _halve(pieces, left, right)
+    B = pieces.reshape(d_v, -1)  # column, then piece, then coefficient
+    B[np.abs(B) < (3 * D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)[:, None]] = 0.0
+    A = np.column_stack([B[1:].T, np.ones(B.shape[1])])
+    scale = np.max(np.abs(A), axis=1)
+    return A / scale[:, None], B[0] / scale
 
 
 def _negative_point(a: np.ndarray) -> Optional[float]:

@@ -10,12 +10,12 @@ Three entry points over a common toolkit:
   "CertificateFail".
 * `design_utility` - maximize the worst-case decoding step size t subject
   to psi - lam >= t*psi' on [zeta_tilde, xi] and a rate floor.  Linear
-  program in (lam, t) whose rows sit uniformly in z = rho^{-1}(1 - x),
-  where x = 1 - rho(z), psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are
-  closed form; only z(zeta_tilde), the grid's own end row, is bisected.
-  The verdict is the certificate of the exact constraint at
-  t*(1 - 1e-6): "Optimal" if it passes, "CertificateFail" if not.  An
-  unset zeta_tilde is tuned by exact decoding cost.
+  program in (lam, t) whose rows are the Bernstein coefficients of the
+  `sip_compile` step polynomial on equal pieces, so its optimum meets the
+  constraint everywhere; it has no grid.  The verdict is the certificate
+  of the exact constraint at t*(1 - 1e-6): "Optimal" if it passes,
+  "CertificateFail" if not.  An unset zeta_tilde is tuned by exact
+  decoding cost.
 * `design_min_iterations` - minimize the iteration-count integral
   int_eta^eps dP/g(P), g(P) = P - eps*lam(1 - rho(1 - P)), by the log-P
   midpoint rule of `estimators.code_estimates`, so the objective is the
@@ -34,20 +34,12 @@ the ceiling, to say why (`_explain`); a floor at R_max is no special case.
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
-`lp_solve`, which solves each grid LP by row generation: HiGHS sees a
-working set of rows (64 evenly spaced ones to start, plus any start rows
-the caller names, then up to 64 of the most-violated rows per round)
-until x satisfies every posed row.  A 4096-row design LP, of which a
-handful of rows are active, converges in two or three solves of at most
-a few hundred rows; each zeta_tilde-tuning LP after the first starts from
-the last one's working set, and usually needs one.  The answer is the
-same LP's optimum, and the KKT gates check it against all the rows.  Two
-grids stay uniform in x: the rate LP's rows, and the zeta_tilde-tuning
-grids, whose z comes from one `de_engine.z_of_x` call.  Both choices are
-measured: the rate design's downstream iteration counts move with any
-change of its rows, and tuning over a z-uniform grid picks a worse anchor
-for Fig. 2.  Every "Optimal" report carries a passed certificate; no
-designer samples the continuous interval.
+`lp_solve`, which solves each LP by row generation: a 4096-row design LP,
+of which a handful of rows are active, converges in two or three solves
+of at most a few hundred rows, and each zeta_tilde-tuning LP after the
+first starts from the last one's working set and usually needs one.
+`grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
+Every "Optimal" report carries a passed certificate.
 """
 
 from __future__ import annotations
@@ -59,20 +51,20 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import _kernels
-from .de_engine import DEContext, de_trace, psi, z_of_x
+from .de_engine import DEContext, de_trace, psi
 from .ensemble import DegreeDistribution, Ensemble, rate as ensemble_rate
 from .errors import DomainError, NumericalFailure
-from .sip_compile import NonnegCertificate, certify, compile_constraint
+from .sip_compile import NonnegCertificate, certify, compile_constraint, step_rows
 
 DEFAULT_GRID_N = 4096
-MARGIN = 1e-7  # curve margin of the rate LP's rows, and the utility backoff's unit
+MARGIN = 1e-7  # curve margin of the rate LP's grid rows; Bernstein rows need none
 REFINE_ROUNDS = 12  # rate LP re-solves with a failed certificate's witness as a row
 BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
 BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
-TUNE_GRID_N = 512
 TUNE_L_MAX = 5000
+FLOOR_RELIEF = 1e-13  # relative raise of the utility LP's rate floor (`design_utility`)
 WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
 # HiGHS settings for every LP.  Presolve is off because it dominated every
 # design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s without,
@@ -97,7 +89,7 @@ class DesignSpec:
     R_d: float
     d_v: int
     zeta_tilde: Optional[float] = None
-    grid_n: int = DEFAULT_GRID_N
+    grid_n: int = DEFAULT_GRID_N  # min-iter nodes and rate rows; a utility design has none
 
     def validate(self) -> None:
         if not 0.0 < self.eta < self.epsilon < 1.0:
@@ -414,24 +406,14 @@ def design_rate(
                        detail=_join(note, why), rounds=rounds)
 
 
-def _utility_lp(ctx: DEContext, zs: np.ndarray, d_v: int, q: float,
+def _utility_lp(spec: DesignSpec, zt: float, halvings: int, q: float,
                 start_rows: Optional[np.ndarray]) -> LPResult:
-    """Stage-1 LP in (lam, t): maximize t s.t. lam + t*psi' <= psi at each z.
-
-    Row z sits at x = 1 - rho(z), where psi = (1 - z)/eps and
-    psi' = 1/(eps*rho'(z)); the rate floor is the last row.
-    """
-    V = _vandermonde(1.0 - ctx.rho.eval(zs), d_v)
-    pd = 1.0 / (ctx.epsilon * ctx.rho.eval_deriv(zs))
-    pv = (1.0 - zs) / ctx.epsilon
-    inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
-    A = np.vstack([np.column_stack([V, pd]),
-                   np.concatenate([-inv_degrees, [0.0]])])
-    b = np.concatenate([pv, [-q]])
-    eq = np.concatenate([np.ones(d_v - 1), [0.0]]).reshape(1, -1)
-    obj = np.zeros(d_v)
-    obj[-1] = -1.0
-    return lp_solve(obj, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0], start_rows=start_rows)
+    """Maximize t s.t. the `step_rows` on 2^halvings pieces and the rate floor, the last row."""
+    A, b = step_rows(spec.rho, spec.epsilon, spec.d_v, zt, halvings)
+    floor = np.append(-1.0 / np.arange(2, spec.d_v + 1), 0.0)
+    return lp_solve(np.append(np.zeros(spec.d_v - 1), -1.0), A_ub=np.vstack([A, floor]),
+                    b_ub=np.append(b, -q), A_eq=np.append(np.ones(spec.d_v - 1), 0.0)[None, :],
+                    b_eq=[1.0], start_rows=start_rows)
 
 
 def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
@@ -443,22 +425,15 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     at a low level, which decodes slowly despite the large worst-case
     step.  Moving the anchor a few multiples of zeta to the right trades
     the left tail for uniformly larger mid-range steps.  Each candidate
-    anchor gets a light grid solve; the lowest exact iteration count wins
-    (ties: the anchor nearest zeta).  These grids stay uniform in x: uniform
-    in z they are sparse at the left end, where x moves fastest with z, and
-    tuning then picks 0.5*zeta for the Fig. 2 design, which decodes in 385
-    iterations against 130 at 8*zeta.  One `z_of_x` call inverts every
-    candidate grid, and each candidate LP, whose rows are laid out like every
-    other's, starts from the last Optimal one's working set (`start_rows`).
+    gets the design's LP on 2^3 pieces, warm from the last Optimal one's
+    working set; the lowest exact iteration count wins (ties: the anchor
+    nearest zeta; 0.5*zeta if none decodes).  The pieces bound P on all of
+    [zeta_tilde, xi], so unlike z-uniform grids they keep 8*zeta for Fig. 2.
     """
-    zts = [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]
-    k = np.arange(1, TUNE_GRID_N + 1)
-    zss = np.split(z_of_x(ctx.rho, np.concatenate(
-        [zt + (ctx.xi - zt) * k / TUNE_GRID_N for zt in zts])), len(zts))
-    best_n, best_zt, rows = None, None, None
-    for zt, zs in zip(zts, zss):
+    best_n, best_zt, rows = None, 0.5 * ctx.zeta, None
+    for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
         try:
-            res = _utility_lp(ctx, zs, spec.d_v, q, start_rows=rows)
+            res = _utility_lp(spec, zt, 3, q, start_rows=rows)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
@@ -466,57 +441,44 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
         rows = res.working_set
         lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
         n = de_trace(Ensemble(lam, spec.rho), ctx, TUNE_L_MAX).iterations
-        if n is None:
-            continue
-        if best_n is None or n < best_n:
+        if n is not None and (best_n is None or n < best_n):
             best_n, best_zt = n, zt
-    return 0.5 * ctx.zeta if best_zt is None else best_zt
+    return best_zt
 
 
 def design_utility(spec: DesignSpec) -> SolveReport:
-    """Maximize the uniform step floor t with psi - lam >= t*psi' on a grid.
+    """Maximize the uniform step floor t with psi - lam >= t*psi' on [zeta_tilde, xi].
 
-    Solves one LP, with the rate floor as a row, on `grid_n` rows uniform
-    in z on [1 - eps, z(zeta_tilde)) plus the row at z(zeta_tilde) itself,
-    the left end in x, where the step floor binds.  The reported t is
-    backed off by a margin-scaled amount, and the exact constraint is
-    certified for (lam, t*(1-1e-6)).  The certificate is the verdict:
-    "Optimal" if it passes, "CertificateFail" (lam and t kept) if not;
-    max_violation is minus its margin.  An LP that is not Optimal is
-    "Infeasible", and only then is the rate ceiling designed, to say why
-    (`_explain`).  When the spec leaves zeta_tilde unset the anchor is
-    tuned per `_tune_zeta_tilde`.
+    The LP's rows are the step polynomial's Bernstein coefficients on 2^3
+    equal pieces (`sip_compile.step_rows`), so its optimum meets the
+    constraint everywhere and t needs no backoff; only an infeasible LP
+    doubles the pieces, up to 2^8.  The rate floor carries a relative
+    `FLOOR_RELIEF`: sum lam_j/j may miss it by 1e-13 relative (~450 ulps;
+    the polish and renormalization lose a few) with the rate still >= R_d,
+    and the floor sits at most (1 - R_d)*1e-13 above R_d.  A tuned anchor
+    is solved again cold.  The certificate of (lam, t*(1 - 1e-6)) gives
+    "Optimal" or "CertificateFail" (lam, t kept; max_violation = -margin);
+    an LP infeasible on 2^8 pieces is "Infeasible", told by `_explain`.
     """
     spec.validate()
     ctx = spec.context()
-    d_v = spec.d_v
-    q = spec.rho.integral() / (1.0 - spec.R_d)
-    zt = (_tune_zeta_tilde(spec, ctx, q) if spec.zeta_tilde is None
-          else spec.zeta_tilde)
-    z_lo = z_of_x(ctx.rho, zt)
-    zs = np.unique(np.append(
-        z_lo + (1.0 - ctx.epsilon - z_lo) * np.arange(1, spec.grid_n + 1) / spec.grid_n,
-        z_lo))
-    lp = _utility_lp(ctx, zs, d_v, q, start_rows=None)
-    if lp.status != "Optimal":
-        return _infeasible("utility", _explain(spec, f"grid LP is {lp.status}"),
-                           zeta_tilde=zt)
-
-    # the rows hold only at the nodes, and between them the gap may dip
-    # below t*psi'.  psi' is increasing, so paying 2*margin of gap at the
-    # left end pays at least that much everywhere, and the certificate's
-    # own (1 - 1e-6) relief adds to it.  1/psi'(zeta_tilde) =
-    # eps*rho'(z(zeta_tilde)).
-    backoff = 2.0 * MARGIN * ctx.epsilon * float(spec.rho.eval_deriv(z_lo))
-    t = max(float(lp.x[-1]) - backoff, 0.0)
-    lam = _lam_from_vec(lp.x[:-1], d_v).renormalized()
+    q = spec.rho.integral() / (1.0 - spec.R_d) * (1.0 + FLOOR_RELIEF)
+    zt = spec.zeta_tilde if spec.zeta_tilde is not None else _tune_zeta_tilde(spec, ctx, q)
+    for halvings in range(3, 9):
+        lp = _utility_lp(spec, zt, halvings, q, start_rows=None)
+        if lp.status == "Optimal":
+            break
+    else:
+        return _infeasible("utility", _explain(
+            spec, f"Bernstein LP is {lp.status} on 256 pieces"), zeta_tilde=zt)
+    t = float(lp.x[-1])
+    lam = _lam_from_vec(lp.x[:-1], spec.d_v).renormalized()
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
     status, why = _verdict(cert)
     return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
-                       optimality_gap=backoff + lp.kkt_residual, status=status,
-                       certificate=cert, method="utility",
-                       detail=why, zeta_tilde=zt)
+                       optimality_gap=lp.kkt_residual, status=status, certificate=cert,
+                       method="utility", detail=why, zeta_tilde=zt)
 
 
 def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
