@@ -12,7 +12,9 @@ code, and none of them inverts rho on a grid:
   taken on the log-P nodes the min-iteration designer also minimizes over,
   and floored by Cauchy-Schwarz on those nodes.
 * `utility` - the worst-case step size min (psi - lam)/psi' that a design
-  should maximize, scanned in z = rho^{-1}(1 - x).
+  should maximize, scanned in z = rho^{-1}(1 - x) and polished by a bounded
+  Brent search (`_bounded_brent`), a port of scipy's that returns its
+  minimum bit for bit without importing scipy.optimize.
 * the exact count is the recursion itself (`de_engine.de_trace`).
 
 `CurvePair`, `code_curves`, `exact_iterations` and `approx_iterations`
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import _kernels
 from .de_engine import DEContext, psi, psi_deriv, psi_inverse, z_of_x
@@ -39,6 +40,8 @@ ITER_CAP = 1_000_000
 _REL_TOL = 1e-12
 CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
 UTILITY_GRID_N = 4096  # z nodes of the utility scan
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _central_diff(f: Callable, h: float) -> Callable:
@@ -146,6 +149,79 @@ def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     return float(np.sum(p.d_f2()(xs) / gaps) * dx)
 
 
+def _bounded_brent(f: Callable[[float], float], lo: float, hi: float,
+                   xatol: float = 1e-10, maxfun: int = 500) -> tuple[float, float]:
+    """(x, f(x)) at a minimum of the float function f on [lo, hi].
+
+    Brent's bounded search (Brent, Algorithms for Minimization without
+    Derivatives, 1973): golden-section steps, replaced by parabolic ones
+    where the parabola through the three best points is acceptable.  The
+    loop is scipy.optimize's `_minimize_scalar_bounded` with the same
+    operations in the same order on Python floats, so x and f(x) equal
+    `minimize_scalar(f, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol, "maxiter": maxfun})` bit for bit.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 @dataclass(frozen=True)
 class UtilityResult:
     value: float
@@ -163,7 +239,9 @@ def utility(
     z = rho^{-1}(1 - x), from z(zeta_tilde) down to 1 - eps, where it is the
     polynomial rho'(z)*((1 - z) - eps*lam(1 - rho(z))); only z(zeta_tilde)
     takes a bisection.  Negative values flag an infeasible lam (it crosses psi).
-    The grid minimum is polished by bounded scalar minimization over z so
+    The grid minimum is polished over z between its two neighbours by the
+    in-package bounded Brent search (`_bounded_brent`, xatol 1e-10), which
+    gives scipy's `minimize_scalar(method="bounded")` result to the bit, so
     the reported bottleneck location carries no grid bias.
     """
     if zeta_tilde is None:
@@ -175,11 +253,9 @@ def utility(
     k = int(np.argmin(vals))
 
     step = _kernels.transfer_step_at(lam.dense, ctx.rho.dense, ctx.epsilon)
-    res = minimize_scalar(step, bounds=(zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]),
-                          method="bounded", options={"xatol": 1e-10})
-    if res.fun <= vals[k]:
-        return UtilityResult(value=float(res.fun),
-                             argmin_x=1.0 - ctx.rho.eval(float(res.x)))
+    z, fz = _bounded_brent(step, zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)])
+    if fz <= vals[k]:
+        return UtilityResult(value=fz, argmin_x=1.0 - ctx.rho.eval(z))
     return UtilityResult(value=float(vals[k]), argmin_x=float(xs[k]))
 
 

@@ -39,7 +39,9 @@ of which a handful of rows are active, converges in two or three solves
 of at most a few hundred rows, and each zeta_tilde-tuning LP after the
 first starts from the last one's working set and usually needs one.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
-Every "Optimal" report carries a passed certificate.
+Every "Optimal" report carries a passed certificate.  HiGHS, through
+scipy.optimize, is imported on the first LP (`linprog`), so a command
+that solves none never loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import _kernels
 from .de_engine import DEContext, de_trace, psi
@@ -72,6 +73,13 @@ WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
 LP_OPTIONS = {"presolve": False,
               "primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _check_grid_n(grid_n: int) -> None:
@@ -330,6 +338,20 @@ def _explain(spec: DesignSpec, note: str) -> str:
     return _join(lead, note)
 
 
+def _reach_note(xs: np.ndarray, b: np.ndarray, epsilon: float, d_v: int) -> str:
+    """Why the rate LP's rows lam(x) <= b at `xs` admit no lam, when they show it.
+
+    Over the simplex the least lam(x) at every x is x^{d_v-1}, all the
+    weight on degree d_v, so the rows admit no lam exactly when
+    x^{d_v-1} > b at some row; the first such x is named.
+    """
+    over = np.flatnonzero(xs ** (d_v - 1) > b)
+    if over.size == 0:
+        return f"no row excludes lam = x^{d_v - 1}; this detail cannot tell why"
+    return (f"eps {epsilon} exceeds what degree <= {d_v} reaches: even lam = x^{d_v - 1} "
+            f"exceeds psi - MARGIN at x={xs[over[0]]:.6g}")
+
+
 def _verdict(cert: NonnegCertificate) -> tuple[str, str]:
     """The status a formed design's certificate gives it, and the cause of a fail."""
     if cert.passed:
@@ -357,7 +379,9 @@ def design_rate(
     optimum is degenerate.  When that tie-break LP fails its KKT check,
     the first LP's vertex, which passed its own, is kept and `detail`
     says so.  A design whose rate is <= 0 is no code: it is reported
-    Infeasible, with the rate in `detail`.
+    Infeasible, with the rate in `detail`.  An infeasible grid LP is
+    reported with the first row where even lam = x^{d_v-1} exceeds
+    psi - MARGIN (`_reach_note`).
     """
     if d_v < 2:
         raise ValueError("d_v must be >= 2")
@@ -374,7 +398,8 @@ def design_rate(
     while True:
         lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if lp.status != "Optimal":
-            return _infeasible("rate", f"grid LP is {lp.status}")
+            return _infeasible("rate", f"grid LP is {lp.status}: "
+                                       f"{_reach_note(xs, b, epsilon, d_v)}")
         # tie-break: pin the optimal rate, prefer small lam_2
         vec, note = lp.x, ""
         try:

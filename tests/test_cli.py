@@ -64,6 +64,19 @@ def test_infeasible_design_exits_solver(tmp_path, capsys):
     assert "Infeasible" in capsys.readouterr().err
 
 
+def test_infeasible_utility_design_names_the_reach_of_d_v(tmp_path, capsys):
+    # no lam of degree <= 8 decodes x^7 at eps 0.6; the failed utility LP
+    # designs the ceiling, whose grid LP names the first row x^7 crosses
+    argv = ["design", "--objective", "utility", "--rho", '{"8": 1.0}',
+            "--epsilon", "0.6", "--eta", "1e-5", "--rd", "0.3", "--dv", "8",
+            "--grid-n", "1024", "--out", str(tmp_path / "inf")]
+    assert main(argv) == EXIT_SOLVER
+    assert capsys.readouterr().err.strip() == (
+        "design: Infeasible: rate ceiling failed: Infeasible; grid LP is Infeasible: "
+        "eps 0.6 exceeds what degree <= 8 reaches: even lam = x^7 exceeds psi - MARGIN "
+        "at x=0.895016")
+
+
 def test_bad_json_exits_usage(capsys):
     argv = ["design", "--objective", "rate", "--rho", "{not json",
             "--epsilon", "0.5", "--dv", "16"]
@@ -350,3 +363,27 @@ def test_import_does_not_build_the_parser():
     src = os.path.dirname(os.path.dirname(ldpc_forge.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_commands_that_solve_no_lp_never_import_scipy_optimize(tmp_path):
+    # one fresh interpreter: four LP-free commands, then a rate design, whose
+    # first LP imports HiGHS through solve.linprog
+    ens = '{"lambda": {"2": 0.5, "3": 0.5}, "rho": {"6": 1.0}}'
+    point = ["--epsilon", "0.3", "--eta", "1e-3"]
+    runs = [["validate", ens], ["evaluate", ens, *point], ["estimate", ens, *point],
+            ["certify", ens, *point, "--t", "1e-6"]]
+    design = ["design", "--objective", "rate", "--rho", '{"6": 1.0}', "--epsilon", "0.3",
+              "--dv", "8", "--grid-n", "256", "--out", str(tmp_path / "rate")]
+    code = ("import contextlib, io, sys\n"
+            "from ldpc_forge import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == cli.EXIT_OK, argv\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            f"assert cli.main({design!r}) == cli.EXIT_OK\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(ldpc_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

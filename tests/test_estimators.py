@@ -1,10 +1,13 @@
 """Step counting on curve pairs, the code estimates and the utility."""
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (code_estimates_oracle, fixture_context, random_feasible_pair,
                      utility_oracle)
+from ldpc_forge import _kernels
 from ldpc_forge import (
     CurvePair,
     DEContext,
@@ -21,6 +24,8 @@ from ldpc_forge import (
     psi,
     utility,
 )
+from ldpc_forge.de_engine import z_of_x
+from ldpc_forge.estimators import UTILITY_GRID_N, UtilityResult, _bounded_brent
 
 
 def linear_pair(slope_gap=0.0, const_gap=0.1, a=0.25, b=1.0):
@@ -154,6 +159,96 @@ class TestUtility:
         lam = fx.ensemble.lam
         smaller = type(lam)({d: 0.9 * v for d, v in lam.coeffs.items()})
         assert utility(smaller, ctx).value > utility(lam, ctx).value
+
+
+def _scipy_bounded(step, lo, hi, **options):
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(step, bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-10, **options})
+
+
+def _utility_grid(lam, ctx, zeta_tilde):
+    """`utility`'s z grid, its steps and the step function, rebuilt here."""
+    zs = np.linspace(z_of_x(ctx.rho, zeta_tilde), 1.0 - ctx.epsilon, UTILITY_GRID_N)
+    xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
+    step = _kernels.transfer_step_at(lam.dense, ctx.rho.dense, ctx.epsilon)
+    return zs, xs, vals, step
+
+
+def _same_bits(got: float, want) -> bool:
+    return float(got).hex() == float(want).hex()
+
+
+class TestBoundedBrent:
+    """The in-package bounded Brent search against scipy's, to the bit."""
+
+    @pytest.mark.parametrize("frac", [0.5, 0.8, 0.95, 0.99])
+    def test_utility_matches_the_scipy_polish(self, fixtures, frac):
+        # 20 fixtures x this eps fraction x 2 etas x 2 anchors: 80 calls, 320 in all
+        for fx in fixtures:
+            e = fx.ensemble
+            for eta in (1e-3, 1e-5):
+                ctx = DEContext.create(e.rho, frac * fx.params["epsilon"], eta)
+                for zt in (0.5 * ctx.zeta, 2.0 * ctx.zeta):
+                    zs, xs, vals, step = _utility_grid(e.lam, ctx, zt)
+                    k = int(np.argmin(vals))
+                    lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
+                    ref = _scipy_bounded(step, lo, hi)
+                    x, fun = _bounded_brent(step, lo, hi)
+                    assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun), fx.name
+                    want = (UtilityResult(float(ref.fun), 1.0 - ctx.rho.eval(float(ref.x)))
+                            if ref.fun <= vals[k] else
+                            UtilityResult(float(vals[k]), float(xs[k])))
+                    got = utility(e.lam, ctx, zeta_tilde=zt)
+                    assert _same_bits(got.value, want.value), fx.name
+                    assert _same_bits(got.argmin_x, want.argmin_x), fx.name
+
+    @pytest.mark.parametrize("name", ["x7_poc", "mix_eta5", "mix_dv12"])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_bracket_at_an_end_node(self, fixtures, name, end):
+        # a grid minimum at k = 0 or k = zs.size - 1 brackets [z_{k+1}, z_k]
+        # or [z_k, z_{k-1}]: the end node is itself a bound
+        fx = fixtures.get(name)
+        ctx = fixture_context(fx)
+        zs, _, _, step = _utility_grid(fx.ensemble.lam, ctx, 0.5 * ctx.zeta)
+        k = 0 if end == "first" else zs.size - 1
+        lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
+        ref = _scipy_bounded(step, lo, hi)
+        x, fun = _bounded_brent(step, lo, hi)
+        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+        assert lo <= x <= hi
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),  # parabolic steps land on it
+        (math.cos, 3.0, 4.0),  # interior minimum at pi
+        (lambda x: x ** 3, -1.0, 2.0),  # minimum at the lower bound
+        (lambda x: -x, 0.0, 1.0),  # minimum at the upper bound
+        (lambda x: 1.0, 0.0, 1.0),  # flat: every comparison ties
+        (lambda x: abs(x - 0.123456789), 0.0, 1.0),  # kink: golden steps
+    ])
+    @pytest.mark.parametrize("maxfun", [500, 5])
+    def test_matches_scipy_on_plain_functions(self, f, lo, hi, maxfun):
+        ref = _scipy_bounded(f, lo, hi, maxiter=maxfun)
+        x, fun = _bounded_brent(f, lo, hi, maxfun=maxfun)
+        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+
+    def test_matches_scipy_on_quantized_functions(self):
+        # steps of 2^-k make f(u) == f(x) ties common, so the branches that
+        # compare equal values are taken; dyadic bounds, two tolerances, two caps
+        rng = np.random.default_rng(7)
+        for i in range(400):
+            c, s = float(rng.uniform(-1.0, 2.0)), 2.0 ** int(rng.integers(0, 12))
+            f = [lambda x: math.floor((x - c) ** 2 * s) / s,
+                 lambda x: round(abs(x - c) * s) / s,
+                 lambda x: (x - c) ** 2,
+                 lambda x: -math.floor(math.cos(3.0 * x + c) * s) / s][i % 4]
+            lo, hi = sorted(float(v) / 4.0 for v in rng.integers(-8, 8, size=2))
+            hi = hi if hi > lo else lo + 1.0
+            xatol, maxfun = (1e-3 if i % 3 == 0 else 1e-10), (500 if i % 2 == 0 else 7)
+            ref = _scipy_bounded(f, lo, hi, xatol=xatol, maxiter=maxfun)
+            x, fun = _bounded_brent(f, lo, hi, xatol=xatol, maxfun=maxfun)
+            assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun), (i, c, s, lo, hi)
 
 
 class TestCodeEstimates:

@@ -268,6 +268,29 @@ class TestDesignRate:
         assert "Infeasible" in rep.detail
         assert rep.lam is None
 
+    @pytest.mark.parametrize("rho_map, eps, d_v, x_text", [
+        ({8: 1.0}, 0.6, 8, "0.895016"),
+        ({7: 0.542, 8: 0.458}, 0.52, 4, "0.676257"),
+    ])
+    def test_infeasible_names_the_reach_of_d_v(self, rho_map, eps, d_v, x_text):
+        # the least lam(x) over the simplex is x^{d_v-1}; it crosses psi - MARGIN
+        # first at the named grid row, so no lam of degree <= d_v fits
+        rho = DegreeDistribution(rho_map)
+        rep = design_rate(rho, eps, d_v, grid_n=1024)
+        assert rep.status == "Infeasible" and rep.lam is None
+        assert rep.detail == (
+            f"grid LP is Infeasible: eps {eps} exceeds what degree <= {d_v} reaches: "
+            f"even lam = x^{d_v - 1} exceeds psi - MARGIN at x={x_text}")
+        ctx = DEContext.create(rho, eps, eta=eps * 1e-6)
+        xs = ctx.xi * np.arange(1, 1025) / 1024
+        first = xs[np.flatnonzero(xs ** (d_v - 1) > psi(ctx, xs) - solve.MARGIN)[0]]
+        assert f"{first:.6g}" == x_text
+
+    def test_infeasible_rows_that_admit_x_pow_d_v_cannot_tell(self):
+        xs = np.array([0.25, 0.5])
+        note = solve._reach_note(xs, xs ** 3 + 1e-3, 0.4, 4)
+        assert note == "no row excludes lam = x^3; this detail cannot tell why"
+
     def test_negative_rate_is_no_code(self):
         # the LP is feasible and its design certified, but the best rate
         # this rho and d_v reach at this eps is below zero
@@ -409,7 +432,9 @@ class TestDesignUtility:
         rep = designer(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=2, R_d=0.3,
                                   grid_n=512))
         assert rep.status == "Infeasible"
-        assert rep.detail == "rate ceiling failed: Infeasible; grid LP is Infeasible"
+        assert rep.detail == (
+            "rate ceiling failed: Infeasible; grid LP is Infeasible: eps 0.5 exceeds what "
+            "degree <= 2 reaches: even lam = x^1 exceeds psi - MARGIN at x=0.00193787")
 
     def test_published_mix_design(self, rho_mix, utility_mix):
         spec, rep = utility_mix
