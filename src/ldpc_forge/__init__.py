@@ -4,11 +4,12 @@ The package models iterative decoding on the binary erasure channel as a
 staircase bouncing between the variable-side polynomial lam(x) and the
 check-side transfer curve psi(x).  On top of that picture it provides:
 
-* `de_engine` - the erasure recursion, psi and its inverse/derivative,
-  the one inversion x -> z = rho^{-1}(1 - x), and the success check;
+* `de_engine` - the erasure recursion, which gives the exact iteration
+  count, psi and its derivative, the one inversion
+  x -> z = rho^{-1}(1 - x), and the success check;
 * `estimators` - the iteration approximation approx_N and its floor (over
   the recursion variable P, with no inverse of rho), the bottleneck
-  utility, and the x-domain staircase reference (`CurvePair`);
+  utility, and the x-domain integral reference (`CurvePair`);
 * `series` - truncated power series of psi; no designer or command calls
   it, and it stays only while the benchmark's tracer wraps `taylor_for`;
 * `sip_compile` - the step-size constraint as one exact polynomial in
@@ -23,14 +24,13 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 
 from .de_engine import (DEContext, DecodingTrace, MaxIterations, ReachedTarget,
                         Stalled, SuccessCheck, check_successful, de_trace, psi,
-                        psi_deriv, psi_inverse)
+                        psi_deriv)
 from .ensemble import DegreeDistribution, Ensemble, graphical_complexity, rate
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
-                     LdpcForgeError, NegativeCoefficient, NonConvergent,
-                     NumericalFailure, RateOutOfRange, ReversionSingular,
-                     SumNotOne)
+                     LdpcForgeError, NegativeCoefficient, NumericalFailure,
+                     RateOutOfRange, ReversionSingular, SumNotOne)
 from .estimators import (CurvePair, UtilityResult, approx_iterations, code_curves,
-                         code_estimates, exact_iterations, utility)
+                         code_estimates, utility)
 from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, taylor_for,
                      taylor_general, taylor_regular)
 from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
@@ -44,14 +44,14 @@ __all__ = [
     "ConstraintPolynomial", "CurvePair", "DEContext", "DecodingTrace",
     "DegenerateGap", "DegreeDistribution", "DerivativeSingular", "DesignSpec",
     "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "MaxIterations",
-    "NegativeCoefficient", "NonConvergent", "NonnegCertificate", "NumericalFailure",
+    "NegativeCoefficient", "NonnegCertificate", "NumericalFailure",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
     "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries", "UtilityResult",
     "DEFAULT_ORDER",
     "approx_iterations", "binom_frac", "certify", "check_successful",
     "code_curves", "code_estimates", "compile_constraint", "de_trace",
-    "design_min_iterations", "design_rate", "design_utility", "exact_iterations",
+    "design_min_iterations", "design_rate", "design_utility",
     "graphical_complexity", "lp_solve", "nonneg_on_unit",
-    "psi", "psi_deriv", "psi_inverse", "rate", "taylor_for", "taylor_general",
+    "psi", "psi_deriv", "rate", "taylor_for", "taylor_general",
     "taylor_regular", "utility",
 ]

@@ -141,15 +141,6 @@ def psi(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     return _shape(x, ys)
 
 
-def psi_inverse(ctx: DEContext, y: ArrayLike) -> ArrayLike:
-    """Closed-form inverse 1 - rho(1 - eps*y), mapping [0, 1] onto [0, xi]."""
-    ys = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if ys.size and (ys.min() < 0.0 or ys.max() > 1.0):
-        bad = float(ys.min() if ys.min() < 0.0 else ys.max())
-        raise DomainError(bad, 0.0, 1.0, what="psi_inverse argument")
-    return _shape(y, 1.0 - ctx.rho.eval(1.0 - ctx.epsilon * ys))
-
-
 def psi_deriv(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     """d psi/dx = 1 / (eps * rho'(rho_inverse(1 - x))); positive on [0, xi]."""
     xs = _on_domain(ctx, x, "psi_deriv argument")

@@ -57,17 +57,6 @@ class DerivativeSingular(LdpcForgeError):
         super().__init__(f"derivative singular at x={x!r} (slope {slope!r})")
 
 
-class NonConvergent(LdpcForgeError):
-    """An iteration-count recursion failed to reach its target."""
-
-    def __init__(self, iterations: int, detail: str = ""):
-        self.iterations = iterations
-        msg = f"recursion did not reach the target within {iterations} steps"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
 class DegenerateGap(LdpcForgeError):
     """The gap between the two transfer curves is non-positive."""
 

@@ -17,10 +17,9 @@ code, and none of them inverts rho on a grid:
   minimum bit for bit without importing scipy.optimize.
 * the exact count is the recursion itself (`de_engine.de_trace`).
 
-`CurvePair`, `code_curves`, `exact_iterations` and `approx_iterations`
-remain as the x-domain reference: a staircase between a lower curve f1
-and an upper curve f2 on [a, b], from ordinate Z to abscissa f2^{-1}(Z)
-to ordinate f1 of that, counted until the abscissa drops below a.
+`CurvePair`, `code_curves` and `approx_iterations` remain as the x-domain
+reference: the integral of f2'/(f2 - f1) for a lower curve f1 and an
+upper curve f2 on [a, b].
 """
 
 from __future__ import annotations
@@ -32,12 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .de_engine import DEContext, psi, psi_deriv, psi_inverse, z_of_x
+from .de_engine import DEContext, psi, psi_deriv, z_of_x
 from .ensemble import DegreeDistribution, Ensemble
-from .errors import DegenerateGap, DomainError, NonConvergent
+from .errors import DegenerateGap, DomainError
 
-ITER_CAP = 1_000_000
-_REL_TOL = 1e-12
 CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
 UTILITY_GRID_N = 4096  # z nodes of the utility scan
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -51,31 +48,12 @@ def _central_diff(f: Callable, h: float) -> Callable:
     return deriv
 
 
-def _bisect_inverse(f: Callable, lo: float, hi: float, iters: int = 100) -> Callable:
-    """Invert an increasing scalar/vector function on [lo, hi] by bisection."""
-
-    def inverse(y):
-        ys = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        a = np.full_like(ys, lo)
-        b = np.full_like(ys, hi)
-        for _ in range(iters):
-            mid = 0.5 * (a + b)
-            below = f(mid) < ys
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        out = 0.5 * (a + b)
-        return float(out[0]) if np.isscalar(y) else out
-
-    return inverse
-
-
 @dataclass(frozen=True)
 class CurvePair:
-    """Two increasing curves f1 < f2 on [a, b] plus optional analytic extras.
+    """Two increasing curves f1 < f2 on [a, b] plus optional derivatives.
 
     Callables must accept numpy arrays.  Missing derivatives fall back to
-    central differences (which evaluate slightly outside [a, b]); a missing
-    f2 inverse falls back to bisection on [a, b].
+    central differences (which evaluate slightly outside [a, b]).
     """
 
     f1: Callable
@@ -84,16 +62,12 @@ class CurvePair:
     b: float
     f1_deriv: Optional[Callable] = None
     f2_deriv: Optional[Callable] = None
-    f2_inverse: Optional[Callable] = None
 
     def d_f1(self) -> Callable:
         return self.f1_deriv or _central_diff(self.f1, 1e-6 * (self.b - self.a))
 
     def d_f2(self) -> Callable:
         return self.f2_deriv or _central_diff(self.f2, 1e-6 * (self.b - self.a))
-
-    def inv_f2(self) -> Callable:
-        return self.f2_inverse or _bisect_inverse(self.f2, self.a, self.b)
 
     def validate(self, grid_n: int = 257) -> None:
         xs = np.linspace(self.a, self.b, grid_n)
@@ -108,28 +82,6 @@ class CurvePair:
                 raise ValueError(
                     f"{name} is not increasing: slope {slopes[j]:.3e} at x={xs[j]:.6g}"
                 )
-
-
-def exact_iterations(p: CurvePair, cap: int = ITER_CAP) -> int:
-    """Count staircase steps from Z_0 = f2(b) until the abscissa reaches a.
-
-    The stop test is tie-inclusive with a 1e-12 relative band so that exact
-    landings on the boundary (common in hand-built cases) count as arrived.
-    """
-    p.validate()
-    inv = p.inv_f2()
-    z = float(p.f2(np.float64(p.b)))
-    target = float(p.f2(np.float64(p.a)))
-    stop = target + _REL_TOL * (1.0 + abs(target))
-    for l in range(1, cap + 1):
-        x = float(inv(z))
-        z_new = float(p.f1(np.float64(x)))
-        if z_new <= stop:
-            return l
-        if z_new >= z * (1.0 - _REL_TOL):
-            raise NonConvergent(l, f"stalled at Z={z_new!r}")
-        z = z_new
-    raise NonConvergent(cap, "iteration cap reached before the target")
 
 
 def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
@@ -287,7 +239,7 @@ def code_estimates(e: Ensemble, ctx: DEContext) -> CodeEstimates:
 
 
 def code_curves(e: Ensemble, ctx: DEContext) -> CurvePair:
-    """The (lam, psi) pair on [zeta, xi] with analytic derivative and inverse."""
+    """The (lam, psi) pair on [zeta, xi] with analytic derivatives."""
     return CurvePair(
         f1=e.lam.eval,
         f2=lambda x: psi(ctx, x),
@@ -295,5 +247,4 @@ def code_curves(e: Ensemble, ctx: DEContext) -> CurvePair:
         b=ctx.xi,
         f1_deriv=e.lam.eval_deriv,
         f2_deriv=lambda x: psi_deriv(ctx, x),
-        f2_inverse=lambda y: psi_inverse(ctx, y),
     )

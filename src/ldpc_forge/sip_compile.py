@@ -9,10 +9,12 @@ by eps*rho'(z) > 0 turns it into
 
 on z in [1 - eps, z(zeta_tilde)], where x runs from xi down to
 zeta_tilde.  P is a polynomial of degree (d_c - 2) + (d_c - 1)(d_v - 1),
-affine in (lam, t), with no truncation anywhere.  `compile_constraint`
-writes it in s on [0, 1] through z = a + (b - a)*s, a = 1 - eps and
-b = z(zeta_tilde), and checks the coefficients against the closed form
-of `_kernels.transfer_step` at a few nodes.
+affine in (lam, t), with no truncation anywhere.  `_columns` writes it
+in s on [0, 1] through z = a + (b - a)*s, a = 1 - eps and
+b = z(zeta_tilde), as one column per unknown: the only composition of P.
+`compile_constraint` combines the columns for one (lam, t) and checks
+the coefficients against the closed form of `_kernels.transfer_step` at
+a few nodes.
 
 `nonneg_on_unit` decides p(s) >= 0 on [0, 1] by Bernstein subdivision
 (Lane & Riesenfeld, BIT 1981; Garloff 1986): on a piece, p lies within
@@ -21,8 +23,9 @@ piece whose coefficients are all >= -tau_d closes, an end coefficient
 < -tau_d proves p < 0 there, and other pieces are halved; tau_d is the
 rounding bound at depth d.  `certify` runs it on P and reports margin
 and witness in curve units, P/(eps*rho'(z)) = psi - lam - t*psi', with
-the witness given as x.  `step_rows` poses P's Bernstein coefficients on
-equal pieces as LP rows in (lam, t): all >= 0 proves P >= 0.
+the witness given as x.  `step_rows` poses the same columns' Bernstein
+coefficients on equal pieces as LP rows in (lam, t): all >= 0 proves
+P >= 0.
 """
 
 from __future__ import annotations
@@ -86,13 +89,27 @@ class ConstraintPolynomial:
         return npoly.polyval(s, self.coeffs) / weight
 
 
-def _in_s(rho: DegreeDistribution, epsilon: float, zeta_tilde: float):
-    """a = 1 - eps, b = z(zeta_tilde), and x(s) and rho'(z(s)) in the power basis of s."""
+def _columns(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
+    """a = 1 - eps, b = z(zeta_tilde), and P's columns in the power basis of s.
+
+    cols[0] is rho'(z(s))*(1 - z(s)) and cols[j], 1 <= j < d_v, is
+    eps*rho'(z(s))*x(s)^j, so P = cols[0] - sum_j lam_{j+1}*cols[j] - t.
+    This is the one place P is composed.
+    """
     a = 1.0 - epsilon
     b = z_of_x(rho, float(zeta_tilde))
     z_s = np.array([a, b - a])
     x_s = npoly.polysub([1.0], _compose(rho.dense, z_s))
-    return a, b, x_s, _compose(npoly.polyder(rho.dense), z_s)
+    drho_s = _compose(npoly.polyder(rho.dense), z_s)
+    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
+    cols = np.zeros((d_v, D + 1))
+    const = npoly.polymul(drho_s, [1.0 - a, a - b])
+    cols[0, :const.size] = const
+    power = epsilon * drho_s
+    for j in range(1, d_v):
+        power = npoly.polymul(power, x_s)
+        cols[j, :power.size] = power
+    return a, b, cols
 
 
 def compile_constraint(
@@ -113,9 +130,8 @@ def compile_constraint(
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0.0 <= zeta_tilde < xi:
         raise DomainError(zeta_tilde, 0.0, xi, what="zeta_tilde")
-    a, b, x_s, drho_s = _in_s(rho, epsilon, zeta_tilde)
-    inner = npoly.polysub([1.0 - a, a - b], epsilon * _compose(lam.dense, x_s))
-    coeffs = npoly.polymul(drho_s, inner)
+    a, b, cols = _columns(rho, epsilon, lam.dense.size, zeta_tilde)
+    coeffs = cols[0] - lam.dense[1:] @ cols[1:]
     coeffs[0] -= t
     cp = ConstraintPolynomial(coeffs=coeffs, rho=rho, epsilon=float(epsilon), a=a, b=b,
                               zeta_tilde=float(zeta_tilde), xi=float(xi))
@@ -181,15 +197,8 @@ def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: flo
     no known sign and is set to 0; HiGHS drops entries below 1e-9, and on
     Fig. 2 such noise put its vertex 8.6e-15 in t off the polished one.
     """
-    a, b, x_s, drho_s = _in_s(rho, epsilon, zeta_tilde)
-    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
-    cols = np.zeros((d_v, D + 1))
-    const = npoly.polymul(drho_s, [1.0 - a, a - b])
-    cols[0, :const.size] = const
-    power = epsilon * drho_s
-    for j in range(1, d_v):
-        power = npoly.polymul(power, x_s)
-        cols[j, :power.size] = power
+    _, _, cols = _columns(rho, epsilon, d_v, zeta_tilde)
+    D = cols.shape[1] - 1
     to_bern, left, right = _bernstein_tables(D)
     pieces = cols @ to_bern.T
     for _ in range(halvings):

@@ -24,7 +24,6 @@ from ldpc_forge import (
     de_trace,
     psi,
     psi_deriv,
-    psi_inverse,
 )
 from ldpc_forge import _kernels, compile_constraint
 from ldpc_forge.de_engine import INVERSION_TOL, STALL_TOL, z_of_x
@@ -75,13 +74,10 @@ class TestTransferCurve:
             psi(ctx_x7, ctx_x7.xi + 1e-6)
 
     def test_inverse_round_trip(self, ctx_x7):
+        # psi's inverse for rho = x^7 at eps 0.5 is x = 1 - (1 - 0.5*y)^7
         for y in np.linspace(0.0, 1.0, 41):
-            x = psi_inverse(ctx_x7, float(y))
+            x = 1.0 - (1.0 - 0.5 * float(y)) ** 7
             assert psi(ctx_x7, x) == pytest.approx(float(y), abs=1e-10)
-
-    def test_inverse_closed_form(self, ctx_x7):
-        y = 0.37
-        assert psi_inverse(ctx_x7, y) == pytest.approx(1.0 - (1.0 - 0.5 * y) ** 7, abs=1e-14)
 
     def test_deriv_monomial_closed_form(self, ctx_x7):
         for x in (0.05, 0.3, 0.6):
@@ -209,7 +205,7 @@ class TestRecursion:
         status = self._assert_bit_equal_to_polyval(f.ensemble, fixture_context(f), l_max=5)
         assert status == _kernels.STATUS_MAX_ITER
 
-    def test_matches_ordinate_recursion_count(self, rng, rho_mix):
+    def test_matches_ordinate_recursion_count(self, rng, rho_mix, fixtures):
         # the normalized staircase recursion counts the same steps
         eps, eta = 0.47, 1e-3
         ctx = DEContext.create(rho_mix, eps, eta)
@@ -218,6 +214,11 @@ class TestRecursion:
             e = Ensemble(lam=lam, rho=rho_mix)
             trace = de_trace(e, ctx)
             assert trace.iterations == staircase_oracle(lam.coeffs, rho_mix.coeffs, eps, eta)
+        # and a published code: 50 steps at eps 0.48, eta 1e-4
+        e = fixtures.get("mix_acc_r048").ensemble
+        want = staircase_oracle(e.lam.coeffs, e.rho.coeffs, 0.48, 1e-4)
+        assert want == 50
+        assert de_trace(e, DEContext.create(e.rho, 0.48, 1e-4)).iterations == want
 
 
 class TestSuccessCheck:

@@ -15,12 +15,10 @@ from ldpc_forge import (
     DegreeDistribution,
     DomainError,
     Ensemble,
-    NonConvergent,
     approx_iterations,
     code_curves,
     code_estimates,
     de_trace,
-    exact_iterations,
     psi,
     utility,
 )
@@ -36,51 +34,7 @@ def linear_pair(slope_gap=0.0, const_gap=0.1, a=0.25, b=1.0):
         f1=f1, f2=f2, a=a, b=b,
         f1_deriv=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 - slope_gap),
         f2_deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        f2_inverse=lambda y: np.asarray(y, dtype=float) + 0.0,
     )
-
-
-class TestExactIterations:
-    def test_halving_staircase_takes_two_steps(self):
-        pair = CurvePair(f1=lambda x: np.asarray(x) / 2.0, f2=lambda x: np.asarray(x) + 0.0,
-                         a=0.25, b=1.0)
-        assert exact_iterations(pair) == 2
-
-    def test_equal_step_profile_counts_interval_over_step(self):
-        for d in (0.013, 0.05, 0.24):
-            pair = linear_pair(const_gap=d)
-            want = int(np.ceil((pair.b - pair.a) / d))
-            assert exact_iterations(pair) == pytest.approx(want, abs=1)
-
-    def test_cap_exceeded_raises(self):
-        pair = linear_pair(const_gap=1e-6)
-        with pytest.raises(NonConvergent) as exc:
-            exact_iterations(pair, cap=100)
-        assert exc.value.iterations == 100
-
-    def test_touching_curves_stall(self):
-        # gap vanishes at x = 0.6, so the staircase cannot pass it; the
-        # approach is harmonic, so a modest cap is what actually fires
-        f1 = lambda x: np.asarray(x) - 0.5 * (np.asarray(x) - 0.6) ** 2
-        pair = CurvePair(f1=f1, f2=lambda x: np.asarray(x) + 0.0, a=0.25, b=1.0,
-                         f2_inverse=lambda y: np.asarray(y) + 0.0)
-        with pytest.raises(NonConvergent):
-            exact_iterations(pair, cap=20_000)
-
-    def test_matches_recursion_count_on_real_code(self, fixtures):
-        fx = fixtures.get("mix_acc_r048")
-        ctx = DEContext.create(fx.ensemble.rho, 0.48, 1e-4)
-        pair = code_curves(fx.ensemble, ctx)
-        assert exact_iterations(pair) == de_trace(fx.ensemble, ctx).iterations
-
-    def test_matches_recursion_count_on_random_codes(self, rng, rho_mix):
-        from helpers import random_decodable_ensemble
-
-        ctx = DEContext.create(rho_mix, 0.46, 1e-3)
-        for _ in range(10):
-            e = random_decodable_ensemble(rng, rho_mix, 0.46, 1e-3)
-            pair = code_curves(e, ctx)
-            assert exact_iterations(pair) == de_trace(e, ctx).iterations
 
 
 class TestApproxIterations:
@@ -113,7 +67,7 @@ class TestApproxIterations:
             shrunk = CurvePair(
                 f1=lambda x, p=pair: 0.9 * p.f1(x),
                 f2=pair.f2, a=pair.a, b=pair.b,
-                f2_deriv=pair.f2_deriv, f2_inverse=pair.f2_inverse,
+                f2_deriv=pair.f2_deriv,
             )
             assert approx_iterations(shrunk) <= approx_iterations(pair) + 1e-9
 
@@ -341,14 +295,6 @@ class TestCodeCurves:
             num1 = (pair.f1(x + h) - pair.f1(x - h)) / (2 * h)
             assert float(pair.d_f1()(x)) == pytest.approx(float(num1), rel=1e-5)
 
-    def test_inverse_round_trips(self, fixtures):
-        fx = fixtures.get("mix_acc_r048")
-        ctx = DEContext.create(fx.ensemble.rho, 0.48, 1e-4)
-        pair = code_curves(fx.ensemble, ctx)
-        for y in np.linspace(float(pair.f2(pair.a)), float(pair.f2(pair.b)), 9):
-            x = float(pair.inv_f2()(y))
-            assert float(pair.f2(x)) == pytest.approx(y, abs=1e-9)
-
     def test_validate_flags_infeasible_pair(self, fixtures):
         fx = fixtures.get("x7_poc")
         ctx = DEContext.create(fx.ensemble.rho, 0.5, 1e-5)
@@ -362,11 +308,6 @@ class TestCurvePairFallbacks:
         pair = CurvePair(f1=lambda x: np.asarray(x) / 2.0,
                          f2=lambda x: np.asarray(x, dtype=float) ** 2, a=0.3, b=1.0)
         assert float(pair.d_f2()(0.5)) == pytest.approx(1.0, rel=1e-6)
-
-    def test_inverse_fallback_uses_bisection(self):
-        pair = CurvePair(f1=lambda x: np.asarray(x) / 2.0,
-                         f2=lambda x: np.asarray(x, dtype=float) ** 2, a=0.3, b=1.0)
-        assert float(pair.inv_f2()(0.49)) == pytest.approx(0.7, abs=1e-9)
 
     def test_validate_rejects_non_increasing_f2(self):
         # gap stays positive so the monotonicity check is what fires

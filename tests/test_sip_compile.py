@@ -358,3 +358,28 @@ class TestExactOracle:
                 exact = exact_bernstein(a_exact)
                 err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
                 assert err <= tau, name
+
+
+class TestStepRows:
+    def test_rows_are_the_certified_polynomial(self, rho_x7):
+        # the utility LP's rows at the design's (lam, t) are the Bernstein
+        # coefficients of the polynomial its certificate decides, piece by
+        # piece; a row entry is within its column's conversion bound E_j of
+        # the exact one or was zeroed below it, so a row is within
+        # 2*sum_j |coefficient_j|*E_j (coefficient 1 for the constant column)
+        spec = DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16)
+        rep = design_utility(spec)
+        zt = rep.zeta_tilde
+        A, b = sip_compile.step_rows(rho_x7, 0.5, 16, zt, 3)
+        vec = np.append([rep.lam.coeff(j) for j in range(2, 17)], rep.t)
+        rows = (b - A @ vec) / A[:, -1]  # the t column is 1 before scaling
+        cp = compile_constraint(rep.lam, rep.t, rho_x7, 0.5, zt, spec.context().xi)
+        to_bern, left, right = sip_compile._bernstein_tables(cp.D)
+        pieces = (to_bern @ cp.coeffs)[None, :]
+        for _ in range(3):
+            pieces = sip_compile._halve(pieces, left, right)
+        assert rows.size == pieces.size == 8 * (cp.D + 1)
+        _, _, cols = sip_compile._columns(rho_x7, 0.5, 16, zt)
+        E = (3 * cp.D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)
+        bound = 2.0 * (E[0] + vec[:-1] @ E[1:])
+        assert np.max(np.abs(rows - pieces.ravel())) <= bound
