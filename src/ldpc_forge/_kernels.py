@@ -33,6 +33,10 @@ It halves a whole array of targets at once; a single target is bisected
 on Python floats with the same halving rule and the same residuals, so
 both give the same z to the bit.
 
+Array evaluations of a polynomial, here and in `sip_compile`, go through
+`_polyval`: `npoly.polyval`'s operations in its order, so the same bits,
+with the accumulator updated in place.
+
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.
 """
@@ -64,11 +68,27 @@ def _horner(coeffs, u):
     return y
 
 
+def _polyval(x, c):
+    """``npoly.polyval(x, c)`` for 1-D ``c``, bit for bit, in place.
+
+    Horner from the highest power, c[-1] + x*0 and then y*x + c[k], the
+    operations of numpy's own loop in its order; the accumulator is
+    updated in place, so an array ``x`` costs one buffer, not two per term.
+    """
+    y = x * 0.0
+    y += c[-1]
+    for ck in c[-2::-1].tolist():
+        y *= x
+        y += ck
+    return y
+
+
 def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     """Run the erasure-probability recursion until target, stall, or cap.
 
     Returns ``(probs, status)`` where ``probs`` holds P_0 .. P_n and
-    ``status`` is one of the STATUS_* codes.
+    ``status`` is one of the STATUS_* codes.  Both Horner loops are
+    written out in the recursion, in `_horner`'s operation order.
     """
 
     lam_d = _descending(lam_c)
@@ -80,7 +100,15 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     probs = array("d", [p])
     status = STATUS_MAX_ITER
     for _ in range(int(l_max)):
-        p_next = eps * _horner(lam_d, 1.0 - _horner(rho_d, 1.0 - p))
+        u = 1.0 - p
+        y = 0.0
+        for c in rho_d:
+            y = y * u + c
+        u = 1.0 - y
+        y = 0.0
+        for c in lam_d:
+            y = y * u + c
+        p_next = eps * y
         probs.append(p_next)
         if p_next < eta:
             status = STATUS_REACHED
@@ -132,7 +160,7 @@ def bisect_increasing(coef, targets, tol):
     done = np.zeros(targets.shape, dtype=bool)
     for _ in range(BISECT_MAX_ITER):
         mid = np.where(done, mid, 0.5 * (lo + hi))
-        resid = npoly.polyval(mid, coef) - targets
+        resid = _polyval(mid, coef) - targets
         done = done | (np.abs(resid) <= tol)
         if done.all():
             break
@@ -147,7 +175,9 @@ def recursion_gap(lam_c, rho_c, eps, ps):
     """g(P) = P - eps*lam(1 - rho(1 - P)), the recursion's step, at each P."""
 
     ps = np.asarray(ps, dtype=np.float64)
-    return ps - eps * npoly.polyval(1.0 - npoly.polyval(1.0 - ps, rho_c), lam_c)
+    lam_c = np.asarray(lam_c, dtype=np.float64)
+    rho_c = np.asarray(rho_c, dtype=np.float64)
+    return ps - eps * _polyval(1.0 - _polyval(1.0 - ps, rho_c), lam_c)
 
 
 def log_p_nodes(eta, eps, n):
@@ -183,9 +213,9 @@ def _transfer(lam_c, rho_c, eps, zs):
 
     zs = np.asarray(zs, dtype=np.float64)
     rho_c = np.asarray(rho_c, dtype=np.float64)
-    xs = 1.0 - npoly.polyval(zs, rho_c)
-    scaled_gap = (1.0 - zs) - eps * npoly.polyval(xs, np.asarray(lam_c, dtype=np.float64))
-    return xs, scaled_gap, npoly.polyval(zs, npoly.polyder(rho_c))
+    xs = 1.0 - _polyval(zs, rho_c)
+    scaled_gap = (1.0 - zs) - eps * _polyval(xs, np.asarray(lam_c, dtype=np.float64))
+    return xs, scaled_gap, _polyval(zs, npoly.polyder(rho_c))
 
 
 def transfer_step_at(lam_c, rho_c, eps):

@@ -30,6 +30,7 @@ P >= 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,7 +52,7 @@ def _compose(c: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Coefficients of sum_k c[k]*inner(s)^k, by Horner's rule."""
     out = np.array([c[-1]])
     for ck in c[-2::-1]:
-        out = npoly.polymul(out, inner)
+        out = np.convolve(out, inner)
         out[0] += ck
     return out
 
@@ -80,13 +81,13 @@ class ConstraintPolynomial:
 
     def x_of(self, s):
         # clipped: b carries the bisection residual of z(zeta_tilde)
-        x = 1.0 - npoly.polyval(self.z_of(s), self.rho.dense)
+        x = 1.0 - _kernels._polyval(self.z_of(s), self.rho.dense)
         return np.clip(x, self.zeta_tilde, self.xi)
 
     def curve_gap(self, s):
         """psi - lam - t*psi' at x(s), i.e. P(s)/(eps*rho'(z(s)))."""
-        weight = self.epsilon * npoly.polyval(self.z_of(s), npoly.polyder(self.rho.dense))
-        return npoly.polyval(s, self.coeffs) / weight
+        weight = self.epsilon * _kernels._polyval(self.z_of(s), npoly.polyder(self.rho.dense))
+        return _kernels._polyval(s, self.coeffs) / weight
 
 
 def _columns(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
@@ -99,15 +100,16 @@ def _columns(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: floa
     a = 1.0 - epsilon
     b = z_of_x(rho, float(zeta_tilde))
     z_s = np.array([a, b - a])
-    x_s = npoly.polysub([1.0], _compose(rho.dense, z_s))
+    x_s = -_compose(rho.dense, z_s)
+    x_s[0] += 1.0
     drho_s = _compose(npoly.polyder(rho.dense), z_s)
     D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
     cols = np.zeros((d_v, D + 1))
-    const = npoly.polymul(drho_s, [1.0 - a, a - b])
+    const = np.convolve(drho_s, [1.0 - a, a - b])
     cols[0, :const.size] = const
     power = epsilon * drho_s
     for j in range(1, d_v):
-        power = npoly.polymul(power, x_s)
+        power = np.convolve(power, x_s)
         cols[j, :power.size] = power
     return a, b, cols
 
@@ -136,8 +138,8 @@ def compile_constraint(
     cp = ConstraintPolynomial(coeffs=coeffs, rho=rho, epsilon=float(epsilon), a=a, b=b,
                               zeta_tilde=float(zeta_tilde), xi=float(xi))
     _, step = _kernels.transfer_step(lam.dense, rho.dense, epsilon, cp.z_of(_CHECK_NODES))
-    scale = npoly.polyval(_CHECK_NODES, np.abs(coeffs)) + t
-    resid = np.abs(npoly.polyval(_CHECK_NODES, coeffs) - (step - t))
+    scale = _kernels._polyval(_CHECK_NODES, np.abs(coeffs)) + t
+    resid = np.abs(_kernels._polyval(_CHECK_NODES, coeffs) - (step - t))
     if not np.all(resid <= _CHECK_REL_TOL * scale):
         raise NumericalFailure(
             f"compiled constraint disagrees with its closed form: relative "
@@ -167,11 +169,14 @@ class NonnegCertificate:
         return self.kind == "SturmPass"
 
 
+@functools.lru_cache(maxsize=8)
 def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The map to Bernstein form on [0, 1] and the two de Casteljau halvings.
 
     All three come from one Pascal table: b_k = sum_{j<=k} C(k, j)/C(D, j)*a_j,
     the left half is L_i = sum_{j<=i} C(i, j)/2^i*b_j, the right its mirror.
+    They depend on D alone, so the last few degrees are cached, and the
+    arrays are read-only because every caller shares them.
     """
     if D > 1020:  # C(D, D/2) and 2^-D are normal floats up to here
         raise NumericalFailure(f"degree {D} exceeds the 1020 the Bernstein tables hold")
@@ -180,7 +185,10 @@ def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in range(1, D + 1):
         C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
     left = C * np.exp2(-np.arange(D + 1.0))[:, None]
-    return C / C[D], left, left[::-1, ::-1]
+    tables = C / C[D], left, left[::-1, ::-1]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _halve(pieces: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -212,6 +220,10 @@ def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: flo
 
 def _negative_point(a: np.ndarray) -> Optional[float]:
     """A point of [0, 1] where p < 0 is proved, or None once all pieces close."""
+    if not np.isfinite(a).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if not a.any():
+        return None
     D = a.size - 1
     to_bern, left, right = _bernstein_tables(D)
     pieces = (to_bern @ a)[None, :]
@@ -260,15 +272,11 @@ def nonneg_on_unit(coeffs) -> NonnegCertificate:
     deepest level reached.  E dominates: A can exceed max|b_k| by 10^5.
     """
     a = np.asarray(coeffs, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("polynomial coefficients must be finite")
-    if not a.any():
-        return NonnegCertificate("SturmPass", 0.0)
-    margin = float(np.min(npoly.polyval(_SAMPLES, a)))
     s = _negative_point(a)
+    margin = float(np.min(_kernels._polyval(_SAMPLES, a)))
     if s is None:
         return NonnegCertificate("SturmPass", margin)
-    value = float(npoly.polyval(s, a))
+    value = float(_kernels._polyval(s, a))
     return NonnegCertificate("SturmFail", min(margin, value), witness=s, witness_value=value)
 
 
@@ -278,13 +286,15 @@ def certify(cp: ConstraintPolynomial) -> NonnegCertificate:
     Margin and witness value are in curve units, psi - lam - t*psi'.  A
     SturmFail's witness is the abscissa x of the more negative of the
     proved point and the smallest sample: the rate designer makes the
-    witness an LP row, and the most violated row is the better cut.
+    witness an LP row, and the most violated row is the better cut.  The
+    verdict is `nonneg_on_unit`'s, but P is sampled once, for the gaps,
+    not again for a margin in s units that nothing reads.
     """
-    raw = nonneg_on_unit(cp.coeffs)
+    proved = _negative_point(cp.coeffs)
     gaps = cp.curve_gap(_SAMPLES)
     k = int(np.argmin(gaps))
-    if raw.passed:
+    if proved is None:
         return NonnegCertificate("SturmPass", float(gaps[k]))
-    s = raw.witness if cp.curve_gap(raw.witness) < gaps[k] else float(_SAMPLES[k])
+    s = proved if cp.curve_gap(proved) < gaps[k] else float(_SAMPLES[k])
     value = float(cp.curve_gap(s))
     return NonnegCertificate("SturmFail", value, witness=float(cp.x_of(s)), witness_value=value)

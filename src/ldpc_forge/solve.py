@@ -24,7 +24,13 @@ Three entry points over a common toolkit:
   The objective is convex in lam and blows up as lam touches psi, so a
   log-barrier Newton method over the simplex-and-ratefloor feasible set
   converges with a clean duality-gap bound; below `BARRIER_TOL` the
-  certificate of psi - lam >= 0 on [zeta, xi] is the verdict.
+  certificate of psi - lam >= 0 on [zeta, xi] is the verdict.  The node
+  matrix X has columns x^1 .. x^{d_v-1}, so its Hessian term
+  X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
+  p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
+  The barrier weight tau starts at `BARRIER_TAU0` = 1e3 and grows x10
+  per round to 1e6, the first weight whose gap m/tau is below
+  `BARRIER_TOL`.
 
 Neither iteration designer designs the rate ceiling first: its own LP or
 phase one, which carries the rate floor, decides whether R_d is reachable,
@@ -60,6 +66,7 @@ from .sip_compile import NonnegCertificate, certify, compile_constraint, step_ro
 DEFAULT_GRID_N = 4096
 MARGIN = 1e-7  # curve margin of the rate LP's grid rows; Bernstein rows need none
 REFINE_ROUNDS = 12  # rate LP re-solves with a failed certificate's witness as a row
+BARRIER_TAU0 = 1e3  # first barrier weight
 BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
 BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
@@ -506,10 +513,13 @@ def design_utility(spec: DesignSpec) -> SolveReport:
                        method="utility", detail=why, zeta_tilde=zt)
 
 
-def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
-    """LP start point with uniformly positive slacks; returns (lam, slack)."""
-    n = xs.size
-    A_gap = np.column_stack([_vandermonde(xs, d_v), np.ones(n)])
+def _phase_one(X, psi_vals, q) -> tuple[Optional[np.ndarray], float]:
+    """LP start point with uniformly positive slacks; returns (lam, slack).
+
+    X is the barrier's node matrix, x^1 .. x^{d_v-1} at each node.
+    """
+    n, d_v = X.shape[0], X.shape[1] + 1
+    A_gap = np.column_stack([X, np.ones(n)])
     rows = [A_gap]
     rhs = [psi_vals]
     for j in range(d_v - 1):
@@ -533,24 +543,52 @@ def _phase_one(xs, psi_vals, d_v, q) -> tuple[Optional[np.ndarray], float]:
     return res.x[:-1], float(res.x[-1])
 
 
-def _barrier(v, X, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
-    """Barrier Newton from the interior point v, tau x10 per round: (v, duality gap)."""
-    d_v = m_ineq = v.size + 1  # the coefficients and the rate floor
-    tau = 1.0
+def _hankel(n: int) -> np.ndarray:
+    """Index of X'diag(c)X, n x n, into the moments m[p - 1] = sum_i c_i*x_i^p.
+
+    Column k of X carries x^{k+1}, so entry (k, l) is the moment of
+    x^{k+l+2}; p runs over 2 .. 2n.
+    """
+    return np.add.outer(np.arange(n), np.arange(n)) + 1
+
+
+def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
+    """Barrier Newton from the interior point v; returns (v, duality gap).
+
+    M holds x^1 .. x^{2(d_v-1)} at the nodes, and its first d_v - 1
+    columns are X.  With c = 2*tau*w/g^3 the Hessian X'diag(c)X is the
+    Hankel matrix of the moments sum c_i*x_i^p, p = 2 .. 2(d_v-1)
+    (`_hankel`), so one product M'[w/g^2, c] gives the gradient and the
+    Hessian.  tau starts at `BARRIER_TAU0` = 1e3 and grows x10 per round
+    until the gap m/tau is below `BARRIER_TOL`, at tau = 1e6 for m = 16;
+    starting at 1 spent about 20 Newton steps on the first round alone,
+    three decades that add nothing to the last centre.  A trial point is
+    g - alpha*(X @ step), one matvec per Newton step, and alpha halves
+    until the point is interior (g, v and the rate slack > 0, else the
+    change reads +inf) and meets the Armijo rule.  The change of the
+    barrier is summed term by term from the step, never as a difference
+    of two values near 1e7: that difference is rounding noise once the
+    decrement is near 1e-8, and the line search then stalled on the last
+    rounds for up to 100 steps.
+    """
+    n = v.size
+    m_ineq = n + 1  # the coefficients and the rate floor
+    X = M[:, :n]
+    hankel = _hankel(n)
+    kkt = np.ones((n + 1, n + 1))
+    kkt[-1, -1] = 0.0
+    rhs = np.zeros(n + 1)
+    tau = BARRIER_TAU0
     for _ in range(BARRIER_MAX_OUTER):
         for _ in range(BARRIER_MAX_NEWTON):
             g = psi_vals - X @ v
             s = float(inv_degrees @ v - q)
-            inv_g2 = w / g**2
-            grad = tau * (X.T @ inv_g2) - 1.0 / v - inv_degrees / s
-            H = (tau * 2.0) * (X.T * (w / g**3)) @ X
+            moments = M.T @ np.column_stack([w / g**2, (2.0 * tau) * (w / g**3)])
+            grad = tau * moments[:n, 0] - 1.0 / v - inv_degrees / s
+            H = moments[hankel, 1]
             H += np.diag(1.0 / v**2)
             H += np.outer(inv_degrees, inv_degrees) / s**2
-            kkt = np.zeros((d_v, d_v))
             kkt[:-1, :-1] = H
-            kkt[:-1, -1] = 1.0
-            kkt[-1, :-1] = 1.0
-            rhs = np.zeros(d_v)
             rhs[:-1] = -grad
             try:
                 sol = np.linalg.solve(kkt, rhs)
@@ -560,20 +598,25 @@ def _barrier(v, X, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
             decrement2 = float(step @ H @ step)
             if decrement2 / 2.0 <= 1e-10:
                 break
+            x_step = X @ step
+            w_step = w * x_step
+            v_step = step / v
+            s_step = float(inv_degrees @ step) / s
 
-            def barrier_value(vv: np.ndarray) -> float:
-                gg = psi_vals - X @ vv
-                ss = inv_degrees @ vv - q
-                if gg.min() <= 0.0 or vv.min() <= 0.0 or ss <= 0.0:
+            def barrier_change(alpha: float) -> float:
+                # f(v + alpha*step) - f(v), term by term: no cancellation
+                g_t = g - alpha * x_step
+                if (g_t.min() <= 0.0 or (v + alpha * step).min() <= 0.0
+                        or float(inv_degrees @ (v + alpha * step) - q) <= 0.0
+                        or (alpha * v_step).min() <= -1.0 or alpha * s_step <= -1.0):
                     return np.inf
-                return float(tau * np.sum(w / gg) - np.sum(np.log(vv)) - np.log(ss))
+                return float(alpha * tau * np.sum(w_step / (g * g_t))
+                             - np.sum(np.log1p(alpha * v_step)) - np.log1p(alpha * s_step))
 
-            base = barrier_value(v)
             slope = float(grad @ step)
             alpha = 1.0
             while alpha > 1e-12:
-                trial = v + alpha * step
-                if barrier_value(trial) <= base + 0.25 * alpha * slope:
+                if barrier_change(alpha) <= 0.25 * alpha * slope:
                     break
                 alpha *= 0.5
             if alpha <= 1e-12:
@@ -608,15 +651,16 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     xs = 1.0 - spec.rho.eval(1.0 - ps)
     psi_vals = ps / ctx.epsilon
     w = ps * du / ctx.epsilon
-    X = _vandermonde(xs, d_v)
+    M = _vandermonde(xs, 2 * d_v - 1)  # x^1 .. x^{2(d_v-1)}; X is its first d_v - 1
+    X = M[:, :d_v - 1]
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
     q = spec.rho.integral() / (1.0 - spec.R_d)
 
-    v0, slack = _phase_one(xs, psi_vals, d_v, q)
+    v0, slack = _phase_one(X, psi_vals, q)
     if slack <= 1e-10:  # -inf when phase one finds no start point at all
         return _infeasible("min-iter", _explain(
             spec, f"no interior start point (phase-one slack {slack:.3e})"))
-    v, gap = _barrier(v0, X, psi_vals, w, inv_degrees, q)
+    v, gap = _barrier(v0, M, psi_vals, w, inv_degrees, q)
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])

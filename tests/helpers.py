@@ -371,3 +371,70 @@ def bernstein_oracle(coeffs, max_depth: int = 16):
         stack.append((_binomial_step(beta[::-1], halve)[::-1], depth + 1))
         stack.append((_binomial_step(beta, halve), depth + 1))
     return True
+
+
+def compose_reference(c, inner) -> np.ndarray:
+    """sum_k c[k]*inner(s)^k by Horner's rule through `npoly.polymul`."""
+    import numpy.polynomial.polynomial as npoly
+
+    out = np.array([c[-1]])
+    for ck in c[-2::-1]:
+        out = npoly.polymul(out, inner)
+        out[0] += ck
+    return out
+
+
+def columns_reference(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
+    """`sip_compile._columns` composed through numpy's polynomial routines."""
+    import numpy.polynomial.polynomial as npoly
+
+    from ldpc_forge.de_engine import z_of_x
+
+    a = 1.0 - epsilon
+    b = z_of_x(rho, float(zeta_tilde))
+    z_s = np.array([a, b - a])
+    x_s = npoly.polysub([1.0], compose_reference(rho.dense, z_s))
+    drho_s = compose_reference(npoly.polyder(rho.dense), z_s)
+    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
+    cols = np.zeros((d_v, D + 1))
+    const = npoly.polymul(drho_s, [1.0 - a, a - b])
+    cols[0, :const.size] = const
+    power = epsilon * drho_s
+    for j in range(1, d_v):
+        power = npoly.polymul(power, x_s)
+        cols[j, :power.size] = power
+    return a, b, cols
+
+
+def step_rows_reference(rho: DegreeDistribution, epsilon: float, d_v: int,
+                        zeta_tilde: float, halvings: int):
+    """`sip_compile.step_rows` on `columns_reference`, with Pascal tables built afresh."""
+    _, _, cols = columns_reference(rho, epsilon, d_v, zeta_tilde)
+    D = cols.shape[1] - 1
+    C = np.zeros((D + 1, D + 1))
+    C[:, 0] = 1.0
+    for i in range(1, D + 1):
+        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
+    left = C * np.exp2(-np.arange(D + 1.0))[:, None]
+    right = left[::-1, ::-1]
+    pieces = cols @ (C / C[D]).T
+    for _ in range(halvings):
+        pieces = np.stack([pieces @ left.T, pieces @ right.T],
+                          axis=1).reshape(-1, pieces.shape[1])
+    B = pieces.reshape(d_v, -1)
+    B[np.abs(B) < (3 * D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)[:, None]] = 0.0
+    A = np.column_stack([B[1:].T, np.ones(B.shape[1])])
+    scale = np.max(np.abs(A), axis=1)
+    return A / scale[:, None], B[0] / scale
+
+
+def margin_reference(coeffs, witness=None) -> float:
+    """`nonneg_on_unit`'s margin by `npoly.polyval`: the least sample, and the witness."""
+    import numpy.polynomial.polynomial as npoly
+
+    from ldpc_forge.sip_compile import _SAMPLES
+
+    margin = float(np.min(npoly.polyval(_SAMPLES, coeffs)))
+    if witness is None:
+        return margin
+    return min(margin, float(npoly.polyval(witness, coeffs)))

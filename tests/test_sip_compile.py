@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from helpers import (bernstein_oracle, exact_bernstein, fixture_context, random_simplex_lambda,
-                     step_polynomial_oracle)
+from helpers import (bernstein_oracle, columns_reference, compose_reference, exact_bernstein,
+                     fixture_context, margin_reference, random_simplex_lambda,
+                     step_polynomial_oracle, step_rows_reference)
+from ldpc_forge.cli import load_fixtures
 from ldpc_forge import (
     DEContext,
     DegreeDistribution,
@@ -383,3 +385,65 @@ class TestStepRows:
         E = (3 * cp.D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)
         bound = 2.0 * (E[0] + vec[:-1] @ E[1:])
         assert np.max(np.abs(rows - pieces.ravel())) <= bound
+
+
+FIXTURE_NAMES = [f.name for f in load_fixtures()]
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestNpolyReferences:
+    """The in-place Horner and np.convolve paths against numpy's polynomial
+    routines, byte for byte, on every fixture."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_compose_and_columns(self, fixtures, name):
+        f = fixtures.get(name)
+        rho, ctx, d_v = f.ensemble.rho, fixture_context(f), f.params["d_v"]
+        for zt in (0.0, ctx.zeta):
+            a, b, cols = sip_compile._columns(rho, ctx.epsilon, d_v, zt)
+            ra, rb, rcols = columns_reference(rho, ctx.epsilon, d_v, zt)
+            assert (a, b) == (ra, rb)
+            assert _same_bytes(cols, rcols)
+            z_s = np.array([a, b - a])
+            for c in (rho.dense, npoly.polyder(rho.dense), f.ensemble.lam.dense):
+                assert _same_bytes(sip_compile._compose(c, z_s), compose_reference(c, z_s))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_step_rows(self, fixtures, name):
+        f = fixtures.get(name)
+        rho, ctx, d_v = f.ensemble.rho, fixture_context(f), f.params["d_v"]
+        for halvings in range(3, 9):
+            A, b = sip_compile.step_rows(rho, ctx.epsilon, d_v, ctx.zeta, halvings)
+            rA, rb = step_rows_reference(rho, ctx.epsilon, d_v, ctx.zeta, halvings)
+            assert _same_bytes(A, rA) and _same_bytes(b, rb), halvings
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_polyval_and_margin(self, fixtures, name):
+        f = fixtures.get(name)
+        e, ctx = f.ensemble, fixture_context(f)
+        xs = np.linspace(0.0, 1.0, 1001)
+        for c in (e.lam.dense, e.rho.dense, npoly.polyder(e.rho.dense)):
+            assert _same_bytes(_kernels._polyval(xs, c), npoly.polyval(xs, c))
+            assert _same_bytes(_kernels._polyval(0.3, c), npoly.polyval(0.3, c))
+        coeffs = compile_constraint(e.lam, 0.0, e.rho, ctx.epsilon, ctx.zeta, ctx.xi).coeffs
+        # the same polynomial lowered until it fails, so a witness joins the margin
+        lowered = coeffs.copy()
+        lowered[0] -= abs(margin_reference(coeffs)) + 1e-3
+        for a in (coeffs, lowered):
+            assert _same_bytes(_kernels._polyval(sip_compile._SAMPLES, a),
+                               npoly.polyval(sip_compile._SAMPLES, a))
+            cert = nonneg_on_unit(a)
+            assert cert.margin == margin_reference(a, cert.witness)
+        assert not nonneg_on_unit(lowered).passed
+
+    def test_bernstein_tables_are_cached_and_read_only(self):
+        tables = sip_compile._bernstein_tables(111)
+        assert sip_compile._bernstein_tables(111) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0

@@ -1,6 +1,7 @@
 """Designer-facing tests: LP wrapper, rate/utility/min-iteration solvers."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -563,15 +564,54 @@ class TestDesignMinIterations:
         assert not np.array_equal(rep.lam.dense, ceiling.lam.dense)
 
     def test_unconverged_barrier_names_its_gap(self, rho_x7, monkeypatch):
-        # one barrier weight, tau = 1: the gap of its centre is the 16
-        # inequalities (15 coefficients and the rate floor) over tau
+        # one barrier weight, the first, tau = BARRIER_TAU0 = 1e3: the gap
+        # of its centre is the 16 inequalities (15 coefficients and the
+        # rate floor) over tau
         monkeypatch.setattr(solve, "BARRIER_MAX_OUTER", 1)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
                                                R_d=0.45, d_v=16, grid_n=512))
         assert rep.status == "IterLimit"
-        assert rep.optimality_gap == 16.0
-        assert rep.detail.startswith("barrier stopped at duality gap 1.600e+01 above "
+        assert rep.optimality_gap == 0.016
+        assert rep.detail.startswith("barrier stopped at duality gap 1.600e-02 above "
                                      f"BARRIER_TOL={solve.BARRIER_TOL:g}")
+
+    def test_hankel_moments_are_the_hessian(self, fixtures):
+        # X'diag(c)X from the moments sum c_i*x_i^p on the Fig. 5 nodes,
+        # with c = w/g^3 at the published design
+        f = fixtures.get("mix_dv16")
+        lam, rho, d_v = f.ensemble.lam, f.ensemble.rho, 16
+        ctx = DEContext.create(rho, 1.0 - 0.5 / 0.97, 1e-3)
+        ps, du = _kernels.log_p_nodes(ctx.eta, ctx.epsilon, solve.DEFAULT_GRID_N)
+        xs = 1.0 - rho.eval(1.0 - ps)
+        g = ps / ctx.epsilon - lam.eval(xs)
+        assert g.min() > 0.0
+        c = ps * du / ctx.epsilon / g**3
+        M = solve._vandermonde(xs, 2 * d_v - 1)
+        X = M[:, :d_v - 1]
+        want = (X.T * c) @ X
+        got = (M.T @ c)[solve._hankel(d_v - 1)]
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["fig2_r045", "fig2_r040", "fig5"])
+    def test_newton_steps_are_capped(self, rho_x7, fixtures, monkeypatch, name):
+        # work, not wall time: one KKT solve per Newton step
+        mix = fixtures.get("mix_dv16").ensemble.rho
+        spec = {"fig2_r045": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16),
+                "fig2_r040": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.40, d_v=16),
+                "fig5": DesignSpec(rho=mix, epsilon=1.0 - 0.5 / 0.97, eta=1e-3, R_d=0.5,
+                                   d_v=16)}[name]
+        real = np.linalg.solve
+        steps = []
+
+        def spy(*args, **kwargs):
+            if sys._getframe(1).f_code is solve._barrier.__code__:
+                steps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        rep = design_min_iterations(spec)
+        assert rep.status == "Optimal"
+        assert 0 < len(steps) <= 50
 
     def test_optimal_carries_a_passed_certificate(self, miniter_045):
         _, rep = miniter_045
