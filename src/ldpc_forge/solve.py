@@ -560,16 +560,15 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
     Hankel matrix of the moments sum c_i*x_i^p, p = 2 .. 2(d_v-1)
     (`_hankel`), so one product M'[w/g^2, c] gives the gradient and the
     Hessian.  tau starts at `BARRIER_TAU0` = 1e3 and grows x10 per round
-    until the gap m/tau is below `BARRIER_TOL`, at tau = 1e6 for m = 16;
-    starting at 1 spent about 20 Newton steps on the first round alone,
-    three decades that add nothing to the last centre.  A trial point is
-    g - alpha*(X @ step), one matvec per Newton step, and alpha halves
-    until the point is interior (g, v and the rate slack > 0, else the
-    change reads +inf) and meets the Armijo rule.  The change of the
-    barrier is summed term by term from the step, never as a difference
-    of two values near 1e7: that difference is rounding noise once the
-    decrement is near 1e-8, and the line search then stalled on the last
-    rounds for up to 100 steps.
+    until the gap m/tau is below `BARRIER_TOL`, at tau = 1e6 for m = 16
+    (from tau = 1, `reproduce all` took 727 Newton steps, not 492).  A
+    trial point is g - alpha*(X @ step), one matvec per Newton step, and
+    alpha halves until the point is interior (g, v and the rate slack
+    > 0, else the change reads +inf) and meets the Armijo rule.  The
+    change of the barrier is summed term by term from the step, never as
+    a difference of two values near 1e7: that difference is rounding
+    noise once the decrement is near 1e-8, and the line search then
+    stalled on the last rounds for up to 100 steps.
     """
     n = v.size
     m_ineq = n + 1  # the coefficients and the rate floor
@@ -604,10 +603,13 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
             s_step = float(inv_degrees @ step) / s
 
             def barrier_change(alpha: float) -> float:
-                # f(v + alpha*step) - f(v), term by term: no cancellation
+                # f(v + alpha*step) - f(v), term by term.  The rate slack is a
+                # small difference of O(1) sums, so its log ratio comes from
+                # the step; the point must also be interior as the next
+                # Newton step computes it, v + alpha*step and its slack.
                 g_t = g - alpha * x_step
-                if (g_t.min() <= 0.0 or (v + alpha * step).min() <= 0.0
-                        or float(inv_degrees @ (v + alpha * step) - q) <= 0.0
+                v_t = v + alpha * step
+                if (g_t.min() <= 0.0 or v_t.min() <= 0.0 or float(inv_degrees @ v_t - q) <= 0.0
                         or (alpha * v_step).min() <= -1.0 or alpha * s_step <= -1.0):
                     return np.inf
                 return float(alpha * tau * np.sum(w_step / (g * g_t))
