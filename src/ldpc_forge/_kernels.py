@@ -21,17 +21,16 @@ The step constraint psi - lam >= t*psi' needs no inversion when it is
 sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
-step size (psi - lam)/psi' on a grid of z, both through `_transfer`; the
-utility designer's LP rows sit on such a grid too.  No designer scans
-the gap any longer (the `sip_compile` certificate decides it exactly);
+step size (psi - lam)/psi' on an array of z, both through `_transfer`;
+`estimators.utility` scans and polishes the step with it.  No designer
+scans the gap any longer (the `sip_compile` certificate decides it
+exactly, and the utility designer's LP rows are Bernstein coefficients);
 `transfer_gap_scan` stays as the reference the tests check the closed
-form against, and for the benchmark tracer that wraps it.  Beside them,
-`transfer_step_at` is the same step at one z on Python floats, by the
-Horner rule above, for the utility's scalar polish.  `bisect_increasing`
-is the inversion behind `de_engine.z_of_x`, for callers that are handed x.
-It halves a whole array of targets at once; a single target is bisected
-on Python floats with the same halving rule and the same residuals, so
-both give the same z to the bit.
+form against, and for the benchmark tracer that wraps it.
+`bisect_increasing` is the inversion behind `de_engine.z_of_x`, for
+callers that are handed x.  It halves a whole array of targets at once;
+a single target is bisected on Python floats with the same halving rule
+and the same residuals, so both give the same z to the bit.
 
 Array evaluations of a polynomial, here and in `sip_compile`, go through
 `_polyval`: `npoly.polyval`'s operations in its order, so the same bits,
@@ -216,26 +215,6 @@ def _transfer(lam_c, rho_c, eps, zs):
     xs = 1.0 - _polyval(zs, rho_c)
     scaled_gap = (1.0 - zs) - eps * _polyval(xs, np.asarray(lam_c, dtype=np.float64))
     return xs, scaled_gap, _polyval(zs, npoly.polyder(rho_c))
-
-
-def transfer_step_at(lam_c, rho_c, eps):
-    """The float function z -> `transfer_step`'s step at z, bit for bit.
-
-    The coefficient lists are prepared once, for a scalar minimizer's
-    many single-point calls.
-    """
-
-    rho_c = np.asarray(rho_c, dtype=np.float64)
-    lam_d, rho_d = _descending(lam_c), _descending(rho_c)
-    slope_d = _descending(npoly.polyder(rho_c))
-    eps = float(eps)
-
-    def step(z):
-        z = float(z)  # minimizers pass numpy scalars, slow in `_horner`
-        x = 1.0 - _horner(rho_d, z)
-        return _horner(slope_d, z) * ((1.0 - z) - eps * _horner(lam_d, x))
-
-    return step
 
 
 def transfer_gap_scan(lam_c, rho_c, eps, t, zs):

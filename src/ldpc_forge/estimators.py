@@ -12,9 +12,8 @@ code, and none of them inverts rho on a grid:
   taken on the log-P nodes the min-iteration designer also minimizes over,
   and floored by Cauchy-Schwarz on those nodes.
 * `utility` - the worst-case step size min (psi - lam)/psi' that a design
-  should maximize, scanned in z = rho^{-1}(1 - x) and polished by a bounded
-  Brent search (`_bounded_brent`), a port of scipy's that returns its
-  minimum bit for bit without importing scipy.optimize.
+  should maximize, scanned in z = rho^{-1}(1 - x) and polished by two
+  parabolic steps on the same vectorized kernel.
 * the exact count is the recursion itself (`de_engine.de_trace`).
 
 `CurvePair`, `code_curves` and `approx_iterations` remain as the x-domain
@@ -37,8 +36,6 @@ from .errors import DegenerateGap, DomainError
 
 CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
 UTILITY_GRID_N = 4096  # z nodes of the utility scan
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _central_diff(f: Callable, h: float) -> Callable:
@@ -101,79 +98,6 @@ def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     return float(np.sum(p.d_f2()(xs) / gaps) * dx)
 
 
-def _bounded_brent(f: Callable[[float], float], lo: float, hi: float,
-                   xatol: float = 1e-10, maxfun: int = 500) -> tuple[float, float]:
-    """(x, f(x)) at a minimum of the float function f on [lo, hi].
-
-    Brent's bounded search (Brent, Algorithms for Minimization without
-    Derivatives, 1973): golden-section steps, replaced by parabolic ones
-    where the parabola through the three best points is acceptable.  The
-    loop is scipy.optimize's `_minimize_scalar_bounded` with the same
-    operations in the same order on Python floats, so x and f(x) equal
-    `minimize_scalar(f, bounds=(lo, hi), method="bounded",
-    options={"xatol": xatol, "maxiter": maxfun})` bit for bit.
-    """
-    a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0.0 else xf + step
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
-
-
 @dataclass(frozen=True)
 class UtilityResult:
     value: float
@@ -191,10 +115,13 @@ def utility(
     z = rho^{-1}(1 - x), from z(zeta_tilde) down to 1 - eps, where it is the
     polynomial rho'(z)*((1 - z) - eps*lam(1 - rho(z))); only z(zeta_tilde)
     takes a bisection.  Negative values flag an infeasible lam (it crosses psi).
-    The grid minimum is polished over z between its two neighbours by the
-    in-package bounded Brent search (`_bounded_brent`, xatol 1e-10), which
-    gives scipy's `minimize_scalar(method="bounded")` result to the bit, so
-    the reported bottleneck location carries no grid bias.
+    The grid minimum is polished, with the same kernel, by the vertex of the
+    parabola through it and its two neighbours (the index clamped at the
+    ends), kept inside the two cells around it.  The vertex and its
+    neighbours at a spacing 1e3 times smaller give the next parabola, once
+    more; a curvature that is not positive stops the polish.  The least
+    step it evaluates is kept where it is <= the grid minimum, so the
+    reported bottleneck location carries no grid bias.
     """
     if zeta_tilde is None:
         zeta_tilde = 0.5 * ctx.zeta
@@ -203,12 +130,25 @@ def utility(
     zs = np.linspace(z_of_x(ctx.rho, zeta_tilde), 1.0 - ctx.epsilon, UTILITY_GRID_N)
     xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
     k = int(np.argmin(vals))
+    best = UtilityResult(value=float(vals[k]), argmin_x=float(xs[k]))
 
-    step = _kernels.transfer_step_at(lam.dense, ctx.rho.dense, ctx.epsilon)
-    z, fz = _bounded_brent(step, zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)])
-    if fz <= vals[k]:
-        return UtilityResult(value=fz, argmin_x=1.0 - ctx.rho.eval(z))
-    return UtilityResult(value=float(vals[k]), argmin_x=float(xs[k]))
+    lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
+    h = 1e-3 * (zs[0] - zs[1])
+    j = min(max(k, 1), zs.size - 2)
+    z3, f3 = zs[j - 1:j + 2], vals[j - 1:j + 2]
+    for _ in range(2):
+        curvature = f3[0] - 2.0 * f3[1] + f3[2]
+        if not curvature > 0.0:
+            break
+        vertex = z3[1] + 0.5 * (z3[2] - z3[1]) * (f3[0] - f3[2]) / curvature
+        center = min(max(vertex, lo + h), hi - h)
+        # the clip only takes back a rounding of center +- h past an end
+        z3 = np.clip(center + h * np.array([-1.0, 0.0, 1.0]), lo, hi)
+        x3, f3 = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, z3)
+        i = int(np.argmin(f3))
+        if f3[i] <= best.value:
+            best = UtilityResult(value=float(f3[i]), argmin_x=float(x3[i]))
+    return best
 
 
 @dataclass(frozen=True)

@@ -552,8 +552,14 @@ def _hankel(n: int) -> np.ndarray:
     return np.add.outer(np.arange(n), np.arange(n)) + 1
 
 
-def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
-    """Barrier Newton from the interior point v; returns (v, duality gap).
+def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str, float]:
+    """Barrier Newton from the interior point v.
+
+    Returns (v, duality gap, stop, decrement2): how the last round ended
+    ("centred" at its Newton-decrement stop lambda^2/2 <= 1e-10, "stalled"
+    with alpha <= 1e-12, or "capped" after `BARRIER_MAX_NEWTON` steps),
+    and that round's last lambda^2.  Only a centred point carries the gap
+    m/tau as a bound.
 
     M holds x^1 .. x^{2(d_v-1)} at the nodes, and its first d_v - 1
     columns are X.  With c = 2*tau*w/g^3 the Hessian X'diag(c)X is the
@@ -579,6 +585,7 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
     rhs = np.zeros(n + 1)
     tau = BARRIER_TAU0
     for _ in range(BARRIER_MAX_OUTER):
+        stop = "capped"
         for _ in range(BARRIER_MAX_NEWTON):
             g = psi_vals - X @ v
             s = float(inv_degrees @ v - q)
@@ -596,6 +603,7 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
             step = sol[:-1]
             decrement2 = float(step @ H @ step)
             if decrement2 / 2.0 <= 1e-10:
+                stop = "centred"
                 break
             x_step = X @ step
             w_step = w * x_step
@@ -622,13 +630,14 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float]:
                     break
                 alpha *= 0.5
             if alpha <= 1e-12:
+                stop = "stalled"
                 break
             v = v + alpha * step
         gap = m_ineq / tau  # duality gap of the point centred at this tau
         if gap <= BARRIER_TOL:
             break
         tau *= 10.0
-    return v, gap
+    return v, gap, stop, decrement2
 
 
 def design_min_iterations(spec: DesignSpec) -> SolveReport:
@@ -642,9 +651,11 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     coefficient simplex and the rate floor.  A phase-one LP that finds no
     start point with positive slack makes the design "Infeasible", and only
     then is the rate ceiling designed, to say why (`_explain`).  A duality
-    gap m/tau above `BARRIER_TOL` is "IterLimit"; below it the certificate
-    of psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
-    (lam kept).  max_violation is -certificate.margin.
+    gap m/tau above `BARRIER_TOL`, or a last round that ran out its Newton
+    steps, is "IterLimit"; otherwise the certificate of psi - lam >= 0 on
+    [zeta, xi] gives "Optimal" or "CertificateFail" (lam kept).  A last
+    round whose line search stalled keeps its status, and `detail` gives
+    its Newton decrement.  max_violation is -certificate.margin.
     """
     spec.validate()
     ctx = spec.context()
@@ -662,13 +673,20 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     if slack <= 1e-10:  # -inf when phase one finds no start point at all
         return _infeasible("min-iter", _explain(
             spec, f"no interior start point (phase-one slack {slack:.3e})"))
-    v, gap = _barrier(v0, M, psi_vals, w, inv_degrees, q)
+    v, gap, stop, decrement2 = _barrier(v0, M, psi_vals, w, inv_degrees, q)
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
     obj = float(np.sum(w / g)) if g.min() > 0.0 else np.inf
     cert = certify(compile_constraint(lam, 0.0, spec.rho, ctx.epsilon, ctx.zeta, ctx.xi))
     status, why = _verdict(cert)
+    if stop == "capped":
+        status = "IterLimit"
+        why = _join(f"last barrier round ran out its BARRIER_MAX_NEWTON={BARRIER_MAX_NEWTON} "
+                    f"Newton steps at decrement lambda^2 {decrement2:.3e}", why)
+    elif stop == "stalled":
+        why = _join(why, f"last barrier round stalled at alpha <= 1e-12 with Newton "
+                         f"decrement lambda^2 {decrement2:.3e}")
     if gap > BARRIER_TOL:
         status = "IterLimit"
         why = _join(f"barrier stopped at duality gap {gap:.3e} above "

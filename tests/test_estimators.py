@@ -1,7 +1,5 @@
 """Step counting on curve pairs, the code estimates and the utility."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from ldpc_forge import (
     utility,
 )
 from ldpc_forge.de_engine import z_of_x
-from ldpc_forge.estimators import UTILITY_GRID_N, UtilityResult, _bounded_brent
+from ldpc_forge.estimators import UTILITY_GRID_N
 
 
 def linear_pair(slope_gap=0.0, const_gap=0.1, a=0.25, b=1.0):
@@ -96,10 +94,10 @@ class TestUtility:
         fx = fixtures.get(name)
         e, eps = fx.ensemble, fx.params["epsilon"]
         ctx = DEContext.create(e.rho, eps, fx.params["eta"])
-        res = utility(e.lam, ctx)
-        want = utility_oracle(e.lam.coeffs, e.rho.coeffs, eps, 0.5 * ctx.zeta,
-                              res.argmin_x)
-        assert abs(res.value - want) <= 3e-8 * abs(want)
+        for zt in (0.5 * ctx.zeta, 2.0 * ctx.zeta):
+            res = utility(e.lam, ctx, zeta_tilde=zt)
+            want = utility_oracle(e.lam.coeffs, e.rho.coeffs, eps, zt, res.argmin_x)
+            assert abs(res.value - want) <= 3e-8 * abs(want), zt
 
     def test_zeta_tilde_outside_range_rejected(self, fixtures):
         fx = fixtures.get("x7_poc")
@@ -115,27 +113,43 @@ class TestUtility:
         assert utility(smaller, ctx).value > utility(lam, ctx).value
 
 
-def _scipy_bounded(step, lo, hi, **options):
-    from scipy.optimize import minimize_scalar
-
-    return minimize_scalar(step, bounds=(lo, hi), method="bounded",
-                           options={"xatol": 1e-10, **options})
-
-
 def _utility_grid(lam, ctx, zeta_tilde):
-    """`utility`'s z grid, its steps and the step function, rebuilt here."""
+    """`utility`'s z grid and its steps, rebuilt here."""
     zs = np.linspace(z_of_x(ctx.rho, zeta_tilde), 1.0 - ctx.epsilon, UTILITY_GRID_N)
     xs, vals = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, zs)
-    step = _kernels.transfer_step_at(lam.dense, ctx.rho.dense, ctx.epsilon)
-    return zs, xs, vals, step
+    return zs, xs, vals
 
 
-def _same_bits(got: float, want) -> bool:
-    return float(got).hex() == float(want).hex()
+def _scipy_polish(lam, ctx, zs, xs, vals):
+    """`utility` with scipy's bounded Brent search over the grid minimum's two cells.
+
+    The search's minimum is kept where it is <= the grid minimum.
+    Returns (value, argmin_x, lo, hi) with [lo, hi] the bracket in z.
+    """
+    from scipy.optimize import minimize_scalar
+
+    def step(z):
+        return float(_kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon,
+                                            np.array([z]))[1][0])
+
+    k = int(np.argmin(vals))
+    lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
+    ref = minimize_scalar(step, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    if ref.fun <= vals[k]:
+        return float(ref.fun), 1.0 - ctx.rho.eval(float(ref.x)), lo, hi
+    return float(vals[k]), float(xs[k]), lo, hi
 
 
 class TestBoundedBrent:
-    """The in-package bounded Brent search against scipy's, to the bit."""
+    """The utility's parabolic polish against scipy's bounded Brent search.
+
+    Both search the two grid cells around the scan's minimum and keep a
+    value only where it is <= the grid minimum.  Near a smooth minimum the
+    step is flat to rounding over the last 1e-9 in z, so the two polishes
+    can stop at different floats of the same minimum: the values agree to
+    1e-13 relative, not to the bit, and the locations to 1e-8.
+    """
 
     @pytest.mark.parametrize("frac", [0.5, 0.8, 0.95, 0.99])
     def test_utility_matches_the_scipy_polish(self, fixtures, frac):
@@ -145,64 +159,65 @@ class TestBoundedBrent:
             for eta in (1e-3, 1e-5):
                 ctx = DEContext.create(e.rho, frac * fx.params["epsilon"], eta)
                 for zt in (0.5 * ctx.zeta, 2.0 * ctx.zeta):
-                    zs, xs, vals, step = _utility_grid(e.lam, ctx, zt)
-                    k = int(np.argmin(vals))
-                    lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
-                    ref = _scipy_bounded(step, lo, hi)
-                    x, fun = _bounded_brent(step, lo, hi)
-                    assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun), fx.name
-                    want = (UtilityResult(float(ref.fun), 1.0 - ctx.rho.eval(float(ref.x)))
-                            if ref.fun <= vals[k] else
-                            UtilityResult(float(vals[k]), float(xs[k])))
+                    value, argmin_x, _, _ = _scipy_polish(
+                        e.lam, ctx, *_utility_grid(e.lam, ctx, zt))
                     got = utility(e.lam, ctx, zeta_tilde=zt)
-                    assert _same_bits(got.value, want.value), fx.name
-                    assert _same_bits(got.argmin_x, want.argmin_x), fx.name
+                    assert abs(got.value - value) <= 1e-13 * abs(value), fx.name
+                    assert abs(got.argmin_x - argmin_x) <= 1e-8, fx.name
+
+    @staticmethod
+    def _polish_at_an_end(fixtures, monkeypatch, name, frac, end):
+        """The polish where the grid minimum is an end node.
+
+        The bracket is then the one cell [z_1, z_0] or [z_last, z_{last-1}],
+        with the end node itself a bound, and no z the polish evaluates may
+        leave it.  Returns (polished z, utility, grid minimum, its x).
+        """
+        fx = fixtures.get(name)
+        ctx = DEContext.create(fx.ensemble.rho, frac * fx.params["epsilon"], 1e-3)
+        zt = 0.5 * ctx.zeta if end == "first" else 0.9 * ctx.xi
+        zs, xs, vals = _utility_grid(fx.ensemble.lam, ctx, zt)
+        k = int(np.argmin(vals))
+        assert k == (0 if end == "first" else zs.size - 1)
+        value, _, lo, hi = _scipy_polish(fx.ensemble.lam, ctx, zs, xs, vals)
+
+        polished = []
+        real = _kernels.transfer_step
+
+        def spy(lam_c, rho_c, eps, z):
+            if np.size(z) != zs.size:
+                polished.extend(np.asarray(z).tolist())
+            return real(lam_c, rho_c, eps, z)
+
+        monkeypatch.setattr(_kernels, "transfer_step", spy)
+        got = utility(fx.ensemble.lam, ctx, zeta_tilde=zt)
+        assert all(lo <= z <= hi for z in polished)
+        x_cell = sorted((xs[k], xs[1 if k == 0 else k - 1]))
+        assert x_cell[0] <= got.argmin_x <= x_cell[1]
+        assert abs(got.value - value) <= 1e-13 * abs(value)
+        return polished, got, float(vals[k]), float(xs[k])
 
     @pytest.mark.parametrize("name", ["x7_poc", "mix_eta5", "mix_dv12"])
     @pytest.mark.parametrize("end", ["first", "last"])
-    def test_bracket_at_an_end_node(self, fixtures, name, end):
-        # a grid minimum at k = 0 or k = zs.size - 1 brackets [z_{k+1}, z_k]
-        # or [z_k, z_{k-1}]: the end node is itself a bound
-        fx = fixtures.get(name)
-        ctx = fixture_context(fx)
-        zs, _, _, step = _utility_grid(fx.ensemble.lam, ctx, 0.5 * ctx.zeta)
-        k = 0 if end == "first" else zs.size - 1
-        lo, hi = zs[min(k + 1, zs.size - 1)], zs[max(k - 1, 0)]
-        ref = _scipy_bounded(step, lo, hi)
-        x, fun = _bounded_brent(step, lo, hi)
-        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
-        assert lo <= x <= hi
+    def test_bracket_at_an_end_node(self, fixtures, monkeypatch, name, end):
+        # at 0.8 eps the grid minimum is the first node for the anchor
+        # 0.5*zeta and the last (z = 1 - eps) for 0.9*xi.  At the first the
+        # step is concave in z, so the curvature stops the polish and the
+        # grid node stands; at the last both rounds run
+        polished, got, grid_value, grid_x = self._polish_at_an_end(
+            fixtures, monkeypatch, name, 0.8, end)
+        if end == "first":
+            assert polished == []
+            assert (got.value, got.argmin_x) == (grid_value, grid_x)
+        else:
+            assert len(polished) == 6
 
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),  # parabolic steps land on it
-        (math.cos, 3.0, 4.0),  # interior minimum at pi
-        (lambda x: x ** 3, -1.0, 2.0),  # minimum at the lower bound
-        (lambda x: -x, 0.0, 1.0),  # minimum at the upper bound
-        (lambda x: 1.0, 0.0, 1.0),  # flat: every comparison ties
-        (lambda x: abs(x - 0.123456789), 0.0, 1.0),  # kink: golden steps
-    ])
-    @pytest.mark.parametrize("maxfun", [500, 5])
-    def test_matches_scipy_on_plain_functions(self, f, lo, hi, maxfun):
-        ref = _scipy_bounded(f, lo, hi, maxiter=maxfun)
-        x, fun = _bounded_brent(f, lo, hi, maxfun=maxfun)
-        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
-
-    def test_matches_scipy_on_quantized_functions(self):
-        # steps of 2^-k make f(u) == f(x) ties common, so the branches that
-        # compare equal values are taken; dyadic bounds, two tolerances, two caps
-        rng = np.random.default_rng(7)
-        for i in range(400):
-            c, s = float(rng.uniform(-1.0, 2.0)), 2.0 ** int(rng.integers(0, 12))
-            f = [lambda x: math.floor((x - c) ** 2 * s) / s,
-                 lambda x: round(abs(x - c) * s) / s,
-                 lambda x: (x - c) ** 2,
-                 lambda x: -math.floor(math.cos(3.0 * x + c) * s) / s][i % 4]
-            lo, hi = sorted(float(v) / 4.0 for v in rng.integers(-8, 8, size=2))
-            hi = hi if hi > lo else lo + 1.0
-            xatol, maxfun = (1e-3 if i % 3 == 0 else 1e-10), (500 if i % 2 == 0 else 7)
-            ref = _scipy_bounded(f, lo, hi, xatol=xatol, maxiter=maxfun)
-            x, fun = _bounded_brent(f, lo, hi, xatol=xatol, maxfun=maxfun)
-            assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun), (i, c, s, lo, hi)
+    @pytest.mark.parametrize("name", ["x7_ratedv_e048", "x7_ratedv_e052", "mix_eta2"])
+    def test_polish_at_the_first_node_stays_in_its_cell(self, fixtures, monkeypatch, name):
+        # at 0.95 eps these steps are convex at the anchor 0.5*zeta, so both
+        # rounds run against the first node's bound
+        polished, _, _, _ = self._polish_at_an_end(fixtures, monkeypatch, name, 0.95, "first")
+        assert len(polished) == 6
 
 
 class TestCodeEstimates:

@@ -552,12 +552,16 @@ class TestDesignMinIterations:
     def test_rate_ceiling_leaves_no_interior(self, rho_x7):
         # at R_d = R_max the rate floor leaves no interior, but phase one's
         # midpoint grid is laxer than the rate LP's and still sees a sliver:
-        # the barrier runs on it, and its own certificate fails the design
+        # the barrier runs on it, runs out its Newton steps on the sliver
+        # (IterLimit, which outranks the certificate), and its own
+        # certificate fails the design too
         ceiling = design_rate(rho_x7, X7_EPS, 16, grid_n=1024)
         spec_top = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                               R_d=ceiling.objective, grid_n=1024)
         rep = design_min_iterations(spec_top)
-        assert rep.status == "CertificateFail"
+        assert rep.status == "IterLimit"
+        assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=")
+        assert "; certificate margin -" in rep.detail
         assert rep.certificate.kind == "SturmFail"
         assert rep.max_violation == -rep.certificate.margin > 0.0
         assert rep.optimality_gap <= solve.BARRIER_TOL
@@ -574,6 +578,30 @@ class TestDesignMinIterations:
         assert rep.optimality_gap == 0.016
         assert rep.detail.startswith("barrier stopped at duality gap 1.600e-02 above "
                                      f"BARRIER_TOL={solve.BARRIER_TOL:g}")
+
+    def test_barrier_round_out_of_newton_steps_is_iterlimit(self, rho_x7, monkeypatch):
+        # three Newton steps leave every round off its centre, so its gap
+        # m/tau is no bound, whatever tau the rounds reach
+        monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
+                                               R_d=0.45, d_v=16, grid_n=512))
+        assert rep.status == "IterLimit"
+        assert rep.optimality_gap <= solve.BARRIER_TOL
+        assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=3 "
+                                     "Newton steps at decrement lambda^2 ")
+
+    def test_stalled_barrier_round_keeps_its_status(self, fixtures):
+        # Fig. 5 at d_v 12: the tau = 1e6 round's line search ends at
+        # alpha <= 1e-12 with lambda^2 above the 2e-10 stop; the design stays
+        # Optimal and says how far off its centre it stopped
+        f = fixtures.get("mix_dv12")
+        rep = design_min_iterations(DesignSpec(
+            rho=f.ensemble.rho, epsilon=f.params["epsilon"], eta=f.params["eta"],
+            R_d=0.5, d_v=12))
+        assert rep.status == "Optimal"
+        note = "last barrier round stalled at alpha <= 1e-12 with Newton decrement lambda^2 "
+        assert rep.detail.startswith(note)
+        assert float(rep.detail[len(note):]) > 2e-10
 
     def test_hankel_moments_are_the_hessian(self, fixtures):
         # X'diag(c)X from the moments sum c_i*x_i^p on the Fig. 5 nodes,
@@ -783,15 +811,6 @@ class TestZScan:
         assert np.max(np.abs(gap - want)) <= 1e-10
         _, step = _kernels.transfer_step(lam.dense, rho.dense, ctx.epsilon, zs)
         assert np.max(np.abs(step - (want + t * dpsi) / dpsi)) <= 1e-10
-
-    def test_scalar_step_is_the_grid_step_to_the_bit(self, fixtures):
-        for f in fixtures:
-            lam, rho, eps = f.ensemble.lam, f.ensemble.rho, f.params["epsilon"]
-            zs = np.linspace(1.0 - eps, 1.0, 1025)
-            _, want = _kernels.transfer_step(lam.dense, rho.dense, eps, zs)
-            step = _kernels.transfer_step_at(lam.dense, rho.dense, eps)
-            got = np.array([step(z) for z in zs])
-            assert got.tobytes() == want.tobytes(), f.name
 
     def test_no_scan_inverts_a_grid(self, rho_x7, rho_mix, fixtures, monkeypatch):
         sizes = []
