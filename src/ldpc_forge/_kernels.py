@@ -86,8 +86,10 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     """Run the erasure-probability recursion until target, stall, or cap.
 
     Returns ``(probs, status)`` where ``probs`` holds P_0 .. P_n and
-    ``status`` is one of the STATUS_* codes.  Both Horner loops are
-    written out in the recursion, in `_horner`'s operation order.
+    ``status`` is one of the STATUS_* codes.  ``probs`` is a float64 view
+    of the ``array('d')`` the recursion appends to, not a copy, so a long
+    trace is held once.  Both Horner loops are written out in the
+    recursion, in `_horner`'s operation order.
     """
 
     lam_d = _descending(lam_c)
@@ -116,7 +118,7 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
             status = STATUS_STALLED
             break
         p = p_next
-    return np.array(probs, dtype=np.float64), status
+    return np.frombuffer(probs, dtype=np.float64), status
 
 
 def _descending(coef):

@@ -6,7 +6,9 @@ evaluate, estimate, design and certify print their result JSON, or with
 manifest, all through `_emit`.  All file outputs are written atomically
 (temp file + rename); each manifest records flags, output paths, content
 hashes and the command's wall time from its entry (per figure for
-`reproduce`), and identical flags yield byte-identical outputs.  A
+`reproduce`), and identical flags yield byte-identical outputs.
+`evaluate`'s trace CSV is rendered, written and hashed in blocks of
+`TRACE_BLOCK_ROWS` rows, never held whole as text, and only with --out.  A
 utility design's report also records the zeta_tilde it used.  `design`
 and `reproduce` manifests also record the HiGHS options and the numpy,
 scipy and HiGHS versions, on which the low digits of a design depend.
@@ -39,10 +41,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
-import scipy
 
 from . import estimators, sip_compile
 from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
@@ -57,6 +58,10 @@ EXIT_USAGE = 2
 EXIT_DECODING = 3
 EXIT_SOLVER = 4
 GRID_N_HELP = "points of the rate LP's rows and the min-iter nodes; a utility design has none"
+TRACE_BLOCK_ROWS = 1024  # rows of evaluate's trace CSV rendered per written chunk
+
+# a file's content: one str, or str chunks produced as they are written
+Content = Union[str, Iterable[str]]
 
 # ---------------------------------------------------------------------------
 # fixtures and claims
@@ -111,13 +116,22 @@ def load_claims() -> dict:
 # plumbing
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _chunks(content: Content) -> Iterable[str]:
+    return (content,) if isinstance(content, str) else content
+
+
+def _atomic_write(path: str, content: Content) -> None:
+    """Write `content` as UTF-8 to a temp file beside `path`, chunk by
+    chunk, then rename it to `path`.  On any failure, one raised while the
+    chunks are produced included, the temp file is removed and `path` is
+    left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            for chunk in _chunks(content):
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -125,23 +139,35 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def render_csv(header: list[str], rows: Iterable[tuple], comments: tuple) -> str:
-    """CSV text with \r\n line ends, then one "# " line per comment.
+def _sha256(content: Content, digest) -> Iterator[str]:
+    """The chunks of `content`, each fed as UTF-8 to `digest` (a
+    `hashlib.sha256`) on its way through."""
+    for chunk in _chunks(content):
+        digest.update(chunk.encode())
+        yield chunk
 
-    The csv module writes None as an empty cell and a float as its repr.
+
+def render_csv_chunks(header: list[str], blocks: Iterable[Iterable[tuple]],
+                      comments: tuple) -> Iterator[str]:
+    """CSV text with \r\n line ends, one chunk per block of rows.
+
+    The header leads the first chunk, and one "# " line per comment ends
+    the last; the csv module writes None as an empty cell and a float as
+    its repr.  Nothing is rendered until a chunk is asked for.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    for c in comments:
-        text += f"# {c}\r\n"
-    return text
+    csv.writer(buf, lineterminator="\r\n").writerow(header)
+    for rows in blocks:
+        csv.writer(buf, lineterminator="\r\n").writerows(rows)
+        yield buf.getvalue()
+        # a fresh buffer: a rewound StringIO holds four bytes a character
+        buf = io.StringIO()
+    yield buf.getvalue() + "".join(f"# {c}\r\n" for c in comments)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def render_csv(header: list[str], rows: Iterable[tuple], comments: tuple) -> str:
+    """`render_csv_chunks` of `rows` as one block, joined into one str."""
+    return "".join(render_csv_chunks(header, (rows,), comments))
 
 
 def _json_text(data: dict) -> str:
@@ -158,7 +184,13 @@ def _highs_version() -> Optional[str]:
 
 
 def solver_settings() -> dict:
-    """LP options and library versions, for manifests of LP-backed runs."""
+    """LP options and library versions, for manifests of LP-backed runs.
+
+    scipy is imported here, the CLI's one reader of its version, so a
+    command that solves no LP loads no scipy module.
+    """
+    import scipy
+
     return {"lp_options": dict(LP_OPTIONS),
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                          "highs": _highs_version()}}
@@ -176,10 +208,13 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
-    def add(self, path: str, text: str) -> None:
-        _atomic_write(path, text)
+    def add(self, path: str, content: Content) -> None:
+        """Write `content` to `path` atomically and record the sha256 of
+        its UTF-8 bytes, hashed chunk by chunk as they are written."""
+        digest = hashlib.sha256()
+        _atomic_write(path, _sha256(content, digest))
         self.outputs.append(path)
-        self.artifacts[os.path.basename(path)] = _sha256(text)
+        self.artifacts[os.path.basename(path)] = digest.hexdigest()
 
     def write(self, path: str) -> None:
         payload = {"command": self.command, "parameters": self.parameters,
@@ -219,8 +254,9 @@ def _load_rho_arg(value: str) -> DegreeDistribution:
 
 
 def _emit(args, name: str, data: dict, *files: tuple, **settings) -> None:
-    """Print `data` as JSON; with --out write each (suffix, text) of `files`,
-    then <out>.<name>.json, then the manifest of the command's set flags."""
+    """Print `data` as JSON; with --out write each (suffix, content) of
+    `files`, then <out>.<name>.json, then the manifest of the command's set
+    flags.  Without --out no content of `files` is read."""
     text = _json_text(data)
     if not args.out:
         sys.stdout.write(text)
@@ -323,9 +359,11 @@ def cmd_evaluate(args) -> int:
         summary.update(_no_estimates(e))
     else:
         summary.update(_estimates(e, ctx, args.zeta_tilde))
-    csv_text = render_csv(["iteration", "P"], enumerate(trace.probs.tolist()),
-                          _trace_comments(trace))
-    _emit(args, "summary", summary, (".trace.csv", csv_text))
+    probs = trace.probs
+    blocks = (enumerate(probs[k:k + TRACE_BLOCK_ROWS].tolist(), k)
+              for k in range(0, probs.size, TRACE_BLOCK_ROWS))
+    chunks = render_csv_chunks(["iteration", "P"], blocks, _trace_comments(trace))
+    _emit(args, "summary", summary, (".trace.csv", chunks))
     return EXIT_OK if trace.iterations is not None else EXIT_DECODING
 
 

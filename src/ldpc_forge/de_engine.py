@@ -91,6 +91,12 @@ TraceStatus = Union[ReachedTarget, Stalled, MaxIterations]
 
 @dataclass(frozen=True)
 class DecodingTrace:
+    """P_0 .. P_n of one recursion run and how it ended.
+
+    ``probs`` is a view of the buffer the recursion filled
+    (`_kernels.de_run`), not a copy of it.
+    """
+
     probs: np.ndarray
     status: TraceStatus
 

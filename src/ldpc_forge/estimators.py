@@ -119,9 +119,11 @@ def utility(
     parabola through it and its two neighbours (the index clamped at the
     ends), kept inside the two cells around it.  The vertex and its
     neighbours at a spacing 1e3 times smaller give the next parabola, once
-    more; a curvature that is not positive stops the polish.  The least
-    step it evaluates is kept where it is <= the grid minimum, so the
-    reported bottleneck location carries no grid bias.
+    more; a curvature that is not positive stops the polish, and so does a
+    second vertex kept at the same bound as the first, whose triple is
+    already evaluated.  The least step it evaluates is kept where it is
+    <= the grid minimum, so the reported bottleneck location carries no
+    grid bias.
     """
     if zeta_tilde is None:
         zeta_tilde = 0.5 * ctx.zeta
@@ -136,12 +138,16 @@ def utility(
     h = 1e-3 * (zs[0] - zs[1])
     j = min(max(k, 1), zs.size - 2)
     z3, f3 = zs[j - 1:j + 2], vals[j - 1:j + 2]
+    center = None
     for _ in range(2):
         curvature = f3[0] - 2.0 * f3[1] + f3[2]
         if not curvature > 0.0:
             break
         vertex = z3[1] + 0.5 * (z3[2] - z3[1]) * (f3[0] - f3[2]) / curvature
-        center = min(max(vertex, lo + h), hi - h)
+        previous, center = center, min(max(vertex, lo + h), hi - h)
+        if center == previous:
+            # clipped to the same bound again: the same triple, already kept
+            break
         # the clip only takes back a rounding of center +- h past an end
         z3 = np.clip(center + h * np.array([-1.0, 0.0, 1.0]), lo, hi)
         x3, f3 = _kernels.transfer_step(lam.dense, ctx.rho.dense, ctx.epsilon, z3)

@@ -1,20 +1,25 @@
 """Command-line smoke tests: exit codes and manifest contents."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
+import scipy
 
 from helpers import fail_own_certificate, failing_tie_break, fixture_context
 import ldpc_forge
 from ldpc_forge import (DEContext, DegreeDistribution, NumericalFailure, solve,
                         utility)
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
-                            build_parser, load_fixtures, main, render_csv)
+                            TRACE_BLOCK_ROWS, RunManifest, build_parser,
+                            load_fixtures, main, render_csv, render_csv_chunks)
 
 RATE_ARGS = ["design", "--objective", "rate", "--rho", '{"8": 1.0}',
              "--epsilon", "0.5", "--dv", "16", "--grid-n", "512"]
@@ -318,6 +323,93 @@ def test_render_csv_exact_bytes():
         b"# epsilon=0.5\r\n")
 
 
+B = TRACE_BLOCK_ROWS
+
+
+def _whole_csv(header, rows, comments) -> str:
+    # the reference: one csv.writer over the whole table
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue() + "".join(f"# {c}\r\n" for c in comments)
+
+
+def _blocks(rows) -> list:
+    return [rows[k:k + B] for k in range(0, len(rows), B)]
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_block_renderer_writes_the_whole_table_bytes(n):
+    # one chunk per block and one for the comments, the header in the
+    # first; blank and quoted cells fall on both sides of block ends
+    header, comments = ["iteration", "P", "note"], ("status=Stalled at_iteration=3",)
+    rows = [(i, None if i % 3 == 0 else 0.5 / i, "a, b" if i % 2 else "plain")
+            for i in range(n)]
+    chunks = list(render_csv_chunks(header, _blocks(rows), comments))
+    assert len(chunks) == len(_blocks(rows)) + 1
+    assert "".join(chunks) == _whole_csv(header, rows, comments)
+
+
+def test_manifest_hashes_a_multi_block_artifact_as_written(tmp_path):
+    rows = [(i, 1.0 / (i + 1)) for i in range(3 * B + 7)]
+    path = tmp_path / "t.csv"
+    man = RunManifest("evaluate", {}, settings={})
+    man.add(str(path), render_csv_chunks(["iteration", "P"], _blocks(rows), ("x",)))
+    data = path.read_bytes()
+    assert data == _whole_csv(["iteration", "P"], rows, ("x",)).encode()
+    assert man.artifacts == {"t.csv": hashlib.sha256(data).hexdigest()}
+    assert man.outputs == [str(path)]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_chunk_source_failing_mid_stream_leaves_no_file(tmp_path, existing):
+    # the temp file is removed, and a target already there is left as it was
+    path = tmp_path / "t.csv"
+    if existing:
+        path.write_text("old\n")
+
+    def chunks():
+        yield "iteration,P\r\n"
+        yield "0,0.5\r\n"
+        raise RuntimeError("renderer failed")
+
+    man = RunManifest("evaluate", {}, settings={})
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        man.add(str(path), chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["t.csv"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
+    assert man.artifacts == {} and man.outputs == []
+
+
+def test_evaluate_trace_memory_is_the_trace_itself(tmp_path):
+    # x7_poc just below its threshold stalls after 34,669 rows (exit 3).
+    # The float64 trace is 8 B a row; the CSV text, rendered and hashed a
+    # block at a time, must add no more than a constant.  Rendered whole,
+    # it costs about 129 B a row
+    ens = load_fixtures().get("x7_poc").ensemble.to_json()
+    # a short stall first, so first-call costs fall outside the trace
+    assert main(["evaluate", ens, "--epsilon", "0.52", "--eta", "1e-5",
+                 "--out", str(tmp_path / "warm")]) == EXIT_DECODING
+    argv = ["evaluate", ens, "--epsilon", "0.4999842289939814", "--eta", "1e-5",
+            "--out", str(tmp_path / "long")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DECODING
+    data = (tmp_path / "long.trace.csv").read_bytes()
+    lines = data.split(b"\r\n")[:-1]
+    rows = len(lines) - 2  # header and status comment
+    assert rows == 34_669 and lines[-1].startswith(b"# status=Stalled")
+    assert peak <= 16 * rows + 2**19, f"{peak / rows:.1f} B/row"
+    assert _manifest(tmp_path / "long")["artifacts"]["long.trace.csv"] == (
+        hashlib.sha256(data).hexdigest())
+
+
 def _evaluate_outputs(prefix) -> tuple:
     summary = (prefix.parent / f"{prefix.name}.summary.json").read_text()
     params = _manifest(prefix)["parameters"]
@@ -365,13 +457,15 @@ def test_import_does_not_build_the_parser():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_commands_that_solve_no_lp_never_import_scipy_optimize(tmp_path):
-    # one fresh interpreter: four LP-free commands, then a rate design, whose
-    # first LP imports HiGHS through solve.linprog
+def test_commands_that_solve_no_lp_never_import_scipy(tmp_path):
+    # one fresh interpreter: four LP-free commands load no scipy module at
+    # all, evaluate's file writes included; then a rate design, whose first
+    # LP imports HiGHS through solve.linprog and whose manifest lists the
+    # scipy version
     ens = '{"lambda": {"2": 0.5, "3": 0.5}, "rho": {"6": 1.0}}'
     point = ["--epsilon", "0.3", "--eta", "1e-3"]
-    runs = [["validate", ens], ["evaluate", ens, *point], ["estimate", ens, *point],
-            ["certify", ens, *point, "--t", "1e-6"]]
+    runs = [["validate", ens], ["evaluate", ens, *point, "--out", str(tmp_path / "ev")],
+            ["estimate", ens, *point], ["certify", ens, *point, "--t", "1e-6"]]
     design = ["design", "--objective", "rate", "--rho", '{"6": 1.0}', "--epsilon", "0.3",
               "--dv", "8", "--grid-n", "256", "--out", str(tmp_path / "rate")]
     code = ("import contextlib, io, sys\n"
@@ -379,7 +473,8 @@ def test_commands_that_solve_no_lp_never_import_scipy_optimize(tmp_path):
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == cli.EXIT_OK, argv\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
             f"assert cli.main({design!r}) == cli.EXIT_OK\n"
             "assert 'scipy.optimize' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(ldpc_forge.__file__))
@@ -387,3 +482,4 @@ def test_commands_that_solve_no_lp_never_import_scipy_optimize(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+    assert _manifest(tmp_path / "rate")["versions"]["scipy"] == scipy.__version__

@@ -203,21 +203,24 @@ class TestBoundedBrent:
         # at 0.8 eps the grid minimum is the first node for the anchor
         # 0.5*zeta and the last (z = 1 - eps) for 0.9*xi.  At the first the
         # step is concave in z, so the curvature stops the polish and the
-        # grid node stands; at the last both rounds run
+        # grid node stands; at the last both vertices clip to the end's
+        # bound, so the second round would repeat the first triple and
+        # evaluates nothing
         polished, got, grid_value, grid_x = self._polish_at_an_end(
             fixtures, monkeypatch, name, 0.8, end)
         if end == "first":
             assert polished == []
             assert (got.value, got.argmin_x) == (grid_value, grid_x)
         else:
-            assert len(polished) == 6
+            assert len(polished) == 3
 
     @pytest.mark.parametrize("name", ["x7_ratedv_e048", "x7_ratedv_e052", "mix_eta2"])
     def test_polish_at_the_first_node_stays_in_its_cell(self, fixtures, monkeypatch, name):
-        # at 0.95 eps these steps are convex at the anchor 0.5*zeta, so both
-        # rounds run against the first node's bound
+        # at 0.95 eps these steps are convex at the anchor 0.5*zeta, so the
+        # polish runs against the first node's bound; its second vertex
+        # clips to that bound again, whose triple is not evaluated twice
         polished, _, _, _ = self._polish_at_an_end(fixtures, monkeypatch, name, 0.95, "first")
-        assert len(polished) == 6
+        assert len(polished) == 3
 
 
 class TestCodeEstimates:
