@@ -10,8 +10,9 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 * `estimators` - the iteration approximation approx_N and its floor (over
   the recursion variable P, with no inverse of rho), the bottleneck
   utility, and the x-domain integral reference (`CurvePair`);
-* `series` - truncated power series of psi; no designer or command calls
-  it, and it stays only while the benchmark's tracer wraps `taylor_for`;
+* `series` - `taylor_for`, the truncated power series of psi by series
+  reversion; no designer or command calls it, and it stays only while the
+  benchmark's tracer wraps it (imported here so the tracer finds it);
 * `sip_compile` - the step-size constraint as one exact polynomial in
   z = rho^{-1}(1 - x), and its nonnegativity certificate by Bernstein
   subdivision with a stated rounding bound;
@@ -31,8 +32,7 @@ from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      RateOutOfRange, ReversionSingular, SumNotOne)
 from .estimators import (CurvePair, UtilityResult, approx_iterations, code_curves,
                          code_estimates, utility)
-from .series import (DEFAULT_ORDER, TaylorSeries, binom_frac, taylor_for,
-                     taylor_general, taylor_regular)
+from .series import taylor_for
 from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
                           compile_constraint, nonneg_on_unit)
 from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
@@ -46,12 +46,10 @@ __all__ = [
     "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "MaxIterations",
     "NegativeCoefficient", "NonnegCertificate", "NumericalFailure",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
-    "Stalled", "SuccessCheck", "SumNotOne", "TaylorSeries", "UtilityResult",
-    "DEFAULT_ORDER",
-    "approx_iterations", "binom_frac", "certify", "check_successful",
+    "Stalled", "SuccessCheck", "SumNotOne", "UtilityResult",
+    "approx_iterations", "certify", "check_successful",
     "code_curves", "code_estimates", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility",
     "graphical_complexity", "lp_solve", "nonneg_on_unit",
-    "psi", "psi_deriv", "rate", "taylor_for", "taylor_general",
-    "taylor_regular", "utility",
+    "psi", "psi_deriv", "rate", "taylor_for", "utility",
 ]

@@ -17,8 +17,9 @@ code, and none of them inverts rho on a grid:
 * the exact count is the recursion itself (`de_engine.de_trace`).
 
 `CurvePair`, `code_curves` and `approx_iterations` remain as the x-domain
-reference: the integral of f2'/(f2 - f1) for a lower curve f1 and an
-upper curve f2 on [a, b].
+reference that tests compare against: the integral of f2'/(f2 - f1) for a
+lower curve f1 and an upper curve f2 on [a, b], each given with its
+derivative.
 """
 
 from __future__ import annotations
@@ -38,33 +39,19 @@ CODE_QUAD_POINTS = 10_000  # log-P midpoint nodes of code_estimates
 UTILITY_GRID_N = 4096  # z nodes of the utility scan
 
 
-def _central_diff(f: Callable, h: float) -> Callable:
-    def deriv(x):
-        return (f(np.asarray(x) + h) - f(np.asarray(x) - h)) / (2.0 * h)
-
-    return deriv
-
-
 @dataclass(frozen=True)
 class CurvePair:
-    """Two increasing curves f1 < f2 on [a, b] plus optional derivatives.
+    """Two increasing curves f1 < f2 on [a, b] and their derivatives.
 
-    Callables must accept numpy arrays.  Missing derivatives fall back to
-    central differences (which evaluate slightly outside [a, b]).
+    Callables must accept numpy arrays.
     """
 
     f1: Callable
     f2: Callable
     a: float
     b: float
-    f1_deriv: Optional[Callable] = None
-    f2_deriv: Optional[Callable] = None
-
-    def d_f1(self) -> Callable:
-        return self.f1_deriv or _central_diff(self.f1, 1e-6 * (self.b - self.a))
-
-    def d_f2(self) -> Callable:
-        return self.f2_deriv or _central_diff(self.f2, 1e-6 * (self.b - self.a))
+    f1_deriv: Callable
+    f2_deriv: Callable
 
     def validate(self, grid_n: int = 257) -> None:
         xs = np.linspace(self.a, self.b, grid_n)
@@ -72,7 +59,7 @@ class CurvePair:
         k = int(np.argmin(gaps))
         if gaps[k] <= 0.0:
             raise DegenerateGap(float(xs[k]), float(gaps[k]))
-        for name, d in (("f1", self.d_f1()), ("f2", self.d_f2())):
+        for name, d in (("f1", self.f1_deriv), ("f2", self.f2_deriv)):
             slopes = np.atleast_1d(d(xs))
             if slopes.min() <= 0.0:
                 j = int(np.argmin(slopes))
@@ -95,7 +82,7 @@ def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     k = int(np.argmin(gaps))
     if gaps[k] <= 0.0:
         raise DegenerateGap(float(xs[k]), float(gaps[k]))
-    return float(np.sum(p.d_f2()(xs) / gaps) * dx)
+    return float(np.sum(p.f2_deriv(xs) / gaps) * dx)
 
 
 @dataclass(frozen=True)

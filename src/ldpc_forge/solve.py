@@ -29,8 +29,9 @@ Three entry points over a common toolkit:
   X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
   p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
   The barrier weight tau starts at `BARRIER_TAU0` = 1e3 and grows x10
-  per round to 1e6, the first weight whose gap m/tau is below
-  `BARRIER_TOL`.
+  per round up to the first weight whose gap m/tau (m = d_v) is at most
+  `BARRIER_TOL`: 1e6 for 10 < d_v <= 100.  There is no round cap; only a
+  round that runs out its Newton steps makes the design "IterLimit".
 
 Neither iteration designer designs the rate ceiling first: its own LP or
 phase one, which carries the rate floor, decides whether R_d is reachable,
@@ -40,10 +41,11 @@ the ceiling, to say why (`_explain`); a floor at R_max is no special case.
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
-`lp_solve`, which solves each LP by row generation: a 4096-row design LP,
-of which a handful of rows are active, converges in two or three solves
-of at most a few hundred rows, and each zeta_tilde-tuning LP after the
-first starts from the last one's working set and usually needs one.
+`lp_solve`, which solves each LP (all have inequality rows) by row
+generation: a 4096-row design LP, of which a handful of rows are active,
+converges in two or three solves of at most a few hundred rows, and each
+zeta_tilde-tuning LP after the first starts from the last one's working
+set and usually needs one.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
 Every "Optimal" report carries a passed certificate.  HiGHS, through
 scipy.optimize, is imported on the first LP (`linprog`), so a command
@@ -67,7 +69,6 @@ DEFAULT_GRID_N = 4096
 MARGIN = 1e-7  # curve margin of the rate LP's grid rows; Bernstein rows need none
 REFINE_ROUNDS = 12  # rate LP re-solves with a failed certificate's witness as a row
 BARRIER_TAU0 = 1e3  # first barrier weight
-BARRIER_MAX_OUTER = 16  # barrier weight updates, x10 each
 BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
 BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
@@ -171,11 +172,10 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     """
     rows = []
     rhs = []
-    if A_ub is not None and mu.size:
-        act = mu > 1e-11
-        if np.any(act):
-            rows.append(A_ub[act])
-            rhs.append(b_ub[act])
+    act = mu > 1e-11
+    if np.any(act):
+        rows.append(A_ub[act])
+        rhs.append(b_ub[act])
     if A_eq is not None:
         rows.append(np.asarray(A_eq, dtype=np.float64))
         rhs.append(np.asarray(b_eq, dtype=np.float64))
@@ -197,9 +197,8 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     if not np.all(np.isfinite(delta)) or float(np.max(np.abs(delta))) > 1e-5:
         return x
     x_new = x + delta
-    if A_ub is not None:
-        if float(np.min(b_ub - A_ub @ x_new)) < -1e-9:
-            return x
+    if float(np.min(b_ub - A_ub @ x_new)) < -1e-9:
+        return x
     if np.any(x_new < lb - 1e-9) or np.any(x_new > ub + 1e-9):
         return x
     return x_new
@@ -240,35 +239,32 @@ def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows):
         active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
 
 
-def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None,
              start_rows=None) -> LPResult:
     """Minimize c @ x with HiGHS by row generation and verify the KKT residual.
 
+    Every LP here has inequality rows A_ub @ x <= b_ub, so they are
+    required; equality rows and `bounds` (default x >= 0) are optional.
     HiGHS runs with `LP_OPTIONS` on a working set of the rows of A_ub:
     `WORKING_SET_N` evenly spaced rows (all of them when there are no
     more) and the indices `start_rows`, then, after each solve, up to
     `WORKING_SET_N` of the rows that x violates most by more than the
-    primal feasibility tolerance, until x violates none.  The LP is unchanged, and so is its optimum; only the
-    rows HiGHS factors shrink.  The returned vertex is polished onto its
-    active set over all the rows, then checked against all of them:
-    complementary slackness at 1e-8 and stationarity at 1e-6 (relative
-    to the dual magnitude); `dual_ub` is zero off the working set, and
-    `working_set` lists it, ready to start a related LP with the same rows.
+    primal feasibility tolerance, until x violates none.  The LP is
+    unchanged, and so is its optimum; only the rows HiGHS factors shrink.
+    The returned vertex is polished onto its active set over all the rows,
+    then checked against all of them: complementary slackness at 1e-8 and
+    stationarity at 1e-6 (relative to the dual magnitude); `dual_ub` is
+    zero off the working set, and `working_set` lists it, ready to start a
+    related LP with the same rows.
     Returns status "Optimal", "Infeasible", or "Unbounded"; raises
     NumericalFailure on any other backend report or a failed check.
     """
     c = np.asarray(c, dtype=np.float64)
+    A_ub = np.asarray(A_ub, dtype=np.float64)
+    b_ub = np.asarray(b_ub, dtype=np.float64)
     bounds = bounds if bounds is not None else (0, None)
-    mu = np.array([])
     nu = np.array([])
-    rows = np.array([], dtype=np.intp)
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=np.float64)
-        b_ub = np.asarray(b_ub, dtype=np.float64)
-        res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows)
-    else:
-        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                      method="highs", options=LP_OPTIONS)
+    res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows)
     if res.status in (2, 3):
         return LPResult(np.array([]), np.nan, np.array([]), np.array([]),
                         {2: "Infeasible", 3: "Unbounded"}[res.status], 0.0, rows)
@@ -284,15 +280,9 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     fun = float(c @ x)
 
     # stationarity: c + A_ub' mu + A_eq' nu - (reduced costs at bounds) = 0
-    grad = c.copy()
-    cs = 0.0
-    dual_scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if A_ub is not None:
-        slack = b_ub - A_ub @ x
-        cs = max(cs, float(np.max(np.abs(mu * slack))) if mu.size else 0.0)
-        grad = grad + A_ub.T @ mu
-        if mu.size:
-            dual_scale = max(dual_scale, float(np.max(np.abs(mu))))
+    cs = float(np.max(np.abs(mu * (b_ub - A_ub @ x))))
+    grad = c + A_ub.T @ mu
+    dual_scale = max(float(np.max(np.abs(c))), float(np.max(np.abs(mu))))
     if A_eq is not None:
         grad = grad + A_eq.T @ nu
         if nu.size:
@@ -565,9 +555,10 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str,
     columns are X.  With c = 2*tau*w/g^3 the Hessian X'diag(c)X is the
     Hankel matrix of the moments sum c_i*x_i^p, p = 2 .. 2(d_v-1)
     (`_hankel`), so one product M'[w/g^2, c] gives the gradient and the
-    Hessian.  tau starts at `BARRIER_TAU0` = 1e3 and grows x10 per round
-    until the gap m/tau is below `BARRIER_TOL`, at tau = 1e6 for m = 16
-    (from tau = 1, `reproduce all` took 727 Newton steps, not 492).  A
+    Hessian.  tau starts at `BARRIER_TAU0` = 1e3 and grows x10 per round;
+    the last round is the first whose gap m/tau is <= `BARRIER_TOL`, so
+    the returned gap always is (tau = 1e6 for 10 < m <= 100; from tau = 1,
+    `reproduce all` took 727 Newton steps, not 492).  A
     trial point is g - alpha*(X @ step), one matvec per Newton step, and
     alpha halves until the point is interior (g, v and the rate slack
     > 0, else the change reads +inf) and meets the Armijo rule.  The
@@ -584,7 +575,7 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str,
     kkt[-1, -1] = 0.0
     rhs = np.zeros(n + 1)
     tau = BARRIER_TAU0
-    for _ in range(BARRIER_MAX_OUTER):
+    while True:
         stop = "capped"
         for _ in range(BARRIER_MAX_NEWTON):
             g = psi_vals - X @ v
@@ -635,9 +626,8 @@ def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str,
             v = v + alpha * step
         gap = m_ineq / tau  # duality gap of the point centred at this tau
         if gap <= BARRIER_TOL:
-            break
+            return v, gap, stop, decrement2
         tau *= 10.0
-    return v, gap, stop, decrement2
 
 
 def design_min_iterations(spec: DesignSpec) -> SolveReport:
@@ -650,12 +640,15 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     and already penalizes the curve constraint; the barrier adds the
     coefficient simplex and the rate floor.  A phase-one LP that finds no
     start point with positive slack makes the design "Infeasible", and only
-    then is the rate ceiling designed, to say why (`_explain`).  A duality
-    gap m/tau above `BARRIER_TOL`, or a last round that ran out its Newton
-    steps, is "IterLimit"; otherwise the certificate of psi - lam >= 0 on
-    [zeta, xi] gives "Optimal" or "CertificateFail" (lam kept).  A last
-    round whose line search stalled keeps its status, and `detail` gives
-    its Newton decrement.  max_violation is -certificate.margin.
+    then is the rate ceiling designed, to say why (`_explain`).  The
+    barrier's last round is the first whose duality gap m/tau is at most
+    `BARRIER_TOL`, and `optimality_gap` is that gap (m = d_v: 16e-6 at
+    d_v 16).  A last round that ran out its Newton steps is "IterLimit",
+    since its gap is then no bound; otherwise the certificate of
+    psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
+    (lam kept).  Either way the certificate rides along.  A last round
+    whose line search stalled keeps its status, and `detail` gives its
+    Newton decrement.  max_violation is -certificate.margin.
     """
     spec.validate()
     ctx = spec.context()
@@ -687,10 +680,6 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     elif stop == "stalled":
         why = _join(why, f"last barrier round stalled at alpha <= 1e-12 with Newton "
                          f"decrement lambda^2 {decrement2:.3e}")
-    if gap > BARRIER_TOL:
-        status = "IterLimit"
-        why = _join(f"barrier stopped at duality gap {gap:.3e} above "
-                    f"BARRIER_TOL={BARRIER_TOL:g}", why)
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
                        optimality_gap=gap, status=status, certificate=cert,
                        method="min-iter", detail=why)

@@ -237,14 +237,6 @@ def stability_cap(rho: DegreeDistribution, eps: float) -> float:
     return 1.0 / (eps * rho.eval_deriv(1.0))
 
 
-def frac_binom_oracle(omega: float, i: int) -> float:
-    """(omega choose i) as an explicit product, float accumulation."""
-    num = 1.0
-    for k in range(i):
-        num *= omega - k
-    return num / math.factorial(i)
-
-
 def utility_oracle(lam: dict[int, float], rho: dict[int, float], eps: float,
                    zeta_tilde: float, x_start: float, dps: int = 50) -> float:
     """min of the step (psi - lam)/psi' on [zeta_tilde, xi] at dps digits.

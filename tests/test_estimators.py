@@ -65,6 +65,7 @@ class TestApproxIterations:
             shrunk = CurvePair(
                 f1=lambda x, p=pair: 0.9 * p.f1(x),
                 f2=pair.f2, a=pair.a, b=pair.b,
+                f1_deriv=lambda x, p=pair: 0.9 * p.f1_deriv(x),
                 f2_deriv=pair.f2_deriv,
             )
             assert approx_iterations(shrunk) <= approx_iterations(pair) + 1e-9
@@ -308,10 +309,11 @@ class TestCodeCurves:
         pair = code_curves(fx.ensemble, ctx)
         h = 1e-7
         for x in np.linspace(pair.a + 0.05, pair.b - 0.05, 7):
+            # the pair's derivatives against a central difference taken here
             num2 = (pair.f2(x + h) - pair.f2(x - h)) / (2 * h)
-            assert float(pair.d_f2()(x)) == pytest.approx(float(num2), rel=1e-5)
+            assert float(pair.f2_deriv(x)) == pytest.approx(float(num2), rel=1e-5)
             num1 = (pair.f1(x + h) - pair.f1(x - h)) / (2 * h)
-            assert float(pair.d_f1()(x)) == pytest.approx(float(num1), rel=1e-5)
+            assert float(pair.f1_deriv(x)) == pytest.approx(float(num1), rel=1e-5)
 
     def test_validate_flags_infeasible_pair(self, fixtures):
         fx = fixtures.get("x7_poc")
@@ -322,14 +324,11 @@ class TestCodeCurves:
 
 
 class TestCurvePairFallbacks:
-    def test_derivative_fallback_uses_finite_differences(self):
-        pair = CurvePair(f1=lambda x: np.asarray(x) / 2.0,
-                         f2=lambda x: np.asarray(x, dtype=float) ** 2, a=0.3, b=1.0)
-        assert float(pair.d_f2()(0.5)) == pytest.approx(1.0, rel=1e-6)
-
     def test_validate_rejects_non_increasing_f2(self):
         # gap stays positive so the monotonicity check is what fires
         pair = CurvePair(f1=lambda x: np.asarray(x, dtype=float) - 2.0,
-                         f2=lambda x: 2.0 - np.asarray(x, dtype=float), a=0.3, b=1.0)
+                         f2=lambda x: 2.0 - np.asarray(x, dtype=float), a=0.3, b=1.0,
+                         f1_deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                         f2_deriv=lambda x: -np.ones_like(np.asarray(x, dtype=float)))
         with pytest.raises(ValueError):
             pair.validate()

@@ -73,11 +73,14 @@ class TestLPSolve:
         assert res.kkt_residual <= 1e-8
 
     def test_equality_constraint(self):
-        res = lp_solve(np.array([1.0, 2.0]), A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        # the inequality row x1 + x2 <= 2 is required and never binds
+        res = lp_solve(np.array([1.0, 2.0]), A_ub=[[1.0, 1.0]], b_ub=[2.0],
+                       A_eq=[[1.0, 1.0]], b_eq=[1.0])
         assert res.status == "Optimal"
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-10)
         assert res.objective == pytest.approx(1.0, abs=1e-10)
         assert res.dual_eq == pytest.approx([-1.0], abs=1e-8)
+        assert res.dual_ub == pytest.approx([0.0], abs=1e-12)
         assert res.kkt_residual <= 1e-8
 
     def test_infeasible_status(self):
@@ -567,21 +570,26 @@ class TestDesignMinIterations:
         assert rep.optimality_gap <= solve.BARRIER_TOL
         assert not np.array_equal(rep.lam.dense, ceiling.lam.dense)
 
-    def test_unconverged_barrier_names_its_gap(self, rho_x7, monkeypatch):
-        # one barrier weight, the first, tau = BARRIER_TAU0 = 1e3: the gap
-        # of its centre is the 16 inequalities (15 coefficients and the
-        # rate floor) over tau
-        monkeypatch.setattr(solve, "BARRIER_MAX_OUTER", 1)
-        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
-                                               R_d=0.45, d_v=16, grid_n=512))
-        assert rep.status == "IterLimit"
-        assert rep.optimality_gap == 0.016
-        assert rep.detail.startswith("barrier stopped at duality gap 1.600e-02 above "
-                                     f"BARRIER_TOL={solve.BARRIER_TOL:g}")
+    @pytest.mark.parametrize("name", ["fig2_r045", "fig5_dv30"])
+    def test_rounds_stop_at_the_first_tau_within_tolerance(self, fixtures, miniter_045,
+                                                           name):
+        # tau = 1e3, 1e4, 1e5, 1e6: the gap m/tau of the m = d_v inequalities
+        # (d_v - 1 coefficients and the rate floor) first reaches
+        # BARRIER_TOL = 1e-4 at tau = 1e6, for d_v 16 and 30 alike
+        if name == "fig2_r045":
+            spec, rep = miniter_045
+        else:
+            f = fixtures.get("mix_dv30")
+            spec = DesignSpec(rho=f.ensemble.rho, epsilon=f.params["epsilon"],
+                              eta=f.params["eta"], R_d=0.5, d_v=30)
+            rep = design_min_iterations(spec)
+        assert rep.status == "Optimal"
+        assert rep.optimality_gap == spec.d_v / 1e6
 
     def test_barrier_round_out_of_newton_steps_is_iterlimit(self, rho_x7, monkeypatch):
         # three Newton steps leave every round off its centre, so its gap
-        # m/tau is no bound, whatever tau the rounds reach
+        # m/tau is no bound, whatever tau the rounds reach; the certificate
+        # rides along the IterLimit
         monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
                                                R_d=0.45, d_v=16, grid_n=512))
@@ -589,6 +597,8 @@ class TestDesignMinIterations:
         assert rep.optimality_gap <= solve.BARRIER_TOL
         assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=3 "
                                      "Newton steps at decrement lambda^2 ")
+        assert rep.certificate.kind == "SturmPass"
+        assert rep.max_violation == -rep.certificate.margin
 
     def test_stalled_barrier_round_keeps_its_status(self, fixtures):
         # Fig. 5 at d_v 12: the tau = 1e6 round's line search ends at
@@ -655,15 +665,6 @@ class TestDesignMinIterations:
         assert np.array_equal(rep.lam.dense, passed.lam.dense)
         assert rep.max_violation == 1.0
         assert rep.detail == "certificate margin -1.000e+00 at x=0.5"
-
-    def test_unconverged_barrier_is_still_certified(self, rho_x7, monkeypatch):
-        # the duality gap decides IterLimit; the certificate rides along
-        monkeypatch.setattr(solve, "BARRIER_MAX_OUTER", 1)
-        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
-                                               R_d=0.45, d_v=16, grid_n=512))
-        assert rep.status == "IterLimit"
-        assert rep.certificate.kind == "SturmPass"
-        assert rep.max_violation == -rep.certificate.margin
 
     def test_infeasible_above_ceiling(self, rho_x7):
         spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
