@@ -588,8 +588,7 @@ class TestDesignMinIterations:
 
     def test_barrier_round_out_of_newton_steps_is_iterlimit(self, rho_x7, monkeypatch):
         # three Newton steps leave every round off its centre, so its gap
-        # m/tau is no bound, whatever tau the rounds reach; the certificate
-        # rides along the IterLimit
+        # m/tau is no bound, whatever tau the rounds reach
         monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
                                                R_d=0.45, d_v=16, grid_n=512))
@@ -597,6 +596,13 @@ class TestDesignMinIterations:
         assert rep.optimality_gap <= solve.BARRIER_TOL
         assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=3 "
                                      "Newton steps at decrement lambda^2 ")
+
+    def test_unconverged_barrier_is_still_certified(self, rho_x7, monkeypatch):
+        # an off-centre last round decides IterLimit; the certificate rides along
+        monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
+                                               R_d=0.45, d_v=16, grid_n=512))
+        assert rep.status == "IterLimit"
         assert rep.certificate.kind == "SturmPass"
         assert rep.max_violation == -rep.certificate.margin
 
