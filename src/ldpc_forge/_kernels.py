@@ -185,7 +185,7 @@ def log_p_nodes(eta, eps, n):
     """Midpoints of n equal cells of u = log P on [log eta, log eps], and du.
 
     Returns ``(P, du)``.  The rule of `estimators.code_estimates` and of
-    the min-iteration designer's barrier rows: with weights P*du it
+    the min-iteration designer's objective: with weights P*du it
     integrates over dP, and P/g(P) stays bounded as P -> 0 (g ~ P there).
     """
 

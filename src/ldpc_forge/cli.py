@@ -9,9 +9,11 @@ hashes and the command's wall time from its entry (per figure for
 `reproduce`), and identical flags yield byte-identical outputs.
 `evaluate`'s trace CSV is rendered, written and hashed in blocks of
 `TRACE_BLOCK_ROWS` rows, never held whole as text, and only with --out.  A
-utility design's report also records the zeta_tilde it used.  `design`
-and `reproduce` manifests also record the HiGHS options and the numpy,
-scipy and HiGHS versions, on which the low digits of a design depend.
+utility design's report also records the zeta_tilde it used; `design
+--zeta-tilde` with another objective, which has no anchor, is a usage
+error.  `design` and `reproduce` manifests also record the HiGHS options
+and the numpy, scipy and HiGHS versions, on which the low digits of a
+design depend.
 `main` parses with one parser per process, built on its first call.
 
 `certify` takes an ensemble, (epsilon, eta), the step size --t and an
@@ -22,9 +24,9 @@ margin and, on failure, witness_x with the curve gap there.
 Exit codes: 0 success, 2 usage or validation error, 3 decoding or
 certificate failure (`evaluate` or `estimate` past the threshold, a
 failing `certify`, a `design` of any objective with status
-CertificateFail), 4 solver reported Infeasible, a min-iter barrier that
-stopped at IterLimit, or a numerical failure (`NumericalFailure`, such
-as a design LP that fails its KKT gate).
+CertificateFail), 4 solver reported Infeasible, a min-iter design that
+ran out its Newton steps (IterLimit), or a numerical failure
+(`NumericalFailure`, such as a design LP that fails its KKT gate).
 """
 
 from __future__ import annotations
@@ -389,6 +391,9 @@ def _grid_n(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if args.zeta_tilde is not None and args.objective != "utility":
+        raise LdpcForgeError(f"--zeta-tilde anchors the utility objective only, "
+                             f"not {args.objective}")
     rho = _load_rho_arg(args.rho)
     grid_n = _grid_n(args)
     if args.objective == "rate":

@@ -21,17 +21,17 @@ Three entry points over a common toolkit:
   midpoint rule of `estimators.code_estimates`, so the objective is the
   approx_N that `evaluate` reports.  In curve terms each node P is a row
   at x = 1 - rho(1 - P) with psi = P/eps and weight psi' dx = P*du/eps.
-  The objective is convex in lam and blows up as lam touches psi, so a
-  log-barrier Newton method over the simplex-and-ratefloor feasible set
-  converges with a clean duality-gap bound; below `BARRIER_TOL` the
+  The objective is convex in lam and blows up as lam touches psi, so it
+  is minimized over the coefficient simplex and the rate floor by a
+  null-space active-set Newton method (Gill, Murray & Wright, Practical
+  Optimization, 1981; Nocedal & Wright, 2006, sec. 16.5) from the vertex
+  of a phase-one LP.  Unused degrees are exact zeros, and
+  `optimality_gap` is the KKT residual, at most `KKT_TOL`; below it the
   certificate of psi - lam >= 0 on [zeta, xi] is the verdict.  The node
   matrix X has columns x^1 .. x^{d_v-1}, so its Hessian term
   X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
   p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
-  The barrier weight tau starts at `BARRIER_TAU0` = 1e3 and grows x10
-  per round up to the first weight whose gap m/tau (m = d_v) is at most
-  `BARRIER_TOL`: 1e6 for 10 < d_v <= 100.  There is no round cap; only a
-  round that runs out its Newton steps makes the design "IterLimit".
+  A design that runs out its `MAX_NEWTON_STEPS` steps is "IterLimit".
 
 Neither iteration designer designs the rate ceiling first: its own LP or
 phase one, which carries the rate floor, decides whether R_d is reachable,
@@ -68,12 +68,11 @@ from .sip_compile import NonnegCertificate, certify, compile_constraint, step_ro
 DEFAULT_GRID_N = 4096
 MARGIN = 1e-7  # curve margin of the rate LP's grid rows; Bernstein rows need none
 REFINE_ROUNDS = 12  # rate LP re-solves with a failed certificate's witness as a row
-BARRIER_TAU0 = 1e3  # first barrier weight
-BARRIER_MAX_NEWTON = 100  # Newton steps per barrier weight
-BARRIER_TOL = 1e-4  # duality gap at which the min-iteration barrier stops
+MAX_NEWTON_STEPS = 100  # steps of the min-iteration active-set Newton method
+KKT_TOL = 1e-9  # relative KKT residual at which the min-iteration design stops
 TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_L_MAX = 5000
-FLOOR_RELIEF = 1e-13  # relative raise of the utility LP's rate floor (`design_utility`)
+FLOOR_RELIEF = 1e-13  # relative raise of the rate floor of the utility LP and of min-iter
 WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
 # HiGHS settings for every LP.  Presolve is off because it dominated every
 # design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s without,
@@ -503,31 +502,18 @@ def design_utility(spec: DesignSpec) -> SolveReport:
                        method="utility", detail=why, zeta_tilde=zt)
 
 
-def _phase_one(X, psi_vals, q) -> tuple[Optional[np.ndarray], float]:
-    """LP start point with uniformly positive slacks; returns (lam, slack).
+def _phase_one(X, psi_vals, inv_degrees, q) -> tuple[Optional[np.ndarray], float]:
+    """The LP vertex of largest uniform node slack; returns (lam, slack).
 
-    X is the barrier's node matrix, x^1 .. x^{d_v-1} at each node.
+    Maximizes sigma under X lam + sigma <= psi at the nodes, sum lam = 1,
+    lam >= 0 and the rate floor sum lam_j/j >= q as a hard row.  X is the
+    node matrix, x^1 .. x^{d_v-1} at each node.
     """
-    n, d_v = X.shape[0], X.shape[1] + 1
-    A_gap = np.column_stack([X, np.ones(n)])
-    rows = [A_gap]
-    rhs = [psi_vals]
-    for j in range(d_v - 1):
-        row = np.zeros(d_v)
-        row[j] = -1.0
-        row[-1] = 1e-2
-        rows.append(row.reshape(1, -1))
-        rhs.append(np.array([0.0]))
-    rate_row = np.concatenate([-np.array([1.0 / j for j in range(2, d_v + 1)]), [1e-2]])
-    rows.append(rate_row.reshape(1, -1))
-    rhs.append(np.array([-q]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    eq = np.concatenate([np.ones(d_v - 1), [0.0]]).reshape(1, -1)
-    obj = np.zeros(d_v)
-    obj[-1] = -1.0
-    bounds = [(0, None)] * (d_v - 1) + [(None, None)]
-    res = lp_solve(obj, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0], bounds=bounds)
+    n = X.shape[1]
+    A = np.vstack([np.column_stack([X, np.ones(X.shape[0])]), np.append(-inv_degrees, 0.0)])
+    res = lp_solve(np.append(np.zeros(n), -1.0), A_ub=A, b_ub=np.append(psi_vals, -q),
+                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
+                   bounds=[(0, None)] * n + [(None, None)])
     if res.status != "Optimal":
         return None, -np.inf
     return res.x[:-1], float(res.x[-1])
@@ -542,113 +528,107 @@ def _hankel(n: int) -> np.ndarray:
     return np.add.outer(np.arange(n), np.arange(n)) + 1
 
 
-def _barrier(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str, float]:
-    """Barrier Newton from the interior point v.
+def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, bool]:
+    """Null-space active-set Newton for sum w/g over the simplex and the rate floor.
 
-    Returns (v, duality gap, stop, decrement2): how the last round ended
-    ("centred" at its Newton-decrement stop lambda^2/2 <= 1e-10, "stalled"
-    with alpha <= 1e-12, or "capped" after `BARRIER_MAX_NEWTON` steps),
-    and that round's last lambda^2.  Only a centred point carries the gap
-    m/tau as a bound.
+    From the phase-one vertex v (g = psi - X v > 0) the working set holds
+    the bounds lam_j = 0 (the zeros of v, and its LP round-off) and, once it
+    binds, the floor inv_degrees @ v >= q.  Each step is the Newton step on
+    the free coordinates in the null space Z of their equality rows (the
+    sum, and the floor while it binds), by least squares: the reduced
+    gradient lies in the range of the reduced Hessian Z'X'diag(2w/g^3)XZ,
+    so the system stays consistent when that is singular (fewer nodes than
+    free coordinates).  M holds x^1 .. x^{2(d_v-1)} at the nodes and its
+    first d_v - 1 columns are X, so one product M'[w/g^2, 2w/g^3] gives
+    the gradient and the Hessian (`_hankel`).  A ratio test stops the step
+    at the first bound or the floor it crosses, which joins the working
+    set (a bound at exactly 0); alpha halves until g > 0 and the Armijo
+    rule holds, with the change of the objective summed term by term.
+    Once the projected gradient is within `KKT_TOL` of the largest
+    gradient entry, the bound or floor with the most negative multiplier
+    below -`KKT_TOL` leaves the working set; with none, v is optimal.
 
-    M holds x^1 .. x^{2(d_v-1)} at the nodes, and its first d_v - 1
-    columns are X.  With c = 2*tau*w/g^3 the Hessian X'diag(c)X is the
-    Hankel matrix of the moments sum c_i*x_i^p, p = 2 .. 2(d_v-1)
-    (`_hankel`), so one product M'[w/g^2, c] gives the gradient and the
-    Hessian.  tau starts at `BARRIER_TAU0` = 1e3 and grows x10 per round;
-    the last round is the first whose gap m/tau is <= `BARRIER_TOL`, so
-    the returned gap always is (tau = 1e6 for 10 < m <= 100; from tau = 1,
-    `reproduce all` took 727 Newton steps, not 492).  A
-    trial point is g - alpha*(X @ step), one matvec per Newton step, and
-    alpha halves until the point is interior (g, v and the rate slack
-    > 0, else the change reads +inf) and meets the Armijo rule.  The
-    change of the barrier is summed term by term from the step, never as
-    a difference of two values near 1e7: that difference is rounding
-    noise once the decrement is near 1e-8, and the line search then
-    stalled on the last rounds for up to 100 steps.
+    Returns (v, KKT residual, converged): the residual is the larger of
+    the projected gradient and the most negative multiplier, relative to
+    the largest gradient entry; converged is False after
+    `MAX_NEWTON_STEPS` steps.
     """
     n = v.size
-    m_ineq = n + 1  # the coefficients and the rate floor
     X = M[:, :n]
     hankel = _hankel(n)
-    kkt = np.ones((n + 1, n + 1))
-    kkt[-1, -1] = 0.0
-    rhs = np.zeros(n + 1)
-    tau = BARRIER_TAU0
-    while True:
-        stop = "capped"
-        for _ in range(BARRIER_MAX_NEWTON):
-            g = psi_vals - X @ v
-            s = float(inv_degrees @ v - q)
-            moments = M.T @ np.column_stack([w / g**2, (2.0 * tau) * (w / g**3)])
-            grad = tau * moments[:n, 0] - 1.0 / v - inv_degrees / s
-            H = moments[hankel, 1]
-            H += np.diag(1.0 / v**2)
-            H += np.outer(inv_degrees, inv_degrees) / s**2
-            kkt[:-1, :-1] = H
-            rhs[:-1] = -grad
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"barrier KKT solve failed: {exc}") from exc
-            step = sol[:-1]
-            decrement2 = float(step @ H @ step)
-            if decrement2 / 2.0 <= 1e-10:
-                stop = "centred"
+    active = np.append(v <= 2.0**-53 * np.abs(v).sum(), False)  # the bounds, then the floor
+    v = np.where(active[:n], 0.0, v)
+    rows = np.vstack([np.ones(n), -inv_degrees])
+    for _ in range(MAX_NEWTON_STEPS):
+        g = psi_vals - X @ v
+        moments = M.T @ np.column_stack([w / g**2, 2.0 * w / g**3])
+        grad = moments[:n, 0]
+        scale = float(np.max(grad))
+        free = np.flatnonzero(~active[:n])
+        k = 1 + int(active[n])
+        # E' = QR: Q's first k columns span the equality rows, the rest (Z) their null space
+        Q, R = np.linalg.qr(rows[:k, free].T, mode="complete")
+        Z = Q[:, k:]
+        reduced = Z.T @ grad[free]
+        y = np.linalg.solve(R[:k], -Q[:, :k].T @ grad[free])
+        # working-set multipliers: grad + y[0] - y[1]*inv_degrees on a bound, y[1] on the floor
+        mu = np.append(grad + rows[:k].T @ y, y[-1])[active] / scale
+        projected = float(np.max(np.abs(Z @ reduced), initial=0.0)) / scale
+        gap = max(projected, -float(mu.min(initial=0.0)))
+        if projected <= KKT_TOL:
+            if gap <= KKT_TOL:
+                return v, gap, True
+            active[np.flatnonzero(active)[np.argmin(mu)]] = False
+            continue
+        H = moments[hankel[np.ix_(free, free)], 1]
+        p = np.zeros(n)
+        p[free] = Z @ np.linalg.lstsq(Z.T @ H @ Z, -reduced, rcond=None)[0]
+        # ratio test over the bounds and the floor off the working set
+        slack = np.append(v, inv_degrees @ v - q)
+        rate = np.append(p, inv_degrees @ p)
+        ratios = np.full(n + 1, np.inf)
+        down = (rate < 0.0) & ~active
+        ratios[down] = np.maximum(slack[down], 0.0) / -rate[down]
+        blocking = int(np.argmin(ratios))
+        alpha = min(1.0, ratios[blocking])
+        x_step = X @ p
+        slope = float(grad @ p)
+        while True:
+            g_t = g - alpha * x_step
+            if g_t.min() > 0.0 and float(np.sum(w * x_step / (g * g_t))) <= 0.25 * slope:
                 break
-            x_step = X @ step
-            w_step = w * x_step
-            v_step = step / v
-            s_step = float(inv_degrees @ step) / s
-
-            def barrier_change(alpha: float) -> float:
-                # f(v + alpha*step) - f(v), term by term.  The rate slack is a
-                # small difference of O(1) sums, so its log ratio comes from
-                # the step; the point must also be interior as the next
-                # Newton step computes it, v + alpha*step and its slack.
-                g_t = g - alpha * x_step
-                v_t = v + alpha * step
-                if (g_t.min() <= 0.0 or v_t.min() <= 0.0 or float(inv_degrees @ v_t - q) <= 0.0
-                        or (alpha * v_step).min() <= -1.0 or alpha * s_step <= -1.0):
-                    return np.inf
-                return float(alpha * tau * np.sum(w_step / (g * g_t))
-                             - np.sum(np.log1p(alpha * v_step)) - np.log1p(alpha * s_step))
-
-            slope = float(grad @ step)
-            alpha = 1.0
-            while alpha > 1e-12:
-                if barrier_change(alpha) <= 0.25 * alpha * slope:
-                    break
-                alpha *= 0.5
+            alpha *= 0.5
             if alpha <= 1e-12:
-                stop = "stalled"
+                alpha = 0.0
                 break
-            v = v + alpha * step
-        gap = m_ineq / tau  # duality gap of the point centred at this tau
-        if gap <= BARRIER_TOL:
-            return v, gap, stop, decrement2
-        tau *= 10.0
+        v = v + alpha * p
+        if alpha == ratios[blocking]:
+            active[blocking] = True
+            if blocking < n:
+                v[blocking] = 0.0
+    return v, gap, False
 
 
 def design_min_iterations(spec: DesignSpec) -> SolveReport:
-    """Minimize the discretized iteration integral by log-barrier Newton.
+    """Minimize the discretized iteration integral by active-set Newton.
 
     The objective sum w_i/(psi_i - lam(x_i)) over the `grid_n` log-P
     midpoint nodes P_i of [eta, eps], with x_i = 1 - rho(1 - P_i),
     psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
     approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
-    and already penalizes the curve constraint; the barrier adds the
-    coefficient simplex and the rate floor.  A phase-one LP that finds no
-    start point with positive slack makes the design "Infeasible", and only
-    then is the rate ceiling designed, to say why (`_explain`).  The
-    barrier's last round is the first whose duality gap m/tau is at most
-    `BARRIER_TOL`, and `optimality_gap` is that gap (m = d_v: 16e-6 at
-    d_v 16).  A last round that ran out its Newton steps is "IterLimit",
-    since its gap is then no bound; otherwise the certificate of
+    and already penalizes the curve constraint; the constraints are the
+    coefficient simplex and the rate floor sum lam_j/j >= q, raised by the
+    relative `FLOOR_RELIEF` as in `design_utility`, so the rate is >= R_d
+    after renormalization.  Phase one is the LP vertex of largest uniform
+    node slack under the simplex and the floor; one with no positive slack
+    makes the design "Infeasible", and only then is the rate ceiling
+    designed, to say why (`_explain`).  `_active_set` runs from that
+    vertex, and `optimality_gap` is its KKT residual.  A run that ends at
+    `MAX_NEWTON_STEPS` is "IterLimit"; otherwise the certificate of
     psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
-    (lam kept).  Either way the certificate rides along.  A last round
-    whose line search stalled keeps its status, and `detail` gives its
-    Newton decrement.  max_violation is -certificate.margin.
+    (lam kept).  Either way the certificate rides along, and
+    max_violation is -certificate.margin.  Unused degrees are exact zeros,
+    so lam may end below degree d_v.
     """
     spec.validate()
     ctx = spec.context()
@@ -660,26 +640,23 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     M = _vandermonde(xs, 2 * d_v - 1)  # x^1 .. x^{2(d_v-1)}; X is its first d_v - 1
     X = M[:, :d_v - 1]
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
-    q = spec.rho.integral() / (1.0 - spec.R_d)
+    q = spec.rho.integral() / (1.0 - spec.R_d) * (1.0 + FLOOR_RELIEF)
 
-    v0, slack = _phase_one(X, psi_vals, q)
+    v0, slack = _phase_one(X, psi_vals, inv_degrees, q)
     if slack <= 1e-10:  # -inf when phase one finds no start point at all
         return _infeasible("min-iter", _explain(
             spec, f"no interior start point (phase-one slack {slack:.3e})"))
-    v, gap, stop, decrement2 = _barrier(v0, M, psi_vals, w, inv_degrees, q)
+    v, gap, converged = _active_set(v0, M, psi_vals, w, inv_degrees, q)
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
     obj = float(np.sum(w / g)) if g.min() > 0.0 else np.inf
     cert = certify(compile_constraint(lam, 0.0, spec.rho, ctx.epsilon, ctx.zeta, ctx.xi))
     status, why = _verdict(cert)
-    if stop == "capped":
+    if not converged:
         status = "IterLimit"
-        why = _join(f"last barrier round ran out its BARRIER_MAX_NEWTON={BARRIER_MAX_NEWTON} "
-                    f"Newton steps at decrement lambda^2 {decrement2:.3e}", why)
-    elif stop == "stalled":
-        why = _join(why, f"last barrier round stalled at alpha <= 1e-12 with Newton "
-                         f"decrement lambda^2 {decrement2:.3e}")
+        why = _join(f"active-set Newton ran out its MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
+                    f"steps at KKT residual {gap:.3e}", why)
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
                        optimality_gap=gap, status=status, certificate=cert,
                        method="min-iter", detail=why)

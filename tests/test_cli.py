@@ -104,6 +104,16 @@ def test_nonpositive_grid_exits_usage(tmp_path, capsys, argv, grid_n):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [RATE_ARGS, MIN_ITER_ARGS], ids=["rate", "min-iter"])
+def test_zeta_tilde_outside_utility_exits_usage(tmp_path, capsys, argv):
+    # only the utility design reads the anchor; another objective would ignore it
+    out = ["--out", str(tmp_path / "out")]
+    assert main(argv + ["--zeta-tilde", "1e-3"] + out) == EXIT_USAGE
+    assert (f"--zeta-tilde anchors the utility objective only, not {argv[2]}"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
 def test_design_reports_the_rate_ceiling_fallback(tmp_path, monkeypatch):
     # the rate design's tie-break LP is made to fail its KKT check, so the
     # first LP's vertex is kept and the report says so
@@ -262,7 +272,7 @@ def test_non_finite_step_exits_usage(tmp_path, capsys, t):
 
 
 def test_min_iter_crossing_psi_fails_its_certificate(tmp_path, capsys):
-    # at grid 2 the converged barrier design crosses psi between its nodes,
+    # at grid 2 the converged design crosses psi between its nodes,
     # and the exact certificate of psi - lam >= 0 on [zeta, xi] finds it
     prefix = tmp_path / "coarse"
     assert main(MIN_ITER_ARGS + ["--grid-n", "2", "--out", str(prefix)]) == EXIT_DECODING

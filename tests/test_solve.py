@@ -515,7 +515,7 @@ class TestDesignMinIterations:
         assert rep.lam.coeff(2) < 0.25
 
     def test_barrier_coefficients_are_kept(self, miniter_045, monkeypatch):
-        # renormalizing the barrier's vector drops only what is at most
+        # renormalizing the solver's vector drops only what is at most
         # 2**-53 of its total; every larger coefficient is reported
         spec, _ = miniter_045
         raw = []
@@ -533,7 +533,7 @@ class TestDesignMinIterations:
 
     @pytest.mark.parametrize("rho_name, R_d", [("x7", 0.45), ("mix_eta5", 0.488)])
     def test_objective_is_the_reported_estimate(self, rho_x7, fixtures, rho_name, R_d):
-        # the barrier minimizes code_estimates' approx_N, on its own
+        # the design minimizes code_estimates' approx_N, on its own
         # grid_n log-P nodes instead of CODE_QUAD_POINTS
         rho = rho_x7 if rho_name == "x7" else fixtures.get(rho_name).ensemble.rho
         spec = DesignSpec(rho=rho, epsilon=0.5, eta=1e-5, d_v=16, R_d=R_d)
@@ -549,33 +549,30 @@ class TestDesignMinIterations:
     def test_convergence_quality(self, miniter_045):
         spec, rep = miniter_045
         assert rep.max_violation <= solve.MARGIN
-        assert rep.optimality_gap <= solve.BARRIER_TOL
+        assert 0.0 <= rep.optimality_gap <= solve.KKT_TOL
         assert np.isfinite(rep.objective) and rep.objective > 0.0
 
     def test_rate_ceiling_leaves_no_interior(self, rho_x7):
         # at R_d = R_max the rate floor leaves no interior, but phase one's
         # midpoint grid is laxer than the rate LP's and still sees a sliver:
-        # the barrier runs on it, runs out its Newton steps on the sliver
-        # (IterLimit, which outranks the certificate), and its own
-        # certificate fails the design too
+        # the active-set method converges on it, and its own certificate
+        # fails the design
         ceiling = design_rate(rho_x7, X7_EPS, 16, grid_n=1024)
         spec_top = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                               R_d=ceiling.objective, grid_n=1024)
         rep = design_min_iterations(spec_top)
-        assert rep.status == "IterLimit"
-        assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=")
-        assert "; certificate margin -" in rep.detail
+        assert rep.status == "CertificateFail"
+        assert rep.detail.startswith("certificate margin -")
         assert rep.certificate.kind == "SturmFail"
         assert rep.max_violation == -rep.certificate.margin > 0.0
-        assert rep.optimality_gap <= solve.BARRIER_TOL
+        assert rep.optimality_gap <= solve.KKT_TOL
         assert not np.array_equal(rep.lam.dense, ceiling.lam.dense)
 
     @pytest.mark.parametrize("name", ["fig2_r045", "fig5_dv30"])
-    def test_rounds_stop_at_the_first_tau_within_tolerance(self, fixtures, miniter_045,
-                                                           name):
-        # tau = 1e3, 1e4, 1e5, 1e6: the gap m/tau of the m = d_v inequalities
-        # (d_v - 1 coefficients and the rate floor) first reaches
-        # BARRIER_TOL = 1e-4 at tau = 1e6, for d_v 16 and 30 alike
+    def test_kkt_residual_is_within_tolerance(self, fixtures, miniter_045, name):
+        # the projected gradient and every bound and floor multiplier meet
+        # KKT_TOL; unused degrees are exact zeros, so the Fig. 5 d_v 30
+        # design ends below degree 30
         if name == "fig2_r045":
             spec, rep = miniter_045
         else:
@@ -583,41 +580,54 @@ class TestDesignMinIterations:
             spec = DesignSpec(rho=f.ensemble.rho, epsilon=f.params["epsilon"],
                               eta=f.params["eta"], R_d=0.5, d_v=30)
             rep = design_min_iterations(spec)
+            assert rep.lam.d_max < spec.d_v
         assert rep.status == "Optimal"
-        assert rep.optimality_gap == spec.d_v / 1e6
+        assert 0.0 <= rep.optimality_gap <= solve.KKT_TOL
+        assert len(rep.lam.degrees) < spec.d_v - 1
 
-    def test_barrier_round_out_of_newton_steps_is_iterlimit(self, rho_x7, monkeypatch):
-        # three Newton steps leave every round off its centre, so its gap
-        # m/tau is no bound, whatever tau the rounds reach
-        monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
+    def test_newton_step_cap_is_iterlimit(self, rho_x7, monkeypatch):
+        # three steps from the phase-one vertex leave the KKT residual far
+        # above KKT_TOL, so the design is IterLimit whatever its certificate
+        monkeypatch.setattr(solve, "MAX_NEWTON_STEPS", 3)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
                                                R_d=0.45, d_v=16, grid_n=512))
         assert rep.status == "IterLimit"
-        assert rep.optimality_gap <= solve.BARRIER_TOL
-        assert rep.detail.startswith("last barrier round ran out its BARRIER_MAX_NEWTON=3 "
-                                     "Newton steps at decrement lambda^2 ")
+        assert rep.optimality_gap > solve.KKT_TOL
+        assert rep.detail.startswith("active-set Newton ran out its MAX_NEWTON_STEPS=3 "
+                                     "steps at KKT residual ")
 
-    def test_unconverged_barrier_is_still_certified(self, rho_x7, monkeypatch):
-        # an off-centre last round decides IterLimit; the certificate rides along
-        monkeypatch.setattr(solve, "BARRIER_MAX_NEWTON", 3)
+    def test_iterlimit_design_is_still_certified(self, rho_x7, monkeypatch):
+        # IterLimit outranks the certificate, which rides along with its cause
+        monkeypatch.setattr(solve, "MAX_NEWTON_STEPS", 3)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
                                                R_d=0.45, d_v=16, grid_n=512))
+        # three steps from the vertex leave lam across psi between the nodes
         assert rep.status == "IterLimit"
-        assert rep.certificate.kind == "SturmPass"
-        assert rep.max_violation == -rep.certificate.margin
+        assert rep.certificate.kind == "SturmFail"
+        assert rep.max_violation == -rep.certificate.margin > 0.0
+        assert rep.detail.endswith(f"; certificate margin {rep.certificate.margin:.3e} "
+                                   f"at x={rep.certificate.witness!r}")
 
-    def test_stalled_barrier_round_keeps_its_status(self, fixtures):
-        # Fig. 5 at d_v 12: the tau = 1e6 round's line search ends at
-        # alpha <= 1e-12 with lambda^2 above the 2e-10 stop; the design stays
-        # Optimal and says how far off its centre it stopped
+    def test_fig5_dv12_converges_with_no_note(self, fixtures):
+        # Fig. 5 at d_v 12 meets KKT_TOL with nothing to report, on the
+        # published support
         f = fixtures.get("mix_dv12")
         rep = design_min_iterations(DesignSpec(
             rho=f.ensemble.rho, epsilon=f.params["epsilon"], eta=f.params["eta"],
             R_d=0.5, d_v=12))
         assert rep.status == "Optimal"
-        note = "last barrier round stalled at alpha <= 1e-12 with Newton decrement lambda^2 "
-        assert rep.detail.startswith(note)
-        assert float(rep.detail[len(note):]) > 2e-10
+        assert rep.detail == ""
+        assert rep.optimality_gap <= solve.KKT_TOL
+        assert rep.lam.degrees == f.ensemble.lam.degrees
+
+    @pytest.mark.parametrize("R_d, name", [(0.45, "x7_coc_r045"), (0.40, "x7_coc_r040")])
+    def test_fig2_support_is_the_published_support(self, rho_x7, fixtures, R_d, name):
+        # support only, not coefficients: every degree the design uses, and
+        # no other, carries weight in the published code
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5,
+                                               R_d=R_d, d_v=16))
+        assert rep.status == "Optimal"
+        assert rep.lam.degrees == fixtures.get(name).ensemble.lam.degrees == (2, 3, 16)
 
     def test_hankel_moments_are_the_hessian(self, fixtures):
         # X'diag(c)X from the moments sum c_i*x_i^p on the Fig. 5 nodes,
@@ -638,21 +648,21 @@ class TestDesignMinIterations:
 
     @pytest.mark.parametrize("name", ["fig2_r045", "fig2_r040", "fig5"])
     def test_newton_steps_are_capped(self, rho_x7, fixtures, monkeypatch, name):
-        # work, not wall time: one KKT solve per Newton step
+        # work, not wall time: one factorization of the equality rows per step
         mix = fixtures.get("mix_dv16").ensemble.rho
         spec = {"fig2_r045": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16),
                 "fig2_r040": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.40, d_v=16),
                 "fig5": DesignSpec(rho=mix, epsilon=1.0 - 0.5 / 0.97, eta=1e-3, R_d=0.5,
                                    d_v=16)}[name]
-        real = np.linalg.solve
+        real = np.linalg.qr
         steps = []
 
         def spy(*args, **kwargs):
-            if sys._getframe(1).f_code is solve._barrier.__code__:
+            if sys._getframe(1).f_code is solve._active_set.__code__:
                 steps.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(np.linalg, "qr", spy)
         rep = design_min_iterations(spec)
         assert rep.status == "Optimal"
         assert 0 < len(steps) <= 50

@@ -5,8 +5,11 @@ Specs follow one strategy: rho = {d_c: a, d_c + 1: 1 - a} with d_c in
 512 points.  Every Optimal rate design must be a clean lam of positive
 rate.  Every utility design, with its rate floor at 0.97 of the
 rate-maximal design's rate, must be Optimal with a clean, rate-meeting
-lam.  Every certificate must agree with the exact-rational oracle.
+lam; so must every min-iter design with the same floor, within the KKT
+tolerance.  Every certificate must agree with the exact-rational oracle.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -39,28 +42,36 @@ def utility_specs(draw):
                       d_v=d_v, grid_n=grid_n)
 
 
-def _counting_lp_calls(design, *args):
-    """design(*args) and the number of `solve.lp_solve` calls it made."""
-    calls = []
-    real = solve.lp_solve
+def _counting_calls(design, *args):
+    """design(*args), its `solve.lp_solve` calls and its active-set Newton steps.
 
-    def spy(*a, **kw):
+    Each active-set step factors its equality rows once (`np.linalg.qr`).
+    """
+    calls, steps = [], []
+    real_lp, real_qr = solve.lp_solve, np.linalg.qr
+
+    def lp_spy(*a, **kw):
         calls.append(0)
-        return real(*a, **kw)
+        return real_lp(*a, **kw)
 
-    solve.lp_solve = spy
+    def qr_spy(*a, **kw):
+        if sys._getframe(1).f_code is solve._active_set.__code__:
+            steps.append(0)
+        return real_qr(*a, **kw)
+
+    solve.lp_solve, np.linalg.qr = lp_spy, qr_spy
     try:
         rep = design(*args)
     finally:
-        solve.lp_solve = real
-    return rep, len(calls)
+        solve.lp_solve, np.linalg.qr = real_lp, real_qr
+    return rep, len(calls), len(steps)
 
 
 @settings(derandomize=True, max_examples=12)
 @given(rate_specs())
 def test_rate_design_is_sound(rate_spec):
     rho, eps, d_v, grid_n = rate_spec
-    rep, calls = _counting_lp_calls(design_rate, rho, eps, d_v, grid_n)
+    rep, calls, _ = _counting_calls(design_rate, rho, eps, d_v, grid_n)
     # the main LP and its tie-break, once and after each refinement round
     assert calls <= 2 * (solve.REFINE_ROUNDS + 1)
     if rep.certificate is not None:
@@ -77,7 +88,7 @@ def test_rate_design_is_sound(rate_spec):
 @settings(derandomize=True, max_examples=12)
 @given(utility_specs())
 def test_utility_design_is_sound(spec):
-    rep, calls = _counting_lp_calls(design_utility, spec)
+    rep, calls, _ = _counting_calls(design_utility, spec)
     # one LP per tuning candidate and the chosen anchor's cold re-solve:
     # at 0.97*R_max the first 2^3 Bernstein pieces are never infeasible
     assert calls <= len(solve.TUNE_FACTORS) + 1
@@ -88,6 +99,24 @@ def test_utility_design_is_sound(spec):
     assert rate(Ensemble(rep.lam, spec.rho)) >= spec.R_d
     cp = compile_constraint(rep.lam, rep.t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                             rep.zeta_tilde, spec.context().xi)
+    assert bernstein_oracle(cp.coeffs) is rep.certificate.passed
+
+
+@settings(derandomize=True, max_examples=12)
+@given(utility_specs())
+def test_min_iter_design_is_sound(spec):
+    rep, calls, steps = _counting_calls(design_min_iterations, spec)
+    # the phase-one LP alone: a design that succeeds designs no rate ceiling
+    assert calls == 1
+    assert 0 < steps <= solve.MAX_NEWTON_STEPS
+    assert rep.status == "Optimal", rep.detail
+    assert rep.optimality_gap <= solve.KKT_TOL
+    vec = rep.lam.dense[1:]
+    assert np.all(vec >= 0.0)
+    assert abs(float(vec.sum()) - 1.0) <= 1e-12
+    assert rate(Ensemble(rep.lam, spec.rho)) >= spec.R_d
+    ctx = spec.context()
+    cp = compile_constraint(rep.lam, 0.0, spec.rho, spec.epsilon, ctx.zeta, ctx.xi)
     assert bernstein_oracle(cp.coeffs) is rep.certificate.passed
 
 
