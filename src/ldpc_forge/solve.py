@@ -25,18 +25,20 @@ Three entry points over a common toolkit:
   is minimized over the coefficient simplex and the rate floor by a
   null-space active-set Newton method (Gill, Murray & Wright, Practical
   Optimization, 1981; Nocedal & Wright, 2006, sec. 16.5) from the vertex
-  of a phase-one LP.  Unused degrees are exact zeros, and
-  `optimality_gap` is the KKT residual, at most `KKT_TOL`; below it the
+  of the utility LP anchored at zeta, whose psi - lam >= t*psi' holds on
+  all of [zeta, xi] and so at every node.  Unused degrees are exact
+  zeros, and `optimality_gap` is the KKT residual, at most `KKT_TOL`; below it the
   certificate of psi - lam >= 0 on [zeta, xi] is the verdict.  The node
   matrix X has columns x^1 .. x^{d_v-1}, so its Hessian term
   X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
   p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
   A design that runs out its `MAX_NEWTON_STEPS` steps is "IterLimit".
 
-Neither iteration designer designs the rate ceiling first: its own LP or
-phase one, which carries the rate floor, decides whether R_d is reachable,
-and its own certificate decides its status.  Only a failed program designs
-the ceiling, to say why (`_explain`); a floor at R_max is no special case.
+Neither iteration designer designs the rate ceiling first: the Bernstein
+LP they share, which carries the rate floor, decides whether R_d is
+reachable, and each design's own certificate decides its status.  Only a
+failed program designs the ceiling, to say why (`_explain`); a floor at
+R_max is no special case.
 
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
@@ -153,15 +155,7 @@ class LPResult:
     working_set: np.ndarray  # the A_ub rows HiGHS saw last
 
 
-def _expand_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(bounds, tuple) and len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
-        bounds = [bounds] * n
-    lb = np.array([-np.inf if lo is None else float(lo) for lo, _ in bounds])
-    ub = np.array([np.inf if hi is None else float(hi) for _, hi in bounds])
-    return lb, ub
-
-
-def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
+def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res) -> np.ndarray:
     """Snap x onto its active set so dual-active rows hold with equality.
 
     A degenerate vertex can carry duals of order 1e3 while the reported x
@@ -178,16 +172,10 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     if A_eq is not None:
         rows.append(np.asarray(A_eq, dtype=np.float64))
         rhs.append(np.asarray(b_eq, dtype=np.float64))
-    rc_lo = np.asarray(res.lower.marginals)
-    rc_hi = np.asarray(res.upper.marginals)
-    eye = np.eye(x.size)
-    for j in range(x.size):
-        if abs(rc_lo[j]) > 1e-11 and np.isfinite(lb[j]):
-            rows.append(eye[j:j + 1])
-            rhs.append(np.array([lb[j]]))
-        elif abs(rc_hi[j]) > 1e-11 and np.isfinite(ub[j]):
-            rows.append(eye[j:j + 1])
-            rhs.append(np.array([ub[j]]))
+    at_zero = np.abs(np.asarray(res.lower.marginals)) > 1e-11  # x_j = 0 binds
+    if np.any(at_zero):
+        rows.append(np.eye(x.size)[at_zero])
+        rhs.append(np.zeros(int(at_zero.sum())))
     if not rows:
         return x
     A_sys = np.vstack(rows)
@@ -198,12 +186,12 @@ def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub) -> np.ndarray:
     x_new = x + delta
     if float(np.min(b_ub - A_ub @ x_new)) < -1e-9:
         return x
-    if np.any(x_new < lb - 1e-9) or np.any(x_new > ub + 1e-9):
+    if np.any(x_new < -1e-9):
         return x
     return x_new
 
 
-def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows):
+def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, start_rows):
     """HiGHS on a working set of the rows of A_ub, grown until x meets all.
 
     Returns the last backend result, its row duals padded with zeros off
@@ -222,7 +210,7 @@ def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows):
     while True:
         rows = np.flatnonzero(active)
         res = linprog(c, A_ub=A_ub[rows], b_ub=b_ub[rows], A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs", options=LP_OPTIONS)
+                      method="highs", options=LP_OPTIONS)
         if res.status in (3, 4) and rows.size < m:
             active[:] = True
             continue
@@ -238,12 +226,11 @@ def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows):
         active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
 
 
-def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None,
-             start_rows=None) -> LPResult:
-    """Minimize c @ x with HiGHS by row generation and verify the KKT residual.
+def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None) -> LPResult:
+    """Minimize c @ x over x >= 0 with HiGHS by row generation and verify the KKT residual.
 
     Every LP here has inequality rows A_ub @ x <= b_ub, so they are
-    required; equality rows and `bounds` (default x >= 0) are optional.
+    required; equality rows are optional.
     HiGHS runs with `LP_OPTIONS` on a working set of the rows of A_ub:
     `WORKING_SET_N` evenly spaced rows (all of them when there are no
     more) and the indices `start_rows`, then, after each solve, up to
@@ -261,9 +248,8 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None,
     c = np.asarray(c, dtype=np.float64)
     A_ub = np.asarray(A_ub, dtype=np.float64)
     b_ub = np.asarray(b_ub, dtype=np.float64)
-    bounds = bounds if bounds is not None else (0, None)
     nu = np.array([])
-    res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, start_rows)
+    res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, start_rows)
     if res.status in (2, 3):
         return LPResult(np.array([]), np.nan, np.array([]), np.array([]),
                         {2: "Infeasible", 3: "Unbounded"}[res.status], 0.0, rows)
@@ -274,11 +260,10 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None,
     if A_eq is not None:
         A_eq = np.asarray(A_eq, dtype=np.float64)
         nu = -np.asarray(res.eqlin.marginals)
-    lb, ub = _expand_bounds(bounds, x.size)
-    x = _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res, lb, ub)
+    x = _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res)
     fun = float(c @ x)
 
-    # stationarity: c + A_ub' mu + A_eq' nu - (reduced costs at bounds) = 0
+    # stationarity: c + A_ub' mu + A_eq' nu - (reduced costs at x >= 0) = 0
     cs = float(np.max(np.abs(mu * (b_ub - A_ub @ x))))
     grad = c + A_ub.T @ mu
     dual_scale = max(float(np.max(np.abs(c))), float(np.max(np.abs(mu))))
@@ -286,8 +271,7 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None,
         grad = grad + A_eq.T @ nu
         if nu.size:
             dual_scale = max(dual_scale, float(np.max(np.abs(nu))))
-    reduced = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-    grad = grad - reduced
+    grad = grad - np.asarray(res.lower.marginals)
     cs_rel = cs / (1.0 + abs(fun))
     stat_rel = (float(np.max(np.abs(grad))) if grad.size else 0.0) / (1.0 + dual_scale)
     if cs_rel > 1e-8:
@@ -330,7 +314,7 @@ def _explain(spec: DesignSpec, note: str) -> str:
         return _join(f"rate ceiling failed: {ceiling.status}", ceiling.detail)
     lead = f"rate ceiling: {ceiling.detail}" if ceiling.detail else ""
     if spec.R_d > ceiling.objective + 1e-9:
-        return _join(lead, f"required rate {spec.R_d} exceeds R_max={ceiling.objective:.6f}")
+        return _join(lead, f"required rate {spec.R_d} exceeds R_max={ceiling.objective!r}")
     return _join(lead, note)
 
 
@@ -427,17 +411,43 @@ def design_rate(
                        detail=_join(note, why), rounds=rounds)
 
 
-def _utility_lp(spec: DesignSpec, zt: float, halvings: int, q: float,
+def _rate_floor(spec: DesignSpec) -> tuple[np.ndarray, float]:
+    """The rate floor sum lam_j/j >= q as (1/j for j = 2 .. d_v, q).
+
+    q = int rho/(1 - R_d), raised by the relative `FLOOR_RELIEF`: sum
+    lam_j/j may miss it by 1e-13 relative (~450 ulps; the polish and
+    renormalization lose a few) with the rate still >= R_d, and the floor
+    sits at most (1 - R_d)*1e-13 above R_d.
+    """
+    q = spec.rho.integral() / (1.0 - spec.R_d) * (1.0 + FLOOR_RELIEF)
+    return 1.0 / np.arange(2, spec.d_v + 1), q
+
+
+def _utility_lp(spec: DesignSpec, zt: float, halvings: int,
                 start_rows: Optional[np.ndarray]) -> LPResult:
-    """Maximize t s.t. the `step_rows` on 2^halvings pieces and the rate floor, the last row."""
+    """Maximize t s.t. the `step_rows` on 2^halvings pieces and the `_rate_floor`, the last row."""
     A, b = step_rows(spec.rho, spec.epsilon, spec.d_v, zt, halvings)
-    floor = np.append(-1.0 / np.arange(2, spec.d_v + 1), 0.0)
+    inv_degrees, q = _rate_floor(spec)
+    floor = np.append(-inv_degrees, 0.0)
     return lp_solve(np.append(np.zeros(spec.d_v - 1), -1.0), A_ub=np.vstack([A, floor]),
                     b_ub=np.append(b, -q), A_eq=np.append(np.ones(spec.d_v - 1), 0.0)[None, :],
                     b_eq=[1.0], start_rows=start_rows)
 
 
-def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
+def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
+    """`_utility_lp` at anchor zt on the fewest pieces, 2^3 doubling up to 2^8, that admit it.
+
+    Its optimum meets psi - lam >= t*psi' with t >= 0 on all of [zt, xi];
+    the result is the 2^8-piece LP when none is Optimal.
+    """
+    for halvings in range(3, 9):
+        lp = _utility_lp(spec, zt, halvings, start_rows=None)
+        if lp.status == "Optimal":
+            break
+    return lp
+
+
+def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> float:
     """Pick the left anchor of the step-floor interval by exact decoding cost.
 
     Anchoring at zeta itself over-weights the smallest abscissas: the
@@ -454,7 +464,7 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext, q: float) -> float:
     best_n, best_zt, rows = None, 0.5 * ctx.zeta, None
     for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
         try:
-            res = _utility_lp(spec, zt, 3, q, start_rows=rows)
+            res = _utility_lp(spec, zt, 3, start_rows=rows)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
@@ -473,23 +483,18 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     The LP's rows are the step polynomial's Bernstein coefficients on 2^3
     equal pieces (`sip_compile.step_rows`), so its optimum meets the
     constraint everywhere and t needs no backoff; only an infeasible LP
-    doubles the pieces, up to 2^8.  The rate floor carries a relative
-    `FLOOR_RELIEF`: sum lam_j/j may miss it by 1e-13 relative (~450 ulps;
-    the polish and renormalization lose a few) with the rate still >= R_d,
-    and the floor sits at most (1 - R_d)*1e-13 above R_d.  A tuned anchor
-    is solved again cold.  The certificate of (lam, t*(1 - 1e-6)) gives
-    "Optimal" or "CertificateFail" (lam, t kept; max_violation = -margin);
-    an LP infeasible on 2^8 pieces is "Infeasible", told by `_explain`.
+    doubles the pieces, up to 2^8 (`_bernstein_lp`).  The rate floor
+    carries a relative `FLOOR_RELIEF` (`_rate_floor`), so the rate is
+    >= R_d.  A tuned anchor is solved again cold.  The certificate of
+    (lam, t*(1 - 1e-6)) gives "Optimal" or "CertificateFail" (lam, t kept;
+    max_violation = -margin); an LP infeasible on 2^8 pieces is
+    "Infeasible", told by `_explain`.
     """
     spec.validate()
     ctx = spec.context()
-    q = spec.rho.integral() / (1.0 - spec.R_d) * (1.0 + FLOOR_RELIEF)
-    zt = spec.zeta_tilde if spec.zeta_tilde is not None else _tune_zeta_tilde(spec, ctx, q)
-    for halvings in range(3, 9):
-        lp = _utility_lp(spec, zt, halvings, q, start_rows=None)
-        if lp.status == "Optimal":
-            break
-    else:
+    zt = spec.zeta_tilde if spec.zeta_tilde is not None else _tune_zeta_tilde(spec, ctx)
+    lp = _bernstein_lp(spec, zt)
+    if lp.status != "Optimal":
         return _infeasible("utility", _explain(
             spec, f"Bernstein LP is {lp.status} on 256 pieces"), zeta_tilde=zt)
     t = float(lp.x[-1])
@@ -500,23 +505,6 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
                        optimality_gap=lp.kkt_residual, status=status, certificate=cert,
                        method="utility", detail=why, zeta_tilde=zt)
-
-
-def _phase_one(X, psi_vals, inv_degrees, q) -> tuple[Optional[np.ndarray], float]:
-    """The LP vertex of largest uniform node slack; returns (lam, slack).
-
-    Maximizes sigma under X lam + sigma <= psi at the nodes, sum lam = 1,
-    lam >= 0 and the rate floor sum lam_j/j >= q as a hard row.  X is the
-    node matrix, x^1 .. x^{d_v-1} at each node.
-    """
-    n = X.shape[1]
-    A = np.vstack([np.column_stack([X, np.ones(X.shape[0])]), np.append(-inv_degrees, 0.0)])
-    res = lp_solve(np.append(np.zeros(n), -1.0), A_ub=A, b_ub=np.append(psi_vals, -q),
-                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
-                   bounds=[(0, None)] * n + [(None, None)])
-    if res.status != "Optimal":
-        return None, -np.inf
-    return res.x[:-1], float(res.x[-1])
 
 
 def _hankel(n: int) -> np.ndarray:
@@ -531,7 +519,7 @@ def _hankel(n: int) -> np.ndarray:
 def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, bool]:
     """Null-space active-set Newton for sum w/g over the simplex and the rate floor.
 
-    From the phase-one vertex v (g = psi - X v > 0) the working set holds
+    From the start vertex v (g = psi - X v > 0) the working set holds
     the bounds lam_j = 0 (the zeros of v, and its LP round-off) and, once it
     binds, the floor inv_degrees @ v >= q.  Each step is the Newton step on
     the free coordinates in the null space Z of their equality rows (the
@@ -617,10 +605,12 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
     approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
     and already penalizes the curve constraint; the constraints are the
-    coefficient simplex and the rate floor sum lam_j/j >= q, raised by the
-    relative `FLOOR_RELIEF` as in `design_utility`, so the rate is >= R_d
-    after renormalization.  Phase one is the LP vertex of largest uniform
-    node slack under the simplex and the floor; one with no positive slack
+    coefficient simplex and the `_rate_floor` of `design_utility`, so the
+    rate is >= R_d after renormalization.  The start is the vertex of the
+    utility LP anchored at zeta (`_bernstein_lp`): psi - lam >= t*psi' >= 0
+    holds at its optimum on all of [zeta, xi], which holds every node, so
+    whether a start exists does not depend on grid_n.  An LP with no
+    optimum on 2^8 pieces, or a start with node slack min g <= 1e-10,
     makes the design "Infeasible", and only then is the rate ceiling
     designed, to say why (`_explain`).  `_active_set` runs from that
     vertex, and `optimality_gap` is its KKT residual.  A run that ends at
@@ -639,14 +629,13 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     w = ps * du / ctx.epsilon
     M = _vandermonde(xs, 2 * d_v - 1)  # x^1 .. x^{2(d_v-1)}; X is its first d_v - 1
     X = M[:, :d_v - 1]
-    inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
-    q = spec.rho.integral() / (1.0 - spec.R_d) * (1.0 + FLOOR_RELIEF)
 
-    v0, slack = _phase_one(X, psi_vals, inv_degrees, q)
-    if slack <= 1e-10:  # -inf when phase one finds no start point at all
-        return _infeasible("min-iter", _explain(
-            spec, f"no interior start point (phase-one slack {slack:.3e})"))
-    v, gap, converged = _active_set(v0, M, psi_vals, w, inv_degrees, q)
+    lp = _bernstein_lp(spec, ctx.zeta)
+    slack = float(np.min(psi_vals - X @ lp.x[:-1])) if lp.status == "Optimal" else -np.inf
+    if slack <= 1e-10:  # -inf when the LP has no optimum on 2^8 pieces
+        return _infeasible("min-iter", _explain(spec, (
+            f"no interior start point (Bernstein LP {lp.status}, node slack {slack:.3e})")))
+    v, gap, converged = _active_set(lp.x[:-1], M, psi_vals, w, *_rate_floor(spec))
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])

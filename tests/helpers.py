@@ -192,8 +192,8 @@ def lp_vertex_enumeration_oracle(c, A_ub, b_ub, A_eq=None, b_eq=None):
     return best
 
 
-def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
-    """One HiGHS solve on every row under the package's `LP_OPTIONS`.
+def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None):
+    """One HiGHS solve over x >= 0 on every row under the package's `LP_OPTIONS`.
 
     The single-shot LP that `lp_solve`'s row generation must reproduce;
     no working set, polish or KKT gate.
@@ -202,19 +202,18 @@ def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(0, None)):
 
     from ldpc_forge.solve import LP_OPTIONS
 
-    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                   method="highs", options=LP_OPTIONS)
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs",
+                   options=LP_OPTIONS)
 
 
 def failing_tie_break(lp_solve):
     """`lp_solve` that fails the rate tie-break LP, the one with two equality rows."""
     from ldpc_forge import NumericalFailure
 
-    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, start_rows=None):
+    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, start_rows=None):
         if A_eq is not None and len(A_eq) == 2:
             raise NumericalFailure("complementary-slackness residual forced to fail")
-        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                        start_rows=start_rows)
+        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, start_rows=start_rows)
     return solve
 
 

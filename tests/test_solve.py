@@ -131,13 +131,10 @@ class TestLPSolve:
 
         real = solve.lp_solve
 
-        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-                 start_rows=None):
-            if wanted(c, A_eq, bounds):
-                raise Posed(c, A_ub, b_ub, A_eq, b_eq,
-                            (0, None) if bounds is None else bounds)
-            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                        start_rows=start_rows)
+        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, start_rows=None):
+            if wanted(c):
+                raise Posed(c, A_ub, b_ub, A_eq, b_eq)
+            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, start_rows=start_rows)
 
         monkeypatch.setattr(solve, "lp_solve", grab)
         with pytest.raises(Posed) as caught:
@@ -145,26 +142,25 @@ class TestLPSolve:
         monkeypatch.undo()
         return caught.value.args
 
-    @pytest.mark.parametrize("designer", ["rate", "utility", "phase_one"])
+    @pytest.mark.parametrize("designer", ["rate", "utility", "min_iter_start"])
     def test_matches_the_one_shot_solve(self, rho_x7, monkeypatch, designer):
         # the LPs that the designers pose for the Fig. 2 code: 4096 grid rows,
         # or the utility LP's 2^3 pieces of 112 Bernstein coefficients of the
-        # degree-111 step polynomial and its rate floor
+        # degree-111 step polynomial and its rate floor, at 8*zeta or, as
+        # min-iter's start, at zeta
         spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16, R_d=0.45)
         design, wanted = {
-            "rate": (lambda: design_rate(rho_x7, X7_EPS, 16),
-                     lambda c, A_eq, bounds: True),
+            "rate": (lambda: design_rate(rho_x7, X7_EPS, 16), lambda c: True),
             "utility": (lambda: design_utility(
                             replace(spec, zeta_tilde=8.0 * spec.context().zeta)),
-                        lambda c, A_eq, bounds: c.size == 16),
-            "phase_one": (lambda: design_min_iterations(spec),
-                          lambda c, A_eq, bounds: bounds is not None),
+                        lambda c: c.size == 16),
+            "min_iter_start": (lambda: design_min_iterations(spec), lambda c: True),
         }[designer]
-        c, A, b, A_eq, b_eq, bounds = self._posed_lp(monkeypatch, design, wanted)
-        assert A.shape[0] >= (8 * 112 + 1 if designer == "utility" else spec.grid_n)
-        ref = full_lp_reference(c, A, b, A_eq, b_eq, bounds)
+        c, A, b, A_eq, b_eq = self._posed_lp(monkeypatch, design, wanted)
+        assert A.shape[0] >= (spec.grid_n if designer == "rate" else 8 * 112 + 1)
+        ref = full_lp_reference(c, A, b, A_eq, b_eq)
         assert ref.status == 0
-        res = lp_solve(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        res = lp_solve(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq)
         assert res.status == "Optimal"
         # the polish onto the active rows moves the utility LP's t (3.5e-4)
         # by 3.8e-16 from HiGHS's unpolished vertex, on a single solve of all
@@ -553,10 +549,11 @@ class TestDesignMinIterations:
         assert np.isfinite(rep.objective) and rep.objective > 0.0
 
     def test_rate_ceiling_leaves_no_interior(self, rho_x7):
-        # at R_d = R_max the rate floor leaves no interior, but phase one's
-        # midpoint grid is laxer than the rate LP's and still sees a sliver:
-        # the active-set method converges on it, and its own certificate
-        # fails the design
+        # R_max on the rate LP's grid is below the ceiling on [zeta, xi]
+        # (ROADMAP item 1), so the start LP still finds lam with
+        # psi - lam >= t*psi' there, t ~ 2e-8; the active-set method
+        # converges from it to a lam that crosses psi between the nodes,
+        # and its own certificate fails the design
         ceiling = design_rate(rho_x7, X7_EPS, 16, grid_n=1024)
         spec_top = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                               R_d=ceiling.objective, grid_n=1024)
@@ -586,7 +583,7 @@ class TestDesignMinIterations:
         assert len(rep.lam.degrees) < spec.d_v - 1
 
     def test_newton_step_cap_is_iterlimit(self, rho_x7, monkeypatch):
-        # three steps from the phase-one vertex leave the KKT residual far
+        # three steps from the start vertex leave the KKT residual far
         # above KKT_TOL, so the design is IterLimit whatever its certificate
         monkeypatch.setattr(solve, "MAX_NEWTON_STEPS", 3)
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
@@ -599,9 +596,11 @@ class TestDesignMinIterations:
     def test_iterlimit_design_is_still_certified(self, rho_x7, monkeypatch):
         # IterLimit outranks the certificate, which rides along with its cause
         monkeypatch.setattr(solve, "MAX_NEWTON_STEPS", 3)
+        R_max = design_rate(rho_x7, X7_EPS, 16, grid_n=512).objective
         rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
-                                               R_d=0.45, d_v=16, grid_n=512))
-        # three steps from the vertex leave lam across psi between the nodes
+                                               R_d=R_max, d_v=16, grid_n=512))
+        # at the grid ceiling, three steps from the start vertex leave lam
+        # across psi between the nodes
         assert rep.status == "IterLimit"
         assert rep.certificate.kind == "SturmFail"
         assert rep.max_violation == -rep.certificate.margin > 0.0
@@ -798,6 +797,17 @@ class TestRateCeilingExplains:
         assert len(calls) == 1
         assert "required rate 0.49 exceeds R_max=0.4714" in rep.detail
 
+    def test_min_iter_floor_just_above_the_ceiling_names_both_rates(self, rho_x7):
+        # R_max(1024) + 3e-7 is above the ceiling on [zeta, xi] as well, so
+        # the start LP has no optimum on 2^8 pieces; detail gives both
+        # rates at full precision, as they differ in the seventh digit
+        R_max = design_rate(rho_x7, X7_EPS, 16, grid_n=1024).objective
+        spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
+                          R_d=R_max + 3e-7, grid_n=1024)
+        rep = design_min_iterations(spec)
+        assert rep.status == "Infeasible", rep.detail
+        assert f"required rate {spec.R_d!r} exceeds R_max={R_max!r}" in rep.detail
+
     def test_utility_passes_the_grid_ceiling(self, rho_x7):
         # R_max at grid 1024 depends on the grid (ROADMAP item 1); the
         # utility program reaches 1e-7 beyond it and its own certificate,
@@ -849,7 +859,7 @@ class TestZScan:
         x7 = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16,
                         R_d=0.45, grid_n=512)
         assert design_min_iterations(x7).status == "Optimal"
-        assert sizes == [1]  # the certificate's anchor
+        assert sizes == [1, 1]  # the start LP's anchor at zeta, then the certificate's
         for lam, spec in ((rep.lam, mix), (fixtures.get("x7_poc").ensemble.lam, x7)):
             sizes.clear()
             utility(lam, spec.context())

@@ -12,7 +12,6 @@ tolerance.  Every certificate must agree with the exact-rational oracle.
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -106,7 +105,8 @@ def test_utility_design_is_sound(spec):
 @given(utility_specs())
 def test_min_iter_design_is_sound(spec):
     rep, calls, steps = _counting_calls(design_min_iterations, spec)
-    # the phase-one LP alone: a design that succeeds designs no rate ceiling
+    # the start LP on 2^3 pieces alone: a design that succeeds designs no
+    # rate ceiling
     assert calls == 1
     assert 0 < steps <= solve.MAX_NEWTON_STEPS
     assert rep.status == "Optimal", rep.detail
@@ -120,9 +120,6 @@ def test_min_iter_design_is_sound(spec):
     assert bernstein_oracle(cp.coeffs) is rep.certificate.passed
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect C: min-iter's phase "
-                   "one poses psi - lam > 0 only at its nodes, so a floor 1e-6 above the "
-                   "grid R_max passes it and the certificate fails (margin -5.94e-7)")
 def test_min_iter_floor_above_the_ceiling_is_infeasible(rho_x7):
     R_max = design_rate(rho_x7, 0.5, 16, grid_n=1024).objective
     rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, d_v=16,
