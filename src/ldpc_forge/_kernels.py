@@ -21,20 +21,16 @@ The step constraint psi - lam >= t*psi' needs no inversion when it is
 sampled in z = rho^{-1}(1 - x) = 1 - P instead of x: there x = 1 - rho(z),
 psi = (1 - z)/eps and psi' = 1/(eps*rho'(z)) are plain polynomials.
 `transfer_gap_scan` evaluates the constraint gap and `transfer_step` the
-step size (psi - lam)/psi' on an array of z, both through `_transfer`;
-`estimators.utility` scans and polishes the step with it.  No designer
-scans the gap any longer (the `sip_compile` certificate decides it
-exactly, and the utility designer's LP rows are Bernstein coefficients);
-`transfer_gap_scan` stays as the reference the tests check the closed
-form against, and for the benchmark tracer that wraps it.
+step size (psi - lam)/psi' on an array of z, both through `_transfer`:
+`sip_compile.certify` samples its margin and witness with the first, and
+`estimators.utility` scans and polishes the step with the second.
 `bisect_increasing` is the inversion behind `de_engine.z_of_x`, for
 callers that are handed x.  It halves a whole array of targets at once;
 a single target is bisected on Python floats with the same halving rule
 and the same residuals, so both give the same z to the bit.
 
-Array evaluations of a polynomial, here and in `sip_compile`, go through
-`_polyval`: `npoly.polyval`'s operations in its order, so the same bits,
-with the accumulator updated in place.
+Array evaluations of a polynomial go through `_polyval`: `npoly.polyval`'s
+operations in its order, so the same bits, with the accumulator in place.
 
 Array conventions: polynomial coefficient arrays are dense, float64, and
 exponent-indexed ascending, i.e. ``c[k]`` multiplies ``x**k``.

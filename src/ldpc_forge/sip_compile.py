@@ -8,24 +8,25 @@ by eps*rho'(z) > 0 turns it into
     P(z) = rho'(z)*[(1 - z) - eps*lam(1 - rho(z))] - t >= 0
 
 on z in [1 - eps, z(zeta_tilde)], where x runs from xi down to
-zeta_tilde.  P is a polynomial of degree (d_c - 2) + (d_c - 1)(d_v - 1),
+zeta_tilde.  P is a polynomial of degree D = (d_c - 2) + (d_c - 1)(d_v - 1),
 affine in (lam, t), with no truncation anywhere.  `_columns` writes it
 in s on [0, 1] through z = a + (b - a)*s, a = 1 - eps and
-b = z(zeta_tilde), as one column per unknown: the only composition of P.
-`compile_constraint` combines the columns for one (lam, t) and checks
-the coefficients against the closed form of `_kernels.transfer_step` at
-a few nodes.
+b = z(zeta_tilde), as one Bernstein-form column per unknown, adding only
+nonnegative terms (Farouki & Rajan, CAGD 1988): the only composition of
+P.  `compile_constraint` combines the columns for one (lam, t) with
+their rounding bound and checks them against the closed form of
+`_kernels.transfer_step` at s = 0, 1/4, 1/2, 3/4 and 1.
 
-`nonneg_on_unit` decides p(s) >= 0 on [0, 1] by Bernstein subdivision
-(Lane & Riesenfeld, BIT 1981; Garloff 1986): on a piece, p lies within
-its Bernstein coefficients and equals the end ones at the ends, so a
-piece whose coefficients are all >= -tau_d closes, an end coefficient
-< -tau_d proves p < 0 there, and other pieces are halved; tau_d is the
-rounding bound at depth d.  `certify` runs it on P and reports margin
-and witness in curve units, P/(eps*rho'(z)) = psi - lam - t*psi', with
-the witness given as x.  `step_rows` poses the same columns' Bernstein
-coefficients on equal pieces as LP rows in (lam, t): all >= 0 proves
-P >= 0.
+`nonneg_on_unit` decides p(s) >= 0 on [0, 1], p in Bernstein form, by
+subdivision (Lane & Riesenfeld, BIT 1981; Garloff 1986): on a piece, p
+lies within its Bernstein coefficients and equals the end ones at the
+ends, so a piece whose coefficients are all >= -tau_d closes, an end
+coefficient < -tau_d proves p < 0 there, and other pieces are halved;
+tau_d is the rounding bound at depth d.  `certify` runs it on P and
+reports margin and witness in curve units, psi - lam - t*psi' sampled in
+closed form (`_kernels.transfer_gap_scan`), the witness given as x.
+`step_rows` poses the same columns' Bernstein coefficients on equal
+pieces as LP rows in (lam, t): all >= 0 proves P >= 0.
 """
 
 from __future__ import annotations
@@ -42,29 +43,102 @@ from .de_engine import z_of_x
 from .ensemble import DegreeDistribution
 from .errors import DomainError, NumericalFailure
 
-_SAMPLES = np.linspace(0.0, 1.0, 4097)
-_CHECK_NODES = np.linspace(0.0, 1.0, 5)
+_SAMPLE_HALVINGS = 12  # nonneg_on_unit's margin is the least value at the piece ends
+_SAMPLES = np.linspace(0.0, 1.0, 2**_SAMPLE_HALVINGS + 1)
+_CHECK_NODES = np.linspace(0.0, 1.0, 5)  # the piece ends after two halvings
 _CHECK_REL_TOL = 1e-12
 _MAX_DEPTH = 52  # halvings before NumericalFailure; a piece is then 2^-52 wide
 
 
-def _compose(c: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients of sum_k c[k]*inner(s)^k, by Horner's rule."""
+@functools.lru_cache(maxsize=8)
+def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Pascal table to row D and the two de Casteljau halvings of degree D.
+
+    The left half of a piece is L_i = sum_{j<=i} C(i, j)/2^i*b_j, the right
+    its mirror.  They depend on D alone, so the last few degrees are
+    cached, and the arrays are read-only because every caller shares them.
+    """
+    if D > 1020:  # C(D, D/2) and 2^-D are normal floats up to here
+        raise NumericalFailure(f"degree {D} exceeds the 1020 the Bernstein tables hold")
+    C = np.zeros((D + 1, D + 1))
+    C[:, 0] = 1.0
+    for i in range(1, D + 1):
+        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
+    left = C * np.exp2(-np.arange(D + 1.0))[:, None]
+    tables = C, left, left[::-1, ::-1]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _halve(pieces: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Both halves of every piece (one per row), each left half first."""
+    return np.stack([pieces @ left.T, pieces @ right.T], axis=1).reshape(-1, pieces.shape[1])
+
+
+def _pieces(b: np.ndarray, halvings: int) -> np.ndarray:
+    """Each row's Bernstein coefficients on 2^halvings equal pieces, row by row."""
+    _, left, right = _bernstein_tables(b.shape[1] - 1)
+    for _ in range(halvings):
+        b = _halve(b, left, right)
+    return b
+
+
+def _values(b: np.ndarray, halvings: int) -> np.ndarray:
+    """p at s = k/2^halvings, k = 0 .. 2^halvings: the ends of as many pieces."""
+    pieces = _pieces(b[None, :], halvings)
+    return np.append(pieces[:, 0], pieces[-1, -1])
+
+
+def _compose(c: np.ndarray, z: np.ndarray, pascal: np.ndarray) -> np.ndarray:
+    """Scaled Bernstein coefficients C(m, k)*b_k of sum_k c[k]*z(s)^k, by Horner's rule.
+
+    In scaled form a product is a convolution, a constant c of degree m
+    is c times Pascal row m, and the linear z is [z(0), z(1)].
+    """
     out = np.array([c[-1]])
-    for ck in c[-2::-1]:
-        out = np.convolve(out, inner)
-        out[0] += ck
+    for m, ck in enumerate(c[-2::-1].tolist(), start=1):
+        out = np.convolve(out, z)
+        out += ck * pascal[m, :m + 1]
     return out
+
+
+def _columns(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
+    """a = 1 - eps, b = z(zeta_tilde), P's columns in Bernstein form of degree D, and M.
+
+    cols[0] is rho'(z(s))*(1 - z(s)) and cols[j], 1 <= j < d_v, is
+    eps*rho'(z(s))*x(s)^j, so P = cols[0] - sum_j lam_{j+1}*cols[j] - t.
+    rho and rho' have nonnegative coefficients and a, b, 1 - a, 1 - b >= 0,
+    so only x = 1 - rho(z) subtracts, and every exact column coefficient
+    lies in [0, M], M = eps*rho'(b).  A column is raised to degree D by a
+    convolution with a Pascal row, and the last step divides by row D.
+    """
+    a = 1.0 - epsilon
+    b = z_of_x(rho, float(zeta_tilde))
+    n = rho.dense.size - 1
+    D = n * d_v - 1
+    pascal, _, _ = _bernstein_tables(D)
+    z = np.array([a, b])
+    x = pascal[n, :n + 1] - _compose(rho.dense, z, pascal)
+    drho = _compose(npoly.polyder(rho.dense), z, pascal)
+    terms = [np.convolve(drho, [1.0 - a, 1.0 - b])]
+    power = epsilon * drho
+    for _ in range(1, d_v):
+        power = np.convolve(power, x)
+        terms.append(power)
+    cols = np.array([np.convolve(p, pascal[D + 1 - p.size, :D + 2 - p.size]) for p in terms])
+    return a, b, cols / pascal[D], epsilon * float(drho[-1])
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintPolynomial:
-    """P in s on [0, 1]: coeffs[k] multiplies s^k, and z = a + (b - a)*s.
-
-    s = 0 is x = xi and s = 1 is x = zeta_tilde.
-    """
+    """P in s on [0, 1] for (lam, t): Bernstein coefficients of degree D, each
+    within `error` of the exact one; z = a + (b - a)*s, s = 0 is x = xi."""
 
     coeffs: np.ndarray
+    error: float
+    lam: DegreeDistribution
+    t: float
     rho: DegreeDistribution
     epsilon: float
     a: float
@@ -79,40 +153,6 @@ class ConstraintPolynomial:
     def z_of(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=np.float64)
 
-    def x_of(self, s):
-        # clipped: b carries the bisection residual of z(zeta_tilde)
-        x = 1.0 - _kernels._polyval(self.z_of(s), self.rho.dense)
-        return np.clip(x, self.zeta_tilde, self.xi)
-
-    def curve_gap(self, s):
-        """psi - lam - t*psi' at x(s), i.e. P(s)/(eps*rho'(z(s)))."""
-        weight = self.epsilon * _kernels._polyval(self.z_of(s), npoly.polyder(self.rho.dense))
-        return _kernels._polyval(s, self.coeffs) / weight
-
-
-def _columns(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
-    """a = 1 - eps, b = z(zeta_tilde), and P's columns in the power basis of s.
-
-    cols[0] is rho'(z(s))*(1 - z(s)) and cols[j], 1 <= j < d_v, is
-    eps*rho'(z(s))*x(s)^j, so P = cols[0] - sum_j lam_{j+1}*cols[j] - t.
-    This is the one place P is composed.
-    """
-    a = 1.0 - epsilon
-    b = z_of_x(rho, float(zeta_tilde))
-    z_s = np.array([a, b - a])
-    x_s = -_compose(rho.dense, z_s)
-    x_s[0] += 1.0
-    drho_s = _compose(npoly.polyder(rho.dense), z_s)
-    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
-    cols = np.zeros((d_v, D + 1))
-    const = np.convolve(drho_s, [1.0 - a, a - b])
-    cols[0, :const.size] = const
-    power = epsilon * drho_s
-    for j in range(1, d_v):
-        power = np.convolve(power, x_s)
-        cols[j, :power.size] = power
-    return a, b, cols
-
 
 def compile_constraint(
     lam: DegreeDistribution,
@@ -122,28 +162,34 @@ def compile_constraint(
     zeta_tilde: float,
     xi: float,
 ) -> ConstraintPolynomial:
-    """Coefficients in s of P for (lam, t) on [zeta_tilde, xi].
+    """Bernstein coefficients in s of P for (lam, t) on [zeta_tilde, xi].
 
     lam may be an arbitrary candidate (negative coefficients allowed).
-    Raises NumericalFailure when the composed coefficients disagree with
-    the closed form at the check nodes.
+    With S = M*(1 + sum_j |lam_j|) + t (`_columns`' M), raises
+    NumericalFailure when the coefficients miss the closed form at the
+    check nodes by more than `_CHECK_REL_TOL`*S.  `error` = (12D + 24)*2u*S,
+    u = 2^-53, bounds every coefficient's rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3; g_n = n*u/(1 - n*u),
+    n the degree of rho): Pascal row i is within g_i, Horner's rule within
+    g_{3n+1}, so x within g_{4n+3} of row n; the j-th power column within
+    g_{3n+j(5n+4)} of M, degree raising and the last division add
+    g_{2D+3}, so all columns are within g_{11(D+1)} of M, and combining
+    them adds g_{d_v+1} of S.
     """
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0.0 <= zeta_tilde < xi:
         raise DomainError(zeta_tilde, 0.0, xi, what="zeta_tilde")
-    a, b, cols = _columns(rho, epsilon, lam.dense.size, zeta_tilde)
-    coeffs = cols[0] - lam.dense[1:] @ cols[1:]
-    coeffs[0] -= t
-    cp = ConstraintPolynomial(coeffs=coeffs, rho=rho, epsilon=float(epsilon), a=a, b=b,
-                              zeta_tilde=float(zeta_tilde), xi=float(xi))
+    a, b, cols, M = _columns(rho, epsilon, lam.dense.size, zeta_tilde)
+    coeffs = cols[0] - lam.dense[1:] @ cols[1:] - t
+    S = M * (1.0 + float(np.sum(np.abs(lam.dense[1:])))) + t
+    cp = ConstraintPolynomial(coeffs, 12 * (coeffs.size + 1) * 2.0**-52 * S, lam, float(t), rho,
+                              float(epsilon), a, b, float(zeta_tilde), float(xi))
     _, step = _kernels.transfer_step(lam.dense, rho.dense, epsilon, cp.z_of(_CHECK_NODES))
-    scale = _kernels._polyval(_CHECK_NODES, np.abs(coeffs)) + t
-    resid = np.abs(_kernels._polyval(_CHECK_NODES, coeffs) - (step - t))
-    if not np.all(resid <= _CHECK_REL_TOL * scale):
-        raise NumericalFailure(
-            f"compiled constraint disagrees with its closed form: relative "
-            f"residual {float(np.max(resid / scale)):.3e} exceeds {_CHECK_REL_TOL:g}")
+    resid = float(np.max(np.abs(_values(coeffs, 2) - (step - t)))) / S
+    if not resid <= _CHECK_REL_TOL:
+        raise NumericalFailure(f"compiled constraint disagrees with its closed form: relative "
+                               f"residual {resid:.3e} exceeds {_CHECK_REL_TOL:g}")
     return cp
 
 
@@ -169,74 +215,33 @@ class NonnegCertificate:
         return self.kind == "SturmPass"
 
 
-@functools.lru_cache(maxsize=8)
-def _bernstein_tables(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The map to Bernstein form on [0, 1] and the two de Casteljau halvings.
-
-    All three come from one Pascal table: b_k = sum_{j<=k} C(k, j)/C(D, j)*a_j,
-    the left half is L_i = sum_{j<=i} C(i, j)/2^i*b_j, the right its mirror.
-    They depend on D alone, so the last few degrees are cached, and the
-    arrays are read-only because every caller shares them.
-    """
-    if D > 1020:  # C(D, D/2) and 2^-D are normal floats up to here
-        raise NumericalFailure(f"degree {D} exceeds the 1020 the Bernstein tables hold")
-    C = np.zeros((D + 1, D + 1))
-    C[:, 0] = 1.0
-    for i in range(1, D + 1):
-        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
-    left = C * np.exp2(-np.arange(D + 1.0))[:, None]
-    tables = C / C[D], left, left[::-1, ::-1]
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _halve(pieces: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Both halves of every piece (one per row), each left half first."""
-    return np.stack([pieces @ left.T, pieces @ right.T], axis=1).reshape(-1, pieces.shape[1])
-
-
 def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float,
               halvings: int) -> tuple[np.ndarray, np.ndarray]:
     """P's Bernstein coefficients on 2^halvings equal pieces of s, piece by
-    piece, as rows A @ (lam_2 .. lam_dv, t) <= b of unit max-norm.
-
-    An entry below its column's conversion bound E (`nonneg_on_unit`) has
-    no known sign and is set to 0; HiGHS drops entries below 1e-9, and on
-    Fig. 2 such noise put its vertex 8.6e-15 in t off the polished one.
-    """
-    _, _, cols = _columns(rho, epsilon, d_v, zeta_tilde)
-    D = cols.shape[1] - 1
-    to_bern, left, right = _bernstein_tables(D)
-    pieces = cols @ to_bern.T
-    for _ in range(halvings):
-        pieces = _halve(pieces, left, right)
-    B = pieces.reshape(d_v, -1)  # column, then piece, then coefficient
-    B[np.abs(B) < (3 * D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)[:, None]] = 0.0
+    piece, as rows A @ (lam_2 .. lam_dv, t) <= b of unit max-norm."""
+    _, _, cols, _ = _columns(rho, epsilon, d_v, zeta_tilde)
+    B = _pieces(cols, halvings).reshape(d_v, -1)  # column, then piece, then coefficient
     A = np.column_stack([B[1:].T, np.ones(B.shape[1])])
     scale = np.max(np.abs(A), axis=1)
     return A / scale[:, None], B[0] / scale
 
 
-def _negative_point(a: np.ndarray) -> Optional[float]:
-    """A point of [0, 1] where p < 0 is proved, or None once all pieces close."""
-    if not np.isfinite(a).all():
+def _negative_point(b: np.ndarray, error: float) -> Optional[tuple[float, float]]:
+    """(s, p(s)) where p < 0 is proved, or None once all pieces close; b within `error`."""
+    if not np.isfinite(b).all():
         raise ValueError("polynomial coefficients must be finite")
-    if not a.any():
+    if not b.any():
         return None
-    D = a.size - 1
-    to_bern, left, right = _bernstein_tables(D)
-    pieces = (to_bern @ a)[None, :]
-    E = (3 * D + 2) * 2.0**-52 * float(np.sum(np.abs(a)))
-    per_halving = (2 * D + 1) * 2.0**-52 * (float(np.max(np.abs(pieces))) + 2.0 * E)
-    lo = np.zeros(1)
-    depth = 0
+    D = b.size - 1
+    _, left, right = _bernstein_tables(D)
+    per_halving = (2 * D + 1) * 2.0**-52 * (float(np.max(np.abs(b))) + 2.0 * error)
+    pieces, lo, depth = b[None, :], np.zeros(1), 0
     while True:
-        tau = E + depth * per_halving
+        tau = error + depth * per_halving
         ends = pieces[:, [0, -1]]
         i, j = np.unravel_index(int(np.argmin(ends)), ends.shape)
         if ends[i, j] < -tau:
-            return float(lo[i] + j * 0.5**depth)
+            return float(lo[i] + j * 0.5**depth), float(ends[i, j])
         is_open = pieces.min(axis=1) < -tau
         if not is_open.any():
             return None
@@ -249,52 +254,44 @@ def _negative_point(a: np.ndarray) -> Optional[float]:
 
 
 def nonneg_on_unit(coeffs) -> NonnegCertificate:
-    """Decide sum_k coeffs[k] s^k >= 0 for all s in [0, 1].
+    """Decide p(s) = sum_k coeffs[k]*C(D, k)*s^k*(1 - s)^(D - k) >= 0 on [0, 1].
 
-    Bernstein subdivision (`_negative_point`) gives the verdict and, on a
-    fail, the witness; the margin is the smallest value at `_SAMPLES`.
-
-    The rounding bound tau_d (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 3; underflow aside), with u = 2^-53,
-    g_n = n*u/(1 - n*u) and A = sum|a_j|:
-    * Pascal entries are exact below 2^53 and within g_D above, so the
-      map's entries, all in [0, 1], are within g_{2D+1} and the halving
-      entries within g_D.  A dot product of length D + 1 adds g_{D+1} of
-      the sum of its absolute terms.  So the float b_k are within
-      e = g_{3D+2}*A of the exact ones.
-    * Every exact coefficient of every piece is a convex combination of
-      the exact b_k, so none exceeds B = max|b_k| + e.  A halving's rows
-      sum to 1, so one handed errors e_d adds at most g_{2D+1}*(B + e_d).
-    * Hence after d halvings all errors are below
-      tau_d = E + d*(2D + 1)*2u*(max|b_k| + 2E), E = (3D + 2)*2u*A; the
-      factor 2 over g_n covers e_d << B and the rounding of tau_d.
-    A fail thus proves p < 0 at its point, and a pass p >= -2*tau_d, d the
-    deepest level reached.  E dominates: A can exceed max|b_k| by 10^5.
+    coeffs are Bernstein coefficients, taken as exact.  Subdivision
+    (`_negative_point`) gives the verdict and, on a fail, the witness; the
+    margin is the smallest value at `_SAMPLES`.  Its rounding bound, for
+    b_k within E of the exact ones (E = 0 here, P's `error` in `certify`):
+    every exact piece coefficient is a convex combination of the b_k, so
+    at most B = max|b_k| + E, and a halving (entries within g_D, rows
+    summing to 1) adds g_{2D+1}*(B + e_d) to errors e_d; so after d
+    halvings they are below tau_d = E + d*(2D + 1)*2u*(max|b_k| + 2E).  A
+    fail proves p < 0 at its point, a pass p >= -2*tau_d at the deepest d.
     """
-    a = np.asarray(coeffs, dtype=np.float64)
-    s = _negative_point(a)
-    margin = float(np.min(_kernels._polyval(_SAMPLES, a)))
-    if s is None:
+    b = np.asarray(coeffs, dtype=np.float64)
+    proved = _negative_point(b, 0.0)
+    margin = float(np.min(_values(b, _SAMPLE_HALVINGS)))
+    if proved is None:
         return NonnegCertificate("SturmPass", margin)
-    value = float(_kernels._polyval(s, a))
+    s, value = proved
     return NonnegCertificate("SturmFail", min(margin, value), witness=s, witness_value=value)
 
 
 def certify(cp: ConstraintPolynomial) -> NonnegCertificate:
     """Decide whether the compiled constraint holds on all of [zeta_tilde, xi].
 
-    Margin and witness value are in curve units, psi - lam - t*psi'.  A
-    SturmFail's witness is the abscissa x of the more negative of the
-    proved point and the smallest sample: the rate designer makes the
-    witness an LP row, and the most violated row is the better cut.  The
-    verdict is `nonneg_on_unit`'s, but P is sampled once, for the gaps,
-    not again for a margin in s units that nothing reads.
+    The verdict is `nonneg_on_unit`'s subdivision of P with E = its
+    `error`.  Margin and witness value are psi - lam - t*psi' in closed
+    form at `_SAMPLES` and a proved negative point; a SturmFail's witness
+    is the x of the more negative, since the rate designer makes it an LP
+    row and the most violated row is the better cut.
     """
-    proved = _negative_point(cp.coeffs)
-    gaps = cp.curve_gap(_SAMPLES)
+    proved = _negative_point(cp.coeffs, cp.error)
+    s = _SAMPLES if proved is None else np.append(_SAMPLES, proved[0])
+    # positional: the benchmark tracer counts the points at position 4
+    xs, gaps = _kernels.transfer_gap_scan(cp.lam.dense, cp.rho.dense, cp.epsilon, cp.t,
+                                          cp.z_of(s))
     k = int(np.argmin(gaps))
     if proved is None:
         return NonnegCertificate("SturmPass", float(gaps[k]))
-    s = proved if cp.curve_gap(proved) < gaps[k] else float(_SAMPLES[k])
-    value = float(cp.curve_gap(s))
-    return NonnegCertificate("SturmFail", value, witness=float(cp.x_of(s)), witness_value=value)
+    # clipped: b carries the bisection residual of z(zeta_tilde)
+    x = float(np.clip(xs[k], cp.zeta_tilde, cp.xi))
+    return NonnegCertificate("SturmFail", float(gaps[k]), witness=x, witness_value=float(gaps[k]))

@@ -238,7 +238,9 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None) -> LPResult:
     primal feasibility tolerance, until x violates none.  The LP is
     unchanged, and so is its optimum; only the rows HiGHS factors shrink.
     The returned vertex is polished onto its active set over all the rows,
-    then checked against all of them: complementary slackness at 1e-8 and
+    then checked against all of them: each row within the primal
+    feasibility tolerance (HiGHS drops matrix entries below 1e-9, so its
+    vertex may miss a row), complementary slackness at 1e-8 and
     stationarity at 1e-6 (relative to the dual magnitude); `dual_ub` is
     zero off the working set, and `working_set` lists it, ready to start a
     related LP with the same rows.
@@ -262,6 +264,10 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None) -> LPResult:
         nu = -np.asarray(res.eqlin.marginals)
     x = _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res)
     fun = float(c @ x)
+    excess = np.append(A_ub @ x - b_ub, [] if A_eq is None else np.abs(A_eq @ x - b_eq)).max()
+    if excess > LP_OPTIONS["primal_feasibility_tolerance"]:
+        raise NumericalFailure(f"primal infeasibility {excess:.3e} exceeds "
+                               f"{LP_OPTIONS['primal_feasibility_tolerance']:g}")
 
     # stationarity: c + A_ub' mu + A_eq' nu - (reduced costs at x >= 0) = 0
     cs = float(np.max(np.abs(mu * (b_ub - A_ub @ x))))

@@ -323,22 +323,99 @@ def _binomial_step(v: list[int], weights: list[int]) -> list[int]:
             for k in range(D + 1)]
 
 
-def _scaled_bernstein(coeffs) -> tuple[list[int], int]:
-    """Integers beta_k and den with b_k = beta_k/(den*C(D, k)), b the Bernstein form."""
-    fr = [Fraction(float(c)) for c in coeffs]
-    den = math.lcm(*(f.denominator for f in fr))
-    return _binomial_step([int(f * den) for f in fr], [1] * len(fr)), den
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_k and e >= 0 with values[k] = n_k/2^e exactly (floats are dyadic)."""
+    fr = [Fraction(float(v)) for v in values]
+    e = max(f.denominator.bit_length() - 1 for f in fr)
+    return [f.numerator << (e - f.denominator.bit_length() + 1) for f in fr], e
 
 
-def exact_bernstein(coeffs) -> list[Fraction]:
-    """Bernstein coefficients on [0, 1] of sum_k coeffs[k] s^k, as exact rationals."""
-    beta, den = _scaled_bernstein(coeffs)
-    D = len(beta) - 1
-    return [Fraction(bk, den * math.comb(D, k)) for k, bk in enumerate(beta)]
+def _to_bernstein(ints: list[int], e: int) -> list[Fraction]:
+    """Bernstein coefficients on [0, 1] of sum_k ints[k]/2^e*s^k, exactly."""
+    D = len(ints) - 1
+    beta = _binomial_step(ints, [1] * (D + 1))
+    return [Fraction(bk, math.comb(D, k) << e) for k, bk in enumerate(beta)]
+
+
+def bernstein_from_power(coeffs) -> np.ndarray:
+    """A power-form test polynomial as the Bernstein input `nonneg_on_unit`
+    takes: converted exactly, then rounded to floats."""
+    return np.array([float(b) for b in _to_bernstein(*_dyadic(coeffs))])
+
+
+def exact_bernstein_value(coeffs, s) -> Fraction:
+    """sum_k b_k*C(D, k)*s^k*(1 - s)^(D - k) for Bernstein b, exactly at the float s."""
+    ints, e = _dyadic(coeffs)
+    (num,), es = _dyadic([s])
+    D = len(ints) - 1
+    rest = (1 << es) - num
+    total = sum(v * math.comb(D, k) * num**k * rest**(D - k) for k, v in enumerate(ints))
+    return Fraction(total, 1 << (e + es * D))
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _power_columns(rho: DegreeDistribution, epsilon: float, d_v: int, a: float, b: float):
+    """`sip_compile._columns` in the power basis of s, exactly: per column the
+    integers c_k and e with coefficient c_k/2^e, padded to degree D.
+
+    Composed on integers over a power of two, where nothing cancels.
+    """
+    (ia, ib), ez = _dyadic([a, b])
+
+    def compose(c, ec):  # (sum_k c_k*z(s)^k)*2^e as integers, and e
+        out, e = [c[-1]], ec
+        for ck in c[-2::-1]:
+            out, e = _mul(out, [ia, ib - ia]), e + ez
+            out[0] += ck << (e - ec)
+        return out, e
+
+    r, er = _dyadic(rho.dense)
+    rho_s, ex = compose(r, er)
+    x = [-v for v in rho_s]
+    x[0] += 1 << ex
+    drho, ed = compose([k * r[k] for k in range(1, len(r))], er)
+    (ie,), ee = _dyadic([epsilon])
+    D = (len(r) - 1) * d_v - 1
+    cols = [(_mul(drho, [(1 << ez) - ia, ia - ib]), ed + ez)]
+    power, ep = [ie * v for v in drho], ed + ee
+    for _ in range(1, d_v):
+        power, ep = _mul(power, x), ep + ex
+        cols.append((power, ep))
+    return [(col + [0] * (D + 1 - len(col)), e) for col, e in cols]
+
+
+def exact_columns(rho: DegreeDistribution, epsilon: float, d_v: int,
+                  a: float, b: float) -> list[list[Fraction]]:
+    """`sip_compile._columns` in exact rationals from the same float inputs."""
+    return [_to_bernstein(*col) for col in _power_columns(rho, epsilon, d_v, a, b)]
+
+
+def exact_step_pieces(cp) -> tuple[list[Fraction], list[Fraction]]:
+    """The exact Bernstein coefficients of a `ConstraintPolynomial`'s P, from
+    the same float inputs, and those of its left half on [0, 1/2]."""
+    (col0, e0), *cols = _power_columns(cp.rho, cp.epsilon, cp.lam.dense.size, cp.a, cp.b)
+    lam, el = _dyadic(np.append(cp.lam.dense[1:], cp.t))
+    e = max(e0, max(ec for _, ec in cols) + el)
+    p = [v << (e - e0) for v in col0]
+    for l_j, (col, ec) in zip(lam, cols):
+        p = [pk - ((l_j * v) << (e - ec - el)) for pk, v in zip(p, col)]
+    p[0] -= lam[-1] << (e - el)
+    # the left half's scaled coefficients, as in `bernstein_oracle`, over 2^(e + D)
+    D = len(p) - 1
+    half = _binomial_step(_binomial_step(p, [1] * (D + 1)), [2 ** (D - i) for i in range(D + 1)])
+    return (_to_bernstein(p, e),
+            [Fraction(bk, math.comb(D, k) << (e + D)) for k, bk in enumerate(half)])
 
 
 def bernstein_oracle(coeffs, max_depth: int = 16):
-    """Exact-rational decision of sum_k coeffs[k] s^k >= 0 on [0, 1].
+    """Exact-rational decision of p >= 0 on [0, 1] for p with Bernstein coefficients coeffs.
 
     True when every piece's Bernstein coefficients are >= 0, False when a
     piece ends below zero, None when a piece is still open at max_depth.
@@ -347,8 +424,9 @@ def bernstein_oracle(coeffs, max_depth: int = 16):
     beta'_i = 2^(D - i)*sum_{j<=i} C(D - j, i - j)*beta_j (the same scale
     times 2^D), and the right half is the left half of the reversal.
     """
-    beta, _ = _scaled_bernstein(coeffs)
-    D = len(beta) - 1
+    ints, _ = _dyadic(coeffs)
+    D = len(ints) - 1
+    beta = [math.comb(D, k) * v for k, v in enumerate(ints)]
     halve = [2 ** (D - i) for i in range(D + 1)]
     stack = [(beta, 0)]
     while stack:
@@ -364,68 +442,83 @@ def bernstein_oracle(coeffs, max_depth: int = 16):
     return True
 
 
-def compose_reference(c, inner) -> np.ndarray:
-    """sum_k c[k]*inner(s)^k by Horner's rule through `npoly.polymul`."""
-    import numpy.polynomial.polynomial as npoly
+def _pascal(D: int) -> np.ndarray:
+    """Pascal's triangle to row D, built afresh by the package's recursion."""
+    C = np.zeros((D + 1, D + 1))
+    C[:, 0] = 1.0
+    for i in range(1, D + 1):
+        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
+    return C
 
+
+def _halve_reference(pieces: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Both de Casteljau halves of every row, each left half first."""
+    left = C * np.exp2(-np.arange(C.shape[0] + 0.0))[:, None]
+    right = left[::-1, ::-1]
+    return np.stack([pieces @ left.T, pieces @ right.T], axis=1).reshape(-1, pieces.shape[1])
+
+
+def _polymul(p, q) -> np.ndarray:
+    """The product of two scaled Bernstein forms, at full length len(p) + len(q) - 1.
+
+    `npoly.polymul` trims trailing zeros, which a scaled form keeps (its
+    last entry is the value at s = 1, 0 at x = 0), and the shorter input
+    changes `np.convolve`'s summation order; so this is np.convolve itself.
+    """
+    return np.convolve(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
+
+
+def compose_reference(c, z, pascal) -> np.ndarray:
+    """Scaled Bernstein coefficients of sum_k c[k]*z(s)^k by Horner's rule, term by term."""
     out = np.array([c[-1]])
-    for ck in c[-2::-1]:
-        out = npoly.polymul(out, inner)
-        out[0] += ck
+    for m in range(1, len(c)):
+        out = _polymul(out, z)
+        out += c[-1 - m] * pascal[m, :m + 1]
     return out
 
 
 def columns_reference(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float):
-    """`sip_compile._columns` composed through numpy's polynomial routines."""
+    """`sip_compile._columns` step by step, with a fresh Pascal table."""
     import numpy.polynomial.polynomial as npoly
 
     from ldpc_forge.de_engine import z_of_x
 
     a = 1.0 - epsilon
     b = z_of_x(rho, float(zeta_tilde))
-    z_s = np.array([a, b - a])
-    x_s = npoly.polysub([1.0], compose_reference(rho.dense, z_s))
-    drho_s = compose_reference(npoly.polyder(rho.dense), z_s)
-    D = (drho_s.size - 1) + (x_s.size - 1) * (d_v - 1)
+    n = rho.dense.size - 1
+    D = n * d_v - 1
+    C = _pascal(D)
+    z = np.array([a, b])
+    x = C[n, :n + 1] - compose_reference(rho.dense, z, C)
+    drho = compose_reference(npoly.polyder(rho.dense), z, C)
     cols = np.zeros((d_v, D + 1))
-    const = npoly.polymul(drho_s, [1.0 - a, a - b])
-    cols[0, :const.size] = const
-    power = epsilon * drho_s
+    power = _polymul(drho, [1.0 - a, 1.0 - b])
+    cols[0] = _polymul(power, C[D - n, :D - n + 1])
+    power = epsilon * drho
     for j in range(1, d_v):
-        power = npoly.polymul(power, x_s)
-        cols[j, :power.size] = power
-    return a, b, cols
+        power = _polymul(power, x)
+        m = D + 1 - power.size
+        cols[j] = _polymul(power, C[m, :m + 1])
+    return a, b, cols / C[D], epsilon * float(drho[-1])
 
 
 def step_rows_reference(rho: DegreeDistribution, epsilon: float, d_v: int,
                         zeta_tilde: float, halvings: int):
     """`sip_compile.step_rows` on `columns_reference`, with Pascal tables built afresh."""
-    _, _, cols = columns_reference(rho, epsilon, d_v, zeta_tilde)
-    D = cols.shape[1] - 1
-    C = np.zeros((D + 1, D + 1))
-    C[:, 0] = 1.0
-    for i in range(1, D + 1):
-        C[i, 1:i + 1] = C[i - 1, :i] + C[i - 1, 1:i + 1]
-    left = C * np.exp2(-np.arange(D + 1.0))[:, None]
-    right = left[::-1, ::-1]
-    pieces = cols @ (C / C[D]).T
+    _, _, pieces, _ = columns_reference(rho, epsilon, d_v, zeta_tilde)
+    C = _pascal(pieces.shape[1] - 1)
     for _ in range(halvings):
-        pieces = np.stack([pieces @ left.T, pieces @ right.T],
-                          axis=1).reshape(-1, pieces.shape[1])
+        pieces = _halve_reference(pieces, C)
     B = pieces.reshape(d_v, -1)
-    B[np.abs(B) < (3 * D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)[:, None]] = 0.0
     A = np.column_stack([B[1:].T, np.ones(B.shape[1])])
     scale = np.max(np.abs(A), axis=1)
     return A / scale[:, None], B[0] / scale
 
 
-def margin_reference(coeffs, witness=None) -> float:
-    """`nonneg_on_unit`'s margin by `npoly.polyval`: the least sample, and the witness."""
-    import numpy.polynomial.polynomial as npoly
-
-    from ldpc_forge.sip_compile import _SAMPLES
-
-    margin = float(np.min(npoly.polyval(_SAMPLES, coeffs)))
-    if witness is None:
-        return margin
-    return min(margin, float(npoly.polyval(witness, coeffs)))
+def margin_reference(coeffs) -> float:
+    """`nonneg_on_unit`'s least sample, from 12 halvings with a fresh Pascal table."""
+    pieces = np.asarray(coeffs, dtype=np.float64)[None, :]
+    C = _pascal(pieces.shape[1] - 1)
+    for _ in range(12):
+        pieces = _halve_reference(pieces, C)
+    return float(min(pieces[:, 0].min(), pieces[-1, -1]))

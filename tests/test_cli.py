@@ -194,6 +194,21 @@ def test_certify_brackets_utility(tmp_path, factor, code):
         assert cert["witness_value"] < 0.0
 
 
+def test_certify_fails_just_above_the_utility(tmp_path, capsys):
+    # the published R_d = 0.45 design for rho x^7 at its own (eps, eta): the
+    # step 1.00001 times the utility `estimate` prints crosses psi by 2.6e-11
+    # in curve units, which P's rounding bound must not absorb
+    ens = load_fixtures().get("x7_coc_r045").ensemble.to_json()
+    point = ["--epsilon", "0.5", "--eta", "1e-5"]
+    assert main(["estimate", ens, *point]) == EXIT_OK
+    t = 1.00001 * json.loads(capsys.readouterr().out)["utility"]
+    prefix = tmp_path / "cert"
+    assert main(["certify", ens, *point, "--t", repr(t), "--out", str(prefix)]) == EXIT_DECODING
+    with open(f"{prefix}.certificate.json") as fh:
+        cert = json.load(fh)
+    assert cert["kind"] == "SturmFail" and cert["margin"] < 0.0
+
+
 def test_validate_published_and_strict_tolerance(capsys):
     ens = load_fixtures().get("mix_acc_r048").ensemble.to_json()
     assert main(["validate", ens]) == EXIT_OK

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from helpers import (bernstein_oracle, columns_reference, compose_reference, exact_bernstein,
+from helpers import (bernstein_from_power, bernstein_oracle, columns_reference,
+                     compose_reference, exact_bernstein_value, exact_columns, exact_step_pieces,
                      fixture_context, margin_reference, random_simplex_lambda,
                      step_polynomial_oracle, step_rows_reference)
 from ldpc_forge.cli import load_fixtures
@@ -58,7 +59,9 @@ class TestCompile:
         cp = compile_constraint(LAM_LINEAR, t, RHO_LINEAR, EPS_LINEAR, ZT, EPS_LINEAR)
         assert cp.D == 1
         assert cp.a == 0.5 and cp.b == pytest.approx(1.0 - ZT, abs=1e-12)
-        want = [(1 - EPS_LINEAR) * EPS_LINEAR - t, -(1 - EPS_LINEAR) * (EPS_LINEAR - ZT)]
+        # the Bernstein coefficients of a linear P are its end values, at
+        # z = a and at z = b, which carries the bisection residual of z(ZT)
+        want = [(1 - EPS_LINEAR) * EPS_LINEAR - t, (1 - EPS_LINEAR) * (1.0 - cp.b) - t]
         assert np.allclose(cp.coeffs, want, rtol=1e-11, atol=1e-14)
 
     @pytest.mark.parametrize("d_v", [2, 16, 30])
@@ -72,20 +75,25 @@ class TestCompile:
             assert cp.coeffs.size == cp.D + 1
 
     def test_end_values_are_scaled_gaps(self, rho_mix):
-        # s = 0 is x = xi and s = 1 is x = zeta_tilde; P = eps*rho'(z)*gap
+        # s = 0 is x = xi and s = 1 is x = zeta_tilde; P = eps*rho'(z)*gap, and
+        # the end Bernstein coefficients are P's end values
         eps = 0.48
         ctx = DEContext.create(rho_mix, eps, 1e-4)
         lam = DegreeDistribution({2: 0.15, 3: 0.45, 16: 0.40})
         t = 0.002
         cp = compile_constraint(lam, t, rho_mix, eps, ZT, ctx.xi)
-        for s, x in ((0.0, ctx.xi), (1.0, ZT)):
-            assert float(cp.x_of(s)) == pytest.approx(x, abs=1e-11)
-            gap = psi(ctx, x) - lam.eval(x) - t * psi_deriv(ctx, x)
-            assert float(cp.curve_gap(s)) == pytest.approx(gap, rel=1e-8, abs=1e-12)
+        ends = np.array([0.0, 1.0])
+        xs, gaps = _kernels.transfer_gap_scan(lam.dense, rho_mix.dense, eps, t, cp.z_of(ends))
+        weights = eps * rho_mix.eval_deriv(cp.z_of(ends))
+        for x_end, x, gap, p, w in zip(xs, (ctx.xi, ZT), gaps, cp.coeffs[[0, -1]], weights):
+            assert x_end == pytest.approx(x, abs=1e-11)
+            want = psi(ctx, x) - lam.eval(x) - t * psi_deriv(ctx, x)
+            assert gap == pytest.approx(want, rel=1e-8, abs=1e-12)
+            assert p / w == pytest.approx(want, rel=1e-8, abs=1e-12)
 
     def test_sampled_equivalence_with_direct_gap(self, rng, rho_mix):
-        # the curve-unit value P/(eps*rho') against psi and psi' found by
-        # bisection at x(s)
+        # the curve-unit value P/(eps*rho') at s = k/32, by de Casteljau, against
+        # psi and psi' found by bisection at x(s)
         eps = 0.48
         ctx = DEContext.create(rho_mix, eps, 1e-4)
         for _ in range(3):
@@ -93,10 +101,11 @@ class TestCompile:
             t = float(rng.uniform(0.0, 0.1))
             zt = float(rng.uniform(0.005, 0.1))
             cp = compile_constraint(lam, t, rho_mix, eps, zt, ctx.xi)
-            ss = np.linspace(0.0, 1.0, 41)
-            xs = cp.x_of(ss)
+            zs = cp.z_of(np.linspace(0.0, 1.0, 33))
+            xs = np.clip(1.0 - rho_mix.eval(zs), zt, ctx.xi)
+            got = sip_compile._values(cp.coeffs, 5) / (eps * rho_mix.eval_deriv(zs))
             want = psi(ctx, xs) - lam.eval(xs) - t * psi_deriv(ctx, xs)
-            assert np.max(np.abs(cp.curve_gap(ss) - want)) < 1e-8
+            assert np.max(np.abs(got - want)) < 1e-8
 
     @pytest.mark.parametrize("name", ["x7_coc_r045", "mix_dv16"])
     def test_matches_50_digit_oracle(self, fixtures, rng, name):
@@ -107,10 +116,11 @@ class TestCompile:
         t = utility(e.lam, ctx, zeta_tilde=zt).value
         cp = compile_constraint(e.lam, t, e.rho, ctx.epsilon, zt, ctx.xi)
         ss = rng.uniform(0.0, 1.0, 64)
-        want = step_polynomial_oracle(e.lam.coeffs, e.rho.coeffs, ctx.epsilon, t,
-                                      cp.a, cp.b, ss)
-        got = npoly.polyval(ss, cp.coeffs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(cp.coeffs))
+        want = np.array(step_polynomial_oracle(e.lam.coeffs, e.rho.coeffs, ctx.epsilon, t,
+                                               cp.a, cp.b, ss))
+        # the float coefficients evaluated exactly: each is within cp.error
+        got = np.array([float(exact_bernstein_value(cp.coeffs, s)) for s in ss])
+        assert np.all(np.abs(got - want) <= cp.error + 2.0**-52 * np.abs(want))
         # the chart ends where the interval does
         assert 1.0 - e.rho.eval(cp.b) == pytest.approx(zt, abs=1e-11)
         assert cp.a == 1.0 - ctx.epsilon
@@ -121,15 +131,18 @@ class TestCompile:
         eps, xi = 0.48, DEContext.create(rho_mix, 0.48, 1e-4).xi
         lam = DegreeDistribution({2: 0.2, 3: 0.4, 9: 0.4})
         t = 0.01
-        pi = compile_constraint(lam, t, rho_mix, eps, ZT, xi).coeffs
-        cols = {j: compile_constraint(DegreeDistribution({j: 1.0}), 0.0, rho_mix, eps, ZT,
-                                      xi).coeffs for j in range(2, 10)}
-        t_col = (compile_constraint(DegreeDistribution({2: 1.0}), 1.0, rho_mix, eps, ZT,
-                                    xi).coeffs - cols[2])
-        rebuilt = np.zeros_like(pi)
+        # per-degree columns differ in degree, so they are compared by their
+        # values at s = k/16 (de Casteljau), which combine as the coefficients do
+        def values(lam_j, t_j):
+            cp = compile_constraint(lam_j, t_j, rho_mix, eps, ZT, xi)
+            return sip_compile._values(cp.coeffs, 4)
+
+        pi = values(lam, t)
+        cols = {j: values(DegreeDistribution({j: 1.0}), 0.0) for j in range(2, 10)}
+        t_col = values(DegreeDistribution({2: 1.0}), 1.0) - cols[2]
+        rebuilt = t * t_col
         for j, col in cols.items():
-            rebuilt[:col.size] += lam.coeff(j) * col
-        rebuilt[:t_col.size] += t * t_col
+            rebuilt += lam.coeff(j) * col
         assert np.allclose(rebuilt, pi, rtol=1e-12, atol=1e-12 * np.sum(np.abs(pi)))
 
     def test_compilation_is_affine_in_decision_variables(self, rho_mix):
@@ -180,20 +193,21 @@ class TestCompile:
         cp = compile_constraint(DegreeDistribution({2: 0.5, 3: 0.5}), 0.0, rho_mix,
                                 0.48, 0.0, ctx.xi)
         assert cp.b == 1.0
-        assert float(npoly.polyval(1.0, cp.coeffs)) == pytest.approx(0.0, abs=1e-12)
+        assert cp.coeffs[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNonnegativityDecision:
+    # inputs are Bernstein coefficients of degree 2: p = b0*(1 - s)^2 + 2*b1*s*(1 - s) + b2*s^2
     def test_square_passes(self):
-        cert = nonneg_on_unit(np.array([0.0, 0.0, 1.0]))
+        cert = nonneg_on_unit(np.array([0.0, 0.0, 1.0]))  # s^2
         assert cert.passed and cert.kind == "SturmPass"
 
     def test_touch_point_inside_passes(self):
-        cert = nonneg_on_unit(np.array([0.09, -0.6, 1.0]))  # (s - 0.3)^2
+        cert = nonneg_on_unit(np.array([1.0, -2.0, 4.0]))  # (3s - 1)^2
         assert cert.passed
 
     def test_dip_below_zero_fails_with_witness(self):
-        cert = nonneg_on_unit(np.array([0.0, -1.0, 1.0]))
+        cert = nonneg_on_unit(np.array([0.0, -0.5, 0.0]))  # s^2 - s
         assert not cert.passed
         assert 0.0 < cert.witness < 1.0
         assert cert.witness_value < 0.0
@@ -203,12 +217,12 @@ class TestNonnegativityDecision:
         assert cert.passed and cert.margin == pytest.approx(2.5)
 
     def test_negative_constant_fails_at_origin(self):
-        cert = nonneg_on_unit(np.array([-0.5, 1.0, 1.0]))
+        cert = nonneg_on_unit(np.array([-0.5, 0.0, 1.5]))  # -0.5 + s + s^2
         assert not cert.passed and cert.witness == 0.0
 
     def test_negative_leading_coefficient_fails_far_out(self):
         # 1 + s - 2.5 s^2 crosses zero at s = 0.863
-        cert = nonneg_on_unit(np.array([1.0, 1.0, -2.5]))
+        cert = nonneg_on_unit(np.array([1.0, 1.5, -0.5]))
         assert not cert.passed
         assert 0.86 < cert.witness <= 1.0
 
@@ -218,7 +232,8 @@ class TestNonnegativityDecision:
     def test_verdicts_match_dense_scan_on_random_polynomials(self, rng):
         # build guaranteed-nonnegative p = q1^2 + s*q2^2, then knock some
         # below zero with a subtracted constant; skip draws inside the
-        # ambiguity band around zero margin
+        # ambiguity band around zero margin, which also holds the rounding
+        # of the exact conversion to Bernstein form
         checked = 0
         for _ in range(200):
             q1 = rng.normal(size=3)
@@ -231,7 +246,7 @@ class TestNonnegativityDecision:
             lo = float(npoly.polyval(np.linspace(0.0, 1.0, 4001), p).min())
             if abs(lo) < 1e-7 * float(np.max(np.abs(p))):
                 continue
-            cert = nonneg_on_unit(p)
+            cert = nonneg_on_unit(bernstein_from_power(p))
             assert cert.passed == (lo > 0.0), (p, lo)
             checked += 1
         assert checked >= 100
@@ -274,26 +289,41 @@ class TestCertify:
 
 class TestSubdivision:
     def test_regression_fixture_decides_in_few_halvings(self, monkeypatch):
-        # a work count, not a clock: every piece halved passes the spy
+        # a work count, not a clock: every piece halved passes the spy; the
+        # fixture is compiled first, so only the certificate's halvings count
         halved = []
         real = sip_compile._halve
+        cp = _sturm_fixture()
 
         def spy(pieces, left, right):
             halved.append(pieces.shape[0])
             return real(pieces, left, right)
 
         monkeypatch.setattr(sip_compile, "_halve", spy)
-        assert certify(_sturm_fixture()).passed
+        assert certify(cp).passed
         assert 0 < sum(halved) <= 40
 
     def test_depth_cap_raises_on_touch_point(self, monkeypatch):
-        # (s - 0.3)^2 touches zero off every dyadic point, so the piece
-        # around 0.3 closes only once its coefficients are within tau
-        c = np.array([0.09, -0.6, 1.0])
+        # (3s - 1)^2 touches zero off every dyadic point, so the piece
+        # around 1/3 closes only once its coefficients are within tau
+        c = np.array([1.0, -2.0, 4.0])
         assert nonneg_on_unit(c).passed
         monkeypatch.setattr(sip_compile, "_MAX_DEPTH", 1)
         with pytest.raises(NumericalFailure, match=r"1 open piece\(s\) after 1 halvings"):
             nonneg_on_unit(c)
+
+    @pytest.mark.parametrize("d_c, d_v", [(35, 30), (511, 2)])
+    def test_degree_at_the_cap_composes(self, d_c, d_v):
+        # D = (d_c - 1)*d_v - 1 = 1019: scaled coefficients reach
+        # C(1019, 509)*eps*rho'(b), ~1e305 and ~7e307, and must stay finite
+        # and agree with the closed form at the check nodes
+        rho = DegreeDistribution({d_c: 1.0})
+        eps = 0.3
+        ctx = DEContext.create(rho, eps, 1e-3)
+        lam = DegreeDistribution({2: 0.5, d_v: 0.5}) if d_v > 2 else LAM_LINEAR
+        cp = compile_constraint(lam, 0.0, rho, eps, 0.5 * ctx.xi, ctx.xi)
+        assert cp.D == 1019
+        assert np.isfinite(cp.coeffs).all() and np.isfinite(cp.error)
 
     def test_degree_past_the_tables_raises(self):
         # C(1100, 550) overflows a float, and nan coefficients would close every piece
@@ -308,11 +338,11 @@ class TestSubdivision:
 
 @pytest.fixture(scope="module")
 def certified(rho_x7, fixtures):
-    """The first constraint each design certifies, as power coefficients in s."""
+    """The first constraint each design certifies, as its compiled polynomial."""
     seen = []
 
     def spy(cp):
-        seen.append(cp.coeffs)
+        seen.append(cp)
         return certify(cp)
 
     f = fixtures.get("mix_dv16")
@@ -333,42 +363,50 @@ def certified(rho_x7, fixtures):
             seen.clear()
             run()
             polys[name] = seen[0]
-    polys["regression"] = _sturm_fixture().coeffs
+    polys["regression"] = _sturm_fixture()
     return polys
 
 
 class TestExactOracle:
-    """The float subdivision against exact-rational Bernstein subdivision."""
+    """The float composition and subdivision against exact rationals."""
 
     def test_float_verdict_is_the_exact_verdict(self, certified):
-        for name, a in certified.items():
+        for name, cp in certified.items():
             want = name != "fig6_refinement"
-            assert bernstein_oracle(a) is want, name
-            assert nonneg_on_unit(a).passed is want, name
+            assert bernstein_oracle(cp.coeffs) is want, name
+            assert nonneg_on_unit(cp.coeffs).passed is want, name
+            assert certify(cp).passed is want, name
 
     def test_float_coefficients_lie_within_tau(self, certified):
-        # tau_0 for the conversion, tau_1 for one halving; the left half is
-        # p(s/2), whose power coefficients a_j/2^j are exact in floats
-        for name, a in certified.items():
-            D = a.size - 1
-            to_bern, left, right = sip_compile._bernstein_tables(D)
-            b = to_bern @ a
-            tau_0 = (3 * D + 2) * 2.0**-52 * np.sum(np.abs(a))
-            tau_1 = tau_0 + (2 * D + 1) * 2.0**-52 * (np.max(np.abs(b)) + 2.0 * tau_0)
-            half = sip_compile._halve(b[None, :], left, right)[0]
-            for got, a_exact, tau in ((b, a, tau_0), (half, a * 0.5 ** np.arange(D + 1), tau_1)):
-                exact = exact_bernstein(a_exact)
-                err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+        # tau_0 = cp.error for the composition, tau_1 for one halving, each
+        # against P composed in exact rationals from the same float inputs
+        for name, cp in certified.items():
+            exact, exact_half = exact_step_pieces(cp)
+            tau_1 = cp.error + (2 * cp.D + 1) * 2.0**-52 * (np.max(np.abs(cp.coeffs))
+                                                            + 2.0 * cp.error)
+            _, left, right = sip_compile._bernstein_tables(cp.D)
+            half = sip_compile._halve(cp.coeffs[None, :], left, right)[0]
+            for got, want, tau in ((cp.coeffs, exact, cp.error), (half, exact_half, tau_1)):
+                err = max(abs(Fraction(float(g)) - w) for g, w in zip(got, want))
                 assert err <= tau, name
+
+    @pytest.mark.parametrize("name", ["x7_coc_r045", "mix_dv16"])
+    def test_columns_match_exact_rationals(self, fixtures, name):
+        f = fixtures.get(name)
+        ctx = fixture_context(f)
+        for zt in (0.5 * ctx.zeta, ctx.zeta):
+            a, b, cols, _ = sip_compile._columns(f.ensemble.rho, ctx.epsilon, 16, zt)
+            exact = exact_columns(f.ensemble.rho, ctx.epsilon, 16, a, b)
+            err = max(abs(Fraction(float(g)) - w)
+                      for row, want in zip(cols, exact) for g, w in zip(row, want))
+            assert err <= 1e-14, zt
 
 
 class TestStepRows:
     def test_rows_are_the_certified_polynomial(self, rho_x7):
         # the utility LP's rows at the design's (lam, t) are the Bernstein
         # coefficients of the polynomial its certificate decides, piece by
-        # piece; a row entry is within its column's conversion bound E_j of
-        # the exact one or was zeroed below it, so a row is within
-        # 2*sum_j |coefficient_j|*E_j (coefficient 1 for the constant column)
+        # piece; both are within tau_3 of the exact ones (`nonneg_on_unit`)
         spec = DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16)
         rep = design_utility(spec)
         zt = rep.zeta_tilde
@@ -376,15 +414,12 @@ class TestStepRows:
         vec = np.append([rep.lam.coeff(j) for j in range(2, 17)], rep.t)
         rows = (b - A @ vec) / A[:, -1]  # the t column is 1 before scaling
         cp = compile_constraint(rep.lam, rep.t, rho_x7, 0.5, zt, spec.context().xi)
-        to_bern, left, right = sip_compile._bernstein_tables(cp.D)
-        pieces = (to_bern @ cp.coeffs)[None, :]
-        for _ in range(3):
-            pieces = sip_compile._halve(pieces, left, right)
+        pieces = sip_compile._pieces(cp.coeffs[None, :], 3)
         assert rows.size == pieces.size == 8 * (cp.D + 1)
-        _, _, cols = sip_compile._columns(rho_x7, 0.5, 16, zt)
-        E = (3 * cp.D + 2) * 2.0**-52 * np.abs(cols).sum(axis=1)
-        bound = 2.0 * (E[0] + vec[:-1] @ E[1:])
-        assert np.max(np.abs(rows - pieces.ravel())) <= bound
+        assert np.all(A >= 0.0)
+        tau_3 = cp.error + 3 * (2 * cp.D + 1) * 2.0**-52 * (np.max(np.abs(cp.coeffs))
+                                                             + 2.0 * cp.error)
+        assert np.max(np.abs(rows - pieces.ravel())) <= 2.0 * tau_3
 
 
 FIXTURE_NAMES = [f.name for f in load_fixtures()]
@@ -396,21 +431,24 @@ def _same_bytes(got, want) -> bool:
 
 
 class TestNpolyReferences:
-    """The in-place Horner and np.convolve paths against numpy's polynomial
-    routines, byte for byte, on every fixture."""
+    """The in-place Horner, the cached Pascal tables and the composition
+    against numpy's polynomial routines and references built afresh, byte
+    for byte, on every fixture."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_compose_and_columns(self, fixtures, name):
         f = fixtures.get(name)
         rho, ctx, d_v = f.ensemble.rho, fixture_context(f), f.params["d_v"]
         for zt in (0.0, ctx.zeta):
-            a, b, cols = sip_compile._columns(rho, ctx.epsilon, d_v, zt)
-            ra, rb, rcols = columns_reference(rho, ctx.epsilon, d_v, zt)
-            assert (a, b) == (ra, rb)
+            a, b, cols, bound = sip_compile._columns(rho, ctx.epsilon, d_v, zt)
+            ra, rb, rcols, rbound = columns_reference(rho, ctx.epsilon, d_v, zt)
+            assert (a, b, bound) == (ra, rb, rbound)
             assert _same_bytes(cols, rcols)
-            z_s = np.array([a, b - a])
+            pascal, _, _ = sip_compile._bernstein_tables(cols.shape[1] - 1)
+            z = np.array([a, b])
             for c in (rho.dense, npoly.polyder(rho.dense), f.ensemble.lam.dense):
-                assert _same_bytes(sip_compile._compose(c, z_s), compose_reference(c, z_s))
+                assert _same_bytes(sip_compile._compose(c, z, pascal),
+                                   compose_reference(c, z, pascal))
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_step_rows(self, fixtures, name):
@@ -430,14 +468,16 @@ class TestNpolyReferences:
             assert _same_bytes(_kernels._polyval(xs, c), npoly.polyval(xs, c))
             assert _same_bytes(_kernels._polyval(0.3, c), npoly.polyval(0.3, c))
         coeffs = compile_constraint(e.lam, 0.0, e.rho, ctx.epsilon, ctx.zeta, ctx.xi).coeffs
-        # the same polynomial lowered until it fails, so a witness joins the margin
-        lowered = coeffs.copy()
-        lowered[0] -= abs(margin_reference(coeffs)) + 1e-3
+        # the same polynomial lowered until it fails, so a witness joins the margin;
+        # lowering every Bernstein coefficient lowers p by as much
+        lowered = coeffs - (abs(margin_reference(coeffs)) + 1e-3)
         for a in (coeffs, lowered):
-            assert _same_bytes(_kernels._polyval(sip_compile._SAMPLES, a),
-                               npoly.polyval(sip_compile._SAMPLES, a))
             cert = nonneg_on_unit(a)
-            assert cert.margin == margin_reference(a, cert.witness)
+            want = margin_reference(a)
+            if not cert.passed:
+                assert exact_bernstein_value(a, cert.witness) < 0  # a fail proves p < 0 there
+                want = min(want, cert.witness_value)
+            assert cert.margin == want
         assert not nonneg_on_unit(lowered).passed
 
     def test_bernstein_tables_are_cached_and_read_only(self):

@@ -17,6 +17,7 @@ from ldpc_forge import (
     DesignSpec,
     DomainError,
     Ensemble,
+    NumericalFailure,
     check_successful,
     de_trace,
     design_min_iterations,
@@ -82,6 +83,12 @@ class TestLPSolve:
         assert res.dual_eq == pytest.approx([-1.0], abs=1e-8)
         assert res.dual_ub == pytest.approx([0.0], abs=1e-12)
         assert res.kkt_residual <= 1e-8
+
+    def test_vertex_off_a_row_is_rejected(self):
+        # HiGHS drops matrix entries below 1e-9, so it sees the first row as
+        # 0 <= 1e-10 and returns x = 5, which misses x <= 1 by 4e-10
+        with pytest.raises(NumericalFailure, match="primal infeasibility 4.000e-10"):
+            lp_solve(np.array([-1.0]), A_ub=[[1e-10], [1.0]], b_ub=[1e-10, 5.0])
 
     def test_infeasible_status(self):
         res = lp_solve(np.array([1.0]), A_ub=[[1.0]], b_ub=[-1.0])
