@@ -11,9 +11,9 @@ hashes and the command's wall time from its entry (per figure for
 `TRACE_BLOCK_ROWS` rows, never held whole as text, and only with --out.  A
 utility design's report also records the zeta_tilde it used; `design
 --zeta-tilde` with another objective, which has no anchor, is a usage
-error.  `design` and `reproduce` manifests also record the HiGHS options
-and the numpy, scipy and HiGHS versions, on which the low digits of a
-design depend.
+error.  `design` and `reproduce` manifests also record the LP's
+tolerances and the numpy and package versions, on which the low digits
+of a design depend.
 `main` parses with one parser per process, built on its first call.
 
 `certify` takes an ensemble, (epsilon, eta), the step size --t and an
@@ -25,7 +25,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 decoding or
 certificate failure (`evaluate` or `estimate` past the threshold, a
 failing `certify`, a `design` of any objective with status
 CertificateFail), 4 solver reported Infeasible, a min-iter design that
-ran out its Newton steps (IterLimit), or a numerical failure
+ran out its Newton steps or stalled (IterLimit), or a numerical failure
 (`NumericalFailure`, such as a design LP that fails its KKT gate).
 """
 
@@ -47,13 +47,13 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from . import estimators, sip_compile
+from . import __version__, estimators, sip_compile
 from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
 from .errors import DegenerateGap, LdpcForgeError, NumericalFailure
-from .solve import (DEFAULT_GRID_N, LP_OPTIONS, DesignSpec, SolveReport,
-                    design_min_iterations, design_rate, design_utility)
+from .solve import (DEFAULT_GRID_N, DUAL_TOL, PIVOT_TOL, PRIMAL_TOL, DesignSpec,
+                    SolveReport, design_min_iterations, design_rate, design_utility)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,26 +176,10 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _highs_version() -> Optional[str]:
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    parts = [getattr(_core, f"HIGHS_VERSION_{p}", None) for p in ("MAJOR", "MINOR", "PATCH")]
-    return None if None in parts else ".".join(str(p) for p in parts)
-
-
 def solver_settings() -> dict:
-    """LP options and library versions, for manifests of LP-backed runs.
-
-    scipy is imported here, the CLI's one reader of its version, so a
-    command that solves no LP loads no scipy module.
-    """
-    import scipy
-
-    return {"lp_options": dict(LP_OPTIONS),
-            "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
-                         "highs": _highs_version()}}
+    """LP tolerances and versions, for manifests of LP-backed runs."""
+    return {"lp_tolerances": {"primal": PRIMAL_TOL, "dual": DUAL_TOL, "pivot": PIVOT_TOL},
+            "versions": {"numpy": np.__version__, "ldpc_forge": __version__}}
 
 
 @dataclass

@@ -32,7 +32,8 @@ Three entry points over a common toolkit:
   matrix X has columns x^1 .. x^{d_v-1}, so its Hessian term
   X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
   p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
-  A design that runs out its `MAX_NEWTON_STEPS` steps is "IterLimit".
+  A design that runs out its `MAX_NEWTON_STEPS` steps, or whose line
+  search stalls, is "IterLimit".
 
 Neither iteration designer designs the rate ceiling first: the Bernstein
 LP they share, which carries the rate floor, decides whether R_d is
@@ -43,15 +44,18 @@ R_max is no special case.
 Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
-`lp_solve`, which solves each LP (all have inequality rows) by row
+`lp_solve`, a dense vertex method in the package (`_simplex`; Nocedal &
+Wright, 2006, ch. 13), since every LP has at most 31 unknowns and two
+equality rows.  It solves each LP (all have inequality rows) by row
 generation: a 4096-row design LP, of which a handful of rows are active,
-converges in two or three solves of at most a few hundred rows, and each
-zeta_tilde-tuning LP after the first starts from the last one's working
-set and usually needs one.
+converges in two or three rounds of at most a few hundred rows, each
+continuing from the last round's vertex.  The rate LP starts from
+lam = x^{d_v-1}, its tie-break LP from the rate-optimal vertex, and each
+zeta_tilde-tuning LP after the first from the last one's vertex and
+working set; only the other LPs run a phase one.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
-Every "Optimal" report carries a passed certificate.  HiGHS, through
-scipy.optimize, is imported on the first LP (`linprog`), so a command
-that solves none never loads scipy.optimize.
+Every "Optimal" report carries a passed certificate.  No command imports
+scipy.
 """
 
 from __future__ import annotations
@@ -76,19 +80,11 @@ TUNE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
 TUNE_L_MAX = 5000
 FLOOR_RELIEF = 1e-13  # relative raise of the rate floor of the utility LP and of min-iter
 WORKING_SET_N = 64  # `lp_solve`'s seed rows, and most rows added per round
-# HiGHS settings for every LP.  Presolve is off because it dominated every
-# design LP: one 4096-row rate LP took 4.9 s with it and 0.047 s without,
-# reaching the same vertex and objective.
-LP_OPTIONS = {"presolve": False,
-              "primal_feasibility_tolerance": 1e-10,
-              "dual_feasibility_tolerance": 1e-10}
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy.optimize import linprog as highs_linprog
-
-    return highs_linprog(*args, **kwargs)
+PRIMAL_TOL = 1e-10  # most that an LP vertex may miss any row by (the KKT gate)
+ROW_TOL = 1e-12  # most that a vertex step may leave a row missed by
+DUAL_TOL = 1e-12  # most that an LP multiplier may fall below 0 at an optimum
+PIVOT_TOL = 1e-11  # least pivot, relative to its row and direction
+LP_MAX_STEPS = 10_000  # vertex steps of one `_simplex` call
 
 
 def _check_grid_n(grid_n: int) -> None:
@@ -152,134 +148,174 @@ class LPResult:
     dual_eq: np.ndarray
     status: str
     kkt_residual: float
-    working_set: np.ndarray  # the A_ub rows HiGHS saw last
+    working_set: np.ndarray  # the A_ub rows of the last round
 
 
-def _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res) -> np.ndarray:
-    """Snap x onto its active set so dual-active rows hold with equality.
+def _pick(ratio: np.ndarray) -> Optional[int]:
+    """The index of the least finite ratio, the lowest on a tie (as Bland's rule asks)."""
+    k = int(np.argmin(ratio))
+    return None if ratio[k] == np.inf else k
 
-    A degenerate vertex can carry duals of order 1e3 while the reported x
-    misses the active rows by solver roundoff; the product then dwarfs the
-    true complementarity error.  The minimum-norm correction restores an
-    exactly complementary pair without moving x materially.
+
+def _simplex(c, G, h, n_eq, w):
+    """Minimize c @ x s.t. G @ x <= h, the first n_eq rows with equality, by vertex steps.
+
+    The last c.size rows of G are -I (x >= 0).  A vertex is n = c.size
+    rows, the sorted positions w: x solves G[w] @ x = h[w] (a bound row
+    of w sets its x_j to exactly 0), and the multipliers y solve
+    G[w]' @ y = -c, >= 0 on inequality rows at the optimum.  While x
+    misses a row by more than `ROW_TOL`, a dual step brings in the row
+    it misses most in place of the row whose multiplier reaches zero first,
+    the cost first shifted, if need be, so that no multiplier is negative
+    (that is phase one).  Once x meets every row, the cost is c again and
+    a primal step drops the row with the most negative multiplier and moves
+    along the edge to the first row it meets.  The row to bring in or drop
+    is Dantzig's choice; a degenerate step (one that moves nothing)
+    switches it to Bland's lowest-index rule until a step moves, and ties
+    in the ratio test always go to the lowest index, so no basis repeats
+    (Bland, Math. Oper. Res. 1977).  Returns (status, w, x, y).
     """
-    rows = []
-    rhs = []
-    act = mu > 1e-11
-    if np.any(act):
-        rows.append(A_ub[act])
-        rhs.append(b_ub[act])
-    if A_eq is not None:
-        rows.append(np.asarray(A_eq, dtype=np.float64))
-        rhs.append(np.asarray(b_eq, dtype=np.float64))
-    at_zero = np.abs(np.asarray(res.lower.marginals)) > 1e-11  # x_j = 0 binds
-    if np.any(at_zero):
-        rows.append(np.eye(x.size)[at_zero])
-        rhs.append(np.zeros(int(at_zero.sum())))
-    if not rows:
-        return x
-    A_sys = np.vstack(rows)
-    r = np.concatenate(rhs) - A_sys @ x
-    delta, *_ = np.linalg.lstsq(A_sys, r, rcond=None)
-    if not np.all(np.isfinite(delta)) or float(np.max(np.abs(delta))) > 1e-5:
-        return x
-    x_new = x + delta
-    if float(np.min(b_ub - A_ub @ x_new)) < -1e-9:
-        return x
-    if np.any(x_new < -1e-9):
-        return x
-    return x_new
+    n = c.size
+    ineq = np.arange(h.size) >= n_eq
+    size = np.abs(G).max(axis=1)
+    cost, bland = c, False
+    for _ in range(LP_MAX_STEPS):
+        B = G[w]
+        x = np.linalg.solve(B, h[w])
+        x[w[w >= h.size - n] - (h.size - n)] = 0.0
+        y = np.linalg.solve(B.T, -cost)
+        out = G @ x - h
+        out[w] = -np.inf
+        out[~ineq] = -np.inf
+        if out.max() > ROW_TOL:
+            if np.any(ineq[w] & (y < -DUAL_TOL)):
+                # a floor above 0, not 0 itself, keeps the dual steps from stalling
+                y = np.where(ineq[w], np.maximum(y, 1e-6), y)
+                cost = -B.T @ y
+            missed = np.flatnonzero(out > ROW_TOL)
+            p = missed[0] if bland else missed[np.argmax(out[missed])]
+            u = np.linalg.solve(B.T, G[p])
+            ok = ineq[w] & (u > PIVOT_TOL * np.abs(u).max())
+            ratio = np.full(n, np.inf)
+            ratio[ok] = np.where(y[ok] > DUAL_TOL, y[ok], 0.0) / u[ok]
+            k = _pick(ratio)
+            if k is None:
+                return "Infeasible", w, x, y
+        else:
+            if cost is not c:
+                cost = c
+                continue
+            neg = np.flatnonzero(ineq[w] & (y < -DUAL_TOL))
+            if neg.size == 0:
+                return "Optimal", w, x, y
+            k = int(neg[0] if bland else neg[np.argmin(y[neg])])
+            d = np.linalg.solve(B, -np.eye(n)[k])
+            rate = G @ d
+            rate[w] = 0.0
+            ok = ineq & (rate > PIVOT_TOL * size * np.abs(d).max())
+            ratio = np.full(h.size, np.inf)
+            ratio[ok] = np.where(out[ok] < -ROW_TOL, -out[ok], 0.0) / rate[ok]
+            p = _pick(ratio)
+            if p is None:
+                return "Unbounded", w, x, y
+        bland = ratio.min() == 0.0  # a degenerate step
+        w[k] = p
+        w.sort()
+    raise NumericalFailure(f"LP ran out its LP_MAX_STEPS={LP_MAX_STEPS} vertex steps")
 
 
-def _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, start_rows):
-    """HiGHS on a working set of the rows of A_ub, grown until x meets all.
+def _crash(G, h, n_eq, x0):
+    """Sorted positions of n independent rows of G that hold at x0: the
+    equality rows, then the rows x0 meets within `ROW_TOL` from the
+    tightest, then the bounds, each kept if it is independent of those
+    before it (Gram-Schmidt)."""
+    n = x0.size
+    slack = h - G @ x0
+    tight = np.flatnonzero(slack[n_eq:] <= ROW_TOL) + n_eq
+    order = np.concatenate([np.arange(n_eq), tight[np.argsort(slack[tight], kind="stable")],
+                            np.arange(h.size - n, h.size)])
+    Q, chosen = np.zeros((n, 0)), []
+    for i in order:
+        r = G[i] - Q @ (Q.T @ G[i])
+        norm = float(np.linalg.norm(r))
+        if norm > 1e-9 * np.linalg.norm(G[i]):
+            Q = np.column_stack([Q, r / norm])
+            chosen.append(i)
+            if len(chosen) == n:
+                break
+    return np.sort(np.array(chosen, dtype=np.intp))
 
-    Returns the last backend result, its row duals padded with zeros off
-    the working set, and the working set's row indices.  An infeasible
-    working set is a relaxation of the full LP, so it is returned as it
-    stands; an unbounded one is widened to every row and solved again, as
-    is one HiGHS reports as unbounded or infeasible.
+
+def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None, start=None) -> LPResult:
+    """Minimize c @ x over x >= 0 by row generation around `_simplex`, and verify the KKT residual.
+
+    Every LP here has inequality rows A_ub @ x <= b_ub, so they are
+    required; equality rows are optional.  `_simplex` runs on a working
+    set of the rows of A_ub: `WORKING_SET_N` evenly spaced rows (all of
+    them when there are no more), the indices `start_rows` and the rows of
+    the start vertex; after each solve, up to `WORKING_SET_N` of the rows
+    that x violates most by more than `ROW_TOL` join it, and the next
+    solve continues from the last vertex, until x violates none.  An
+    infeasible working set is a relaxation of the LP, so the LP is
+    Infeasible; an unbounded one is widened to every row.  The start is
+    the vertex that the rows holding at `start` span (`_crash`), or, with
+    no start, the one the equality rows and the bounds x_j = 0 span.  The
+    vertex solves its own rows exactly, and is checked against all rows:
+    each within `PRIMAL_TOL`, complementary slackness at 1e-8 and
+    stationarity at 1e-6 (relative to the dual magnitude); `dual_ub` is
+    zero off the working set, and `working_set` lists it, ready to start a
+    related LP with the same rows.
+    Returns status "Optimal", "Infeasible", or "Unbounded"; raises
+    NumericalFailure on a failed check.
     """
-    m = b_ub.size
+    c = np.asarray(c, dtype=np.float64)
+    n = c.size
+    A_ub = np.asarray(A_ub, dtype=np.float64)
+    b_ub = np.asarray(b_ub, dtype=np.float64)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
+    b_eq = np.asarray([] if b_eq is None else b_eq, dtype=np.float64)
+    m, e = b_ub.size, b_eq.size
+    G = np.vstack([A_eq, A_ub, -np.eye(n)])
+    h = np.concatenate([b_eq, b_ub, np.zeros(n)])
+    basis = _crash(G, h, e, np.zeros(n) if start is None else np.asarray(start, dtype=np.float64))
     active = np.zeros(m, dtype=bool)
     # evenly spaced seed rows; every row when there are no more than that
     active[np.round(np.linspace(0, m - 1, WORKING_SET_N)).astype(np.intp)] = True
     if start_rows is not None:
         active[start_rows] = True
-    tol = LP_OPTIONS["primal_feasibility_tolerance"]
+    active[basis[(basis >= e) & (basis < e + m)] - e] = True
     while True:
         rows = np.flatnonzero(active)
-        res = linprog(c, A_ub=A_ub[rows], b_ub=b_ub[rows], A_eq=A_eq, b_eq=b_eq,
-                      method="highs", options=LP_OPTIONS)
-        if res.status in (3, 4) and rows.size < m:
+        L = np.concatenate([np.arange(e), rows + e, np.arange(e + m, e + m + n)])
+        status, w, x, y = _simplex(c, G[L], h[L], e, np.searchsorted(L, basis))
+        basis = L[w]
+        if status == "Unbounded" and rows.size < m:
             active[:] = True
             continue
-        if res.status != 0:
-            return res, None, rows
-        excess = A_ub @ res.x - b_ub
+        if status != "Optimal":
+            return LPResult(np.array([]), np.nan, np.array([]), np.array([]), status, 0.0, rows)
+        excess = A_ub @ x - b_ub
         excess[active] = -np.inf
-        new = np.flatnonzero(excess > tol)
+        new = np.flatnonzero(excess > ROW_TOL)
         if new.size == 0:
-            mu = np.zeros(m)
-            mu[rows] = -np.asarray(res.ineqlin.marginals)  # mu >= 0
-            return res, mu, rows
+            break
         active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
 
-
-def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None) -> LPResult:
-    """Minimize c @ x over x >= 0 with HiGHS by row generation and verify the KKT residual.
-
-    Every LP here has inequality rows A_ub @ x <= b_ub, so they are
-    required; equality rows are optional.
-    HiGHS runs with `LP_OPTIONS` on a working set of the rows of A_ub:
-    `WORKING_SET_N` evenly spaced rows (all of them when there are no
-    more) and the indices `start_rows`, then, after each solve, up to
-    `WORKING_SET_N` of the rows that x violates most by more than the
-    primal feasibility tolerance, until x violates none.  The LP is
-    unchanged, and so is its optimum; only the rows HiGHS factors shrink.
-    The returned vertex is polished onto its active set over all the rows,
-    then checked against all of them: each row within the primal
-    feasibility tolerance (HiGHS drops matrix entries below 1e-9, so its
-    vertex may miss a row), complementary slackness at 1e-8 and
-    stationarity at 1e-6 (relative to the dual magnitude); `dual_ub` is
-    zero off the working set, and `working_set` lists it, ready to start a
-    related LP with the same rows.
-    Returns status "Optimal", "Infeasible", or "Unbounded"; raises
-    NumericalFailure on any other backend report or a failed check.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    A_ub = np.asarray(A_ub, dtype=np.float64)
-    b_ub = np.asarray(b_ub, dtype=np.float64)
-    nu = np.array([])
-    res, mu, rows = _working_set_solve(c, A_ub, b_ub, A_eq, b_eq, start_rows)
-    if res.status in (2, 3):
-        return LPResult(np.array([]), np.nan, np.array([]), np.array([]),
-                        {2: "Infeasible", 3: "Unbounded"}[res.status], 0.0, rows)
-    if res.status != 0:
-        raise NumericalFailure(f"LP backend: {res.message}")
-
-    x = np.asarray(res.x)
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=np.float64)
-        nu = -np.asarray(res.eqlin.marginals)
-    x = _polish_vertex(x, mu, A_ub, b_ub, A_eq, b_eq, res)
+    dual = np.zeros(h.size)
+    dual[basis] = y
+    nu, mu, reduced = dual[:e], dual[e:e + m], dual[e + m:]
     fun = float(c @ x)
-    excess = np.append(A_ub @ x - b_ub, [] if A_eq is None else np.abs(A_eq @ x - b_eq)).max()
-    if excess > LP_OPTIONS["primal_feasibility_tolerance"]:
-        raise NumericalFailure(f"primal infeasibility {excess:.3e} exceeds "
-                               f"{LP_OPTIONS['primal_feasibility_tolerance']:g}")
+    excess = np.append(A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq)).max()
+    if excess > PRIMAL_TOL:
+        raise NumericalFailure(f"primal infeasibility {excess:.3e} exceeds {PRIMAL_TOL:g}")
 
     # stationarity: c + A_ub' mu + A_eq' nu - (reduced costs at x >= 0) = 0
     cs = float(np.max(np.abs(mu * (b_ub - A_ub @ x))))
-    grad = c + A_ub.T @ mu
-    dual_scale = max(float(np.max(np.abs(c))), float(np.max(np.abs(mu))))
-    if A_eq is not None:
-        grad = grad + A_eq.T @ nu
-        if nu.size:
-            dual_scale = max(dual_scale, float(np.max(np.abs(nu))))
-    grad = grad - np.asarray(res.lower.marginals)
+    grad = c + A_ub.T @ mu + A_eq.T @ nu - reduced
+    dual_scale = max(float(np.max(np.abs(c))), float(np.max(np.abs(mu))),
+                     float(np.max(np.abs(nu), initial=0.0)))
     cs_rel = cs / (1.0 + abs(fun))
-    stat_rel = (float(np.max(np.abs(grad))) if grad.size else 0.0) / (1.0 + dual_scale)
+    stat_rel = float(np.max(np.abs(grad))) / (1.0 + dual_scale)
     if cs_rel > 1e-8:
         raise NumericalFailure(
             f"complementary-slackness residual {cs_rel:.3e} exceeds 1e-8")
@@ -378,11 +414,12 @@ def design_rate(
     eq = np.ones((1, d_v - 1))
     c2 = np.zeros(d_v - 1)
     c2[0] = 1.0
+    top = np.eye(d_v - 1)[-1]  # lam = x^{d_v-1}: feasible whenever the LP is (`_reach_note`)
     A = _vandermonde(xs, d_v)
     b = psi(ctx, xs) - MARGIN
     rounds = 0
     while True:
-        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
+        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0], start=top)
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}: "
                                        f"{_reach_note(xs, b, epsilon, d_v)}")
@@ -390,7 +427,8 @@ def design_rate(
         vec, note = lp.x, ""
         try:
             second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=np.vstack([eq, inv_degrees]),
-                              b_eq=[1.0, -lp.objective])
+                              b_eq=[1.0, -lp.objective], start_rows=lp.working_set,
+                              start=lp.x)
         except NumericalFailure as exc:
             note = f"tie-break LP rejected ({exc}); kept the rate-optimal vertex"
         else:
@@ -430,14 +468,14 @@ def _rate_floor(spec: DesignSpec) -> tuple[np.ndarray, float]:
 
 
 def _utility_lp(spec: DesignSpec, zt: float, halvings: int,
-                start_rows: Optional[np.ndarray]) -> LPResult:
+                start_rows: Optional[np.ndarray] = None, start=None) -> LPResult:
     """Maximize t s.t. the `step_rows` on 2^halvings pieces and the `_rate_floor`, the last row."""
     A, b = step_rows(spec.rho, spec.epsilon, spec.d_v, zt, halvings)
     inv_degrees, q = _rate_floor(spec)
     floor = np.append(-inv_degrees, 0.0)
     return lp_solve(np.append(np.zeros(spec.d_v - 1), -1.0), A_ub=np.vstack([A, floor]),
                     b_ub=np.append(b, -q), A_eq=np.append(np.ones(spec.d_v - 1), 0.0)[None, :],
-                    b_eq=[1.0], start_rows=start_rows)
+                    b_eq=[1.0], start_rows=start_rows, start=start)
 
 
 def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
@@ -447,7 +485,7 @@ def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
     the result is the 2^8-piece LP when none is Optimal.
     """
     for halvings in range(3, 9):
-        lp = _utility_lp(spec, zt, halvings, start_rows=None)
+        lp = _utility_lp(spec, zt, halvings)
         if lp.status == "Optimal":
             break
     return lp
@@ -467,15 +505,15 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> float:
     nearest zeta; 0.5*zeta if none decodes).  The pieces bound P on all of
     [zeta_tilde, xi], so unlike z-uniform grids they keep 8*zeta for Fig. 2.
     """
-    best_n, best_zt, rows = None, 0.5 * ctx.zeta, None
+    best_n, best_zt, rows, x0 = None, 0.5 * ctx.zeta, None, None
     for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
         try:
-            res = _utility_lp(spec, zt, 3, start_rows=rows)
+            res = _utility_lp(spec, zt, 3, start_rows=rows, start=x0)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
             continue
-        rows = res.working_set
+        rows, x0 = res.working_set, res.x
         lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
         n = de_trace(Ensemble(lam, spec.rho), ctx, TUNE_L_MAX).iterations
         if n is not None and (best_n is None or n < best_n):
@@ -522,7 +560,7 @@ def _hankel(n: int) -> np.ndarray:
     return np.add.outer(np.arange(n), np.arange(n)) + 1
 
 
-def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, bool]:
+def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str]:
     """Null-space active-set Newton for sum w/g over the simplex and the rate floor.
 
     From the start vertex v (g = psi - X v > 0) the working set holds
@@ -542,10 +580,12 @@ def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, b
     gradient entry, the bound or floor with the most negative multiplier
     below -`KKT_TOL` leaves the working set; with none, v is optimal.
 
-    Returns (v, KKT residual, converged): the residual is the larger of
-    the projected gradient and the most negative multiplier, relative to
-    the largest gradient entry; converged is False after
-    `MAX_NEWTON_STEPS` steps.
+    Returns (v, KKT residual, note): the residual is the larger of the
+    projected gradient and the most negative multiplier, relative to the
+    largest gradient entry; the note is empty at convergence, and says why
+    the run stopped short after `MAX_NEWTON_STEPS` steps or at the first
+    step whose line search halves alpha to 1e-12 without reaching a
+    bound, which would only repeat itself.
     """
     n = v.size
     X = M[:, :n]
@@ -553,7 +593,7 @@ def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, b
     active = np.append(v <= 2.0**-53 * np.abs(v).sum(), False)  # the bounds, then the floor
     v = np.where(active[:n], 0.0, v)
     rows = np.vstack([np.ones(n), -inv_degrees])
-    for _ in range(MAX_NEWTON_STEPS):
+    for step in range(1, MAX_NEWTON_STEPS + 1):
         g = psi_vals - X @ v
         moments = M.T @ np.column_stack([w / g**2, 2.0 * w / g**3])
         grad = moments[:n, 0]
@@ -571,7 +611,7 @@ def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, b
         gap = max(projected, -float(mu.min(initial=0.0)))
         if projected <= KKT_TOL:
             if gap <= KKT_TOL:
-                return v, gap, True
+                return v, gap, ""
             active[np.flatnonzero(active)[np.argmin(mu)]] = False
             continue
         H = moments[hankel[np.ix_(free, free)], 1]
@@ -593,14 +633,15 @@ def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, b
                 break
             alpha *= 0.5
             if alpha <= 1e-12:
-                alpha = 0.0
-                break
+                return v, gap, (f"active-set Newton line search stalled at step {step} "
+                                f"at KKT residual {gap:.3e}")
         v = v + alpha * p
         if alpha == ratios[blocking]:
             active[blocking] = True
             if blocking < n:
                 v[blocking] = 0.0
-    return v, gap, False
+    return v, gap, (f"active-set Newton ran out its MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
+                    f"steps at KKT residual {gap:.3e}")
 
 
 def design_min_iterations(spec: DesignSpec) -> SolveReport:
@@ -620,7 +661,8 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     makes the design "Infeasible", and only then is the rate ceiling
     designed, to say why (`_explain`).  `_active_set` runs from that
     vertex, and `optimality_gap` is its KKT residual.  A run that ends at
-    `MAX_NEWTON_STEPS` is "IterLimit"; otherwise the certificate of
+    `MAX_NEWTON_STEPS` or on a stalled line search is "IterLimit", with
+    the step and residual in `detail`; otherwise the certificate of
     psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
     (lam kept).  Either way the certificate rides along, and
     max_violation is -certificate.margin.  Unused degrees are exact zeros,
@@ -641,17 +683,15 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     if slack <= 1e-10:  # -inf when the LP has no optimum on 2^8 pieces
         return _infeasible("min-iter", _explain(spec, (
             f"no interior start point (Bernstein LP {lp.status}, node slack {slack:.3e})")))
-    v, gap, converged = _active_set(lp.x[:-1], M, psi_vals, w, *_rate_floor(spec))
+    v, gap, stop = _active_set(lp.x[:-1], M, psi_vals, w, *_rate_floor(spec))
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
     obj = float(np.sum(w / g)) if g.min() > 0.0 else np.inf
     cert = certify(compile_constraint(lam, 0.0, spec.rho, ctx.epsilon, ctx.zeta, ctx.xi))
     status, why = _verdict(cert)
-    if not converged:
-        status = "IterLimit"
-        why = _join(f"active-set Newton ran out its MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
-                    f"steps at KKT residual {gap:.3e}", why)
+    if stop:
+        status, why = "IterLimit", _join(stop, why)
     return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
                        optimality_gap=gap, status=status, certificate=cert,
                        method="min-iter", detail=why)

@@ -193,27 +193,27 @@ def lp_vertex_enumeration_oracle(c, A_ub, b_ub, A_eq=None, b_eq=None):
 
 
 def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None):
-    """One HiGHS solve over x >= 0 on every row under the package's `LP_OPTIONS`.
+    """One HiGHS solve, through scipy, over x >= 0 on every row.
 
-    The single-shot LP that `lp_solve`'s row generation must reproduce;
-    no working set, polish or KKT gate.
+    An independent LP code: the single-shot LP that `lp_solve`'s row
+    generation and vertex method must reproduce, with no working set or
+    KKT gate.  Presolve is off: it took seconds on the 4096-row rate LPs.
     """
     from scipy.optimize import linprog
 
-    from ldpc_forge.solve import LP_OPTIONS
-
     return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs",
-                   options=LP_OPTIONS)
+                   options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
 
 
 def failing_tie_break(lp_solve):
     """`lp_solve` that fails the rate tie-break LP, the one with two equality rows."""
     from ldpc_forge import NumericalFailure
 
-    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, start_rows=None):
+    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **starts):
         if A_eq is not None and len(A_eq) == 2:
             raise NumericalFailure("complementary-slackness residual forced to fail")
-        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, start_rows=start_rows)
+        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **starts)
     return solve
 
 

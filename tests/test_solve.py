@@ -84,11 +84,25 @@ class TestLPSolve:
         assert res.dual_ub == pytest.approx([0.0], abs=1e-12)
         assert res.kkt_residual <= 1e-8
 
-    def test_vertex_off_a_row_is_rejected(self):
-        # HiGHS drops matrix entries below 1e-9, so it sees the first row as
-        # 0 <= 1e-10 and returns x = 5, which misses x <= 1 by 4e-10
+    def test_vertex_off_a_row_is_rejected(self, monkeypatch):
+        # a vertex that misses the equality row by 4e-10 fails the primal gate
+        real = solve._simplex
+
+        def off_the_row(*args):
+            status, w, x, y = real(*args)
+            return status, w, x + 4e-10, y
+
+        monkeypatch.setattr(solve, "_simplex", off_the_row)
         with pytest.raises(NumericalFailure, match="primal infeasibility 4.000e-10"):
-            lp_solve(np.array([-1.0]), A_ub=[[1e-10], [1.0]], b_ub=[1e-10, 5.0])
+            lp_solve(np.array([1.0, 2.0]), A_ub=[[1.0, 1.0]], b_ub=[2.0],
+                     A_eq=[[1.0, 0.0]], b_eq=[1.0])
+
+    def test_tiny_matrix_entries_bind(self):
+        # x <= 1 written as 1e-10*x <= 1e-10: the vertex honours the row
+        # (HiGHS drops entries below 1e-9 and returned x = 5)
+        res = lp_solve(np.array([-1.0]), A_ub=[[1e-10], [1.0]], b_ub=[1e-10, 5.0])
+        assert res.status == "Optimal"
+        assert res.x == pytest.approx([1.0], abs=1e-12)
 
     def test_infeasible_status(self):
         res = lp_solve(np.array([1.0]), A_ub=[[1.0]], b_ub=[-1.0])
@@ -98,6 +112,43 @@ class TestLPSolve:
     def test_unbounded_status(self):
         res = lp_solve(np.array([-1.0]), A_ub=[[-1.0]], b_ub=[0.0])
         assert res.status == "Unbounded"
+
+    def test_infeasible_with_equality_rows(self):
+        # x1 + x2 = 1 against x1 + x2 <= 0.5; and x1 - x2 = 0 with x1 + x2 = 1
+        # against x1 >= 0.6: each needs a phase one to find out
+        res = lp_solve(np.array([1.0, 1.0]), A_ub=[[1.0, 1.0]], b_ub=[0.5],
+                       A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        assert res.status == "Infeasible"
+        res = lp_solve(np.array([0.0, 1.0]), A_ub=[[-1.0, 0.0]], b_ub=[-0.6],
+                       A_eq=[[1.0, -1.0], [1.0, 1.0]], b_eq=[0.0, 1.0])
+        assert res.status == "Infeasible"
+
+    def test_unbounded_along_an_edge(self):
+        # min -x1 - x3 with x3 = 1 and x1 - x2 <= 1: the ray x1 = x2 + 1
+        res = lp_solve(np.array([-1.0, 0.0, -1.0]), A_ub=[[1.0, -1.0, 0.0]], b_ub=[1.0],
+                       A_eq=[[0.0, 0.0, 1.0]], b_eq=[1.0])
+        assert res.status == "Unbounded"
+
+    def test_beale_cycling_example(self, monkeypatch):
+        # Beale (1955), the classic LP on which the textbook simplex cycles
+        # under Dantzig's rule: degenerate at the origin, where the steps
+        # here switch to Bland's rule
+        c = np.array([-0.75, 150.0, -0.02, 6.0])
+        A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        real = solve._pick
+        degenerate = []
+
+        def spy(ratio):
+            degenerate.append(ratio.min() == 0.0)  # the next step runs Bland's rule
+            return real(ratio)
+
+        monkeypatch.setattr(solve, "_pick", spy)
+        res = lp_solve(c, A_ub=A, b_ub=[0.0, 0.0, 1.0])
+        assert res.status == "Optimal"
+        assert res.objective == pytest.approx(-1.0 / 20.0, rel=1e-12)
+        assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+        assert any(degenerate)
 
     def test_matches_vertex_enumeration(self, rng):
         # bounded random polytopes containing the origin
@@ -138,10 +189,10 @@ class TestLPSolve:
 
         real = solve.lp_solve
 
-        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, start_rows=None):
+        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **starts):
             if wanted(c):
                 raise Posed(c, A_ub, b_ub, A_eq, b_eq)
-            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, start_rows=start_rows)
+            return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **starts)
 
         monkeypatch.setattr(solve, "lp_solve", grab)
         with pytest.raises(Posed) as caught:
@@ -169,14 +220,44 @@ class TestLPSolve:
         assert ref.status == 0
         res = lp_solve(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq)
         assert res.status == "Optimal"
-        # the polish onto the active rows moves the utility LP's t (3.5e-4)
-        # by 3.8e-16 from HiGHS's unpolished vertex, on a single solve of all
-        # rows too; the absolute floor admits that much and no more
+        # the exact vertex and HiGHS's differ in the utility LP's t (1.5e-4)
+        # by 5e-17; the absolute floor admits that much and no more
         assert res.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-15)
         assert np.max(np.abs(res.x - ref.x)) <= 1e-9
         assert np.all(A @ res.x <= b + 1e-10)
         assert res.dual_ub.shape == (A.shape[0],)
         assert np.all(res.dual_ub[b - A @ res.x > 1e-9] == 0.0)
+
+    @pytest.mark.parametrize("cell", [(0.52, 16), (0.48, 12), (0.50, 20), (0.48, 16),
+                                      (0.50, 16), "fig2_utility", "mix_dv30_tie_break"],
+                             ids=lambda cell: cell if isinstance(cell, str)
+                             else "rate_eps{}_dv{}".format(*cell))
+    def test_matches_highs(self, rho_x7, rho_mix, monkeypatch, cell):
+        # HiGHS as an independent oracle, posed cold: the rate LPs of the five
+        # defect-A cells (ROADMAP item 1), the Fig. 2 utility LP at 8*zeta, and
+        # the d_v 30 mix rate tie-break LP with its two equality rows
+        if cell == "fig2_utility":
+            spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, d_v=16, R_d=0.45)
+            design, wanted = (lambda: design_utility(
+                replace(spec, zeta_tilde=8.0 * spec.context().zeta)), lambda c: True)
+        elif cell == "mix_dv30_tie_break":
+            design, wanted = lambda: design_rate(rho_mix, MIX_EPS, 30), lambda c: c[0] == 1.0
+        else:
+            design, wanted = lambda: design_rate(rho_x7, *cell), lambda c: True
+        c, A, b, A_eq, b_eq = self._posed_lp(monkeypatch, design, wanted)
+        ref = full_lp_reference(c, A, b, A_eq, b_eq)
+        res = lp_solve(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq)
+        assert res.status == {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}[ref.status]
+        # HiGHS's vertex misses rows by up to ~2e-12, which lowers its objective
+        # by at most those misses priced at this vertex's multipliers (weak
+        # duality): 2.8e-7 on the tie-break, whose optimum moves 1e5 times as
+        # fast as its rate pin, and below 1e-9 relative on the others
+        priced = (res.dual_ub @ np.maximum(A @ ref.x - b, 0.0)
+                  + res.dual_eq @ (np.asarray(A_eq) @ ref.x - np.asarray(b_eq)))
+        tol = 1e-9 * abs(ref.fun)
+        assert -tol <= res.objective - ref.fun <= priced + tol
+        if cell != "mix_dv30_tie_break":
+            assert res.objective == pytest.approx(ref.fun, rel=1e-9)
 
     def test_unbounded_until_a_row_outside_the_seed(self, monkeypatch):
         # max x: only row 1 bounds it, and no evenly spaced seed holds row 1
@@ -185,13 +266,13 @@ class TestLPSolve:
         b = np.zeros(m)
         A[1, 0], b[1] = 1.0, 3.0
         sizes = []
-        real = solve.linprog
+        real = solve._simplex
 
-        def spy(c, A_ub=None, b_ub=None, **kw):
-            sizes.append(len(A_ub))
-            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+        def spy(c, G, h, n_eq, w):
+            sizes.append(len(h) - c.size - n_eq)  # the rows of A_ub in the round
+            return real(c, G, h, n_eq, w)
 
-        monkeypatch.setattr(solve, "linprog", spy)
+        monkeypatch.setattr(solve, "_simplex", spy)
         res = lp_solve(np.array([-1.0]), A_ub=A, b_ub=b)
         assert sizes == [solve.WORKING_SET_N, m]  # seed, then every row
         assert res.status == "Optimal"
@@ -323,16 +404,28 @@ class TestDesignRate:
         assert np.array_equal(a.lam.dense, b.lam.dense)
         assert a.objective == b.objective
 
-    def test_mix_rate_lp_near_ratio_0947(self, rho_mix):
+    def test_mix_rate_lp_near_ratio_0947(self, rho_mix, monkeypatch):
         # eps halfway between ratios 0.9 and 1 at R_d = 0.5, and eps = 0.46:
-        # the tie-break LP's vertex misses the 1e-8 complementary-slackness
-        # gate (residuals 8.0e-7 and 7.1e-7), so the first LP's vertex is kept
+        # HiGHS's tie-break vertex missed the 1e-8 complementary-slackness
+        # gate here (residuals 8.0e-7 and 7.1e-7); the exact vertex meets it
+        real = solve.lp_solve
+        tie_breaks = []
+
+        def spy(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **starts):
+            res = real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **starts)
+            if len(A_eq) == 2:
+                tie_breaks.append(res.kkt_residual)
+            return res
+
+        monkeypatch.setattr(solve, "lp_solve", spy)
         for eps in (0.5 * (MIX_EPS + 0.5), 0.46):
             rep = design_rate(rho_mix, eps, 16)
             assert rep.status == "Optimal"
             assert rep.certificate.passed
             assert rep.max_violation <= solve.MARGIN
-            assert "tie-break LP rejected" in rep.detail
+            assert rep.detail == ""
+        assert len(tie_breaks) >= 2
+        assert max(tie_breaks) <= 1e-8
 
     def test_dv30_tie_break_passes(self, rho_mix):
         # the tie-break vertex of the d_v = 30 rate ceiling at ratio 0.90
@@ -673,6 +766,27 @@ class TestDesignMinIterations:
         assert rep.status == "Optimal"
         assert 0 < len(steps) <= 50
 
+    def test_stalled_line_search_stops_at_once(self, rho_x7, monkeypatch):
+        # the Newton step turned uphill: no alpha down to 1e-12 decreases the
+        # objective, so the run stops after that one step, not after 100
+        real = np.linalg.lstsq
+        steps = []
+
+        def uphill(*args, **kwargs):
+            steps.append(1)
+            p, *rest = real(*args, **kwargs)
+            return (-p, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", uphill)
+        rep = design_min_iterations(DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5,
+                                               R_d=0.45, d_v=16, grid_n=512))
+        assert len(steps) == 1
+        assert rep.status == "IterLimit"
+        assert rep.optimality_gap > solve.KKT_TOL
+        assert rep.detail.startswith(
+            f"active-set Newton line search stalled at step 1 at KKT residual "
+            f"{rep.optimality_gap:.3e}")
+
     def test_optimal_carries_a_passed_certificate(self, miniter_045):
         _, rep = miniter_045
         assert rep.status == "Optimal"
@@ -739,8 +853,8 @@ class TestTuneZetaTilde:
     def test_fig2_calls(self, rho_x7, monkeypatch):
         spec = DesignSpec(rho=rho_x7, epsilon=X7_EPS, eta=1e-5, R_d=0.45, d_v=16)
         sizes, solves = [], []
-        real_bisect, real_utility_lp, real_linprog = (
-            _kernels.bisect_increasing, solve._utility_lp, solve.linprog)
+        real_bisect, real_utility_lp, real_simplex = (
+            _kernels.bisect_increasing, solve._utility_lp, solve._simplex)
 
         def bisect(coef, targets, tol):
             sizes.append(np.asarray(targets).size)
@@ -750,13 +864,13 @@ class TestTuneZetaTilde:
             solves.append(0)
             return real_utility_lp(*args, **kwargs)
 
-        def linprog(*args, **kwargs):
+        def simplex(*args):
             solves[-1] += 1
-            return real_linprog(*args, **kwargs)
+            return real_simplex(*args)
 
         monkeypatch.setattr(_kernels, "bisect_increasing", bisect)
         monkeypatch.setattr(solve, "_utility_lp", utility_lp)
-        monkeypatch.setattr(solve, "linprog", linprog)
+        monkeypatch.setattr(solve, "_simplex", simplex)
         assert design_utility(spec).status == "Optimal"
         n = _n_candidates(spec)
         # each candidate's rows invert its anchor alone, the chosen anchor's
