@@ -5,8 +5,8 @@ staircase bouncing between the variable-side polynomial lam(x) and the
 check-side transfer curve psi(x).  On top of that picture it provides:
 
 * `de_engine` - the erasure recursion, which gives the exact iteration
-  count, psi and its derivative, the one inversion
-  x -> z = rho^{-1}(1 - x), and the success check;
+  count, psi and its derivative, and the one inversion
+  x -> z = rho^{-1}(1 - x);
 * `estimators` - the iteration approximation approx_N and its floor (over
   the recursion variable P, with no inverse of rho), the bottleneck
   utility, and the x-domain integral reference (`CurvePair`);
@@ -24,8 +24,7 @@ check-side transfer curve psi(x).  On top of that picture it provides:
 """
 
 from .de_engine import (DEContext, DecodingTrace, MaxIterations, ReachedTarget,
-                        Stalled, SuccessCheck, check_successful, de_trace, psi,
-                        psi_deriv)
+                        Stalled, de_trace, psi, psi_deriv)
 from .ensemble import DegreeDistribution, Ensemble, graphical_complexity, rate
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      LdpcForgeError, NegativeCoefficient, NumericalFailure,
@@ -34,7 +33,7 @@ from .estimators import (CurvePair, UtilityResult, approx_iterations, code_curve
                          code_estimates, utility)
 from .series import taylor_for
 from .sip_compile import (ConstraintPolynomial, NonnegCertificate, certify,
-                          compile_constraint, nonneg_on_unit)
+                          compile_constraint)
 from .solve import (DesignSpec, LPResult, SolveReport, design_min_iterations,
                     design_rate, design_utility, lp_solve)
 
@@ -46,10 +45,9 @@ __all__ = [
     "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "MaxIterations",
     "NegativeCoefficient", "NonnegCertificate", "NumericalFailure",
     "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
-    "Stalled", "SuccessCheck", "SumNotOne", "UtilityResult",
-    "approx_iterations", "certify", "check_successful",
+    "Stalled", "SumNotOne", "UtilityResult", "approx_iterations", "certify",
     "code_curves", "code_estimates", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility",
-    "graphical_complexity", "lp_solve", "nonneg_on_unit",
-    "psi", "psi_deriv", "rate", "taylor_for", "utility",
+    "graphical_complexity", "lp_solve", "psi", "psi_deriv", "rate",
+    "taylor_for", "utility",
 ]

@@ -10,8 +10,8 @@ which is `np.polyval`'s own operation order, so the probabilities are
 bit-identical to a polyval loop at a fraction of the per-step cost.
 
 `recursion_gap` is the recursion's step g(P) = P - eps*lam(1 - rho(1 - P)).
-It is positive on (eta, eps] exactly when decoding succeeds
-(`margin_scan`), and in P the iteration estimate needs no inversion:
+It is positive on (eta, eps] exactly when decoding succeeds, and in P
+the iteration estimate needs no inversion:
 with x = 1 - rho(1 - P), psi = P/eps and psi' dx = dP/eps, so
 psi - lam = g/eps and the estimate is int dP/g.  `log_p_nodes` gives the
 log-P midpoint nodes on which both `estimators.code_estimates` and the
@@ -188,21 +188,6 @@ def log_p_nodes(eta, eps, n):
     lo, hi = math.log(eta), math.log(eps)
     du = (hi - lo) / n
     return np.exp(lo + du * (np.arange(n) + 0.5)), du
-
-
-def margin_scan(lam_c, rho_c, eps, eta, n):
-    """Minimum of `recursion_gap` over a uniform grid on (eta, eps].
-
-    Returns ``(min_margin, argmin_P)``; the grid excludes ``eta`` and
-    includes ``eps``.
-    """
-
-    eps = float(eps)
-    eta = float(eta)
-    ps = eta + (eps - eta) / int(n) * np.arange(1, int(n) + 1, dtype=np.float64)
-    margins = recursion_gap(lam_c, rho_c, eps, ps)
-    j = int(np.argmin(margins))
-    return float(margins[j]), float(ps[j])
 
 
 def _transfer(lam_c, rho_c, eps, zs):

@@ -167,11 +167,6 @@ def render_csv_chunks(header: list[str], blocks: Iterable[Iterable[tuple]],
     yield buf.getvalue() + "".join(f"# {c}\r\n" for c in comments)
 
 
-def render_csv(header: list[str], rows: Iterable[tuple], comments: tuple) -> str:
-    """`render_csv_chunks` of `rows` as one block, joined into one str."""
-    return "".join(render_csv_chunks(header, (rows,), comments))
-
-
 def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -619,7 +614,7 @@ def cmd_reproduce(args) -> int:
                           settings=solver_settings())
         header, rows, comments = _REPRO[fig](grid_n)
         path = os.path.join(args.out, f"{fig}.csv")
-        man.add(path, render_csv(header, rows, comments))
+        man.add(path, render_csv_chunks(header, (rows,), comments))
         man.write(os.path.join(args.out, f"{fig}.manifest.json"))
         print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK

@@ -106,13 +106,6 @@ class DecodingTrace:
         return self.status.iterations if isinstance(self.status, ReachedTarget) else None
 
 
-@dataclass(frozen=True)
-class SuccessCheck:
-    ok: bool
-    worst_margin: float
-    argmin_P: float
-
-
 def _shape(x, out):
     return float(out[0]) if np.isscalar(x) else out
 
@@ -182,17 +175,3 @@ def de_trace(
         status = MaxIterations(int(l_max))
     return DecodingTrace(probs=probs, status=status)
 
-
-def check_successful(e: Ensemble, ctx: DEContext, grid_size: int = 4096) -> SuccessCheck:
-    """Grid check of the strict decoding condition eps*lam(1-rho(1-P)) < P.
-
-    Scans the recursion's step g(P) = P - eps*lam(1-rho(1-P)) on a uniform
-    grid over (eta, eps]; ok iff the minimum is positive.  argmin_P is the
-    erasure probability P of that minimum, not a transfer-curve abscissa.
-    """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    worst, arg = _kernels.margin_scan(
-        e.lam.dense, ctx.rho.dense, ctx.epsilon, ctx.eta, int(grid_size)
-    )
-    return SuccessCheck(ok=worst > 0.0, worst_margin=float(worst), argmin_P=float(arg))

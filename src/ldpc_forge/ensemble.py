@@ -184,10 +184,6 @@ class Ensemble:
             rho=DegreeDistribution.from_json_dict(data["rho"], published=published),
         )
 
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "Ensemble":
-        return cls.from_json_dict(json.loads(text), **kwargs)
-
 
 def rate(e: Ensemble) -> float:
     """Design code rate 1 - (sum_i rho_i/i) / (sum_i lam_i/i)."""

@@ -53,20 +53,6 @@ class CurvePair:
     f1_deriv: Callable
     f2_deriv: Callable
 
-    def validate(self, grid_n: int = 257) -> None:
-        xs = np.linspace(self.a, self.b, grid_n)
-        gaps = self.f2(xs) - self.f1(xs)
-        k = int(np.argmin(gaps))
-        if gaps[k] <= 0.0:
-            raise DegenerateGap(float(xs[k]), float(gaps[k]))
-        for name, d in (("f1", self.f1_deriv), ("f2", self.f2_deriv)):
-            slopes = np.atleast_1d(d(xs))
-            if slopes.min() <= 0.0:
-                j = int(np.argmin(slopes))
-                raise ValueError(
-                    f"{name} is not increasing: slope {slopes[j]:.3e} at x={xs[j]:.6g}"
-                )
-
 
 def approx_iterations(p: CurvePair, quad_points: int = 10_000) -> float:
     """Midpoint quadrature of f2'/(f2 - f1) over [a, b].

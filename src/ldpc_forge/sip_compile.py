@@ -17,7 +17,7 @@ P.  `compile_constraint` combines the columns for one (lam, t) with
 their rounding bound and checks them against the closed form of
 `_kernels.transfer_step` at s = 0, 1/4, 1/2, 3/4 and 1.
 
-`nonneg_on_unit` decides p(s) >= 0 on [0, 1], p in Bernstein form, by
+`_negative_point` decides p(s) >= 0 on [0, 1], p in Bernstein form, by
 subdivision (Lane & Riesenfeld, BIT 1981; Garloff 1986): on a piece, p
 lies within its Bernstein coefficients and equals the end ones at the
 ends, so a piece whose coefficients are all >= -tau_d closes, an end
@@ -43,8 +43,7 @@ from .de_engine import z_of_x
 from .ensemble import DegreeDistribution
 from .errors import DomainError, NumericalFailure
 
-_SAMPLE_HALVINGS = 12  # nonneg_on_unit's margin is the least value at the piece ends
-_SAMPLES = np.linspace(0.0, 1.0, 2**_SAMPLE_HALVINGS + 1)
+_SAMPLES = np.linspace(0.0, 1.0, 2**12 + 1)  # certify's margin is the least gap at these s
 _CHECK_NODES = np.linspace(0.0, 1.0, 5)  # the piece ends after two halvings
 _CHECK_REL_TOL = 1e-12
 _MAX_DEPTH = 52  # halvings before NumericalFailure; a piece is then 2^-52 wide
@@ -200,9 +199,8 @@ class NonnegCertificate:
     kind is "SturmPass" or "SturmFail", names kept from the Sturm chain that
     decided before Bernstein subdivision because reports, the CLI's JSON
     and the benchmark's checks read them.  margin is the smallest sampled
-    value; on failure witness locates a strictly negative value,
-    witness_value.  `nonneg_on_unit` reports p and s; `certify` reports
-    the curve gap psi - lam - t*psi' and x.
+    curve gap psi - lam - t*psi'; on failure witness is the x of a
+    strictly negative gap, witness_value.
     """
 
     kind: str
@@ -227,7 +225,17 @@ def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: flo
 
 
 def _negative_point(b: np.ndarray, error: float) -> Optional[tuple[float, float]]:
-    """(s, p(s)) where p < 0 is proved, or None once all pieces close; b within `error`."""
+    """(s, p(s)) where p < 0 is proved, or None once all pieces close.
+
+    b are p's Bernstein coefficients on [0, 1], each within E = `error` of
+    the exact one (E = 0 for exact input).  The bound tau_d at which a
+    piece closes or fails at depth d holds every rounding: each exact piece
+    coefficient is a convex combination of the b_k, so at most
+    B = max|b_k| + E, and a halving (entries within g_D, rows summing to 1)
+    adds g_{2D+1}*(B + e_d) to errors e_d; so after d halvings they are
+    below tau_d = E + d*(2D + 1)*2u*(max|b_k| + 2E).  A fail proves p < 0
+    at its point, a pass p >= -2*tau_d at the deepest d.
+    """
     if not np.isfinite(b).all():
         raise ValueError("polynomial coefficients must be finite")
     if not b.any():
@@ -253,32 +261,10 @@ def _negative_point(b: np.ndarray, error: float) -> Optional[tuple[float, float]
         depth += 1
 
 
-def nonneg_on_unit(coeffs) -> NonnegCertificate:
-    """Decide p(s) = sum_k coeffs[k]*C(D, k)*s^k*(1 - s)^(D - k) >= 0 on [0, 1].
-
-    coeffs are Bernstein coefficients, taken as exact.  Subdivision
-    (`_negative_point`) gives the verdict and, on a fail, the witness; the
-    margin is the smallest value at `_SAMPLES`.  Its rounding bound, for
-    b_k within E of the exact ones (E = 0 here, P's `error` in `certify`):
-    every exact piece coefficient is a convex combination of the b_k, so
-    at most B = max|b_k| + E, and a halving (entries within g_D, rows
-    summing to 1) adds g_{2D+1}*(B + e_d) to errors e_d; so after d
-    halvings they are below tau_d = E + d*(2D + 1)*2u*(max|b_k| + 2E).  A
-    fail proves p < 0 at its point, a pass p >= -2*tau_d at the deepest d.
-    """
-    b = np.asarray(coeffs, dtype=np.float64)
-    proved = _negative_point(b, 0.0)
-    margin = float(np.min(_values(b, _SAMPLE_HALVINGS)))
-    if proved is None:
-        return NonnegCertificate("SturmPass", margin)
-    s, value = proved
-    return NonnegCertificate("SturmFail", min(margin, value), witness=s, witness_value=value)
-
-
 def certify(cp: ConstraintPolynomial) -> NonnegCertificate:
     """Decide whether the compiled constraint holds on all of [zeta_tilde, xi].
 
-    The verdict is `nonneg_on_unit`'s subdivision of P with E = its
+    The verdict is `_negative_point`'s subdivision of P with E = its
     `error`.  Margin and witness value are psi - lam - t*psi' in closed
     form at `_SAMPLES` and a proved negative point; a SturmFail's witness
     is the x of the more negative, since the rate designer makes it an LP

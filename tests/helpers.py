@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ldpc_forge import DEContext, DegreeDistribution, Ensemble, check_successful
+from ldpc_forge import DEContext, DegreeDistribution, Ensemble, _kernels
 from ldpc_forge.estimators import CurvePair, code_curves
-from ldpc_forge.errors import DegenerateGap
 
 
 def poly_eval_by_hand(coeffs: dict[int, float], x: float) -> float:
@@ -94,6 +93,17 @@ def psi_deriv_monomial_closed_form(d_c: int, eps: float, x):
     return w / eps * (1.0 - np.asarray(x)) ** (w - 1.0)
 
 
+def recursion_margin(e: Ensemble, ctx: DEContext, grid_size: int = 4096):
+    """Least recursion step g(P) = P - eps*lam(1 - rho(1 - P)) on a uniform
+    grid over (eta, eps], eta excluded, and its P; decoding succeeds iff
+    g > 0 on all of (eta, eps].  A scan on the package's own
+    `_kernels.recursion_gap`, not an independent oracle."""
+    ps = ctx.eta + (ctx.epsilon - ctx.eta) / grid_size * np.arange(1, grid_size + 1)
+    gaps = _kernels.recursion_gap(e.lam.dense, ctx.rho.dense, ctx.epsilon, ps)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), float(ps[k])
+
+
 def random_simplex_lambda(rng: np.random.Generator, d_v: int = 16,
                           n_support: int | None = None) -> DegreeDistribution:
     """Random degree distribution with support {2, 3} plus a few higher degrees."""
@@ -117,7 +127,7 @@ def random_decodable_ensemble(rng: np.random.Generator, rho: DegreeDistribution,
         if lam.coeff(2) >= 0.95 * cap:
             continue
         e = Ensemble(lam=lam, rho=rho)
-        if check_successful(e, ctx, grid_size=2048).ok:
+        if recursion_margin(e, ctx, grid_size=2048)[0] > 0.0:
             return e
     raise RuntimeError("could not sample a decodable ensemble")
 
@@ -130,11 +140,9 @@ def random_feasible_pair(rng: np.random.Generator, rho: DegreeDistribution,
     for _ in range(max_tries):
         lam = random_simplex_lambda(rng, d_v)
         pair = code_curves(Ensemble(lam=lam, rho=rho), ctx)
-        try:
-            pair.validate()
-        except DegenerateGap:
-            continue
-        return pair
+        xs = np.linspace(pair.a, pair.b, 257)
+        if np.min(pair.f2(xs) - pair.f1(xs)) > 0.0:
+            return pair
     raise RuntimeError("could not sample a feasible curve pair")
 
 
@@ -338,8 +346,9 @@ def _to_bernstein(ints: list[int], e: int) -> list[Fraction]:
 
 
 def bernstein_from_power(coeffs) -> np.ndarray:
-    """A power-form test polynomial as the Bernstein input `nonneg_on_unit`
-    takes: converted exactly, then rounded to floats."""
+    """A power-form test polynomial as the Bernstein input the subdivision
+    (`sip_compile._negative_point`) takes: converted exactly, then rounded
+    to floats."""
     return np.array([float(b) for b in _to_bernstein(*_dyadic(coeffs))])
 
 
@@ -516,7 +525,8 @@ def step_rows_reference(rho: DegreeDistribution, epsilon: float, d_v: int,
 
 
 def margin_reference(coeffs) -> float:
-    """`nonneg_on_unit`'s least sample, from 12 halvings with a fresh Pascal table."""
+    """The least value of p at the ends of 2^12 equal pieces, from 12
+    halvings with a fresh Pascal table."""
     pieces = np.asarray(coeffs, dtype=np.float64)[None, :]
     C = _pascal(pieces.shape[1] - 1)
     for _ in range(12):

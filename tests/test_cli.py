@@ -19,7 +19,7 @@ from ldpc_forge import (DEContext, DegreeDistribution, NumericalFailure, solve,
                         utility)
 from ldpc_forge.cli import (EXIT_DECODING, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                             TRACE_BLOCK_ROWS, RunManifest, build_parser,
-                            load_fixtures, main, render_csv, render_csv_chunks)
+                            load_fixtures, main, render_csv_chunks)
 
 RATE_ARGS = ["design", "--objective", "rate", "--rho", '{"8": 1.0}',
              "--epsilon", "0.5", "--dv", "16", "--grid-n", "512"]
@@ -336,10 +336,10 @@ def test_solver_numerical_failure_exits_solver(tmp_path, monkeypatch, capsys):
 def test_render_csv_exact_bytes():
     # None is an empty cell, a float its repr, a comma forces quotes, every
     # line ends in \r\n and comments follow the rows as "# " lines
-    text = render_csv(
+    text = "".join(render_csv_chunks(
         ["iteration", "P", "note"],
-        [(0, 0.5, None), (1, 1e-05, "a, b"), (2, 1e+16, "plain"), (3, None, 7)],
-        ("status=ReachedTarget N=3", "epsilon=0.5"))
+        ([(0, 0.5, None), (1, 1e-05, "a, b"), (2, 1e+16, "plain"), (3, None, 7)],),
+        ("status=ReachedTarget N=3", "epsilon=0.5")))
     assert text.encode() == (
         b"iteration,P,note\r\n"
         b"0,0.5,\r\n"

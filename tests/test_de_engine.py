@@ -1,4 +1,4 @@
-"""Erasure recursion, transfer curve and success check."""
+"""Erasure recursion, transfer curve and the decoding condition."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from helpers import (
     psi_deriv_monomial_closed_form,
     psi_monomial_closed_form,
     random_simplex_lambda,
+    recursion_margin,
     staircase_oracle,
 )
 from ldpc_forge import (
@@ -20,7 +21,6 @@ from ldpc_forge import (
     MaxIterations,
     ReachedTarget,
     Stalled,
-    check_successful,
     de_trace,
     psi,
     psi_deriv,
@@ -222,33 +222,35 @@ class TestRecursion:
 
 
 class TestSuccessCheck:
+    """The strict decoding condition g(P) > 0 on (eta, eps], scanned on a
+    uniform grid, against the recursion it predicts."""
+
     def test_published_rate_optimal_code_is_tangent_at_design_point(self, fixtures):
         # the stored row is rounded to four decimals, so at the exact design
         # point the strict margin lands a hair below zero; a fraction of a
         # percent below in epsilon it decodes cleanly
-        fx = fixtures.get("x7_poc")
-        at_design = check_successful(
-            fx.ensemble, DEContext.create(fx.ensemble.rho, 0.5, 1e-5)
-        )
-        assert abs(at_design.worst_margin) < 1e-5
-        below = check_successful(
-            fx.ensemble, DEContext.create(fx.ensemble.rho, 0.4995, 1e-5)
-        )
-        assert below.ok and below.worst_margin > 0
+        e = fixtures.get("x7_poc").ensemble
+        at_design, _ = recursion_margin(e, DEContext.create(e.rho, 0.5, 1e-5))
+        assert abs(at_design) < 1e-5
+        ctx = DEContext.create(e.rho, 0.4995, 1e-5)
+        below, _ = recursion_margin(e, ctx)
+        assert below > 0
+        assert isinstance(de_trace(e, ctx).status, ReachedTarget)
 
     def test_same_code_fails_well_above_design_point(self, fixtures):
-        fx = fixtures.get("x7_poc")
-        ctx = DEContext.create(fx.ensemble.rho, 0.6, 1e-5)
-        res = check_successful(fx.ensemble, ctx)
-        assert not res.ok
-        assert res.worst_margin < 0
+        e = fixtures.get("x7_poc").ensemble
+        ctx = DEContext.create(e.rho, 0.6, 1e-5)
+        worst, argmin_P = recursion_margin(e, ctx)
+        assert worst < 0
         # a recursion probability on the scanned (eta, eps], not an abscissa
-        assert ctx.eta < res.argmin_P <= ctx.epsilon
+        assert ctx.eta < argmin_P <= ctx.epsilon
+        assert isinstance(de_trace(e, ctx).status, Stalled)
 
     def test_stability_violation_detected(self):
         e = Ensemble(lam=DegreeDistribution({2: 1.0}), rho=DegreeDistribution({3: 1.0}))
         ctx = DEContext.create(e.rho, 0.9, 1e-6)
-        assert not check_successful(e, ctx).ok
+        assert recursion_margin(e, ctx)[0] <= 0
+        assert not isinstance(de_trace(e, ctx, l_max=20_000).status, ReachedTarget)
 
     def test_failed_check_implies_no_convergence(self, rng, rho_mix):
         eps, eta = 0.49, 1e-4
@@ -257,13 +259,8 @@ class TestSuccessCheck:
         for _ in range(40):
             lam = random_simplex_lambda(rng)
             e = Ensemble(lam=lam, rho=rho_mix)
-            if check_successful(e, ctx).ok:
+            if recursion_margin(e, ctx)[0] > 0:
                 continue
             seen_fail += 1
             assert not isinstance(de_trace(e, ctx, l_max=20_000).status, ReachedTarget)
         assert seen_fail >= 5
-
-    def test_tiny_grid_rejected(self, reg36):
-        ctx = DEContext.create(reg36.rho, 0.4, 1e-3)
-        with pytest.raises(ValueError):
-            check_successful(reg36, ctx, grid_size=1)

@@ -178,7 +178,7 @@ class TestEnsembleAndRate:
             lam=DegreeDistribution({2: 0.5, 3: 0.5}),
             rho=DegreeDistribution({7: 0.5330, 8: 0.4670}, published=True),
         )
-        back = Ensemble.from_json(e.to_json(), published=True)
+        back = Ensemble.from_json_dict(json.loads(e.to_json()), published=True)
         assert back == e
         assert json.loads(e.to_json())["lambda"] == e.lam.to_json_dict()
 

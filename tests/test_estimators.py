@@ -314,21 +314,3 @@ class TestCodeCurves:
             assert float(pair.f2_deriv(x)) == pytest.approx(float(num2), rel=1e-5)
             num1 = (pair.f1(x + h) - pair.f1(x - h)) / (2 * h)
             assert float(pair.f1_deriv(x)) == pytest.approx(float(num1), rel=1e-5)
-
-    def test_validate_flags_infeasible_pair(self, fixtures):
-        fx = fixtures.get("x7_poc")
-        ctx = DEContext.create(fx.ensemble.rho, 0.5, 1e-5)
-        pair = code_curves(fx.ensemble, ctx)
-        with pytest.raises(DegenerateGap):
-            pair.validate()
-
-
-class TestCurvePairFallbacks:
-    def test_validate_rejects_non_increasing_f2(self):
-        # gap stays positive so the monotonicity check is what fires
-        pair = CurvePair(f1=lambda x: np.asarray(x, dtype=float) - 2.0,
-                         f2=lambda x: 2.0 - np.asarray(x, dtype=float), a=0.3, b=1.0,
-                         f1_deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         f2_deriv=lambda x: -np.ones_like(np.asarray(x, dtype=float)))
-        with pytest.raises(ValueError):
-            pair.validate()

@@ -23,7 +23,6 @@ from ldpc_forge import (
     design_min_iterations,
     design_rate,
     design_utility,
-    nonneg_on_unit,
     psi,
     psi_deriv,
     utility,
@@ -197,37 +196,35 @@ class TestCompile:
 
 
 class TestNonnegativityDecision:
-    # inputs are Bernstein coefficients of degree 2: p = b0*(1 - s)^2 + 2*b1*s*(1 - s) + b2*s^2
+    # inputs are Bernstein coefficients of degree 2: p = b0*(1 - s)^2 + 2*b1*s*(1 - s) + b2*s^2;
+    # the subdivision returns None on a pass and a proved (s, p(s)) with p(s) < 0 on a fail
     def test_square_passes(self):
-        cert = nonneg_on_unit(np.array([0.0, 0.0, 1.0]))  # s^2
-        assert cert.passed and cert.kind == "SturmPass"
+        assert sip_compile._negative_point(np.array([0.0, 0.0, 1.0]), 0.0) is None  # s^2
 
     def test_touch_point_inside_passes(self):
-        cert = nonneg_on_unit(np.array([1.0, -2.0, 4.0]))  # (3s - 1)^2
-        assert cert.passed
+        # (3s - 1)^2
+        assert sip_compile._negative_point(np.array([1.0, -2.0, 4.0]), 0.0) is None
 
     def test_dip_below_zero_fails_with_witness(self):
-        cert = nonneg_on_unit(np.array([0.0, -0.5, 0.0]))  # s^2 - s
-        assert not cert.passed
-        assert 0.0 < cert.witness < 1.0
-        assert cert.witness_value < 0.0
+        s, value = sip_compile._negative_point(np.array([0.0, -0.5, 0.0]), 0.0)  # s^2 - s
+        assert 0.0 < s < 1.0
+        assert value < 0.0
 
-    def test_positive_constant_passes_with_its_margin(self):
-        cert = nonneg_on_unit(np.array([2.5]))
-        assert cert.passed and cert.margin == pytest.approx(2.5)
+    def test_positive_constant_passes(self):
+        assert sip_compile._negative_point(np.array([2.5]), 0.0) is None
 
     def test_negative_constant_fails_at_origin(self):
-        cert = nonneg_on_unit(np.array([-0.5, 0.0, 1.5]))  # -0.5 + s + s^2
-        assert not cert.passed and cert.witness == 0.0
+        # -0.5 + s + s^2
+        s, _ = sip_compile._negative_point(np.array([-0.5, 0.0, 1.5]), 0.0)
+        assert s == 0.0
 
     def test_negative_leading_coefficient_fails_far_out(self):
         # 1 + s - 2.5 s^2 crosses zero at s = 0.863
-        cert = nonneg_on_unit(np.array([1.0, 1.5, -0.5]))
-        assert not cert.passed
-        assert 0.86 < cert.witness <= 1.0
+        s, _ = sip_compile._negative_point(np.array([1.0, 1.5, -0.5]), 0.0)
+        assert 0.86 < s <= 1.0
 
     def test_all_zero_passes(self):
-        assert nonneg_on_unit(np.zeros(5)).passed
+        assert sip_compile._negative_point(np.zeros(5), 0.0) is None
 
     def test_verdicts_match_dense_scan_on_random_polynomials(self, rng):
         # build guaranteed-nonnegative p = q1^2 + s*q2^2, then knock some
@@ -246,8 +243,8 @@ class TestNonnegativityDecision:
             lo = float(npoly.polyval(np.linspace(0.0, 1.0, 4001), p).min())
             if abs(lo) < 1e-7 * float(np.max(np.abs(p))):
                 continue
-            cert = nonneg_on_unit(bernstein_from_power(p))
-            assert cert.passed == (lo > 0.0), (p, lo)
+            passed = sip_compile._negative_point(bernstein_from_power(p), 0.0) is None
+            assert passed == (lo > 0.0), (p, lo)
             checked += 1
         assert checked >= 100
 
@@ -307,10 +304,10 @@ class TestSubdivision:
         # (3s - 1)^2 touches zero off every dyadic point, so the piece
         # around 1/3 closes only once its coefficients are within tau
         c = np.array([1.0, -2.0, 4.0])
-        assert nonneg_on_unit(c).passed
+        assert sip_compile._negative_point(c, 0.0) is None
         monkeypatch.setattr(sip_compile, "_MAX_DEPTH", 1)
         with pytest.raises(NumericalFailure, match=r"1 open piece\(s\) after 1 halvings"):
-            nonneg_on_unit(c)
+            sip_compile._negative_point(c, 0.0)
 
     @pytest.mark.parametrize("d_c, d_v", [(35, 30), (511, 2)])
     def test_degree_at_the_cap_composes(self, d_c, d_v):
@@ -328,12 +325,12 @@ class TestSubdivision:
     def test_degree_past_the_tables_raises(self):
         # C(1100, 550) overflows a float, and nan coefficients would close every piece
         with pytest.raises(NumericalFailure, match="degree 1100 exceeds the 1020"):
-            nonneg_on_unit(np.ones(1101))
+            sip_compile._negative_point(np.ones(1101), 0.0)
 
     @pytest.mark.parametrize("coeffs", [[np.inf, -1.0], [np.nan, 1.0]])
     def test_non_finite_coefficients_rejected(self, coeffs):
         with pytest.raises(ValueError, match="must be finite"):
-            nonneg_on_unit(coeffs)
+            sip_compile._negative_point(np.array(coeffs), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +371,7 @@ class TestExactOracle:
         for name, cp in certified.items():
             want = name != "fig6_refinement"
             assert bernstein_oracle(cp.coeffs) is want, name
-            assert nonneg_on_unit(cp.coeffs).passed is want, name
+            assert (sip_compile._negative_point(cp.coeffs, 0.0) is None) is want, name
             assert certify(cp).passed is want, name
 
     def test_float_coefficients_lie_within_tau(self, certified):
@@ -406,7 +403,7 @@ class TestStepRows:
     def test_rows_are_the_certified_polynomial(self, rho_x7):
         # the utility LP's rows at the design's (lam, t) are the Bernstein
         # coefficients of the polynomial its certificate decides, piece by
-        # piece; both are within tau_3 of the exact ones (`nonneg_on_unit`)
+        # piece; both are within tau_3 of the exact ones (`_negative_point`)
         spec = DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16)
         rep = design_utility(spec)
         zt = rep.zeta_tilde
@@ -468,17 +465,14 @@ class TestNpolyReferences:
             assert _same_bytes(_kernels._polyval(xs, c), npoly.polyval(xs, c))
             assert _same_bytes(_kernels._polyval(0.3, c), npoly.polyval(0.3, c))
         coeffs = compile_constraint(e.lam, 0.0, e.rho, ctx.epsilon, ctx.zeta, ctx.xi).coeffs
-        # the same polynomial lowered until it fails, so a witness joins the margin;
-        # lowering every Bernstein coefficient lowers p by as much
+        # the same polynomial lowered until it fails, so the subdivision finds a
+        # witness; lowering every Bernstein coefficient lowers p by as much
         lowered = coeffs - (abs(margin_reference(coeffs)) + 1e-3)
         for a in (coeffs, lowered):
-            cert = nonneg_on_unit(a)
-            want = margin_reference(a)
-            if not cert.passed:
-                assert exact_bernstein_value(a, cert.witness) < 0  # a fail proves p < 0 there
-                want = min(want, cert.witness_value)
-            assert cert.margin == want
-        assert not nonneg_on_unit(lowered).passed
+            proved = sip_compile._negative_point(a, 0.0)
+            if proved is not None:
+                assert exact_bernstein_value(a, proved[0]) < 0  # a fail proves p < 0 there
+        assert sip_compile._negative_point(lowered, 0.0) is not None
 
     def test_bernstein_tables_are_cached_and_read_only(self):
         tables = sip_compile._bernstein_tables(111)

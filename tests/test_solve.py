@@ -9,7 +9,8 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from helpers import (fail_own_certificate, failing_tie_break, full_lp_reference,
-                     lp_vertex_enumeration_oracle, random_simplex_lambda)
+                     lp_vertex_enumeration_oracle, random_simplex_lambda,
+                     recursion_margin)
 from ldpc_forge import _kernels, solve
 from ldpc_forge import (
     DEContext,
@@ -18,7 +19,6 @@ from ldpc_forge import (
     DomainError,
     Ensemble,
     NumericalFailure,
-    check_successful,
     de_trace,
     design_min_iterations,
     design_rate,
@@ -396,7 +396,7 @@ class TestDesignRate:
         assert rep.certificate.passed
         assert rate(Ensemble(rep.lam, rho_x7)) == pytest.approx(rep.objective, rel=1e-12)
         ctx = DEContext.create(rho_x7, X7_EPS, 1e-5)
-        assert check_successful(Ensemble(rep.lam, rho_x7), ctx, 100_000).ok
+        assert recursion_margin(Ensemble(rep.lam, rho_x7), ctx, 100_000)[0] > 0.0
 
     def test_deterministic(self, rho_x7):
         a = design_rate(rho_x7, X7_EPS, 16, grid_n=256)
@@ -488,7 +488,7 @@ class TestDesignRate:
         assert rep.certificate.kind == "SturmPass"
         assert rep.max_violation == -rep.certificate.margin
         ctx = DEContext.create(rho_x7, eps, eps * 1e-6)
-        assert check_successful(Ensemble(rep.lam, rho_x7), ctx, 100_000).ok
+        assert recursion_margin(Ensemble(rep.lam, rho_x7), ctx, 100_000)[0] > 0.0
 
 
 # the Fig. 2 utility design and the three Fig. 4 ones, at the default grid
@@ -546,8 +546,7 @@ class TestDesignUtility:
         # the rate floor is active: moving mass to lower degrees would
         # raise the step floor but break R >= 0.5
         assert rate(Ensemble(rep.lam, rho_mix)) == pytest.approx(0.5, abs=1e-6)
-        ok = check_successful(Ensemble(rep.lam, rho_mix), spec.context(), 100_000)
-        assert ok.ok
+        assert recursion_margin(Ensemble(rep.lam, rho_mix), spec.context(), 100_000)[0] > 0.0
 
     def test_mix_grid_256_survives_tie_break_failure(self, rho_mix, monkeypatch):
         # the rate tie-break LP made to fail KKT: a utility design that
@@ -940,7 +939,7 @@ class TestRateCeilingExplains:
         assert rep.status == "Optimal"
         assert rep.certificate.kind == "SturmPass"
         assert rate(Ensemble(rep.lam, rho_x7)) >= spec.R_d
-        assert check_successful(Ensemble(rep.lam, rho_x7), spec.context(), 100_000).ok
+        assert recursion_margin(Ensemble(rep.lam, rho_x7), spec.context(), 100_000)[0] > 0.0
 
 
 class TestZScan:
