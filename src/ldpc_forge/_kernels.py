@@ -25,9 +25,11 @@ step size (psi - lam)/psi' on an array of z, both through `_transfer`:
 `sip_compile.certify` samples its margin and witness with the first, and
 `estimators.utility` scans and polishes the step with the second.
 `bisect_increasing` is the inversion behind `de_engine.z_of_x`, for
-callers that are handed x.  It halves a whole array of targets at once;
-a single target is bisected on Python floats with the same halving rule
-and the same residuals, so both give the same z to the bit.
+callers that are handed x: Newton's method from z = 1, which falls
+monotonically to the root of an increasing convex polynomial.  It steps a
+whole array of targets at once; a single target is stepped on Python
+floats by `_horner` with the same start, operations and stop, so both
+give the same z to the bit, and an anchor is not stepped through numpy.
 
 Array evaluations of a polynomial go through `_polyval`: `npoly.polyval`'s
 operations in its order, so the same bits, with the accumulator in place.
@@ -52,7 +54,7 @@ STATUS_REACHED = 0
 STATUS_STALLED = 1
 STATUS_MAX_ITER = 2
 
-BISECT_MAX_ITER = 100  # halvings before `bisect_increasing` gives up on a target
+BISECT_MAX_ITER = 100  # Newton steps before `bisect_increasing` stops a target
 
 
 def _horner(coeffs, u):
@@ -122,50 +124,52 @@ def _descending(coef):
     return np.asarray(coef, dtype=np.float64)[::-1].tolist()
 
 
-def _bisect_one(coef_d, target, tol):
-    """`bisect_increasing` for one target, on floats, with its halving rule."""
-    lo, hi = 0.0, 1.0
+def _newton_one(coef_d, target):
+    """`bisect_increasing` for one target, on floats, with its Newton rule."""
+    top = len(coef_d) - 1
+    deriv_d = [(top - i) * c for i, c in enumerate(coef_d[:-1])]
+    z = 1.0
     for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        resid = _horner(coef_d, mid) - target
-        if abs(resid) <= tol:
+        z_next = z - (_horner(coef_d, z) - target) / _horner(deriv_d, z)
+        if not z_next < z:
             break
-        if resid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        z = z_next
+    return z
 
 
-def bisect_increasing(coef, targets, tol):
-    """Solve ``poly(z) = target`` on [0, 1] for each target.
+def bisect_increasing(coef, targets):
+    """Solve ``poly(z) = target`` on [0, 1] for each target, by Newton from z = 1.
 
-    The polynomial must be nondecreasing on [0, 1]; iteration stops per
-    entry once the residual is within ``tol`` or after `BISECT_MAX_ITER`
-    halvings.  A single target runs on Python floats, bit-identical to the
-    array loop.
+    ``poly`` has nonnegative coefficients, so it is increasing and convex
+    on [0, 1], and each target lies in [0, poly(1)].  Newton's step
+    z <- z - (poly(z) - t)/poly'(z) from z = 1 then falls monotonically to
+    the root (Fourier's condition: poly(1) - t >= 0 and poly'' >= 0), so it
+    converges for every such target.  Each entry stops at the
+    first step that does not lower z, where rounding has taken over, or
+    after `BISECT_MAX_ITER` steps.  A single target runs on Python floats
+    through `_horner` with the same start, operations and stop as the
+    array loop's `_polyval`, so both give the same z to the bit.
+    The name is older than the method: the benchmark's tracer binds it and
+    counts ``targets``, and `tests/test_tracer_pins.py` pins both.
     """
 
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     if targets.size == 1:
-        mid = _bisect_one(_descending(coef), float(targets.flat[0]), float(tol))
-        return np.full_like(targets, mid)
+        return np.full_like(targets, _newton_one(_descending(coef), float(targets.flat[0])))
     coef = np.ascontiguousarray(coef, dtype=np.float64)
-    lo = np.zeros_like(targets)
-    hi = np.ones_like(targets)
-    mid = np.full_like(targets, 0.5)
-    done = np.zeros(targets.shape, dtype=bool)
+    deriv = npoly.polyder(coef)
+    z = np.ones_like(targets)
+    flat = z.reshape(-1)
+    live = np.arange(flat.size)
+    zl, tl = flat.copy(), targets.reshape(-1)
     for _ in range(BISECT_MAX_ITER):
-        mid = np.where(done, mid, 0.5 * (lo + hi))
-        resid = _polyval(mid, coef) - targets
-        done = done | (np.abs(resid) <= tol)
-        if done.all():
+        if live.size == 0:
             break
-        below = (resid < 0.0) & ~done
-        above = ~below & ~done
-        lo = np.where(below, mid, lo)
-        hi = np.where(above, mid, hi)
-    return mid
+        z_next = zl - (_polyval(zl, coef) - tl) / _polyval(zl, deriv)
+        lower = z_next < zl
+        live, zl, tl = live[lower], z_next[lower], tl[lower]
+        flat[live] = zl
+    return z
 
 
 def recursion_gap(lam_c, rho_c, eps, ps):

@@ -20,12 +20,14 @@ and the utility sample z, the utility designer's LP rows are Bernstein
 coefficients in z, and the iteration estimates and the min-iteration
 designer integrate over the recursion variable P = 1 - z.
 Whatever is handed x finds z through `z_of_x`, the package's one
-inversion: bisection on [0, 1] to `INVERSION_TOL`, where rho is strictly
-increasing because its coefficients are nonnegative.  psi and psi', the
-rate LP's rows and single anchors such as z(zeta_tilde) go through it.
-Bisection rather than Newton: unconditional convergence matters more
-than speed at these sizes, where one anchor, bisected on Python floats,
-costs about 0.04 ms.
+inversion: Newton's method on rho(z) = 1 - x from z = 1.  rho has
+nonnegative coefficients, so on [0, 1] it is increasing and convex, and
+rho(1) - (1 - x) = x >= 0; from z = 1 every Newton iterate therefore
+stays at or above the root and falls monotonically to it (Fourier's
+condition), so convergence is as unconditional as bisection's, in 3 to
+11 steps a point on the fixtures' psi grids rather than about 40
+halvings.  psi and psi', the rate LP's rows and single anchors such as
+z(zeta_tilde) go through it; an anchor runs on Python floats.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ ArrayLike = Union[float, np.ndarray]
 
 DEFAULT_L_MAX = 1_000_000
 STALL_TOL = 1e-12
-INVERSION_TOL = 1e-12  # residual |rho(z) - (1 - x)| at which bisection stops
+INVERSION_TOL = 1e-12  # bound on the inversion's |rho(z) - (1 - x)|; psi_deriv's least slope
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,17 @@ def _shape(x, out):
 
 
 def z_of_x(rho: DegreeDistribution, x: ArrayLike) -> ArrayLike:
-    """z = rho^{-1}(1 - x) for x in [0, 1], by bisection to `INVERSION_TOL`.
+    """z = rho^{-1}(1 - x) for x in [0, 1], by monotone Newton from z = 1.
 
-    x = 0 maps to z = 1 exactly.  A scalar x gives a float, an array an
-    array.
+    x = 0 maps to z = 1 exactly.  A scalar x gives a float and is inverted
+    on Python floats; an array gives an array, inverted as one.
     """
+    if np.isscalar(x):
+        return 1.0 if x == 0.0 else float(_kernels.bisect_increasing(rho.dense, (1.0 - x,))[0])
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    z = _kernels.bisect_increasing(rho.dense, 1.0 - xs, INVERSION_TOL)
+    z = _kernels.bisect_increasing(rho.dense, 1.0 - xs)
     z[xs == 0.0] = 1.0
-    return _shape(x, z)
+    return z
 
 
 def _on_domain(ctx: DEContext, x: ArrayLike, what: str) -> np.ndarray:
@@ -135,7 +139,7 @@ def psi(ctx: DEContext, x: ArrayLike) -> ArrayLike:
     """Check-side transfer curve on [0, xi]; strictly increasing, psi(xi) = 1."""
     xs = _on_domain(ctx, x, "psi argument")
     ys = (1.0 - z_of_x(ctx.rho, xs)) / ctx.epsilon
-    # psi(xi) = 1 by construction; remove the bisection residual
+    # psi(xi) = 1 by construction; remove the inversion's rounding
     ys[xs == ctx.xi] = 1.0
     return _shape(x, ys)
 

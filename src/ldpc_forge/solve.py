@@ -46,7 +46,9 @@ successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
 `lp_solve`, a dense vertex method in the package (`_simplex`; Nocedal &
 Wright, 2006, ch. 13), since every LP has at most 31 unknowns and two
-equality rows.  It solves each LP (all have inequality rows) by row
+equality rows.  Its steps update an inverse of the vertex's rows in
+product form rather than factor them afresh, and each exit solves its
+vertex once more by LU.  It solves each LP (all have inequality rows) by row
 generation: a 4096-row design LP, of which a handful of rows are active,
 converges in two or three rounds of at most a few hundred rows, each
 continuing from the last round's vertex.  The rate LP starts from
@@ -85,6 +87,8 @@ ROW_TOL = 1e-12  # most that a vertex step may leave a row missed by
 DUAL_TOL = 1e-12  # most that an LP multiplier may fall below 0 at an optimum
 PIVOT_TOL = 1e-11  # least pivot, relative to its row and direction
 LP_MAX_STEPS = 10_000  # vertex steps of one `_simplex` call
+REFACTOR_STEPS = 16  # `_simplex` steps between fresh inverses of the vertex matrix
+INVERSE_TOL = 1e-10  # most |G[w] @ inverse - I| of a fresh inverse that `_simplex` updates
 
 
 def _check_grid_n(grid_n: int) -> None:
@@ -157,6 +161,23 @@ def _pick(ratio: np.ndarray) -> Optional[int]:
     return None if ratio[k] == np.inf else k
 
 
+def _pivot(B_inv, u, k, w, p):
+    """The inverse of G[w] once row k of the vertex becomes row p, and w sorted.
+
+    u = G[p] @ B_inv, so u[k] is the pivot.  The product-form update
+    (Gill, Golub, Murray & Saunders, Math. Comp. 1974): column k is
+    divided by u[k], and every other column j loses u[j] times that.
+    Sorting w permutes the rows of G[w], and so the columns of its inverse.
+    """
+    col = B_inv[:, k] / u[k]
+    B_inv -= col[:, None] * u
+    B_inv[:, k] = col
+    w[k] = p
+    order = np.argsort(w)
+    w[:] = w[order]
+    return B_inv[:, order]
+
+
 def _simplex(c, G, h, n_eq, w):
     """Minimize c @ x s.t. G @ x <= h, the first n_eq rows with equality, by vertex steps.
 
@@ -173,55 +194,94 @@ def _simplex(c, G, h, n_eq, w):
     is Dantzig's choice; a degenerate step (one that moves nothing)
     switches it to Bland's lowest-index rule until a step moves, and ties
     in the ratio test always go to the lowest index, so no basis repeats
-    (Bland, Math. Oper. Res. 1977).  Returns (status, w, x, y).
+    (Bland, Math. Oper. Res. 1977).
+    Each step works from an inverse of G[w] rather than factoring it:
+    x, y, the entering row's pivots and the edge are products with it, x
+    and y each refined once against G[w], and a step updates it in
+    product form (`_pivot`).  It is computed afresh from G[w] on entry,
+    every `REFACTOR_STEPS` steps, and at the step after a fresh inverse
+    that misses inverting G[w] by more than `INVERSE_TOL` (a near-singular
+    G[w], as a crash vertex can be, whose updates would carry its error
+    on).  Over the LPs of `reproduce all` an updated inverse misses
+    inverting G[w] by at most 4e-9.  On every exit x and y are solved once
+    more from G[w] by LU, so a run through the same vertices as one that
+    factors G[w] at every step returns the same bits.
+    Returns (status, w, x, y).
     """
     n = c.size
+    bounds = h.size - n
     ineq = np.arange(h.size) >= n_eq
-    size = np.abs(G).max(axis=1)
+    # a primal step's least pivot on each row, relative to |d|; none on equality rows
+    floor = np.where(ineq, PIVOT_TOL * np.abs(G).max(axis=1), np.inf)
     cost, bland = c, False
+    B_inv, trusted = _inverse(G[w])
+    age = 0
     for _ in range(LP_MAX_STEPS):
-        B = G[w]
-        x = np.linalg.solve(B, h[w])
-        x[w[w >= h.size - n] - (h.size - n)] = 0.0
-        y = np.linalg.solve(B.T, -cost)
+        B, hw = G[w], h[w]
+        # from the inverse, with one step of iterative refinement each
+        x, y = B_inv @ hw, -(cost @ B_inv)
+        x += B_inv @ (hw - B @ x)
+        y -= (cost + y @ B) @ B_inv
+        x[w[w >= bounds] - bounds] = 0.0
         out = G @ x - h
         out[w] = -np.inf
-        out[~ineq] = -np.inf
+        out[:n_eq] = -np.inf
+        live = ineq[w]
         if out.max() > ROW_TOL:
-            if np.any(ineq[w] & (y < -DUAL_TOL)):
+            if np.any(live & (y < -DUAL_TOL)):
                 # a floor above 0, not 0 itself, keeps the dual steps from stalling
-                y = np.where(ineq[w], np.maximum(y, 1e-6), y)
+                y = np.where(live, np.maximum(y, 1e-6), y)
                 cost = -B.T @ y
             missed = np.flatnonzero(out > ROW_TOL)
             p = missed[0] if bland else missed[np.argmax(out[missed])]
-            u = np.linalg.solve(B.T, G[p])
-            ok = ineq[w] & (u > PIVOT_TOL * np.abs(u).max())
-            ratio = np.full(n, np.inf)
-            ratio[ok] = np.where(y[ok] > DUAL_TOL, y[ok], 0.0) / u[ok]
+            u = G[p] @ B_inv
+            ok = live & (u > PIVOT_TOL * np.abs(u).max())
+            ratio = np.divide(np.where(y > DUAL_TOL, y, 0.0), u, out=np.full(n, np.inf), where=ok)
             k = _pick(ratio)
             if k is None:
-                return "Infeasible", w, x, y
+                return ("Infeasible", w) + _vertex(G, h, w, cost)
+            bland = ratio[k] == 0.0  # a degenerate step
         else:
             if cost is not c:
                 cost = c
                 continue
-            neg = np.flatnonzero(ineq[w] & (y < -DUAL_TOL))
+            neg = np.flatnonzero(live & (y < -DUAL_TOL))
             if neg.size == 0:
-                return "Optimal", w, x, y
+                return ("Optimal", w) + _vertex(G, h, w, cost)
             k = int(neg[0] if bland else neg[np.argmin(y[neg])])
-            d = np.linalg.solve(B, -np.eye(n)[k])
+            d = -B_inv[:, k]
             rate = G @ d
             rate[w] = 0.0
-            ok = ineq & (rate > PIVOT_TOL * size * np.abs(d).max())
-            ratio = np.full(h.size, np.inf)
-            ratio[ok] = np.where(out[ok] < -ROW_TOL, -out[ok], 0.0) / rate[ok]
+            ratio = np.divide(np.where(out < -ROW_TOL, -out, 0.0), rate,
+                              out=np.full(h.size, np.inf), where=rate > floor * np.abs(d).max())
             p = _pick(ratio)
             if p is None:
-                return "Unbounded", w, x, y
-        bland = ratio.min() == 0.0  # a degenerate step
-        w[k] = p
-        w.sort()
+                return ("Unbounded", w) + _vertex(G, h, w, cost)
+            bland = ratio[p] == 0.0
+            u = G[p] @ B_inv
+        age += 1
+        if age < REFACTOR_STEPS and trusted:
+            B_inv = _pivot(B_inv, u, k, w, p)
+        else:
+            w[k] = p
+            w.sort()
+            B_inv, trusted = _inverse(G[w])
+            age = 0
     raise NumericalFailure(f"LP ran out its LP_MAX_STEPS={LP_MAX_STEPS} vertex steps")
+
+
+def _inverse(B):
+    """B's inverse, and whether B @ inverse is I within `INVERSE_TOL` (not so for a near-singular B)."""
+    B_inv = np.linalg.inv(B)
+    return B_inv, np.abs(B @ B_inv - np.eye(B.shape[0])).max() <= INVERSE_TOL
+
+
+def _vertex(G, h, w, cost):
+    """x and y of the vertex w, solved from G[w] by LU: `_simplex`'s exit values."""
+    B, bounds = G[w], h.size - w.size
+    x = np.linalg.solve(B, h[w])
+    x[w[w >= bounds] - bounds] = 0.0
+    return x, np.linalg.solve(B.T, -cost)
 
 
 def _crash(G, h, n_eq, x0):

@@ -214,6 +214,155 @@ def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None):
                             "dual_feasibility_tolerance": 1e-10})
 
 
+def reference_simplex(c, G, h, n_eq, w):
+    """`solve._simplex`'s vertex method with G[w] factored afresh at every step.
+
+    The same choices and tolerances, but each step solves by LU three
+    times (`numpy.linalg.solve`): for x, for y, and for the entering row's
+    pivots (a dual step) or the edge (a primal step), where `_simplex`
+    multiplies by its updated inverse.  The oracle for those steps: both
+    must pass through the same vertices and return the same bits.
+    """
+    from ldpc_forge.errors import NumericalFailure
+    from ldpc_forge.solve import DUAL_TOL, LP_MAX_STEPS, PIVOT_TOL, ROW_TOL, _pick
+
+    n = c.size
+    ineq = np.arange(h.size) >= n_eq
+    size = np.abs(G).max(axis=1)
+    cost, bland = c, False
+    for _ in range(LP_MAX_STEPS):
+        B = G[w]
+        x = np.linalg.solve(B, h[w])
+        x[w[w >= h.size - n] - (h.size - n)] = 0.0
+        y = np.linalg.solve(B.T, -cost)
+        out = G @ x - h
+        out[w] = -np.inf
+        out[~ineq] = -np.inf
+        if out.max() > ROW_TOL:
+            if np.any(ineq[w] & (y < -DUAL_TOL)):
+                y = np.where(ineq[w], np.maximum(y, 1e-6), y)
+                cost = -B.T @ y
+            missed = np.flatnonzero(out > ROW_TOL)
+            p = missed[0] if bland else missed[np.argmax(out[missed])]
+            u = np.linalg.solve(B.T, G[p])
+            ok = ineq[w] & (u > PIVOT_TOL * np.abs(u).max())
+            ratio = np.full(n, np.inf)
+            ratio[ok] = np.where(y[ok] > DUAL_TOL, y[ok], 0.0) / u[ok]
+            k = _pick(ratio)
+            if k is None:
+                return "Infeasible", w, x, y
+        else:
+            if cost is not c:
+                cost = c
+                continue
+            neg = np.flatnonzero(ineq[w] & (y < -DUAL_TOL))
+            if neg.size == 0:
+                return "Optimal", w, x, y
+            k = int(neg[0] if bland else neg[np.argmin(y[neg])])
+            d = np.linalg.solve(B, -np.eye(n)[k])
+            rate = G @ d
+            rate[w] = 0.0
+            ok = ineq & (rate > PIVOT_TOL * size * np.abs(d).max())
+            ratio = np.full(h.size, np.inf)
+            ratio[ok] = np.where(out[ok] < -ROW_TOL, -out[ok], 0.0) / rate[ok]
+            p = _pick(ratio)
+            if p is None:
+                return "Unbounded", w, x, y
+        bland = ratio.min() == 0.0
+        w[k] = p
+        w.sort()
+    raise NumericalFailure(f"LP ran out its LP_MAX_STEPS={LP_MAX_STEPS} vertex steps")
+
+
+class SimplexTwin:
+    """Runs `reference_simplex` beside every `solve._simplex` call, through monkeypatch.
+
+    ``pairs`` keeps (reference, updated) results, each (status, w, x, y);
+    ``drift`` keeps max |G[w] @ inverse - I| of every inverse that
+    `solve._pivot` updates, the one in force at each refactor included.
+    """
+
+    def __init__(self, monkeypatch):
+        from ldpc_forge import solve
+
+        self.pairs, self.drift = [], []
+        simplex, pivot, rows = solve._simplex, solve._pivot, []
+
+        def twin(c, G, h, n_eq, w):
+            rows[:] = [G]
+            ref = reference_simplex(c, G, h, n_eq, w.copy())
+            self.pairs.append((ref, simplex(c, G, h, n_eq, w)))
+            return self.pairs[-1][1]
+
+        def updated(B_inv, u, k, w, p):
+            out = pivot(B_inv, u, k, w, p)
+            self.drift.append(float(np.abs(rows[0][w] @ out - np.eye(w.size)).max()))
+            return out
+
+        monkeypatch.setattr(solve, "_simplex", twin)
+        monkeypatch.setattr(solve, "_pivot", updated)
+
+    @staticmethod
+    def same_steps(ref, new) -> bool:
+        """Same status, working set and x to the bit, and y too at an optimum."""
+        return (ref[0] == new[0] and ref[1].tobytes() == new[1].tobytes()
+                and ref[2].tobytes() == new[2].tobytes()
+                and (ref[0] != "Optimal" or ref[3].tobytes() == new[3].tobytes()))
+
+
+RANDOM_LP_KINDS = ("gaussian", "vandermonde", "integer", "duplicated", "origin", "simplex01")
+DEGENERATE_LP_KINDS = RANDOM_LP_KINDS[2:]
+
+
+def random_lp(rng: np.random.Generator, kind: str):
+    """(c, A_ub, b_ub, A_eq, b_eq) of a random LP over x >= 0, n <= 30 and m < 300.
+
+    Kinds: Gaussian rows; rows c_i*(1, t_i, t_i^2, ...) at close t_i (the
+    rate LP's Vandermonde conditioning, n <= 16); small-integer rows;
+    integer rows each repeated; integer rows through the origin; and 0/1
+    rows.  Rows hold at a random x0 >= 0 with slack.  In the last four
+    kinds, the `DEGENERATE_LP_KINDS`, x0 has zero and half-integer entries
+    and about 30% of the rows hold at it with no slack (all of them for
+    "origin", whose x0 is 0), so vertices there lie on more than n rows
+    and steps tie.  Each LP has 0 to 2 equality rows that hold at x0;
+    one in ten then has a right side lowered by 2, which may make it
+    infeasible.  A box row sum(x) <= n keeps them bounded.
+    """
+    n = int(rng.integers(2, 17 if kind == "vandermonde" else 31))
+    m = int(rng.integers(1, 150))
+    if kind == "gaussian":
+        A = rng.normal(size=(m, n))
+    elif kind == "vandermonde":
+        t = np.sort(rng.uniform(0.0, 1.0, size=m))
+        A = rng.uniform(0.5, 1.5, size=(m, 1)) * t[:, None] ** np.arange(n)
+    elif kind in ("integer", "origin"):
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    elif kind == "duplicated":
+        A = np.repeat(rng.integers(-2, 3, size=(m // 2 + 1, n)).astype(float), 2, axis=0)
+    elif kind == "simplex01":
+        A = (rng.uniform(size=(m, n)) < 0.5).astype(float)
+    else:
+        raise ValueError(kind)
+    if kind in DEGENERATE_LP_KINDS:
+        x0 = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.integers(0, 3, size=n) * 0.5)
+        if kind == "origin":
+            x0[:] = 0.0
+        slack = np.where(rng.uniform(size=A.shape[0]) < 0.3, 0.0,
+                         rng.integers(1, 4, size=A.shape[0]) * 0.5)
+    else:
+        x0 = rng.uniform(0.0, 1.0, size=n)
+        slack = rng.uniform(0.1, 1.0, size=A.shape[0])
+    b = A @ x0 + slack
+    if rng.uniform() < 0.1:
+        b[rng.integers(0, b.size)] -= 2.0
+    n_eq = int(rng.integers(0, 3))
+    A_eq = rng.uniform(0.5, 1.5, size=(n_eq, n)) if n_eq else None
+    b_eq = A_eq @ x0 if n_eq else None
+    A = np.vstack([A, np.ones(n)])
+    b = np.append(b, max(float(n), x0.sum()))
+    return rng.normal(size=n), A, b, A_eq, b_eq
+
+
 def failing_tie_break(lp_solve):
     """`lp_solve` that fails the rate tie-break LP, the one with two equality rows."""
     from ldpc_forge import NumericalFailure

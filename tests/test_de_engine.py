@@ -118,16 +118,44 @@ class TestInversion:
         assert z_of_x(ctx_x7.rho, xs).tobytes() == z_per_point.tobytes()
 
     def test_one_target_equals_the_batched_call_to_the_bit(self, rho_x7, rho_mix, fixtures):
-        # a single target is bisected on floats, an array by numpy; same z
+        # a single target is inverted on floats, an array by numpy; same z
         rng = np.random.default_rng(20261018)
         targets = np.concatenate([[0.0, 1.0, 1.0 - 1e-16], rng.uniform(0.0, 1.0, 500)])
         rhos = [rho_x7, rho_mix] + [f.ensemble.rho for f in fixtures]
         for rho in rhos:
-            batched = _kernels.bisect_increasing(rho.dense, targets, INVERSION_TOL)
+            batched = _kernels.bisect_increasing(rho.dense, targets)
             one = np.concatenate([
-                _kernels.bisect_increasing(rho.dense, np.array([t]), INVERSION_TOL)
+                _kernels.bisect_increasing(rho.dense, np.array([t]))
                 for t in targets])
             assert one.tobytes() == batched.tobytes()
+
+    def test_within_two_ulps_of_a_50_digit_root(self, fixtures):
+        # each fixture's rho at 500 targets spanning every x in [0, xi] that
+        # any fixture inverts: [rho(1 - eps), 1] at the largest fixture eps
+        mpmath = pytest.importorskip("mpmath")
+        eps = max(f.params["epsilon"] for f in fixtures)
+        rhos = {f.ensemble.rho.dense.tobytes(): f.ensemble.rho for f in fixtures}
+        assert len(rhos) == 2  # x^7 and the mixed rho
+        for rho in rhos.values():
+            targets = np.linspace(rho.eval(1.0 - eps), 1.0, 500)
+            zs = _kernels.bisect_increasing(rho.dense, targets)
+            coef = [mpmath.mpf(float(c)) for c in rho.dense[::-1]]
+            with mpmath.workdps(50):
+                for t, z in zip(targets.tolist(), zs.tolist()):
+                    root = mpmath.findroot(lambda s: mpmath.polyval(coef, s) - t, z)
+                    assert abs(z - root) <= 2 * np.spacing(float(root)), (t, z)
+
+    def test_targets_at_the_step_cap(self, rho_x7, rho_mix):
+        # t = 0 and 1e-300 take all `BISECT_MAX_ITER` steps (the root 0 is
+        # approached by a factor (d - 1)/d a step), 1 - 1e-16 stops at once;
+        # each leaves a residual within INVERSION_TOL on both paths
+        targets = np.array([0.0, 1e-300, 1.0 - 1e-16])
+        for rho in (rho_x7, rho_mix):
+            batched = _kernels.bisect_increasing(rho.dense, targets)
+            one = [_kernels.bisect_increasing(rho.dense, (t,))[0] for t in targets]
+            assert batched.tolist() == one
+            assert np.max(np.abs(rho.eval(batched) - targets)) <= INVERSION_TOL
+            assert z_of_x(rho, 0.0) == 1.0 and z_of_x(rho, np.array([0.0]))[0] == 1.0
 
     @pytest.mark.parametrize("zeta_tilde", [0.0, 1e-4, 0.3])
     def test_compiled_constraint_anchors_at_the_same_z(self, ctx_x7, zeta_tilde):
