@@ -23,8 +23,7 @@ check-side transfer curve psi(x).  On top of that picture it provides:
   dataset reproduction harness.
 """
 
-from .de_engine import (DEContext, DecodingTrace, MaxIterations, ReachedTarget,
-                        Stalled, de_trace, psi, psi_deriv)
+from .de_engine import DEContext, DecodingTrace, de_trace, psi, psi_deriv
 from .ensemble import DegreeDistribution, Ensemble, graphical_complexity, rate
 from .errors import (DegenerateGap, DerivativeSingular, DomainError,
                      LdpcForgeError, NegativeCoefficient, NumericalFailure,
@@ -42,10 +41,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstraintPolynomial", "CurvePair", "DEContext", "DecodingTrace",
     "DegenerateGap", "DegreeDistribution", "DerivativeSingular", "DesignSpec",
-    "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "MaxIterations",
-    "NegativeCoefficient", "NonnegCertificate", "NumericalFailure",
-    "RateOutOfRange", "ReachedTarget", "ReversionSingular", "SolveReport",
-    "Stalled", "SumNotOne", "UtilityResult", "approx_iterations", "certify",
+    "DomainError", "Ensemble", "LPResult", "LdpcForgeError", "NegativeCoefficient",
+    "NonnegCertificate", "NumericalFailure", "RateOutOfRange", "ReversionSingular",
+    "SolveReport", "SumNotOne", "UtilityResult", "approx_iterations", "certify",
     "code_curves", "code_estimates", "compile_constraint", "de_trace",
     "design_min_iterations", "design_rate", "design_utility",
     "graphical_complexity", "lp_solve", "psi", "psi_deriv", "rate",

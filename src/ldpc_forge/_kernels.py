@@ -49,11 +49,6 @@ import numpy.polynomial.polynomial as npoly
 # There is no compiled lane; environment records still report this flag.
 USING_NUMBA = False
 
-# Status codes of the recursion runner.
-STATUS_REACHED = 0
-STATUS_STALLED = 1
-STATUS_MAX_ITER = 2
-
 BISECT_MAX_ITER = 100  # Newton steps before `bisect_increasing` stops a target
 
 
@@ -84,10 +79,11 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     """Run the erasure-probability recursion until target, stall, or cap.
 
     Returns ``(probs, status)`` where ``probs`` holds P_0 .. P_n and
-    ``status`` is one of the STATUS_* codes.  ``probs`` is a float64 view
-    of the ``array('d')`` the recursion appends to, not a copy, so a long
-    trace is held once.  Both Horner loops are written out in the
-    recursion, in `_horner`'s operation order.
+    ``status`` names how the run ended: "ReachedTarget", "Stalled" or
+    "MaxIterations".  ``probs`` is a float64 view of the ``array('d')``
+    the recursion appends to, not a copy, so a long trace is held once.
+    Both Horner loops are written out in the recursion, in `_horner`'s
+    operation order.
     """
 
     lam_d = _descending(lam_c)
@@ -97,7 +93,7 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
     stall_tol = float(stall_tol)
     p = eps
     probs = array("d", [p])
-    status = STATUS_MAX_ITER
+    status = "MaxIterations"
     for _ in range(int(l_max)):
         u = 1.0 - p
         y = 0.0
@@ -110,10 +106,10 @@ def de_run(lam_c, rho_c, eps, eta, l_max, stall_tol):
         p_next = eps * y
         probs.append(p_next)
         if p_next < eta:
-            status = STATUS_REACHED
+            status = "ReachedTarget"
             break
         if p_next >= p * (1.0 - stall_tol):
-            status = STATUS_STALLED
+            status = "Stalled"
             break
         p = p_next
     return np.frombuffer(probs, dtype=np.float64), status

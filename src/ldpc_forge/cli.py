@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import __version__, estimators, sip_compile
-from .de_engine import DEContext, ReachedTarget, Stalled, de_trace, psi
+from .de_engine import DEContext, de_trace, psi
 from .ensemble import (DegreeDistribution, Ensemble, graphical_complexity,
                        rate as ensemble_rate)
 from .errors import DegenerateGap, LdpcForgeError, NumericalFailure
@@ -251,12 +251,12 @@ def _emit(args, name: str, data: dict, *files: tuple, **settings) -> None:
 
 
 def _trace_comments(trace) -> tuple:
-    s = trace.status
-    if isinstance(s, ReachedTarget):
-        return (f"status=ReachedTarget N={s.iterations}",)
-    if isinstance(s, Stalled):
-        return (f"status=Stalled at_iteration={s.at_iteration} P={s.P_value!r}",)
-    return (f"status=MaxIterations l_max={s.l_max}",)
+    n = len(trace.probs) - 1
+    if trace.status == "ReachedTarget":
+        return (f"status=ReachedTarget N={n}",)
+    if trace.status == "Stalled":
+        return (f"status=Stalled at_iteration={n} P={float(trace.probs[-1])!r}",)
+    return (f"status=MaxIterations l_max={n}",)
 
 
 def _estimates(e: Ensemble, ctx: DEContext, zeta_tilde: Optional[float]) -> dict:
@@ -333,7 +333,7 @@ def cmd_evaluate(args) -> int:
     ctx = DEContext.create(e.rho, args.epsilon, args.eta)
     trace = de_trace(e, ctx)
     summary = {"epsilon": args.epsilon, "eta": args.eta,
-               "status": type(trace.status).__name__,
+               "status": trace.status,
                "exact_N": trace.iterations}
     if trace.iterations is None:
         # stalled (or cut at DEFAULT_L_MAX): lam may touch psi on [zeta, xi]

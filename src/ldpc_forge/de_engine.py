@@ -73,39 +73,22 @@ class DEContext:
 
 
 @dataclass(frozen=True)
-class ReachedTarget:
-    iterations: int
-
-
-@dataclass(frozen=True)
-class Stalled:
-    at_iteration: int
-    P_value: float
-
-
-@dataclass(frozen=True)
-class MaxIterations:
-    l_max: int
-
-
-TraceStatus = Union[ReachedTarget, Stalled, MaxIterations]
-
-
-@dataclass(frozen=True)
 class DecodingTrace:
     """P_0 .. P_n of one recursion run and how it ended.
 
     ``probs`` is a view of the buffer the recursion filled
-    (`_kernels.de_run`), not a copy of it.
+    (`_kernels.de_run`), not a copy of it.  ``status`` is "ReachedTarget",
+    "Stalled" or "MaxIterations"; n = len(probs) - 1 is the step it
+    reached eta at, stalled at, or was capped at (l_max).
     """
 
     probs: np.ndarray
-    status: TraceStatus
+    status: str
 
     @property
     def iterations(self):
         """Exact iteration count, or None when decoding did not reach eta."""
-        return self.status.iterations if isinstance(self.status, ReachedTarget) else None
+        return len(self.probs) - 1 if self.status == "ReachedTarget" else None
 
 
 def _shape(x, out):
@@ -167,15 +150,8 @@ def de_trace(
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    probs, code = _kernels.de_run(
+    probs, status = _kernels.de_run(
         e.lam.dense, ctx.rho.dense, ctx.epsilon, ctx.eta, int(l_max), STALL_TOL
     )
-    n = len(probs) - 1
-    if code == _kernels.STATUS_REACHED:
-        status: TraceStatus = ReachedTarget(n)
-    elif code == _kernels.STATUS_STALLED:
-        status = Stalled(n, float(probs[-1]))
-    else:
-        status = MaxIterations(int(l_max))
     return DecodingTrace(probs=probs, status=status)
 

@@ -199,18 +199,22 @@ class NonnegCertificate:
     kind is "SturmPass" or "SturmFail", names kept from the Sturm chain that
     decided before Bernstein subdivision because reports, the CLI's JSON
     and the benchmark's checks read them.  margin is the smallest sampled
-    curve gap psi - lam - t*psi'; on failure witness is the x of a
-    strictly negative gap, witness_value.
+    curve gap psi - lam - t*psi'; on failure witness is the x of that
+    gap, which is strictly negative.
     """
 
     kind: str
     margin: float
     witness: Optional[float] = None
-    witness_value: Optional[float] = None
 
     @property
     def passed(self) -> bool:
         return self.kind == "SturmPass"
+
+    @property
+    def witness_value(self) -> Optional[float]:
+        """The gap at the witness, the margin; None on a pass."""
+        return None if self.passed else self.margin
 
 
 def step_rows(rho: DegreeDistribution, epsilon: float, d_v: int, zeta_tilde: float,
@@ -280,4 +284,4 @@ def certify(cp: ConstraintPolynomial) -> NonnegCertificate:
         return NonnegCertificate("SturmPass", float(gaps[k]))
     # clipped: b carries the bisection residual of z(zeta_tilde)
     x = float(np.clip(xs[k], cp.zeta_tilde, cp.xi))
-    return NonnegCertificate("SturmFail", float(gaps[k]), witness=x, witness_value=float(gaps[k]))
+    return NonnegCertificate("SturmFail", float(gaps[k]), witness=x)

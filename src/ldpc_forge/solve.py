@@ -22,16 +22,19 @@ Three entry points over a common toolkit:
   approx_N that `evaluate` reports.  In curve terms each node P is a row
   at x = 1 - rho(1 - P) with psi = P/eps and weight psi' dx = P*du/eps.
   The objective is convex in lam and blows up as lam touches psi, so it
-  is minimized over the coefficient simplex and the rate floor by a
+  is minimized over rows G @ lam <= h in `_simplex`'s layout (the sum
+  row, an equality, then the rate floor, then the bounds -I) by a
   null-space active-set Newton method (Gill, Murray & Wright, Practical
-  Optimization, 1981; Nocedal & Wright, 2006, sec. 16.5) from the vertex
-  of the utility LP anchored at zeta, whose psi - lam >= t*psi' holds on
-  all of [zeta, xi] and so at every node.  Unused degrees are exact
-  zeros, and `optimality_gap` is the KKT residual, at most `KKT_TOL`; below it the
+  Optimization, 1981; Nocedal & Wright, 2006, sec. 16.5) whose working
+  set is a mask over those rows, from the vertex of the utility LP
+  anchored at zeta, whose psi - lam >= t*psi' holds on all of [zeta, xi]
+  and so at every node.  Unused degrees are exact zeros, and
+  `optimality_gap` is the KKT residual, at most `KKT_TOL`; below it the
   certificate of psi - lam >= 0 on [zeta, xi] is the verdict.  The node
   matrix X has columns x^1 .. x^{d_v-1}, so its Hessian term
   X'diag(c)X is the Hankel matrix of the moments sum c_i*x_i^p,
-  p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product.
+  p = 2 .. 2(d_v-1): a Newton step costs one grid_n x 2(d_v-1) product
+  and one QR factorization of the working rows.
   A design that runs out its `MAX_NEWTON_STEPS` steps, or whose line
   search stalls, is "IterLimit".
 
@@ -51,10 +54,11 @@ product form rather than factor them afresh, and each exit solves its
 vertex once more by LU.  It solves each LP (all have inequality rows) by row
 generation: a 4096-row design LP, of which a handful of rows are active,
 converges in two or three rounds of at most a few hundred rows, each
-continuing from the last round's vertex.  The rate LP starts from
-lam = x^{d_v-1}, its tie-break LP from the rate-optimal vertex, and each
-zeta_tilde-tuning LP after the first from the last one's vertex and
-working set; only the other LPs run a phase one.
+continuing from the last round's vertex.  The rate LP starts from the
+vertex of its sum row and bounds, lam = x^{d_v-1}, its tie-break LP
+from the rate-optimal vertex, and each zeta_tilde-tuning LP after the
+first from the last one's vertex and working set; only the other LPs
+run a phase one.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
 Every "Optimal" report carries a passed certificate.  No command imports
 scipy.
@@ -130,7 +134,6 @@ class SolveReport:
     lam: Optional[DegreeDistribution]
     t: Optional[float]
     objective: float
-    max_violation: float
     optimality_gap: float
     status: str
     certificate: Optional[NonnegCertificate]
@@ -142,6 +145,11 @@ class SolveReport:
     @property
     def ok(self) -> bool:
         return self.status == "Optimal"
+
+    @property
+    def max_violation(self) -> float:
+        """Minus the certificate's margin; NaN with no certificate."""
+        return float("nan") if self.certificate is None else -self.certificate.margin
 
 
 @dataclass(frozen=True)
@@ -395,8 +403,7 @@ def _vandermonde(xs: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _infeasible(method: str, detail: str, zeta_tilde: Optional[float] = None) -> SolveReport:
-    return SolveReport(lam=None, t=None, objective=float("nan"),
-                       max_violation=float("nan"), optimality_gap=float("nan"),
+    return SolveReport(lam=None, t=None, objective=float("nan"), optimality_gap=float("nan"),
                        status="Infeasible", certificate=None, method=method,
                        detail=detail, zeta_tilde=zeta_tilde)
 
@@ -424,8 +431,10 @@ def _reach_note(xs: np.ndarray, b: np.ndarray, epsilon: float, d_v: int) -> str:
     """Why the rate LP's rows lam(x) <= b at `xs` admit no lam, when they show it.
 
     Over the simplex the least lam(x) at every x is x^{d_v-1}, all the
-    weight on degree d_v, so the rows admit no lam exactly when
-    x^{d_v-1} > b at some row; the first such x is named.
+    weight on degree d_v: the vertex of the sum row and the bounds
+    lam_2 = .. = lam_{d_v-1} = 0, which is where `lp_solve` starts the
+    rate LP.  So the rows admit no lam exactly when x^{d_v-1} > b at
+    some row; the first such x is named.
     """
     over = np.flatnonzero(xs ** (d_v - 1) > b)
     if over.size == 0:
@@ -455,10 +464,9 @@ def design_rate(
     rows and the LP is solved again, at most `REFINE_ROUNDS` times and
     never for a witness that is already a row.  The last certificate is
     the verdict: "Optimal" if it passes, "CertificateFail" (lam kept) if
-    not; max_violation is minus its margin and `rounds` counts the
-    re-solves.  Among rate-optimal vertices the one with the smallest
-    lam_2 is returned, which makes the output deterministic when the LP
-    optimum is degenerate.  When that tie-break LP fails its KKT check,
+    not, and `rounds` counts the re-solves.  Among rate-optimal vertices
+    the one with the smallest lam_2 is returned, which makes the output
+    deterministic when the LP optimum is degenerate.  When that tie-break LP fails its KKT check,
     the first LP's vertex, which passed its own, is kept and `detail`
     says so.  A design whose rate is <= 0 is no code: it is reported
     Infeasible, with the rate in `detail`.  An infeasible grid LP is
@@ -474,12 +482,11 @@ def design_rate(
     eq = np.ones((1, d_v - 1))
     c2 = np.zeros(d_v - 1)
     c2[0] = 1.0
-    top = np.eye(d_v - 1)[-1]  # lam = x^{d_v-1}: feasible whenever the LP is (`_reach_note`)
     A = _vandermonde(xs, d_v)
     b = psi(ctx, xs) - MARGIN
     rounds = 0
     while True:
-        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0], start=top)
+        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}: "
                                        f"{_reach_note(xs, b, epsilon, d_v)}")
@@ -509,8 +516,7 @@ def design_rate(
     if rate <= 0.0:
         return _infeasible("rate", f"the rate-maximal design has rate {rate:.6g} <= 0")
     status, why = _verdict(cert)
-    return SolveReport(lam=lam, t=None, objective=rate,
-                       max_violation=-cert.margin, optimality_gap=lp.kkt_residual,
+    return SolveReport(lam=lam, t=None, objective=rate, optimality_gap=lp.kkt_residual,
                        status=status, certificate=cert, method="rate",
                        detail=_join(note, why), rounds=rounds)
 
@@ -590,9 +596,9 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     doubles the pieces, up to 2^8 (`_bernstein_lp`).  The rate floor
     carries a relative `FLOOR_RELIEF` (`_rate_floor`), so the rate is
     >= R_d.  A tuned anchor is solved again cold.  The certificate of
-    (lam, t*(1 - 1e-6)) gives "Optimal" or "CertificateFail" (lam, t kept;
-    max_violation = -margin); an LP infeasible on 2^8 pieces is
-    "Infeasible", told by `_explain`.
+    (lam, t*(1 - 1e-6)) gives "Optimal" or "CertificateFail" (lam, t
+    kept); an LP infeasible on 2^8 pieces is "Infeasible", told by
+    `_explain`.
     """
     spec.validate()
     ctx = spec.context()
@@ -606,83 +612,74 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     cert = certify(compile_constraint(lam, t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                                       zt, ctx.xi))
     status, why = _verdict(cert)
-    return SolveReport(lam=lam, t=t, objective=t, max_violation=-cert.margin,
-                       optimality_gap=lp.kkt_residual, status=status, certificate=cert,
-                       method="utility", detail=why, zeta_tilde=zt)
+    return SolveReport(lam=lam, t=t, objective=t, optimality_gap=lp.kkt_residual,
+                       status=status, certificate=cert, method="utility", detail=why,
+                       zeta_tilde=zt)
 
 
-def _hankel(n: int) -> np.ndarray:
-    """Index of X'diag(c)X, n x n, into the moments m[p - 1] = sum_i c_i*x_i^p.
+def _active_set(v, M, psi_vals, w, G, h) -> tuple[np.ndarray, float, str]:
+    """Null-space active-set Newton for sum w/g over the rows G @ v <= h.
 
-    Column k of X carries x^{k+1}, so entry (k, l) is the moment of
-    x^{k+l+2}; p runs over 2 .. 2n.
-    """
-    return np.add.outer(np.arange(n), np.arange(n)) + 1
-
-
-def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, str]:
-    """Null-space active-set Newton for sum w/g over the simplex and the rate floor.
-
-    From the start vertex v (g = psi - X v > 0) the working set holds
-    the bounds lam_j = 0 (the zeros of v, and its LP round-off) and, once it
-    binds, the floor inv_degrees @ v >= q.  Each step is the Newton step on
-    the free coordinates in the null space Z of their equality rows (the
-    sum, and the floor while it binds), by least squares: the reduced
-    gradient lies in the range of the reduced Hessian Z'X'diag(2w/g^3)XZ,
-    so the system stays consistent when that is singular (fewer nodes than
-    free coordinates).  M holds x^1 .. x^{2(d_v-1)} at the nodes and its
-    first d_v - 1 columns are X, so one product M'[w/g^2, 2w/g^3] gives
-    the gradient and the Hessian (`_hankel`).  A ratio test stops the step
-    at the first bound or the floor it crosses, which joins the working
-    set (a bound at exactly 0); alpha halves until g > 0 and the Armijo
-    rule holds, with the change of the objective summed term by term.
-    Once the projected gradient is within `KKT_TOL` of the largest
-    gradient entry, the bound or floor with the most negative multiplier
-    below -`KKT_TOL` leaves the working set; with none, v is optimal.
+    G is laid out as `_simplex` takes it: row 0 the sum row, an equality,
+    then the general inequality rows, and the bounds -I (v >= 0) last.
+    From the start vertex v (g = psi - X v > 0) the working set W holds
+    row 0 and the bounds at the zeros of v (and its LP round-off).  Each
+    step factors the working rows once, G[W]' = QR: Q's last columns Z
+    span their null space, and R gives every working row's multiplier y
+    (grad + G[W]' y = 0 in the range of G[W]').  The step is Newton's in
+    that null space, by least squares: the reduced gradient lies in the
+    range of the reduced Hessian Z'X'diag(2w/g^3)XZ, so the system stays
+    consistent when that is singular (fewer nodes than free coordinates).
+    M holds x^1 .. x^{2(d_v-1)} at the nodes and its first d_v - 1 columns
+    are X, so one product M'[w/g^2, 2w/g^3] gives the gradient and, as
+    the Hankel matrix of moments of x^2 .. x^{2(d_v-1)}, the Hessian.  A
+    ratio test over the rows off W stops the step at the first row it
+    meets, which joins W; bounds in W are held at exactly 0.  alpha halves
+    until g > 0 and the Armijo rule holds, with the change of the
+    objective summed term by term.  Once the projected gradient is within
+    `KKT_TOL` of the largest gradient entry, the inequality row with the
+    most negative multiplier below -`KKT_TOL` leaves W; with none, v is
+    optimal.
 
     Returns (v, KKT residual, note): the residual is the larger of the
     projected gradient and the most negative multiplier, relative to the
     largest gradient entry; the note is empty at convergence, and says why
     the run stopped short after `MAX_NEWTON_STEPS` steps or at the first
     step whose line search halves alpha to 1e-12 without reaching a
-    bound, which would only repeat itself.
+    row, which would only repeat itself.
     """
     n = v.size
     X = M[:, :n]
-    hankel = _hankel(n)
-    active = np.append(v <= 2.0**-53 * np.abs(v).sum(), False)  # the bounds, then the floor
-    v = np.where(active[:n], 0.0, v)
-    rows = np.vstack([np.ones(n), -inv_degrees])
+    hankel = np.add.outer(np.arange(n), np.arange(n)) + 1  # entry (k, l) carries x^{k+l+2}
+    bound = np.arange(h.size) >= h.size - n
+    active = np.arange(h.size) == 0
+    active[bound] = v <= 2.0**-53 * np.abs(v).sum()
+    v = np.where(active[bound], 0.0, v)
     for step in range(1, MAX_NEWTON_STEPS + 1):
         g = psi_vals - X @ v
         moments = M.T @ np.column_stack([w / g**2, 2.0 * w / g**3])
         grad = moments[:n, 0]
         scale = float(np.max(grad))
-        free = np.flatnonzero(~active[:n])
-        k = 1 + int(active[n])
-        # E' = QR: Q's first k columns span the equality rows, the rest (Z) their null space
-        Q, R = np.linalg.qr(rows[:k, free].T, mode="complete")
-        Z = Q[:, k:]
-        reduced = Z.T @ grad[free]
-        y = np.linalg.solve(R[:k], -Q[:, :k].T @ grad[free])
-        # working-set multipliers: grad + y[0] - y[1]*inv_degrees on a bound, y[1] on the floor
-        mu = np.append(grad + rows[:k].T @ y, y[-1])[active] / scale
+        W = np.flatnonzero(active)
+        Q, R = np.linalg.qr(G[W].T, mode="complete")
+        Z = Q[:, W.size:]
+        reduced = Z.T @ grad
+        # multipliers of the working rows but the sum row, which must not be negative
+        mu = np.linalg.solve(R[:W.size], -Q[:, :W.size].T @ grad)[1:] / scale
         projected = float(np.max(np.abs(Z @ reduced), initial=0.0)) / scale
         gap = max(projected, -float(mu.min(initial=0.0)))
         if projected <= KKT_TOL:
             if gap <= KKT_TOL:
                 return v, gap, ""
-            active[np.flatnonzero(active)[np.argmin(mu)]] = False
+            active[W[1 + np.argmin(mu)]] = False
             continue
-        H = moments[hankel[np.ix_(free, free)], 1]
-        p = np.zeros(n)
-        p[free] = Z @ np.linalg.lstsq(Z.T @ H @ Z, -reduced, rcond=None)[0]
-        # ratio test over the bounds and the floor off the working set
-        slack = np.append(v, inv_degrees @ v - q)
-        rate = np.append(p, inv_degrees @ p)
-        ratios = np.full(n + 1, np.inf)
-        down = (rate < 0.0) & ~active
-        ratios[down] = np.maximum(slack[down], 0.0) / -rate[down]
+        p = Z @ np.linalg.lstsq(Z.T @ moments[hankel, 1] @ Z, -reduced, rcond=None)[0]
+        # ratio test over the rows off the working set
+        slack = h - G @ v
+        rate = G @ p
+        ratios = np.full(h.size, np.inf)
+        up = (rate > 0.0) & ~active
+        ratios[up] = np.maximum(slack[up], 0.0) / rate[up]
         blocking = int(np.argmin(ratios))
         alpha = min(1.0, ratios[blocking])
         x_step = X @ p
@@ -695,11 +692,9 @@ def _active_set(v, M, psi_vals, w, inv_degrees, q) -> tuple[np.ndarray, float, s
             if alpha <= 1e-12:
                 return v, gap, (f"active-set Newton line search stalled at step {step} "
                                 f"at KKT residual {gap:.3e}")
-        v = v + alpha * p
         if alpha == ratios[blocking]:
             active[blocking] = True
-            if blocking < n:
-                v[blocking] = 0.0
+        v = np.where(active[bound], 0.0, v + alpha * p)
     return v, gap, (f"active-set Newton ran out its MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
                     f"steps at KKT residual {gap:.3e}")
 
@@ -712,11 +707,12 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     psi_i = P_i/eps and w_i = P_i*du/eps, is sum P_i*du/g(P_i): the
     approx_N of `estimators.code_estimates` at grid_n nodes.  It is convex
     and already penalizes the curve constraint; the constraints are the
-    coefficient simplex and the `_rate_floor` of `design_utility`, so the
-    rate is >= R_d after renormalization.  The start is the vertex of the
-    utility LP anchored at zeta (`_bernstein_lp`): psi - lam >= t*psi' >= 0
-    holds at its optimum on all of [zeta, xi], which holds every node, so
-    whether a start exists does not depend on grid_n.  An LP with no
+    rows G @ lam <= h of the coefficient simplex and the `_rate_floor` of
+    `design_utility`, so the rate is >= R_d after renormalization.  The
+    start is the vertex of the utility LP anchored at zeta
+    (`_bernstein_lp`): psi - lam >= t*psi' >= 0 holds at its optimum on
+    all of [zeta, xi], which holds every node, so whether a start exists
+    does not depend on grid_n.  An LP with no
     optimum on 2^8 pieces, or a start with node slack min g <= 1e-10,
     makes the design "Infeasible", and only then is the rate ceiling
     designed, to say why (`_explain`).  `_active_set` runs from that
@@ -724,9 +720,8 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     `MAX_NEWTON_STEPS` or on a stalled line search is "IterLimit", with
     the step and residual in `detail`; otherwise the certificate of
     psi - lam >= 0 on [zeta, xi] gives "Optimal" or "CertificateFail"
-    (lam kept).  Either way the certificate rides along, and
-    max_violation is -certificate.margin.  Unused degrees are exact zeros,
-    so lam may end below degree d_v.
+    (lam kept).  Either way the certificate rides along.  Unused degrees
+    are exact zeros, so lam may end below degree d_v.
     """
     spec.validate()
     ctx = spec.context()
@@ -743,7 +738,10 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     if slack <= 1e-10:  # -inf when the LP has no optimum on 2^8 pieces
         return _infeasible("min-iter", _explain(spec, (
             f"no interior start point (Bernstein LP {lp.status}, node slack {slack:.3e})")))
-    v, gap, stop = _active_set(lp.x[:-1], M, psi_vals, w, *_rate_floor(spec))
+    inv_degrees, q = _rate_floor(spec)
+    G = np.vstack([np.ones(d_v - 1), -inv_degrees, -np.eye(d_v - 1)])
+    h = np.concatenate([[1.0, -q], np.zeros(d_v - 1)])
+    v, gap, stop = _active_set(lp.x[:-1], M, psi_vals, w, G, h)
     lam = _lam_from_vec(v, d_v).renormalized()
 
     g = psi_vals - X @ np.array([lam.coeff(j) for j in range(2, d_v + 1)])
@@ -752,6 +750,5 @@ def design_min_iterations(spec: DesignSpec) -> SolveReport:
     status, why = _verdict(cert)
     if stop:
         status, why = "IterLimit", _join(stop, why)
-    return SolveReport(lam=lam, t=None, objective=obj, max_violation=-cert.margin,
-                       optimality_gap=gap, status=status, certificate=cert,
-                       method="min-iter", detail=why)
+    return SolveReport(lam=lam, t=None, objective=obj, optimality_gap=gap,
+                       status=status, certificate=cert, method="min-iter", detail=why)

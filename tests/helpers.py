@@ -9,6 +9,7 @@ package against one of these, a bug in the package cannot cancel out.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,7 @@ def polyval_recursion_reference(lam_c, rho_c, eps: float, eta: float, l_max: int
     """The erasure recursion by `np.polyval` on coefficient arrays.
 
     Same stop rules and return shape as `_kernels.de_run`: a float64 array
-    P_0 .. P_n and a STATUS_* code (0 reached, 1 stalled, 2 cap).
+    P_0 .. P_n and the name of how the run ended.
     """
     lam_d = np.asarray(lam_c, dtype=np.float64)[::-1]
     rho_d = np.asarray(rho_c, dtype=np.float64)[::-1]
@@ -55,11 +56,11 @@ def polyval_recursion_reference(lam_c, rho_c, eps: float, eta: float, l_max: int
         p_next = eps * float(np.polyval(lam_d, inner))
         probs.append(p_next)
         if p_next < eta:
-            return np.array(probs), 0
+            return np.array(probs), "ReachedTarget"
         if p_next >= p * (1.0 - stall_tol):
-            return np.array(probs), 1
+            return np.array(probs), "Stalled"
         p = p_next
-    return np.array(probs), 2
+    return np.array(probs), "MaxIterations"
 
 
 def staircase_oracle(lam: dict[int, float], rho: dict[int, float],
@@ -310,6 +311,130 @@ class SimplexTwin:
                 and (ref[0] != "Optimal" or ref[3].tobytes() == new[3].tobytes()))
 
 
+def reference_active_set(v, M, psi_vals, w, inv_degrees, q):
+    """`solve._active_set` with the simplex bounds and the rate floor kept apart.
+
+    The same null-space Newton method, stop notes and tolerances, on the
+    sum row, the floor inv_degrees @ v >= q (index n of the working-set
+    mask) and the bounds v >= 0 (indices 0 .. n-1): each step gathers the
+    free coordinates, factors only the sum row and, while it binds, the
+    floor on them, and scatters the step back.  The oracle for the row
+    form, which factors every working row of G at once: both must take
+    the same number of steps to the same exact zeros and the same v
+    within rounding.  Returns (v, KKT residual, note).
+    """
+    from ldpc_forge.solve import KKT_TOL, MAX_NEWTON_STEPS
+
+    n = v.size
+    X = M[:, :n]
+    hankel = np.add.outer(np.arange(n), np.arange(n)) + 1  # X'diag(c)X from moments of x^2..x^2n
+    active = np.append(v <= 2.0**-53 * np.abs(v).sum(), False)  # the bounds, then the floor
+    v = np.where(active[:n], 0.0, v)
+    rows = np.vstack([np.ones(n), -inv_degrees])
+    for step in range(1, MAX_NEWTON_STEPS + 1):
+        g = psi_vals - X @ v
+        moments = M.T @ np.column_stack([w / g**2, 2.0 * w / g**3])
+        grad = moments[:n, 0]
+        scale = float(np.max(grad))
+        free = np.flatnonzero(~active[:n])
+        k = 1 + int(active[n])
+        Q, R = np.linalg.qr(rows[:k, free].T, mode="complete")
+        Z = Q[:, k:]
+        reduced = Z.T @ grad[free]
+        y = np.linalg.solve(R[:k], -Q[:, :k].T @ grad[free])
+        mu = np.append(grad + rows[:k].T @ y, y[-1])[active] / scale
+        projected = float(np.max(np.abs(Z @ reduced), initial=0.0)) / scale
+        gap = max(projected, -float(mu.min(initial=0.0)))
+        if projected <= KKT_TOL:
+            if gap <= KKT_TOL:
+                return v, gap, ""
+            active[np.flatnonzero(active)[np.argmin(mu)]] = False
+            continue
+        H = moments[hankel[np.ix_(free, free)], 1]
+        p = np.zeros(n)
+        p[free] = Z @ np.linalg.lstsq(Z.T @ H @ Z, -reduced, rcond=None)[0]
+        slack = np.append(v, inv_degrees @ v - q)
+        rate = np.append(p, inv_degrees @ p)
+        ratios = np.full(n + 1, np.inf)
+        down = (rate < 0.0) & ~active
+        ratios[down] = np.maximum(slack[down], 0.0) / -rate[down]
+        blocking = int(np.argmin(ratios))
+        alpha = min(1.0, ratios[blocking])
+        x_step = X @ p
+        slope = float(grad @ p)
+        while True:
+            g_t = g - alpha * x_step
+            if g_t.min() > 0.0 and float(np.sum(w * x_step / (g * g_t))) <= 0.25 * slope:
+                break
+            alpha *= 0.5
+            if alpha <= 1e-12:
+                return v, gap, (f"active-set Newton line search stalled at step {step} "
+                                f"at KKT residual {gap:.3e}")
+        v = v + alpha * p
+        if alpha == ratios[blocking]:
+            active[blocking] = True
+            if blocking < n:
+                v[blocking] = 0.0
+    return v, gap, (f"active-set Newton ran out its MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
+                    f"steps at KKT residual {gap:.3e}")
+
+
+class ActiveSetTwin:
+    """Runs `reference_active_set` beside every `solve._active_set` call, through monkeypatch.
+
+    The floor is row 1 of the row form's G, -inv_degrees @ v <= -q.
+    ``pairs`` keeps (reference, row form) results, each (v, gap, note,
+    Newton steps), the steps counted as each method's `np.linalg.qr` calls;
+    the design goes on with the row form's result, or with the
+    reference's when ``keep`` is "ref".
+    """
+
+    def __init__(self, monkeypatch, keep="new"):
+        from ldpc_forge import solve
+
+        self.pairs = []
+        active_set, qr, calls = solve._active_set, np.linalg.qr, []
+        mine = {active_set.__code__: "new", reference_active_set.__code__: "ref"}
+
+        def counted_qr(*args, **kwargs):
+            calls.append(mine.get(sys._getframe(1).f_code))
+            return qr(*args, **kwargs)
+
+        def twin(v, M, psi_vals, w, G, h):
+            calls.clear()
+            ref = reference_active_set(v, M, psi_vals, w, -G[1], -h[1])
+            new = active_set(v, M, psi_vals, w, G, h)
+            self.pairs.append((ref + (calls.count("ref"),), new + (calls.count("new"),)))
+            return new if keep == "new" else ref
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(solve, "_active_set", twin)
+
+    @staticmethod
+    def design_both_ways(spec):
+        """`design_min_iterations(spec)` going on from the reference's result,
+        then from the row form's: (their two statuses, the (reference, row
+        form) pair)."""
+        import pytest
+
+        from ldpc_forge import design_min_iterations
+
+        statuses = []
+        for keep in ("ref", "new"):
+            with pytest.MonkeyPatch.context() as m:
+                twin = ActiveSetTwin(m, keep)
+                statuses.append(design_min_iterations(spec).status)
+        (pair,) = twin.pairs
+        return statuses, pair
+
+    @staticmethod
+    def same_run(ref, new) -> bool:
+        """Same stop note and Newton steps, the same exact zeros, and v within 1e-12."""
+        return (ref[2] == new[2] and ref[3] == new[3]
+                and np.array_equal(ref[0] == 0.0, new[0] == 0.0)
+                and float(np.max(np.abs(ref[0] - new[0]))) <= 1e-12)
+
+
 RANDOM_LP_KINDS = ("gaussian", "vandermonde", "integer", "duplicated", "origin", "simplex01")
 DEGENERATE_LP_KINDS = RANDOM_LP_KINDS[2:]
 
@@ -383,7 +508,7 @@ def fail_own_certificate(monkeypatch) -> None:
     from ldpc_forge import NonnegCertificate, solve
 
     def certify(cp):
-        return NonnegCertificate("SturmFail", -1.0, witness=0.5, witness_value=-1.0)
+        return NonnegCertificate("SturmFail", -1.0, witness=0.5)
 
     monkeypatch.setattr(solve, "certify", certify)
 

@@ -18,9 +18,6 @@ from ldpc_forge import (
     DegreeDistribution,
     DomainError,
     Ensemble,
-    MaxIterations,
-    ReachedTarget,
-    Stalled,
     de_trace,
     psi,
     psi_deriv,
@@ -168,8 +165,8 @@ class TestRecursion:
     def test_regular_code_below_threshold_converges(self, reg36):
         ctx = DEContext.create(reg36.rho, 0.4, 1e-3)
         trace = de_trace(reg36, ctx)
-        assert isinstance(trace.status, ReachedTarget)
-        assert trace.iterations == trace.status.iterations
+        assert trace.status == "ReachedTarget"
+        assert trace.iterations == len(trace.probs) - 1
         probs = np.asarray(trace.probs)
         assert probs[0] == 0.4
         assert np.all(np.diff(probs) < 0)
@@ -178,15 +175,15 @@ class TestRecursion:
     def test_regular_code_above_threshold_stalls(self, reg36):
         ctx = DEContext.create(reg36.rho, 0.45, 1e-3)
         trace = de_trace(reg36, ctx)
-        assert isinstance(trace.status, Stalled)
+        assert trace.status == "Stalled"
         assert trace.iterations is None
-        assert trace.status.P_value > 1e-3
+        assert trace.probs[-1] > 1e-3
 
     def test_iteration_cap_reported(self, reg36):
         ctx = DEContext.create(reg36.rho, 0.4, 1e-12)
         trace = de_trace(reg36, ctx, l_max=5)
-        assert isinstance(trace.status, MaxIterations)
-        assert trace.status.l_max == 5
+        assert trace.status == "MaxIterations"
+        assert trace.iterations is None
         assert len(trace.probs) == 6
 
     def test_nonpositive_cap_rejected(self, reg36):
@@ -226,12 +223,12 @@ class TestRecursion:
     def test_bit_equal_to_polyval_on_a_stall(self, reg36):
         # 1.01 x the (3,6) threshold 0.4294
         ctx = DEContext.create(reg36.rho, 1.01 * 0.4294, 1e-3)
-        assert self._assert_bit_equal_to_polyval(reg36, ctx) == _kernels.STATUS_STALLED
+        assert self._assert_bit_equal_to_polyval(reg36, ctx) == "Stalled"
 
     def test_bit_equal_to_polyval_at_the_cap(self, fixtures):
         f = fixtures.get("mix_dv16")
         status = self._assert_bit_equal_to_polyval(f.ensemble, fixture_context(f), l_max=5)
-        assert status == _kernels.STATUS_MAX_ITER
+        assert status == "MaxIterations"
 
     def test_matches_ordinate_recursion_count(self, rng, rho_mix, fixtures):
         # the normalized staircase recursion counts the same steps
@@ -263,7 +260,7 @@ class TestSuccessCheck:
         ctx = DEContext.create(e.rho, 0.4995, 1e-5)
         below, _ = recursion_margin(e, ctx)
         assert below > 0
-        assert isinstance(de_trace(e, ctx).status, ReachedTarget)
+        assert de_trace(e, ctx).status == "ReachedTarget"
 
     def test_same_code_fails_well_above_design_point(self, fixtures):
         e = fixtures.get("x7_poc").ensemble
@@ -272,13 +269,13 @@ class TestSuccessCheck:
         assert worst < 0
         # a recursion probability on the scanned (eta, eps], not an abscissa
         assert ctx.eta < argmin_P <= ctx.epsilon
-        assert isinstance(de_trace(e, ctx).status, Stalled)
+        assert de_trace(e, ctx).status == "Stalled"
 
     def test_stability_violation_detected(self):
         e = Ensemble(lam=DegreeDistribution({2: 1.0}), rho=DegreeDistribution({3: 1.0}))
         ctx = DEContext.create(e.rho, 0.9, 1e-6)
         assert recursion_margin(e, ctx)[0] <= 0
-        assert not isinstance(de_trace(e, ctx, l_max=20_000).status, ReachedTarget)
+        assert de_trace(e, ctx, l_max=20_000).status != "ReachedTarget"
 
     def test_failed_check_implies_no_convergence(self, rng, rho_mix):
         eps, eta = 0.49, 1e-4
@@ -290,5 +287,5 @@ class TestSuccessCheck:
             if recursion_margin(e, ctx)[0] > 0:
                 continue
             seen_fail += 1
-            assert not isinstance(de_trace(e, ctx, l_max=20_000).status, ReachedTarget)
+            assert de_trace(e, ctx, l_max=20_000).status != "ReachedTarget"
         assert seen_fail >= 5

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from helpers import (DEGENERATE_LP_KINDS, RANDOM_LP_KINDS, SimplexTwin,
+from helpers import (DEGENERATE_LP_KINDS, RANDOM_LP_KINDS, ActiveSetTwin, SimplexTwin,
                      fail_own_certificate, failing_tie_break, full_lp_reference,
                      lp_vertex_enumeration_oracle, random_lp, random_simplex_lambda,
                      recursion_margin)
@@ -412,6 +412,24 @@ class TestDesignRate:
         assert rep.max_violation <= solve.MARGIN
         assert rep.certificate.passed and rep.rounds == 0
 
+    @pytest.mark.parametrize("eps, d_v", [(X7_EPS, 16), (0.6, 8)])
+    def test_rate_lp_starts_at_the_top_degree(self, rho_x7, monkeypatch, eps, d_v):
+        # with no start, `_crash` at 0 takes the sum row and the bounds on
+        # lam_2 .. lam_{d_v-1}: the vertex lam = x^{d_v-1} that `_reach_note`
+        # tests, feasible whenever the LP is (the second cell is not)
+        crashes, crash = [], solve._crash
+
+        def spy(G, h, n_eq, x0):
+            crashes.append((G, h, crash(G, h, n_eq, x0)))
+            return crashes[-1][2]
+
+        monkeypatch.setattr(solve, "_crash", spy)
+        design_rate(rho_x7, eps, d_v, grid_n=512)
+        G, h, w = crashes[0]
+        n = d_v - 1
+        assert w.tolist() == [0, *range(h.size - n, h.size - 1)]
+        assert np.array_equal(np.linalg.solve(G[w], h[w]), np.eye(n)[-1])
+
     @pytest.mark.parametrize("grid_n", [0, -5])
     def test_grid_n_floor(self, rho_x7, grid_n):
         with pytest.raises(ValueError, match="grid_n"):
@@ -668,6 +686,26 @@ class TestDesignUtility:
         assert rep.t > u_rate.value + 0.01  # rate design hugs psi, tiny floor
 
 
+FIGURE_MIN_ITER = ["fig2_r045", "fig2_r040", "fig4_090", "fig4_094", "fig4_098",
+                   "fig5_dv12", "fig5_dv16", "fig5_dv30", "fig7_eta2", "fig7_eta3",
+                   "fig7_eta5"]
+
+
+def _figure_min_iter_spec(name: str, rho_x7, fixtures) -> DesignSpec:
+    """The min-iter design that `reproduce` draws in figure cell `name`."""
+    fig, cell = name.split("_")
+    if fig == "fig2":
+        return DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=int(cell[1:]) / 100, d_v=16)
+    if fig == "fig4":
+        rho = fixtures.get("mix_dv16").ensemble.rho
+        return DesignSpec(rho=rho, epsilon=1.0 - 0.5 / (int(cell) / 100), eta=1e-3, R_d=0.5,
+                          d_v=16)
+    f = fixtures.get(f"mix_{cell}")
+    return DesignSpec(rho=f.ensemble.rho, epsilon=f.params["epsilon"], eta=f.params["eta"],
+                      R_d=0.5 if fig == "fig5" else 0.488,
+                      d_v=int(cell[2:]) if fig == "fig5" else 16)
+
+
 class TestDesignMinIterations:
     def test_published_coefficient(self, miniter_045):
         spec, rep = miniter_045
@@ -808,12 +846,21 @@ class TestDesignMinIterations:
         M = solve._vandermonde(xs, 2 * d_v - 1)
         X = M[:, :d_v - 1]
         want = (X.T * c) @ X
-        got = (M.T @ c)[solve._hankel(d_v - 1)]
+        got = (M.T @ c)[np.add.outer(np.arange(d_v - 1), np.arange(d_v - 1)) + 1]
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("name", FIGURE_MIN_ITER)
+    def test_row_form_matches_the_reference(self, rho_x7, fixtures, name):
+        # the working set over the rows of G steps as the bounds-and-floor
+        # method does, on each min-iter design that `reproduce all` draws
+        statuses, (ref, new) = ActiveSetTwin.design_both_ways(
+            _figure_min_iter_spec(name, rho_x7, fixtures))
+        assert statuses == ["Optimal", "Optimal"]
+        assert ActiveSetTwin.same_run(ref, new), (ref, new)
 
     @pytest.mark.parametrize("name", ["fig2_r045", "fig2_r040", "fig5"])
     def test_newton_steps_are_capped(self, rho_x7, fixtures, monkeypatch, name):
-        # work, not wall time: one factorization of the equality rows per step
+        # work, not wall time: one factorization of the working rows per step
         mix = fixtures.get("mix_dv16").ensemble.rho
         spec = {"fig2_r045": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.45, d_v=16),
                 "fig2_r040": DesignSpec(rho=rho_x7, epsilon=0.5, eta=1e-5, R_d=0.40, d_v=16),

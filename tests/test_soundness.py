@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import bernstein_oracle
+from helpers import ActiveSetTwin, bernstein_oracle
 from ldpc_forge import (DEContext, DegreeDistribution, DesignSpec, Ensemble,
                         compile_constraint, design_min_iterations, design_rate,
                         design_utility, rate, solve)
@@ -44,7 +44,7 @@ def utility_specs(draw):
 def _counting_calls(design, *args):
     """design(*args), its `solve.lp_solve` calls and its active-set Newton steps.
 
-    Each active-set step factors its equality rows once (`np.linalg.qr`).
+    Each active-set step factors its working rows once (`np.linalg.qr`).
     """
     calls, steps = [], []
     real_lp, real_qr = solve.lp_solve, np.linalg.qr
@@ -118,6 +118,16 @@ def test_min_iter_design_is_sound(spec):
     ctx = spec.context()
     cp = compile_constraint(rep.lam, 0.0, spec.rho, spec.epsilon, ctx.zeta, ctx.xi)
     assert bernstein_oracle(cp.coeffs) is rep.certificate.passed
+
+
+@settings(derandomize=True, max_examples=12)
+@given(utility_specs())
+def test_min_iter_row_form_matches_the_reference(spec):
+    # the same draws as test_min_iter_design_is_sound, each run on the rows
+    # of G and by the bounds-and-floor reference
+    statuses, (ref, new) = ActiveSetTwin.design_both_ways(spec)
+    assert statuses[0] == statuses[1]
+    assert ActiveSetTwin.same_run(ref, new), (ref, new)
 
 
 def test_min_iter_floor_above_the_ceiling_is_infeasible(rho_x7):
