@@ -48,17 +48,19 @@ Constraining psi - lam > 0 on (zeta, xi] is exactly the
 successful-decoding condition on (eta, eps], because
 eps*(psi - lam) = g(P) at x = 1 - rho(1 - P).  LP solves go through
 `lp_solve`, a dense vertex method in the package (`_simplex`; Nocedal &
-Wright, 2006, ch. 13), since every LP has at most 31 unknowns and two
-equality rows.  Its steps update an inverse of the vertex's rows in
+Wright, 2006, ch. 13), since every LP has at most 31 unknowns and one
+equality row.  Its steps update an inverse of the vertex's rows in
 product form rather than factor them afresh, and each exit solves its
 vertex once more by LU.  It solves each LP (all have inequality rows) by row
 generation: a 4096-row design LP, of which a handful of rows are active,
 converges in two or three rounds of at most a few hundred rows, each
-continuing from the last round's vertex.  The rate LP starts from the
-vertex of its sum row and bounds, lam = x^{d_v-1}, its tie-break LP
-from the rate-optimal vertex, and each zeta_tilde-tuning LP after the
-first from the last one's vertex and working set; only the other LPs
-run a phase one.
+continuing from the last round's basis.  Each LP starts from a basis
+that its caller names, or else from the cold basis of the equality rows
+and the bounds: the sum row frees lam_{d_v}, so the rate LP starts at
+lam = x^{d_v-1}.  Each zeta_tilde-tuning LP after the first starts from
+the last Optimal one's basis.  The rate LP breaks its tie on its own
+optimal face: the same `_simplex` run goes on with cost lam_2, every row
+with a positive multiplier held in the basis.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
 Every "Optimal" report carries a passed certificate.  No command imports
 scipy.
@@ -160,7 +162,7 @@ class LPResult:
     dual_eq: np.ndarray
     status: str
     kkt_residual: float
-    working_set: np.ndarray  # the A_ub rows of the last round
+    basis: np.ndarray  # positions in [A_eq; A_ub; -I] of the rows of the last vertex
 
 
 def _pick(ratio: np.ndarray) -> Optional[int]:
@@ -186,15 +188,18 @@ def _pivot(B_inv, u, k, w, p):
     return B_inv[:, order]
 
 
-def _simplex(c, G, h, n_eq, w):
+def _simplex(c, G, h, n_eq, w, held):
     """Minimize c @ x s.t. G @ x <= h, the first n_eq rows with equality, by vertex steps.
 
     The last c.size rows of G are -I (x >= 0).  A vertex is n = c.size
     rows, the sorted positions w: x solves G[w] @ x = h[w] (a bound row
     of w sets its x_j to exactly 0), and the multipliers y solve
-    G[w]' @ y = -c, >= 0 on inequality rows at the optimum.  While x
-    misses a row by more than `ROW_TOL`, a dual step brings in the row
-    it misses most in place of the row whose multiplier reaches zero first,
+    G[w]' @ y = -c, >= 0 on inequality rows at the optimum.  The start w
+    holds the equality rows and the positions `held`, and none of them
+    ever leaves it: a held row is kept at equality like an equality row,
+    and its multiplier may take either sign.  While x misses a row by more
+    than `ROW_TOL`, a dual step brings in the row it misses most in place
+    of the row whose multiplier reaches zero first,
     the cost first shifted, if need be, so that no multiplier is negative
     (that is phase one).  Once x meets every row, the cost is c again and
     a primal step drops the row with the most negative multiplier and moves
@@ -209,17 +214,18 @@ def _simplex(c, G, h, n_eq, w):
     product form (`_pivot`).  It is computed afresh from G[w] on entry,
     every `REFACTOR_STEPS` steps, and at the step after a fresh inverse
     that misses inverting G[w] by more than `INVERSE_TOL` (a near-singular
-    G[w], as a crash vertex can be, whose updates would carry its error
-    on).  Over the LPs of `reproduce all` an updated inverse misses
-    inverting G[w] by at most 4e-9.  On every exit x and y are solved once
-    more from G[w] by LU, so a run through the same vertices as one that
-    factors G[w] at every step returns the same bits.
+    G[w], whose updates would carry its error on).  Over the LPs of
+    `reproduce all` an updated inverse misses inverting G[w] by at most
+    6e-11.  On every exit x and y are solved once more from G[w] by LU, so
+    a run through the same vertices as one that factors G[w] at every step
+    returns the same bits.
     Returns (status, w, x, y).
     """
     n = c.size
     bounds = h.size - n
     ineq = np.arange(h.size) >= n_eq
-    # a primal step's least pivot on each row, relative to |d|; none on equality rows
+    ineq[held] = False
+    # a primal step's least pivot on each row, relative to |d|; none on rows that cannot leave
     floor = np.where(ineq, PIVOT_TOL * np.abs(G).max(axis=1), np.inf)
     cost, bland = c, False
     B_inv, trusted = _inverse(G[w])
@@ -292,47 +298,54 @@ def _vertex(G, h, w, cost):
     return x, np.linalg.solve(B.T, -cost)
 
 
-def _crash(G, h, n_eq, x0):
-    """Sorted positions of n independent rows of G that hold at x0: the
-    equality rows, then the rows x0 meets within `ROW_TOL` from the
-    tightest, then the bounds, each kept if it is independent of those
-    before it (Gram-Schmidt)."""
-    n = x0.size
-    slack = h - G @ x0
-    tight = np.flatnonzero(slack[n_eq:] <= ROW_TOL) + n_eq
-    order = np.concatenate([np.arange(n_eq), tight[np.argsort(slack[tight], kind="stable")],
-                            np.arange(h.size - n, h.size)])
-    Q, chosen = np.zeros((n, 0)), []
-    for i in order:
-        r = G[i] - Q @ (Q.T @ G[i])
-        norm = float(np.linalg.norm(r))
-        if norm > 1e-9 * np.linalg.norm(G[i]):
-            Q = np.column_stack([Q, r / norm])
-            chosen.append(i)
-            if len(chosen) == n:
-                break
-    return np.sort(np.array(chosen, dtype=np.intp))
+def _cold_basis(A_eq, size):
+    """The equality rows and the bounds of all unknowns but one freed per equality row.
+
+    Row by row, Gaussian elimination frees the unknown that the row, less
+    its multiples of the rows before it, weighs most among those not yet
+    freed, the last on a tie; the sum row frees the last unknown.  With
+    the freed columns F first, the start's rows read [[A_eq[:, F], *],
+    [0, -I]], so they are nonsingular exactly when the pivots are nonzero,
+    that is when A_eq has full row rank.  Positions are in
+    [A_eq; A_ub; -I], `size` rows in all.
+    """
+    e, n = A_eq.shape
+    R, free = A_eq.copy(), []
+    for i in range(e):
+        weight = np.abs(R[i])
+        weight[free] = -1.0
+        j = n - 1 - int(np.argmax(weight[::-1]))
+        free.append(j)
+        R[i + 1:] -= np.outer(R[i + 1:, j] / R[i, j], R[i])
+    return np.concatenate([np.arange(e), size - n + np.setdiff1d(np.arange(n), free)])
 
 
-def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None, start=None) -> LPResult:
+def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) -> LPResult:
     """Minimize c @ x over x >= 0 by row generation around `_simplex`, and verify the KKT residual.
 
     Every LP here has inequality rows A_ub @ x <= b_ub, so they are
     required; equality rows are optional.  `_simplex` runs on a working
     set of the rows of A_ub: `WORKING_SET_N` evenly spaced rows (all of
-    them when there are no more), the indices `start_rows` and the rows of
-    the start vertex; after each solve, up to `WORKING_SET_N` of the rows
-    that x violates most by more than `ROW_TOL` join it, and the next
-    solve continues from the last vertex, until x violates none.  An
-    infeasible working set is a relaxation of the LP, so the LP is
-    Infeasible; an unbounded one is widened to every row.  The start is
-    the vertex that the rows holding at `start` span (`_crash`), or, with
-    no start, the one the equality rows and the bounds x_j = 0 span.  The
-    vertex solves its own rows exactly, and is checked against all rows:
-    each within `PRIMAL_TOL`, complementary slackness at 1e-8 and
-    stationarity at 1e-6 (relative to the dual magnitude); `dual_ub` is
-    zero off the working set, and `working_set` lists it, ready to start a
-    related LP with the same rows.
+    them when there are no more) and those of the start basis; after each
+    solve, up to `WORKING_SET_N` of the rows that x violates most by more
+    than `ROW_TOL` join it, and the next solve continues from the last
+    basis, until x violates none.  An infeasible working set is a
+    relaxation of the LP, so the LP is Infeasible; an unbounded one is
+    widened to every row.  The start is `basis`, n positions in
+    [A_eq; A_ub; -I] such as the `basis` of an LP with the same rows, or
+    the `_cold_basis` when none is given or its rows are numerically
+    dependent (`numpy.linalg.matrix_rank`).
+    With a `tie_break` cost, the run then minimizes tie_break @ x over the
+    optimal face: it goes on from the optimal basis with every row whose
+    multiplier exceeds `DUAL_TOL` held in it, which by complementary
+    slackness keeps x optimal for c.  A non-Optimal end of that
+    continuation is a NumericalFailure.
+    The last vertex solves its own rows exactly, and is checked against all
+    rows and against the multipliers of c's optimum: each row within
+    `PRIMAL_TOL`, complementary slackness at 1e-8 and stationarity at 1e-6
+    (relative to the dual magnitude).  `dual_ub` is zero off the working
+    set, `objective` is c @ x, and `basis` is the last vertex's, ready to
+    start an LP with the same rows.
     Returns status "Optimal", "Infeasible", or "Unbounded"; raises
     NumericalFailure on a failed check.
     """
@@ -345,32 +358,40 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None, start=None) -
     m, e = b_ub.size, b_eq.size
     G = np.vstack([A_eq, A_ub, -np.eye(n)])
     h = np.concatenate([b_eq, b_ub, np.zeros(n)])
-    basis = _crash(G, h, e, np.zeros(n) if start is None else np.asarray(start, dtype=np.float64))
+    if basis is None or np.linalg.matrix_rank(G[basis]) < n:
+        basis = _cold_basis(A_eq, h.size)
     active = np.zeros(m, dtype=bool)
     # evenly spaced seed rows; every row when there are no more than that
     active[np.round(np.linspace(0, m - 1, WORKING_SET_N)).astype(np.intp)] = True
-    if start_rows is not None:
-        active[start_rows] = True
     active[basis[(basis >= e) & (basis < e + m)] - e] = True
+    cost, held, dual = c, np.zeros(0, dtype=np.intp), None
     while True:
         rows = np.flatnonzero(active)
         L = np.concatenate([np.arange(e), rows + e, np.arange(e + m, e + m + n)])
-        status, w, x, y = _simplex(c, G[L], h[L], e, np.searchsorted(L, basis))
+        status, w, x, y = _simplex(cost, G[L], h[L], e, np.searchsorted(L, basis),
+                                   np.searchsorted(L, held))
         basis = L[w]
         if status == "Unbounded" and rows.size < m:
             active[:] = True
             continue
         if status != "Optimal":
-            return LPResult(np.array([]), np.nan, np.array([]), np.array([]), status, 0.0, rows)
+            if dual is not None:
+                raise NumericalFailure(f"tie-break on the optimal face ended {status}")
+            return LPResult(np.array([]), np.nan, np.array([]), np.array([]), status, 0.0, basis)
         excess = A_ub @ x - b_ub
         excess[active] = -np.inf
         new = np.flatnonzero(excess > ROW_TOL)
-        if new.size == 0:
-            break
-        active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
+        if new.size:
+            active[new[np.argsort(-excess[new], kind="stable")[:WORKING_SET_N]]] = True
+            continue
+        if dual is None:  # c's optimum; its multipliers are the ones gated
+            dual = np.zeros(h.size)
+            dual[basis] = y
+            if tie_break is not None:
+                cost, held = np.asarray(tie_break, dtype=np.float64), basis[y > DUAL_TOL]
+                continue
+        break
 
-    dual = np.zeros(h.size)
-    dual[basis] = y
     nu, mu, reduced = dual[:e], dual[e:e + m], dual[e + m:]
     fun = float(c @ x)
     excess = np.append(A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq)).max()
@@ -390,7 +411,7 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, start_rows=None, start=None) -
     # degenerate pins inflate duals; stationarity gets a looser sanity gate
     if stat_rel > 1e-6:
         raise NumericalFailure(f"stationarity residual {stat_rel:.3e} exceeds 1e-6")
-    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel), rows)
+    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel), basis)
 
 
 def _lam_from_vec(vec: np.ndarray, d_v: int) -> DegreeDistribution:
@@ -432,9 +453,9 @@ def _reach_note(xs: np.ndarray, b: np.ndarray, epsilon: float, d_v: int) -> str:
 
     Over the simplex the least lam(x) at every x is x^{d_v-1}, all the
     weight on degree d_v: the vertex of the sum row and the bounds
-    lam_2 = .. = lam_{d_v-1} = 0, which is where `lp_solve` starts the
-    rate LP.  So the rows admit no lam exactly when x^{d_v-1} > b at
-    some row; the first such x is named.
+    lam_2 = .. = lam_{d_v-1} = 0, which is the vertex of `lp_solve`'s
+    cold basis for the rate LP.  So the rows admit no lam exactly when
+    x^{d_v-1} > b at some row; the first such x is named.
     """
     over = np.flatnonzero(xs ** (d_v - 1) > b)
     if over.size == 0:
@@ -466,10 +487,12 @@ def design_rate(
     the verdict: "Optimal" if it passes, "CertificateFail" (lam kept) if
     not, and `rounds` counts the re-solves.  Among rate-optimal vertices
     the one with the smallest lam_2 is returned, which makes the output
-    deterministic when the LP optimum is degenerate.  When that tie-break LP fails its KKT check,
-    the first LP's vertex, which passed its own, is kept and `detail`
-    says so.  A design whose rate is <= 0 is no code: it is reported
-    Infeasible, with the rate in `detail`.  An infeasible grid LP is
+    deterministic when the LP optimum is degenerate: `lp_solve` minimizes
+    lam_2 over the LP's optimal face, the rows with a positive multiplier
+    held at equality, with no second LP and no row that pins the rate.
+    A tie-break that fails its KKT gate is a NumericalFailure, as any LP
+    that fails its gate is.  A design whose rate is <= 0 is no code: it is
+    reported Infeasible, with the rate in `detail`.  An infeasible grid LP is
     reported with the first row where even lam = x^{d_v-1} exceeds
     psi - MARGIN (`_reach_note`).
     """
@@ -480,28 +503,16 @@ def design_rate(
     xs = ctx.xi * np.arange(1, grid_n + 1, dtype=np.float64) / grid_n
     inv_degrees = np.array([1.0 / j for j in range(2, d_v + 1)])
     eq = np.ones((1, d_v - 1))
-    c2 = np.zeros(d_v - 1)
-    c2[0] = 1.0
     A = _vandermonde(xs, d_v)
     b = psi(ctx, xs) - MARGIN
     rounds = 0
     while True:
-        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0])
+        lp = lp_solve(-inv_degrees, A_ub=A, b_ub=b, A_eq=eq, b_eq=[1.0],
+                      tie_break=np.eye(d_v - 1)[0])
         if lp.status != "Optimal":
             return _infeasible("rate", f"grid LP is {lp.status}: "
                                        f"{_reach_note(xs, b, epsilon, d_v)}")
-        # tie-break: pin the optimal rate, prefer small lam_2
-        vec, note = lp.x, ""
-        try:
-            second = lp_solve(c2, A_ub=A, b_ub=b, A_eq=np.vstack([eq, inv_degrees]),
-                              b_eq=[1.0, -lp.objective], start_rows=lp.working_set,
-                              start=lp.x)
-        except NumericalFailure as exc:
-            note = f"tie-break LP rejected ({exc}); kept the rate-optimal vertex"
-        else:
-            if second.status == "Optimal":
-                vec = second.x
-        lam = _lam_from_vec(vec, d_v).renormalized()
+        lam = _lam_from_vec(lp.x, d_v).renormalized()
         cert = certify(compile_constraint(lam, 0.0, rho, epsilon, ctx.zeta, ctx.xi))
         w = cert.witness
         if cert.passed or rounds >= REFINE_ROUNDS or w in xs:
@@ -518,7 +529,7 @@ def design_rate(
     status, why = _verdict(cert)
     return SolveReport(lam=lam, t=None, objective=rate, optimality_gap=lp.kkt_residual,
                        status=status, certificate=cert, method="rate",
-                       detail=_join(note, why), rounds=rounds)
+                       detail=why, rounds=rounds)
 
 
 def _rate_floor(spec: DesignSpec) -> tuple[np.ndarray, float]:
@@ -534,14 +545,14 @@ def _rate_floor(spec: DesignSpec) -> tuple[np.ndarray, float]:
 
 
 def _utility_lp(spec: DesignSpec, zt: float, halvings: int,
-                start_rows: Optional[np.ndarray] = None, start=None) -> LPResult:
+                basis: Optional[np.ndarray] = None) -> LPResult:
     """Maximize t s.t. the `step_rows` on 2^halvings pieces and the `_rate_floor`, the last row."""
     A, b = step_rows(spec.rho, spec.epsilon, spec.d_v, zt, halvings)
     inv_degrees, q = _rate_floor(spec)
     floor = np.append(-inv_degrees, 0.0)
     return lp_solve(np.append(np.zeros(spec.d_v - 1), -1.0), A_ub=np.vstack([A, floor]),
                     b_ub=np.append(b, -q), A_eq=np.append(np.ones(spec.d_v - 1), 0.0)[None, :],
-                    b_eq=[1.0], start_rows=start_rows, start=start)
+                    b_eq=[1.0], basis=basis)
 
 
 def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
@@ -557,7 +568,7 @@ def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
     return lp
 
 
-def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> float:
+def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> Optional[float]:
     """Pick the left anchor of the step-floor interval by exact decoding cost.
 
     Anchoring at zeta itself over-weights the smallest abscissas: the
@@ -567,22 +578,26 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> float:
     step.  Moving the anchor a few multiples of zeta to the right trades
     the left tail for uniformly larger mid-range steps.  Each candidate
     gets the design's LP on 2^3 pieces, warm from the last Optimal one's
-    working set; the lowest exact iteration count wins (ties: the anchor
-    nearest zeta; 0.5*zeta if none decodes).  The pieces bound P on all of
-    [zeta_tilde, xi], so unlike z-uniform grids they keep 8*zeta for Fig. 2.
+    basis; the lowest exact iteration count wins (ties: the smallest
+    anchor), so each recursion after a win stops at one step fewer than
+    the best.  None when no candidate decodes within `TUNE_L_MAX`.  The
+    pieces bound P on all of [zeta_tilde, xi], so unlike z-uniform grids
+    they keep 8*zeta for Fig. 2.
     """
-    best_n, best_zt, rows, x0 = None, 0.5 * ctx.zeta, None, None
+    best_n, best_zt, basis = TUNE_L_MAX + 1, None, None
     for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
+        if best_n == 1:  # no later anchor can win
+            break
         try:
-            res = _utility_lp(spec, zt, 3, start_rows=rows, start=x0)
+            res = _utility_lp(spec, zt, 3, basis)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
             continue
-        rows, x0 = res.working_set, res.x
+        basis = res.basis
         lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
-        n = de_trace(Ensemble(lam, spec.rho), ctx, TUNE_L_MAX).iterations
-        if n is not None and (best_n is None or n < best_n):
+        n = de_trace(Ensemble(lam, spec.rho), ctx, best_n - 1).iterations
+        if n is not None and n < best_n:
             best_n, best_zt = n, zt
     return best_zt
 
@@ -595,14 +610,20 @@ def design_utility(spec: DesignSpec) -> SolveReport:
     constraint everywhere and t needs no backoff; only an infeasible LP
     doubles the pieces, up to 2^8 (`_bernstein_lp`).  The rate floor
     carries a relative `FLOOR_RELIEF` (`_rate_floor`), so the rate is
-    >= R_d.  A tuned anchor is solved again cold.  The certificate of
-    (lam, t*(1 - 1e-6)) gives "Optimal" or "CertificateFail" (lam, t
-    kept); an LP infeasible on 2^8 pieces is "Infeasible", told by
-    `_explain`.
+    >= R_d.  A tuned anchor is solved again cold; when no candidate
+    decodes within `TUNE_L_MAX`, the anchor is 0.5*zeta and the detail
+    of a formed design says so.  The certificate of (lam, t*(1 - 1e-6))
+    gives "Optimal" or "CertificateFail" (lam, t kept); an LP infeasible
+    on 2^8 pieces is "Infeasible", told by `_explain`.
     """
     spec.validate()
     ctx = spec.context()
-    zt = spec.zeta_tilde if spec.zeta_tilde is not None else _tune_zeta_tilde(spec, ctx)
+    zt, note = spec.zeta_tilde, ""
+    if zt is None:
+        zt = _tune_zeta_tilde(spec, ctx)
+        if zt is None:
+            zt, note = 0.5 * ctx.zeta, (f"no zeta_tilde candidate decodes within "
+                                        f"TUNE_L_MAX={TUNE_L_MAX}; zeta_tilde = 0.5*zeta")
     lp = _bernstein_lp(spec, zt)
     if lp.status != "Optimal":
         return _infeasible("utility", _explain(
@@ -613,8 +634,8 @@ def design_utility(spec: DesignSpec) -> SolveReport:
                                       zt, ctx.xi))
     status, why = _verdict(cert)
     return SolveReport(lam=lam, t=t, objective=t, optimality_gap=lp.kkt_residual,
-                       status=status, certificate=cert, method="utility", detail=why,
-                       zeta_tilde=zt)
+                       status=status, certificate=cert, method="utility",
+                       detail=_join(note, why), zeta_tilde=zt)
 
 
 def _active_set(v, M, psi_vals, w, G, h) -> tuple[np.ndarray, float, str]:

@@ -215,7 +215,7 @@ def full_lp_reference(c, A_ub, b_ub, A_eq=None, b_eq=None):
                             "dual_feasibility_tolerance": 1e-10})
 
 
-def reference_simplex(c, G, h, n_eq, w):
+def reference_simplex(c, G, h, n_eq, w, held):
     """`solve._simplex`'s vertex method with G[w] factored afresh at every step.
 
     The same choices and tolerances, but each step solves by LU three
@@ -229,6 +229,7 @@ def reference_simplex(c, G, h, n_eq, w):
 
     n = c.size
     ineq = np.arange(h.size) >= n_eq
+    ineq[held] = False
     size = np.abs(G).max(axis=1)
     cost, bland = c, False
     for _ in range(LP_MAX_STEPS):
@@ -289,10 +290,10 @@ class SimplexTwin:
         self.pairs, self.drift = [], []
         simplex, pivot, rows = solve._simplex, solve._pivot, []
 
-        def twin(c, G, h, n_eq, w):
+        def twin(c, G, h, n_eq, w, held):
             rows[:] = [G]
-            ref = reference_simplex(c, G, h, n_eq, w.copy())
-            self.pairs.append((ref, simplex(c, G, h, n_eq, w)))
+            ref = reference_simplex(c, G, h, n_eq, w.copy(), held)
+            self.pairs.append((ref, simplex(c, G, h, n_eq, w, held)))
             return self.pairs[-1][1]
 
         def updated(B_inv, u, k, w, p):
@@ -488,15 +489,65 @@ def random_lp(rng: np.random.Generator, kind: str):
     return rng.normal(size=n), A, b, A_eq, b_eq
 
 
-def failing_tie_break(lp_solve):
-    """`lp_solve` that fails the rate tie-break LP, the one with two equality rows."""
-    from ldpc_forge import NumericalFailure
+def pinned_tie_break(c, A_ub, b_ub, A_eq, b_eq, tie_break, objective):
+    """The tie-break posed as an LP of its own: minimize tie_break @ x over
+    the rows of the LP (c, A_ub, b_ub, A_eq, b_eq), with one more equality
+    row that pins c @ x at that LP's optimal `objective`.  Returns
+    (cost, A_ub, b_ub, A_eq, b_eq)."""
+    return (np.asarray(tie_break, dtype=np.float64), A_ub, b_ub,
+            np.vstack([A_eq, c]), np.append(b_eq, objective))
 
-    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **starts):
-        if A_eq is not None and len(A_eq) == 2:
-            raise NumericalFailure("complementary-slackness residual forced to fail")
-        return lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **starts)
+
+def reference_tie_break(lp_solve):
+    """`lp_solve` whose tie-break is a second LP, `pinned_tie_break`, solved cold.
+
+    The oracle for the tie-break on the optimal face: the LP is solved
+    without its tie-break cost, and an Optimal result then takes x from
+    the pinned LP, whose status it also takes.  Its optimum is
+    ill-conditioned where the face is nearly flat in tie_break: on the
+    d_v 30 mix rate cell at ratio 0.90 it moves 1.2e5 times as fast as a
+    miss of the pin row.
+    """
+    from dataclasses import replace
+
+    def solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None):
+        first = lp_solve(c, A_ub, b_ub, A_eq, b_eq, basis)
+        if tie_break is None or first.status != "Optimal":
+            return first
+        second = lp_solve(*pinned_tie_break(c, A_ub, b_ub, A_eq, b_eq, tie_break,
+                                            first.objective))
+        return replace(first, x=second.x, status=second.status)
     return solve
+
+
+def tuning_capped_and_uncapped(spec):
+    """`design_utility(spec)` as `solve` runs it, each zeta_tilde candidate's
+    recursion stopped at one step fewer than the best so far, then with
+    every candidate's recursion run out to `TUNE_L_MAX`.  Returns
+    (report, recursion steps) of each run; the steps are summed over
+    `_kernels.de_run`."""
+    from ldpc_forge import _kernels, design_utility, solve
+
+    real_run, real_trace = _kernels.de_run, solve.de_trace
+    steps, out = [], []
+
+    def run(*args):
+        probs, status = real_run(*args)
+        steps[-1] += probs.size - 1
+        return probs, status
+
+    def uncapped(e, ctx, l_max):
+        return real_trace(e, ctx, solve.TUNE_L_MAX)
+
+    _kernels.de_run = run
+    try:
+        for trace in (real_trace, uncapped):
+            solve.de_trace = trace
+            steps.append(0)
+            out.append((design_utility(spec), steps[-1]))
+    finally:
+        _kernels.de_run, solve.de_trace = real_run, real_trace
+    return out
 
 
 def fail_own_certificate(monkeypatch) -> None:

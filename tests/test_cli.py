@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import fail_own_certificate, failing_tie_break, fixture_context
+from helpers import fail_own_certificate, fixture_context
 import ldpc_forge
 from ldpc_forge import (DEContext, DegreeDistribution, NumericalFailure, solve,
                         utility)
@@ -114,20 +114,6 @@ def test_zeta_tilde_outside_utility_exits_usage(tmp_path, capsys, argv):
     assert (f"--zeta-tilde anchors the utility objective only, not {argv[2]}"
             in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
-
-
-def test_design_reports_the_rate_ceiling_fallback(tmp_path, monkeypatch):
-    # the rate design's tie-break LP is made to fail its KKT check, so the
-    # first LP's vertex is kept and the report says so
-    monkeypatch.setattr(solve, "lp_solve", failing_tie_break(solve.lp_solve))
-    prefix = tmp_path / "rate"
-    argv = ["design", "--objective", "rate", "--rho", '{"7": 0.5330, "8": 0.4670}',
-            "--epsilon", "0.4444444444444444", "--dv", "30", "--out", str(prefix)]
-    assert main(argv) == EXIT_OK
-    with open(f"{prefix}.report.json") as fh:
-        report = json.load(fh)
-    assert report["status"] == "Optimal"
-    assert report["detail"].startswith("tie-break LP rejected")
 
 
 def test_evaluate_past_threshold_exits_decoding(tmp_path):
@@ -330,6 +316,24 @@ def test_solver_numerical_failure_exits_solver(tmp_path, monkeypatch, capsys):
     assert main(RATE_ARGS + ["--out", str(tmp_path / "rate")]) == EXIT_SOLVER
     assert capsys.readouterr().err == (
         "error: stationarity residual 1.000e-03 exceeds 1e-6\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_tie_break_that_fails_its_gate_exits_solver(tmp_path, monkeypatch, capsys):
+    # the rate design's tie-break on the optimal face (the `_simplex` runs
+    # with held rows) ends 4e-10 off its equality row: a NumericalFailure,
+    # exit 4, as for any LP that fails its gate; no design is kept
+    real = solve._simplex
+
+    def off_the_face(c, G, h, n_eq, w, held):
+        status, w, x, y = real(c, G, h, n_eq, w, held)
+        return status, w, x + (4e-10 if held.size else 0.0), y
+
+    monkeypatch.setattr(solve, "_simplex", off_the_face)
+    argv = ["design", "--objective", "rate", "--rho", '{"7": 0.533, "8": 0.467}',
+            "--epsilon", "0.4444444444444444", "--dv", "30", "--out", str(tmp_path / "rate")]
+    assert main(argv) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("error: primal infeasibility ")
     assert not any(tmp_path.iterdir())
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ActiveSetTwin, bernstein_oracle
+from helpers import ActiveSetTwin, bernstein_oracle, tuning_capped_and_uncapped
 from ldpc_forge import (DEContext, DegreeDistribution, DesignSpec, Ensemble,
                         compile_constraint, design_min_iterations, design_rate,
                         design_utility, rate, solve)
@@ -71,8 +71,9 @@ def _counting_calls(design, *args):
 def test_rate_design_is_sound(rate_spec):
     rho, eps, d_v, grid_n = rate_spec
     rep, calls, _ = _counting_calls(design_rate, rho, eps, d_v, grid_n)
-    # the main LP and its tie-break, once and after each refinement round
-    assert calls <= 2 * (solve.REFINE_ROUNDS + 1)
+    # one LP, its tie-break on the optimal face included, once and after
+    # each refinement round
+    assert calls <= solve.REFINE_ROUNDS + 1
     if rep.certificate is not None:
         ctx = DEContext.create(rho, eps, eta=eps * 1e-6)
         cp = compile_constraint(rep.lam, 0.0, rho, eps, ctx.zeta, ctx.xi)
@@ -99,6 +100,18 @@ def test_utility_design_is_sound(spec):
     cp = compile_constraint(rep.lam, rep.t * (1.0 - 1e-6), spec.rho, spec.epsilon,
                             rep.zeta_tilde, spec.context().xi)
     assert bernstein_oracle(cp.coeffs) is rep.certificate.passed
+
+
+@settings(derandomize=True, max_examples=12)
+@given(utility_specs())
+def test_capped_tuning_recursions_change_nothing(spec):
+    # the same draws as test_utility_design_is_sound: the zeta_tilde
+    # candidates' recursions stopped one step short of the best so far
+    # choose the anchor that recursions run out to TUNE_L_MAX choose
+    (capped, steps), (uncapped, all_steps) = tuning_capped_and_uncapped(spec)
+    assert capped.zeta_tilde == uncapped.zeta_tilde
+    assert repr(capped) == repr(uncapped)
+    assert steps <= all_steps
 
 
 @settings(derandomize=True, max_examples=12)
