@@ -58,9 +58,9 @@ continuing from the last round's basis.  Each LP starts from a basis
 that its caller names, or else from the cold basis of the equality rows
 and the bounds: the sum row frees lam_{d_v}, so the rate LP starts at
 lam = x^{d_v-1}.  Each zeta_tilde-tuning LP after the first starts from
-the last Optimal one's basis.  The rate LP breaks its tie on its own
-optimal face: the same `_simplex` run goes on with cost lam_2, every row
-with a positive multiplier held in the basis.
+the last Optimal one's basis and working set.  The rate LP breaks its
+tie on its own optimal face: the same `_simplex` run goes on with cost
+lam_2, every row with a positive multiplier held in the basis.
 `grid_n` sets the rate LP's rows, uniform in x, and the min-iter nodes.
 Every "Optimal" report carries a passed certificate.  No command imports
 scipy.
@@ -163,6 +163,7 @@ class LPResult:
     status: str
     kkt_residual: float
     basis: np.ndarray  # positions in [A_eq; A_ub; -I] of the rows of the last vertex
+    working_set: np.ndarray  # the A_ub rows of the last round
 
 
 def _pick(ratio: np.ndarray) -> Optional[int]:
@@ -310,31 +311,32 @@ def _cold_basis(A_eq, size):
     [A_eq; A_ub; -I], `size` rows in all.
     """
     e, n = A_eq.shape
-    R, free = A_eq.copy(), []
+    R, bound = A_eq.copy(), np.ones(n, dtype=bool)
     for i in range(e):
-        weight = np.abs(R[i])
-        weight[free] = -1.0
+        weight = np.where(bound, np.abs(R[i]), -1.0)
         j = n - 1 - int(np.argmax(weight[::-1]))
-        free.append(j)
+        bound[j] = False
         R[i + 1:] -= np.outer(R[i + 1:, j] / R[i, j], R[i])
-    return np.concatenate([np.arange(e), size - n + np.setdiff1d(np.arange(n), free)])
+    return np.concatenate([np.arange(e), size - n + np.flatnonzero(bound)])
 
 
-def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) -> LPResult:
+def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, warm=None, tie_break=None) -> LPResult:
     """Minimize c @ x over x >= 0 by row generation around `_simplex`, and verify the KKT residual.
 
     Every LP here has inequality rows A_ub @ x <= b_ub, so they are
     required; equality rows are optional.  `_simplex` runs on a working
     set of the rows of A_ub: `WORKING_SET_N` evenly spaced rows (all of
-    them when there are no more) and those of the start basis; after each
-    solve, up to `WORKING_SET_N` of the rows that x violates most by more
-    than `ROW_TOL` join it, and the next solve continues from the last
-    basis, until x violates none.  An infeasible working set is a
-    relaxation of the LP, so the LP is Infeasible; an unbounded one is
-    widened to every row.  The start is `basis`, n positions in
-    [A_eq; A_ub; -I] such as the `basis` of an LP with the same rows, or
-    the `_cold_basis` when none is given or its rows are numerically
-    dependent (`numpy.linalg.matrix_rank`).
+    them when there are no more) and the start's; after each solve, up to
+    `WORKING_SET_N` of the rows that x violates most by more than
+    `ROW_TOL` join it, and the next solve continues from the last basis,
+    until x violates none.  An infeasible working set is a relaxation of
+    the LP, so the LP is Infeasible; an unbounded one is widened to every
+    row.  A `warm` start is the LPResult of an LP with the same rows: the
+    run starts from its `basis` with its `working_set`, so no row that LP
+    generated is generated again.  With no `warm`, or one whose basis
+    rows are numerically dependent (1-norm condition number, by LU, of
+    1/eps or more), the run starts from the `_cold_basis` and the evenly
+    spaced rows alone.
     With a `tie_break` cost, the run then minimizes tie_break @ x over the
     optimal face: it goes on from the optimal basis with every row whose
     multiplier exceeds `DUAL_TOL` held in it, which by complementary
@@ -344,8 +346,9 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) ->
     rows and against the multipliers of c's optimum: each row within
     `PRIMAL_TOL`, complementary slackness at 1e-8 and stationarity at 1e-6
     (relative to the dual magnitude).  `dual_ub` is zero off the working
-    set, `objective` is c @ x, and `basis` is the last vertex's, ready to
-    start an LP with the same rows.
+    set, `objective` is c @ x, and `basis` and `working_set` are the last
+    vertex's rows and the last round's, ready to start an LP with the same
+    rows.
     Returns status "Optimal", "Infeasible", or "Unbounded"; raises
     NumericalFailure on a failed check.
     """
@@ -358,12 +361,14 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) ->
     m, e = b_ub.size, b_eq.size
     G = np.vstack([A_eq, A_ub, -np.eye(n)])
     h = np.concatenate([b_eq, b_ub, np.zeros(n)])
-    if basis is None or np.linalg.matrix_rank(G[basis]) < n:
-        basis = _cold_basis(A_eq, h.size)
+    # the cold basis holds no row of A_ub, and a warm one's are in its working set
+    basis, seed = _cold_basis(A_eq, h.size), np.zeros(0, dtype=np.intp)
+    if warm is not None and np.linalg.cond(G[warm.basis], 1) * np.finfo(np.float64).eps < 1.0:
+        basis, seed = warm.basis, warm.working_set
     active = np.zeros(m, dtype=bool)
     # evenly spaced seed rows; every row when there are no more than that
     active[np.round(np.linspace(0, m - 1, WORKING_SET_N)).astype(np.intp)] = True
-    active[basis[(basis >= e) & (basis < e + m)] - e] = True
+    active[seed] = True
     cost, held, dual = c, np.zeros(0, dtype=np.intp), None
     while True:
         rows = np.flatnonzero(active)
@@ -377,7 +382,8 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) ->
         if status != "Optimal":
             if dual is not None:
                 raise NumericalFailure(f"tie-break on the optimal face ended {status}")
-            return LPResult(np.array([]), np.nan, np.array([]), np.array([]), status, 0.0, basis)
+            return LPResult(np.array([]), np.nan, np.array([]), np.array([]), status, 0.0, basis,
+                            rows)
         excess = A_ub @ x - b_ub
         excess[active] = -np.inf
         new = np.flatnonzero(excess > ROW_TOL)
@@ -411,7 +417,7 @@ def lp_solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None) ->
     # degenerate pins inflate duals; stationarity gets a looser sanity gate
     if stat_rel > 1e-6:
         raise NumericalFailure(f"stationarity residual {stat_rel:.3e} exceeds 1e-6")
-    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel), basis)
+    return LPResult(x, fun, mu, nu, "Optimal", max(cs_rel, stat_rel), basis, rows)
 
 
 def _lam_from_vec(vec: np.ndarray, d_v: int) -> DegreeDistribution:
@@ -544,15 +550,18 @@ def _rate_floor(spec: DesignSpec) -> tuple[np.ndarray, float]:
     return 1.0 / np.arange(2, spec.d_v + 1), q
 
 
-def _utility_lp(spec: DesignSpec, zt: float, halvings: int,
-                basis: Optional[np.ndarray] = None) -> LPResult:
-    """Maximize t s.t. the `step_rows` on 2^halvings pieces and the `_rate_floor`, the last row."""
+def _utility_lp(spec: DesignSpec, zt: float, halvings: int, warm=None) -> LPResult:
+    """Maximize t s.t. the `step_rows` on 2^halvings pieces and the `_rate_floor`, the last row.
+
+    With `warm`, an Optimal LP on the same pieces, the solve starts from
+    its basis and working set (`lp_solve`).
+    """
     A, b = step_rows(spec.rho, spec.epsilon, spec.d_v, zt, halvings)
     inv_degrees, q = _rate_floor(spec)
     floor = np.append(-inv_degrees, 0.0)
     return lp_solve(np.append(np.zeros(spec.d_v - 1), -1.0), A_ub=np.vstack([A, floor]),
                     b_ub=np.append(b, -q), A_eq=np.append(np.ones(spec.d_v - 1), 0.0)[None, :],
-                    b_eq=[1.0], basis=basis)
+                    b_eq=[1.0], warm=warm)
 
 
 def _bernstein_lp(spec: DesignSpec, zt: float) -> LPResult:
@@ -578,23 +587,23 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> Optional[float]:
     step.  Moving the anchor a few multiples of zeta to the right trades
     the left tail for uniformly larger mid-range steps.  Each candidate
     gets the design's LP on 2^3 pieces, warm from the last Optimal one's
-    basis; the lowest exact iteration count wins (ties: the smallest
+    basis and working set; the lowest exact iteration count wins (ties: the smallest
     anchor), so each recursion after a win stops at one step fewer than
     the best.  None when no candidate decodes within `TUNE_L_MAX`.  The
     pieces bound P on all of [zeta_tilde, xi], so unlike z-uniform grids
     they keep 8*zeta for Fig. 2.
     """
-    best_n, best_zt, basis = TUNE_L_MAX + 1, None, None
+    best_n, best_zt, warm = TUNE_L_MAX + 1, None, None
     for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
         if best_n == 1:  # no later anchor can win
             break
         try:
-            res = _utility_lp(spec, zt, 3, basis)
+            res = _utility_lp(spec, zt, 3, warm)
         except NumericalFailure:
             continue
         if res.status != "Optimal":
             continue
-        basis = res.basis
+        warm = res
         lam = _lam_from_vec(res.x[:-1], spec.d_v).renormalized()
         n = de_trace(Ensemble(lam, spec.rho), ctx, best_n - 1).iterations
         if n is not None and n < best_n:

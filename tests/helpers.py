@@ -510,8 +510,8 @@ def reference_tie_break(lp_solve):
     """
     from dataclasses import replace
 
-    def solve(c, A_ub, b_ub, A_eq=None, b_eq=None, basis=None, tie_break=None):
-        first = lp_solve(c, A_ub, b_ub, A_eq, b_eq, basis)
+    def solve(c, A_ub, b_ub, A_eq=None, b_eq=None, warm=None, tie_break=None):
+        first = lp_solve(c, A_ub, b_ub, A_eq, b_eq, warm)
         if tie_break is None or first.status != "Optimal":
             return first
         second = lp_solve(*pinned_tie_break(c, A_ub, b_ub, A_eq, b_eq, tie_break,

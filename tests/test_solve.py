@@ -192,10 +192,10 @@ class TestLPSolve:
 
         real = solve.lp_solve
 
-        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, basis=None, tie_break=None):
+        def grab(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, warm=None, tie_break=None):
             if wanted(c):
                 raise Posed(c, A_ub, b_ub, A_eq, b_eq, tie_break)
-            return real(c, A_ub, b_ub, A_eq, b_eq, basis, tie_break)
+            return real(c, A_ub, b_ub, A_eq, b_eq, warm, tie_break)
 
         monkeypatch.setattr(solve, "lp_solve", grab)
         with pytest.raises(Posed) as caught:
@@ -364,11 +364,37 @@ class TestLPSolve:
 
         monkeypatch.setattr(solve, "_simplex", spy)
         cold = lp_solve(c, A, b)
-        warm = lp_solve(c, A, b, basis=np.array([0, 1]))
+        warm = lp_solve(c, A, b, warm=replace(cold, basis=np.array([0, 1])))
         assert starts == [[3, 4], [3, 4]]
         assert warm.status == cold.status == "Optimal"
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.x == pytest.approx([0.0, 2.0], abs=1e-12)
+
+    def test_warm_start_keeps_the_generated_rows(self, monkeypatch):
+        # rows tangent to a circle at 257 angles, 64 of them seed rows.  Max
+        # x_1 + x_2 ends on rows 128 and 129 in two rounds, the second adding
+        # 127; max 1.01*x_1 + x_2, warm from that result, ends on rows 127 and
+        # 128 in one round, as it has row 127 from the working set, not only
+        # the seed and the basis rows
+        theta = np.linspace(0.0, np.pi / 2, 4 * solve.WORKING_SET_N + 1)
+        A, b = np.column_stack([np.cos(theta), np.sin(theta)]), np.ones(theta.size)
+        rounds, real = [], solve._simplex
+
+        def spy(*args):
+            rounds.append(0)
+            return real(*args)
+
+        monkeypatch.setattr(solve, "_simplex", spy)
+        first = lp_solve(np.array([-1.0, -1.0]), A, b)
+        assert len(rounds) == 2 and first.basis.tolist() == [128, 129]
+        assert 127 in first.working_set
+        c = np.array([-1.01, -1.0])
+        rounds.clear()
+        warm = lp_solve(c, A, b, warm=first)
+        assert len(rounds) == 1 and warm.basis.tolist() == [127, 128]
+        cold = lp_solve(c, A, b)
+        assert warm.status == cold.status == "Optimal"
+        assert warm.x.tobytes() == cold.x.tobytes()
 
     def test_unbounded_until_a_row_outside_the_seed(self, monkeypatch):
         # max x: only row 1 bounds it, and no evenly spaced seed holds row 1
@@ -1008,19 +1034,20 @@ class TestTuneZetaTilde:
                 "mix090_512": DesignSpec(rho=rho_mix, epsilon=MIX_EPS, eta=1e-3, R_d=0.5,
                                          d_v=16, grid_n=512)}[name]
         # each candidate LP after the first starts from the last Optimal
-        # basis; solving every one cold changes no bit of the design
+        # basis and working set; solving every one cold changes no bit of
+        # the design
         real = solve.lp_solve
         warmed = []
 
-        def spy(*args, basis=None, **kwargs):
-            warmed.append(basis is not None)
-            return real(*args, basis=basis, **kwargs)
+        def spy(*args, warm=None, **kwargs):
+            warmed.append(warm is not None)
+            return real(*args, warm=warm, **kwargs)
 
         monkeypatch.setattr(solve, "lp_solve", spy)
         warm = design_utility(spec)
         assert sum(warmed) == _n_candidates(spec) - 1
         monkeypatch.setattr(solve, "lp_solve",
-                            lambda *args, basis=None, **kwargs: real(*args, **kwargs))
+                            lambda *args, warm=None, **kwargs: real(*args, **kwargs))
         cold = design_utility(spec)
         assert warm.status == cold.status == "Optimal"
         assert warm.zeta_tilde == cold.zeta_tilde
@@ -1060,12 +1087,12 @@ class TestTuneZetaTilde:
         # cold re-solve inverts it again, and so does the certificate's compile
         assert sizes == [1] * (n + 2)
         # n tuning LPs and the final one; after the first candidate each
-        # starts from the last Optimal basis, at most one vertex step from
-        # its optimum.  Its working set is that basis's rows and the seed, so
-        # one candidate (the third) takes a second round for a row it lacks
+        # starts from a working set that already holds its active rows, and
+        # from the last Optimal basis, at most one vertex step from its optimum
         assert len(solves) == n + 1
-        assert max(solves[1:n]) <= 2 and max(steps[1:n]) <= 1
-        assert sum(solves) <= 13 and sum(steps) <= 20
+        assert solves[1:n] == [1] * (n - 1)
+        assert sum(solves) <= 12
+        assert max(steps[1:n]) <= 1 and sum(steps) <= 20
 
     @pytest.mark.parametrize("name", ["fig2", "fig4_090", "fig4_094", "fig4_098"])
     def test_capped_recursions_choose_the_same_anchor(self, rho_x7, fixtures, name):
