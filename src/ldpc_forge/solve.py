@@ -587,11 +587,11 @@ def _tune_zeta_tilde(spec: DesignSpec, ctx: DEContext) -> Optional[float]:
     step.  Moving the anchor a few multiples of zeta to the right trades
     the left tail for uniformly larger mid-range steps.  Each candidate
     gets the design's LP on 2^3 pieces, warm from the last Optimal one's
-    basis and working set; the lowest exact iteration count wins (ties: the smallest
-    anchor), so each recursion after a win stops at one step fewer than
-    the best.  None when no candidate decodes within `TUNE_L_MAX`.  The
-    pieces bound P on all of [zeta_tilde, xi], so unlike z-uniform grids
-    they keep 8*zeta for Fig. 2.
+    basis and working set; the lowest exact iteration count wins (ties:
+    the smallest anchor), so each recursion after a win stops at one step
+    fewer than the best.  None when no candidate decodes within
+    `TUNE_L_MAX`.  The pieces bound P on all of [zeta_tilde, xi], so
+    unlike z-uniform grids they keep 8*zeta for Fig. 2.
     """
     best_n, best_zt, warm = TUNE_L_MAX + 1, None, None
     for zt in [f * ctx.zeta for f in TUNE_FACTORS if f * ctx.zeta < 0.5 * ctx.xi]:
